@@ -62,16 +62,15 @@ class FrameDegenerateError(ValueError):
 class LevelScheme:
     """Zeeman structure of the S1/2 and P1/2 manifolds.
 
-    ``branching_PD`` is the P1/2 -> D3/2 : P1/2 -> S1/2 branching ratio; it is
-    documented here but deliberately excluded from the dynamics (the D3/2
-    channel is repumped in practice and small, 1:16).
+    The P1/2 -> D3/2 decay (branching ratio 1:16 against P1/2 -> S1/2) is
+    deliberately excluded from the dynamics: the D3/2 channel is repumped in
+    practice and small.
     """
 
     states: tuple = STATES
     lande_g_S: float = 2.00225
     lande_g_P: float = 2.0 / 3.0
     gamma: float = 2 * math.pi * 20e6  # total P1/2 decay rate, rad/s
-    branching_PD: float = 1.0 / 16.0
     cg_weights: dict = field(default_factory=_default_cg_weights)
 
     def __post_init__(self):

@@ -38,7 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a task configuration, emit CSV")
     p_run.add_argument("config", help="config file path or bundled name (e.g. fig2.cfg)")
     p_run.add_argument("--out", default=".", help="output directory (default: cwd)")
-    p_run.add_argument("--threads", type=int, default=1, help="sweep-point parallelism")
     p_run.add_argument("--verbose", action="store_true")
 
     p_val = sub.add_parser("validate", help="parse and validate a config, report defaults")
@@ -62,7 +61,7 @@ def main(argv=None) -> int:
             for key in config.applied_defaults:
                 print(f"  default applied: {key} = {config.values[key]!r}")
             return 0
-        run(config, args.out, threads=args.threads, verbose=args.verbose)
+        run(config, args.out, verbose=args.verbose)
         return 0
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

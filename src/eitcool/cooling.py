@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import CA40_MASS, HBAR
+from .liouville import ConvergenceError, DegenerateSteadyStateError
 from .spectrum import EITConfig, coupling_for_target_shift, scattering_rate
 
 
@@ -169,7 +170,9 @@ def steady_state_n_sweep(
     geometric prefactor cancels in n_ss, so ``geometry`` is optional for
     omega sweeps (unit prefactor is then reported in A+/-).
 
-    Per-point solver failures are recorded in the row and the sweep continues.
+    Per-point solver failures (a degenerate steady state, an unconverged
+    harmonic expansion, a singular linear solve) are recorded in the row's
+    ``error`` and the sweep continues; any other exception propagates.
     """
     if (omegas is None) == (deltas is None):
         raise ValueError("specify exactly one of omegas or deltas")
@@ -198,10 +201,14 @@ def steady_state_n_sweep(
     return rows
 
 
+# failures of a well-formed solve; anything else is a bug and propagates
+_SOLVER_ERRORS = (DegenerateSteadyStateError, ConvergenceError, np.linalg.LinAlgError)
+
+
 def _sweep_point(config: EITConfig, geometry: CoolingGeometry, value: float) -> SweepPoint:
     try:
         a_plus, a_minus = cooling_coefficients(config, geometry)
-    except Exception as exc:  # per-point failure: record and continue
+    except _SOLVER_ERRORS as exc:  # per-point failure: record and continue
         return SweepPoint(value, math.nan, math.nan, math.nan, False, error=str(exc))
     n_ss, cooled = _n_ss(a_plus, a_minus)
     return SweepPoint(value, a_plus, a_minus, n_ss, cooled)

@@ -13,6 +13,11 @@ nu_b = nu_c - nu_g; no frame makes it static.
 
 Vectorization is column-major: vec(rho) = rho.flatten(order="F"), so that
 vec(X rho Y) = (Y^T kron X) vec(rho).
+
+Spectra are solved by ``steady_state`` when L is static and by
+``periodic_harmonics`` (Floquet expansion) when it is periodic.
+``propagate``, ``periodic_steady_state`` and ``static_approximation`` are
+reference oracles that the tests compare those two against.
 """
 
 from __future__ import annotations
@@ -283,48 +288,59 @@ def static_approximation(liouv: Liouvillian) -> Liouvillian:
     )
 
 
-def _trace_row(dim: int) -> np.ndarray:
-    row = np.zeros(dim * dim, complex)
-    row[:: dim + 1] = 1.0
-    return row
+# uniqueness spread and relative residual accepted by the steady-state solves
+_CHECK_TOL = 1e-8
 
 
-def _solve_with_trace(l0: np.ndarray, dim: int, replaced_row: int) -> np.ndarray:
-    scale = np.max(np.abs(l0))
-    m = l0 / scale
-    m[replaced_row, :] = _trace_row(dim)
-    b = np.zeros(dim * dim, complex)
-    b[replaced_row] = 1.0
-    return np.linalg.solve(m, b)
+def _unique_null_vector(l: np.ndarray, dim: int, check_tol: float) -> np.ndarray:
+    """Trace-one null vector of ``l``, checked for uniqueness.
 
-
-def steady_state(liouv: Liouvillian, check_tol: float = 1e-8) -> np.ndarray:
-    """Unique steady state of a time-independent Liouvillian.
-
-    One row of L0 is replaced by the trace constraint; uniqueness is verified
-    by repeating the solve with a different row replaced and by a residual
-    check on the original equations.
+    One row of ``l`` is replaced by the trace constraint; uniqueness is
+    verified by repeating the solve with a different row replaced (both
+    solves in one stacked call) and by a residual check on the original
+    equations.
     """
-    if liouv.periodic:
-        raise ValueError("Liouvillian is time-periodic; use periodic_steady_state")
-    d = liouv.dim
+    d2 = dim * dim
+    scale = np.max(np.abs(l))
+    trace_row = np.zeros(d2)
+    trace_row[:: dim + 1] = 1.0  # ones on the diagonal of rho
+    m = np.stack([l / scale] * 2)
+    m[0, 0] = trace_row
+    m[1, -1] = trace_row
+    rhs = np.zeros((2, d2, 1), complex)
+    rhs[0, 0, 0] = rhs[1, -1, 0] = 1.0
     try:
-        v1 = _solve_with_trace(liouv.l0.copy(), d, 0)
-        v2 = _solve_with_trace(liouv.l0.copy(), d, d * d - 1)
+        v1, v2 = np.linalg.solve(m, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise DegenerateSteadyStateError(
             f"steady state not unique (singular solve: {exc})"
         ) from exc
-    scale = np.max(np.abs(liouv.l0))
-    resid = np.max(np.abs(liouv.l0 @ v1)) / scale
-    if np.max(np.abs(v1 - v2)) > check_tol or resid > check_tol:
+    spread = np.max(np.abs(v1 - v2))
+    resid = np.max(np.abs(l @ v1)) / scale
+    if spread > check_tol or resid > check_tol:
         raise DegenerateSteadyStateError(
             f"steady state not unique (solution spread "
-            f"{np.max(np.abs(v1 - v2)):.2e}, residual {resid:.2e})"
+            f"{spread:.2e}, residual {resid:.2e})"
         )
-    rho = unvec(v1, d)
+    return v1
+
+
+def _density_matrix(v: np.ndarray, dim: int) -> np.ndarray:
+    """Hermitian, unit-trace density matrix from a vectorized solution."""
+    rho = unvec(v, dim)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
+
+
+def steady_state(liouv: Liouvillian, check_tol: float = _CHECK_TOL) -> np.ndarray:
+    """Unique steady state of a time-independent Liouvillian.
+
+    Raises DegenerateSteadyStateError if the null space of L0 is not
+    one-dimensional.
+    """
+    if liouv.periodic:
+        raise ValueError("Liouvillian is time-periodic; use periodic_harmonics")
+    return _density_matrix(_unique_null_vector(liouv.l0, liouv.dim, check_tol), liouv.dim)
 
 
 def propagate(
@@ -405,16 +421,13 @@ def periodic_steady_state(
         t0 += window
         periods_done += window_periods
         if prev_avg is not None and np.max(np.abs(avg - prev_avg)) < drift_tol:
-            rho = unvec(avg, liouv.dim)
-            rho = 0.5 * (rho + rho.conj().T)
-            return rho / np.trace(rho).real
+            return _density_matrix(avg, liouv.dim)
         prev_avg = avg
     raise ConvergenceError(f"window average did not settle within {max_periods} periods")
 
 
 def periodic_harmonics(
     liouv: Liouvillian,
-    n_harmonics: int | None = None,
     tol: float = 1e-12,
     max_harmonics: int = 24,
 ):
@@ -422,8 +435,9 @@ def periodic_harmonics(
 
     Expands rho(t) = sum_k rho_k e^{i k nu t} and solves the resulting block
     tridiagonal linear system by folding the k != 0 chains onto the k = 0
-    block (Schur complements), then imposing the trace constraint.  The
-    truncation order is grown until rho_0 stops changing.
+    block (Schur complements), then imposing the trace constraint with the
+    same uniqueness and residual check as ``steady_state``.  The truncation
+    order is grown until rho_0 stops changing.
 
     Returns a dict {k: rho_k} with rho_{-k} = rho_k^dagger.
     """
@@ -450,30 +464,21 @@ def periodic_harmonics(
                 m = m + liouv.l_plus @ r_dn
             r_dn = -np.linalg.solve(m, liouv.l_minus)
         l_eff = liouv.l0 + liouv.l_minus @ r_up + liouv.l_plus @ r_dn
-        v0 = _solve_with_trace(l_eff.copy(), d, 0)
-        return v0, r_up, r_dn
+        return _unique_null_vector(l_eff, d, _CHECK_TOL), r_up
 
-    if n_harmonics is not None:
-        v0, r_up, r_dn = solve_at(n_harmonics)
-        k_max = n_harmonics
+    k_max = 3
+    v0, r_up = solve_at(k_max)
+    while k_max < max_harmonics:
+        k_max += 2
+        v0_next, r_up = solve_at(k_max)
+        converged = np.max(np.abs(v0_next - v0)) < tol
+        v0 = v0_next
+        if converged:
+            break
     else:
-        k_max = 3
-        v0, r_up, r_dn = solve_at(k_max)
-        while k_max < max_harmonics:
-            v0_next, r_up_n, r_dn_n = solve_at(k_max + 2)
-            if np.max(np.abs(v0_next - v0)) < tol:
-                v0, r_up, r_dn = v0_next, r_up_n, r_dn_n
-                k_max += 2
-                break
-            v0, r_up, r_dn = v0_next, r_up_n, r_dn_n
-            k_max += 2
-        else:
-            raise ConvergenceError(f"harmonic expansion not converged at k = {max_harmonics}")
+        raise ConvergenceError(f"harmonic expansion not converged at k = {max_harmonics}")
 
-    out = {}
-    rho0 = unvec(v0, d)
-    rho0 = 0.5 * (rho0 + rho0.conj().T)
-    out[0] = rho0 / np.trace(rho0).real
+    out = {0: _density_matrix(v0, d)}
     v = vec(out[0])
     vk = r_up @ v
     out[1] = unvec(vk, d)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +16,7 @@ from .cooling import (
     multimode_report,
     steady_state_n_sweep,
 )
+from .spectrum import scattering_rate
 from .thermometry import (
     ThermalState,
     fit_thermal,
@@ -36,11 +35,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _sweep_hz(config: RunConfig) -> np.ndarray:
+    """The configured sweep grid in Hz, written to the CSV as given."""
+    return np.linspace(
+        config["sweep.start_hz"], config["sweep.stop_hz"], config["sweep.points"]
+    )
+
+
+def _variants(config: RunConfig) -> tuple:
+    return FIG2_VARIANTS if config["variant"] == "all" else (config["variant"],)
+
+
+def _failure_meta(points) -> dict:
+    failed = [pt for pt in points if pt.error]
+    return {"failed_points": str(len(failed))} if failed else {}
 
 
 def _mode_geometry(config: RunConfig, label: str):
@@ -53,71 +61,42 @@ def _mode_geometry(config: RunConfig, label: str):
     return geometry_from_angle(mode, config.delta_k_magnitude(), config.trap_phi(label))
 
 
-def _run_spectrum(config: RunConfig, threads: int):
-    detunings = np.linspace(
-        angular(config["sweep.start_hz"]),
-        angular(config["sweep.stop_hz"]),
-        config["sweep.points"],
-    )
-    variants = (
-        FIG2_VARIANTS if config["variant"] == "all" else (config["variant"],)
-    )
+def _run_spectrum(config: RunConfig):
+    grid_hz = _sweep_hz(config)
     header = ["variant", "delta_pi_hz", "W_per_s", "rho_P_total"]
     rows = []
-    for variant in variants:
+    for variant in _variants(config):
         eit = config.eit_config(variant=variant)
-        from .spectrum import scattering_rate
-
-        samples = _map(lambda d: scattering_rate(eit, float(d)), detunings, threads)
-        for sample in samples:
-            rows.append(
-                [variant, sample.detuning_pi / (2 * math.pi), sample.w, sample.rho_p_total]
-            )
+        for hz in grid_hz:
+            sample = scattering_rate(eit, angular(float(hz)))
+            rows.append([variant, float(hz), sample.w, sample.rho_p_total])
     return header, rows, {}
 
 
-def _run_sweep_omega(config: RunConfig, threads: int):
-    omegas = np.linspace(
-        angular(config["sweep.start_hz"]),
-        angular(config["sweep.stop_hz"]),
-        config["sweep.points"],
-    )
-    variants = (
-        FIG2_VARIANTS if config["variant"] == "all" else (config["variant"],)
-    )
+def _run_sweep_omega(config: RunConfig):
+    grid_hz = _sweep_hz(config)
     header = ["variant", "omega_hz", "n_ss"]
-    rows = []
-    for variant in variants:
+    rows, points = [], []
+    for variant in _variants(config):
         eit = config.eit_config(variant=variant)
-        points = _map(
-            lambda w: steady_state_n_sweep(eit, omegas=[w])[0], omegas, threads
-        )
-        for pt in points:
-            rows.append([variant, pt.value / (2 * math.pi), pt.n_ss])
-    return header, rows, {}
+        swept = steady_state_n_sweep(eit, omegas=angular(grid_hz))
+        rows += [[variant, float(hz), pt.n_ss] for hz, pt in zip(grid_hz, swept)]
+        points += swept
+    return header, rows, _failure_meta(points)
 
 
-def _run_sweep_delta(config: RunConfig, threads: int):
-    deltas = np.linspace(
-        angular(config["sweep.start_hz"]),
-        angular(config["sweep.stop_hz"]),
-        config["sweep.points"],
-    )
+def _run_sweep_delta(config: RunConfig):
+    grid_hz = _sweep_hz(config)
     geometry = _mode_geometry(config, config["mode"])
-    eit = config.eit_config()
-    points = _map(
-        lambda d: steady_state_n_sweep(eit, deltas=[d], geometry=geometry)[0],
-        deltas,
-        threads,
+    points = steady_state_n_sweep(
+        config.eit_config(), deltas=angular(grid_hz), geometry=geometry
     )
     header = ["delta_hz", "n_ss"]
-    rows = [[pt.value / (2 * math.pi), pt.n_ss] for pt in points]
-    failed = [pt for pt in points if pt.error]
-    meta = {"failed_points": str(len(failed))} if failed else {}
-    return header, rows, meta
+    rows = [[float(hz), pt.n_ss] for hz, pt in zip(grid_hz, points)]
+    return header, rows, _failure_meta(points)
 
 
-def _run_dynamics(config: RunConfig, threads: int):
+def _run_dynamics(config: RunConfig):
     geometry = _mode_geometry(config, config["mode"])
     eit = config.eit_config()
     a_plus, a_minus = cooling_coefficients(eit, geometry)
@@ -133,7 +112,7 @@ def _run_dynamics(config: RunConfig, threads: int):
     return header, rows, meta
 
 
-def _run_multimode(config: RunConfig, threads: int):
+def _run_multimode(config: RunConfig):
     labels = [m.strip() for m in config["multimode.modes"].split(",") if m.strip()]
     geometries = [_mode_geometry(config, label) for label in labels]
     eit = config.eit_config()
@@ -146,7 +125,7 @@ def _run_multimode(config: RunConfig, threads: int):
     for geo, rep in zip(geometries, reports):
         rows.append([
             rep.label,
-            rep.omega / (2 * math.pi),
+            config[f"trap.omega_{rep.label}_hz"],
             rep.a_plus,
             rep.a_minus,
             rep.rate,
@@ -158,7 +137,7 @@ def _run_multimode(config: RunConfig, threads: int):
     return header, rows, {}
 
 
-def _run_thermometry(config: RunConfig, threads: int):
+def _run_thermometry(config: RunConfig):
     state = ThermalState.from_n_bar(config["thermometry.n_bar"])
     eta = config["thermometry.eta_probe"]
     omega0 = angular(config["thermometry.rabi_hz"])
@@ -188,11 +167,11 @@ _TASK_RUNNERS = {
 }
 
 
-def run(config: RunConfig, out_dir, threads: int = 1, verbose: bool = False) -> Path:
+def run(config: RunConfig, out_dir, verbose: bool = False) -> Path:
     """Execute the configured task; write <output>.csv and a .meta sidecar."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header, rows, extra_meta = _TASK_RUNNERS[config.task](config, threads)
+    header, rows, extra_meta = _TASK_RUNNERS[config.task](config)
 
     csv_path = out_dir / config.output_name
     with open(csv_path, "w", encoding="utf-8") as fh:

@@ -31,11 +31,9 @@ from .atom import (
 from .liouville import (
     BeamSet,
     DrivenSystem,
-    Liouvillian,
     build_liouvillian,
     build_system,
     periodic_harmonics,
-    static_approximation,
     steady_state,
 )
 
@@ -125,7 +123,6 @@ class EITConfig:
     beam_angle: float = math.radians(125.0)  # between cooling and coupling k
     wavelength: float = 397e-9
     scheme: LevelScheme = dc_field(default_factory=LevelScheme)
-    solver: str = "auto"  # auto | harmonic | static_approx | propagate
 
     @property
     def field(self) -> MagneticField:
@@ -189,32 +186,10 @@ def beam_scattering_rates(system: DrivenSystem, harmonics: dict) -> dict:
     """
     rates: dict = {}
     for c in system.couplings:
-        k = 1 if c.oscillates else 0
-        rho = harmonics.get(k)
-        rate = 0.0 if rho is None else float(np.imag(c.rabi_eff * rho[c.lower, c.upper]))
+        rho = harmonics[1 if c.oscillates else 0]
+        rate = float(np.imag(c.rabi_eff * rho[c.lower, c.upper]))
         rates[c.beam] = rates.get(c.beam, 0.0) + rate
     return rates
-
-
-def _solve(config: EITConfig, system: DrivenSystem):
-    """Return {k: rho_k} for the configured solver."""
-    liouv = build_liouvillian(system)
-    if not liouv.periodic:
-        return {0: steady_state(liouv)}
-    solver = config.solver
-    if solver in ("auto", "harmonic"):
-        return periodic_harmonics(liouv)
-    if solver == "static_approx":
-        folded = static_approximation(liouv)
-        rho = steady_state(folded)
-        # every coupling reads rho_0 in this mode
-        return {0: rho, 1: rho}
-    if solver == "propagate":
-        from .liouville import periodic_steady_state
-
-        rho = periodic_steady_state(liouv, relax_time=20.0 / system.gamma)
-        return {0: rho, 1: rho}
-    raise ValueError(f"unknown solver {solver!r}")
 
 
 def scattering_rate(config: EITConfig, delta_pi: float | None = None) -> SpectrumSample:
@@ -222,7 +197,11 @@ def scattering_rate(config: EITConfig, delta_pi: float | None = None) -> Spectru
     if delta_pi is None:
         delta_pi = config.delta_pi
     system = config.system(delta_pi)
-    harmonics = _solve(config, system)
+    liouv = build_liouvillian(system)
+    if liouv.periodic:
+        harmonics = periodic_harmonics(liouv)
+    else:
+        harmonics = {0: steady_state(liouv)}
     rates = beam_scattering_rates(system, harmonics)
     rho0 = harmonics[0]
     p_total = float(sum(rho0[i, i].real for i in system.excited_indices()))

@@ -21,6 +21,9 @@ from scipy.optimize import minimize_scalar
 
 SIDEBANDS = ("red", "blue")
 
+# largest Fock cutoff from_n_bar builds (n_bar up to about 144 at tail 1e-6)
+MAX_CUTOFF = 2000
+
 
 @dataclass(frozen=True)
 class ThermalState:
@@ -36,14 +39,22 @@ class ThermalState:
             raise ValueError("cutoff must be >= 0")
 
     @classmethod
-    def from_n_bar(cls, n_bar: float, tail: float = 1e-6, max_cutoff: int = 2000):
-        """Cutoff at the smallest n with cumulative weight >= 1 - tail."""
+    def from_n_bar(cls, n_bar: float, tail: float = 1e-6):
+        """Cutoff at the smallest n with cumulative weight >= 1 - tail.
+
+        Raises ValueError if that cutoff exceeds MAX_CUTOFF.
+        """
         if n_bar <= 0:
             return cls(n_bar=max(n_bar, 0.0), cutoff=0)
         # geometric tail: sum_{n > N} p_n = (n_bar / (n_bar + 1))^(N+1)
         r = n_bar / (n_bar + 1.0)
         cutoff = max(0, math.ceil(math.log(tail) / math.log(r)) - 1)
-        return cls(n_bar=n_bar, cutoff=min(cutoff, max_cutoff))
+        if cutoff > MAX_CUTOFF:
+            raise ValueError(
+                f"n_bar = {n_bar!r} needs a Fock cutoff of {cutoff} for tail {tail!r}, "
+                f"above the maximum {MAX_CUTOFF}"
+            )
+        return cls(n_bar=n_bar, cutoff=cutoff)
 
     def probabilities(self) -> np.ndarray:
         n = np.arange(self.cutoff + 1)
@@ -124,12 +135,12 @@ def fit_thermal(
     target = np.asarray(record.excitation, float)
 
     def sse(n_bar):
-        state = ThermalState.from_n_bar(max(float(n_bar), 0.0))
         try:
+            state = ThermalState.from_n_bar(max(float(n_bar), 0.0))
             model = sideband_flops(state, eta_probe, omega0, record.sideband, t)
         except ValueError:
-            # trial n_bar pushes the cutoff outside the first-order sideband
-            # model's validity; treat as arbitrarily bad
+            # trial n_bar pushes the cutoff past MAX_CUTOFF or outside the
+            # first-order sideband model's validity; treat as arbitrarily bad
             return math.inf
         return float(np.sum((np.asarray(model.excitation) - target) ** 2))
 

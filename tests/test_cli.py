@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import eitcool.cooling
 from eitcool.cli import bundled_config_path, main
+from eitcool.config import load_config
+from eitcool.liouville import DegenerateSteadyStateError
 
 TP = 2 * math.pi
 
@@ -97,13 +100,6 @@ def test_run_spectrum_rows_are_physical(spectrum_cfg, tmp_path):
     assert np.argmin(w) == detunings.index(70e6)
 
 
-def test_threaded_run_matches_serial_run(spectrum_cfg, tmp_path):
-    out1, out2 = tmp_path / "serial", tmp_path / "threads"
-    main(["run", str(spectrum_cfg), "--out", str(out1)])
-    main(["run", str(spectrum_cfg), "--out", str(out2), "--threads", "4"])
-    assert (out1 / "spec.csv").read_text() == (out2 / "spec.csv").read_text()
-
-
 def test_rerun_is_bitwise_identical(spectrum_cfg, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     main(["run", str(spectrum_cfg), "--out", str(out1)])
@@ -122,3 +118,37 @@ def test_run_thermometry_reports_fit_in_sidecar(tmp_path):
     fit = float(next(l for l in meta.splitlines()
                      if l.startswith("result.fit_n_bar")).split("=")[1])
     assert fit == pytest.approx(2.0, rel=0.05)
+
+
+def test_hz_columns_equal_the_configured_values(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "fig2.cfg", "--out", str(out)]) == 0
+    assert main(["run", "multimode.cfg", "--out", str(out)]) == 0
+    cfg = load_config(bundled_config_path("fig2.cfg"))
+    grid = np.linspace(cfg["sweep.start_hz"], cfg["sweep.stop_hz"], cfg["sweep.points"])
+    rows = [l.split(",") for l in _data_lines(out / "fig2.csv")[1:]]
+    for variant in ("three_level", "four_level_ideal", "four_level_geometry"):
+        omega_hz = [float(r[1]) for r in rows if r[0] == variant]
+        assert omega_hz == grid.tolist()
+    cfg = load_config(bundled_config_path("multimode.cfg"))
+    for row in (l.split(",") for l in _data_lines(out / "multimode.csv")[1:]):
+        assert float(row[1]) == cfg[f"trap.omega_{row[0]}_hz"]
+
+
+def test_sweep_omega_reports_failed_points(tmp_path, monkeypatch):
+    solve = eitcool.cooling.cooling_coefficients
+
+    def fail_above_2mhz(config, geometry):
+        if geometry.omega > TP * 2e6:
+            raise DegenerateSteadyStateError("injected")
+        return solve(config, geometry)
+
+    monkeypatch.setattr(eitcool.cooling, "cooling_coefficients", fail_above_2mhz)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("task = sweep-omega\nvariant = three_level\nsweep.start_hz = 1e6\n"
+                   "sweep.stop_hz = 3e6\nsweep.points = 3\noutput = s.csv\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    n_ss = [r.split(",")[2] for r in _data_lines(out / "s.csv")[1:]]
+    assert n_ss[2] == "nan" and n_ss[0] != "nan"
+    assert "result.failed_points = 1" in (out / "s.csv.meta").read_text()

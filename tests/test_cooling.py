@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+import eitcool.cooling
 from eitcool.constants import CA40_MASS
 from eitcool.cooling import (
     CoolingGeometry,
@@ -240,6 +241,23 @@ def test_sweep_argument_validation():
         steady_state_n_sweep(cfg, deltas=[TP * 1e6])  # needs a geometry
     with pytest.raises(ValueError):
         steady_state_n_sweep(cfg, omegas=[-1.0])
+
+
+@pytest.mark.parametrize("variant", ["three_level", "four_level_ideal", "four_level_geometry"])
+def test_sweep_records_degenerate_point_and_continues(variant):
+    cfg = fig2_config(variant, omega_sigma=0.0, omega_pi=0.0)
+    (pt,) = steady_state_n_sweep(cfg, omegas=[TP * 1.62e6])
+    assert "steady state not unique" in pt.error
+    assert math.isnan(pt.n_ss) and not pt.cooled
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    def broken(config, geometry):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(eitcool.cooling, "cooling_coefficients", broken)
+    with pytest.raises(TypeError):
+        steady_state_n_sweep(fig2_config("three_level"), omegas=[TP * 1.62e6])
 
 
 # ----------------------------------------------------------------- multimode

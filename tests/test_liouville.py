@@ -191,6 +191,15 @@ def test_four_level_pure_decay_steady_state_is_degenerate():
         steady_state(_pure_decay_liouvillian("four_level_ideal"))
 
 
+def test_degenerate_geometry_harmonics_raise_like_the_static_solve():
+    liouv = build_liouvillian(_system("four_level_geometry", omega_sigma=0.0, omega_pi=0.0))
+    assert liouv.periodic
+    with pytest.raises(DegenerateSteadyStateError):
+        periodic_harmonics(liouv)
+    with pytest.raises(DegenerateSteadyStateError):
+        steady_state(static_approximation(liouv))
+
+
 def test_two_level_saturation_formula():
     # independently-derived resonance fluorescence steady state
     for omega, delta in [(0.3 * GAMMA, 0.0), (0.8 * GAMMA, 0.5 * GAMMA),

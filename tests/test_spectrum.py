@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eitcool.liouville import build_liouvillian, steady_state
+from eitcool.liouville import (
+    build_liouvillian,
+    periodic_harmonics,
+    static_approximation,
+    steady_state,
+)
 from eitcool.spectrum import (
     BracketError,
     DegenerateFeatureError,
@@ -142,8 +147,6 @@ def test_per_beam_attribution_balances_photon_rates(rng):
 
 
 def test_periodic_attribution_balances_photon_rates():
-    from eitcool.liouville import periodic_harmonics
-
     cfg = fig2_config("four_level_geometry")
     system = cfg.system()
     harmonics = periodic_harmonics(build_liouvillian(system))
@@ -160,17 +163,17 @@ def test_linear_response_quadratic_in_probe_rabi():
     assert w2 / w1 == pytest.approx(4.0, rel=0.05)
 
 
-def test_solver_modes_agree_where_they_should():
+def test_geometry_rate_is_read_from_floquet_harmonics():
     cfg = fig2_config("four_level_geometry")
-    w_auto = scattering_rate(cfg).w
-    w_harm = scattering_rate(replace(cfg, solver="harmonic")).w
-    assert w_auto == w_harm
-    # the static approximation is comparable in magnitude but not exact
-    w_static = scattering_rate(replace(cfg, solver="static_approx")).w
-    assert 0.1 * w_auto < w_static < 10 * w_auto
-    assert w_static != w_auto
-    with pytest.raises(ValueError):
-        scattering_rate(replace(cfg, solver="exact"))
+    system = cfg.system()
+    liouv = build_liouvillian(system)
+    w = scattering_rate(cfg).w
+    assert w == beam_scattering_rates(system, periodic_harmonics(liouv))["cooling"]
+    # folding the beat into L0 is comparable in magnitude but not exact
+    rho_static = steady_state(static_approximation(liouv))
+    w_static = beam_scattering_rates(system, {0: rho_static, 1: rho_static})["cooling"]
+    assert 0.1 * w < w_static < 10 * w
+    assert w_static != w
 
 
 # --------------------------------------------------------------- fano features

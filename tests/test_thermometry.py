@@ -51,8 +51,9 @@ def test_thermal_state_input_validation():
         ThermalState(n_bar=1.0, cutoff=-1)
 
 
-def test_cutoff_is_capped():
-    assert ThermalState.from_n_bar(1e6).cutoff == 2000
+def test_cutoff_over_the_cap_is_rejected():
+    with pytest.raises(ValueError, match="n_bar = 5000"):
+        ThermalState.from_n_bar(5000.0)
 
 
 # ------------------------------------------------------------ sideband flops
