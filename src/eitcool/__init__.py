@@ -33,6 +33,7 @@ from .liouville import (
 from .spectrum import (
     EITConfig,
     FanoFeatures,
+    Spectrum,
     SpectrumSample,
     ac_stark_shift,
     ac_stark_shift_approx,
@@ -41,6 +42,7 @@ from .spectrum import (
     fano_features,
     scan_spectrum,
     scattering_rate,
+    scattering_rates,
 )
 from .thermometry import (
     FlopRecord,

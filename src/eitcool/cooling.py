@@ -18,8 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import CA40_MASS, HBAR
-from .liouville import ConvergenceError, DegenerateSteadyStateError
-from .spectrum import EITConfig, coupling_for_target_shift, scattering_rate
+from .spectrum import EITConfig, coupling_for_target_shift, scattering_rates
 
 
 @dataclass(frozen=True)
@@ -85,14 +84,37 @@ def geometry_from_angle(mode: TrapMode, delta_k_mag: float, phi: float) -> Cooli
     )
 
 
+def _mode_coefficients(config: EITConfig, geometries) -> tuple:
+    """(A+, A-, error) lists for modes under one laser config, from one spectrum solve.
+
+    W is sampled at delta_pi -/+ omega of every mode in one ``scattering_rates``
+    call.  A mode whose solve failed has NaN rates and the first of its two
+    failures as error; a zero geometric prefactor gives (0, 0) without a solve.
+    """
+    n = len(geometries)
+    a_plus, a_minus, errors = [0.0] * n, [0.0] * n, [None] * n
+    prefactors = [geo.eta**2 * geo.cos_phi**2 for geo in geometries]
+    live = [i for i in range(n) if prefactors[i] != 0]
+    if not live:
+        return a_plus, a_minus, errors
+    omegas = np.array([geometries[i].omega for i in live])
+    spectrum = scattering_rates(
+        config, np.concatenate([config.delta_pi - omegas, config.delta_pi + omegas])
+    )
+    for j, i in enumerate(live):
+        k = len(live) + j  # the delta_pi + omega sample of mode i
+        a_plus[i] = prefactors[i] * float(spectrum.w[j])
+        a_minus[i] = prefactors[i] * float(spectrum.w[k])
+        errors[i] = spectrum.errors[j] or spectrum.errors[k]
+    return a_plus, a_minus, errors
+
+
 def cooling_coefficients(config: EITConfig, geometry: CoolingGeometry):
     """(A+, A-) in 1/s for one mode at the configured cooling detuning."""
-    prefactor = geometry.eta**2 * geometry.cos_phi**2
-    if prefactor == 0:
-        return 0.0, 0.0
-    w_plus = scattering_rate(config, config.delta_pi - geometry.omega).w
-    w_minus = scattering_rate(config, config.delta_pi + geometry.omega).w
-    return prefactor * w_plus, prefactor * w_minus
+    (a_plus,), (a_minus,), (error,) = _mode_coefficients(config, [geometry])
+    if error is not None:
+        raise error
+    return a_plus, a_minus
 
 
 def evolve_n(a_plus: float, a_minus: float, n0: float, t: float) -> float:
@@ -176,50 +198,50 @@ def steady_state_n_sweep(
     """
     if (omegas is None) == (deltas is None):
         raise ValueError("specify exactly one of omegas or deltas")
-    rows = []
     if omegas is not None:
-        for omega in omegas:
-            omega = float(omega)
-            if omega <= 0:
-                raise ValueError("sweep frequencies must be positive")
-            geo = (
-                replace(geometry, omega=omega)
-                if geometry is not None
-                else CoolingGeometry(omega=omega, eta=1.0, cos_phi=1.0)
+        omegas = [float(omega) for omega in omegas]
+        if any(omega <= 0 for omega in omegas):
+            raise ValueError("sweep frequencies must be positive")
+        geometries = [
+            replace(geometry, omega=omega)
+            if geometry is not None
+            else CoolingGeometry(omega=omega, eta=1.0, cos_phi=1.0)
+            for omega in omegas
+        ]
+        return [
+            _sweep_point(omega, a_plus, a_minus, error)
+            for omega, a_plus, a_minus, error in zip(
+                omegas, *_mode_coefficients(config, geometries)
             )
-            rows.append(_sweep_point(config, geo, omega))
-    else:
-        if geometry is None:
-            raise ValueError("a mode geometry is required to sweep the AC Stark shift")
-        for delta in deltas:
-            delta = float(delta)
-            if delta <= 0:
-                raise ValueError("sweep shifts must be positive")
-            omega_sigma = coupling_for_target_shift(delta, config.delta_sigma)
-            cfg = replace(config, omega_sigma=omega_sigma)
-            rows.append(_sweep_point(cfg, geometry, delta))
+        ]
+    if geometry is None:
+        raise ValueError("a mode geometry is required to sweep the AC Stark shift")
+    rows = []
+    for delta in deltas:
+        delta = float(delta)
+        if delta <= 0:
+            raise ValueError("sweep shifts must be positive")
+        omega_sigma = coupling_for_target_shift(delta, config.delta_sigma)
+        cfg = replace(config, omega_sigma=omega_sigma)
+        (a_plus,), (a_minus,), (error,) = _mode_coefficients(cfg, [geometry])
+        rows.append(_sweep_point(delta, a_plus, a_minus, error))
     return rows
 
 
-# failures of a well-formed solve; anything else is a bug and propagates
-_SOLVER_ERRORS = (DegenerateSteadyStateError, ConvergenceError, np.linalg.LinAlgError)
-
-
-def _sweep_point(config: EITConfig, geometry: CoolingGeometry, value: float) -> SweepPoint:
-    try:
-        a_plus, a_minus = cooling_coefficients(config, geometry)
-    except _SOLVER_ERRORS as exc:  # per-point failure: record and continue
-        return SweepPoint(value, math.nan, math.nan, math.nan, False, error=str(exc))
+def _sweep_point(value: float, a_plus: float, a_minus: float, error) -> SweepPoint:
+    if error is not None:  # per-point solver failure: record and continue
+        return SweepPoint(value, math.nan, math.nan, math.nan, False, error=str(error))
     n_ss, cooled = _n_ss(a_plus, a_minus)
     return SweepPoint(value, a_plus, a_minus, n_ss, cooled)
 
 
 def multimode_report(config: EITConfig, geometries) -> list:
     """Per-mode cooling report under one shared laser configuration."""
-    reports = []
-    for geo in geometries:
-        a_plus, a_minus = cooling_coefficients(config, geo)
-        reports.append(
-            CoolingReport(label=geo.label, omega=geo.omega, a_plus=a_plus, a_minus=a_minus)
-        )
-    return reports
+    a_plus, a_minus, errors = _mode_coefficients(config, geometries)
+    for error in errors:
+        if error is not None:
+            raise error
+    return [
+        CoolingReport(label=geo.label, omega=geo.omega, a_plus=ap, a_minus=am)
+        for geo, ap, am in zip(geometries, a_plus, a_minus)
+    ]

@@ -12,12 +12,20 @@ a loop mixing the two laser frequencies and oscillates at the residual beat
 nu_b = nu_c - nu_g; no frame makes it static.
 
 Vectorization is column-major: vec(rho) = rho.flatten(order="F"), so that
-vec(X rho Y) = (Y^T kron X) vec(rho).
+vec(X rho Y) = (Y^T kron X) vec(rho).  ``build_liouvillian`` writes the
+superoperators by index arithmetic on their (d, d, d, d) view rather than
+with kron products.
 
-Spectra are solved by ``steady_state`` when L is static and by
-``periodic_harmonics`` (Floquet expansion) when it is periodic.
-``propagate``, ``periodic_steady_state`` and ``static_approximation`` are
-reference oracles that the tests compare those two against.
+Every solve is stacked: the solvers take an (N, d^2, d^2) stack and check
+each member on its own, so one degenerate or singular point is flagged
+without failing the others.  ``sweep_states`` is the sweep route: one
+Liouvillian whose level energies (only its commutator diagonal) and beat
+change from point to point, solved in stacks of ``_CHUNK`` points, by the
+unique steady state where L is static and by the Floquet harmonic expansion
+where it is periodic.  ``steady_state`` and ``periodic_harmonics`` are the
+stack-of-one cases.  ``propagate``, ``periodic_steady_state`` and
+``static_approximation`` are reference oracles that the tests compare those
+against.
 """
 
 from __future__ import annotations
@@ -103,6 +111,35 @@ class DrivenSystem:
         return tuple(i for i, s in enumerate(self.labels) if s.startswith("P"))
 
 
+# beat (rad/s) below which the lasers count as degenerate and nothing oscillates
+_MIN_BEAT = 1e-6
+
+
+def _frame_rotations(nu_c, nu_g) -> dict:
+    """Rotation frequency of each level's frame (see the module docstring)."""
+    return {S_MINUS: 0.0, P_PLUS: nu_c, S_PLUS: nu_c - nu_g, P_MINUS: nu_g}
+
+
+def level_energies(
+    scheme: LevelScheme, field: MagneticField, labels, nu_c, nu_g
+) -> np.ndarray:
+    """Rotating-frame level energies ``h_diag`` of ``build_system`` (rad/s).
+
+    The first level sits at zero.  ``nu_g`` may be an array of cooling-laser
+    frequencies; the result then has one row of energies per entry.
+    """
+    delta_s, delta_p = zeeman_splitting(scheme, field)
+    zeeman = {
+        S_MINUS: -delta_s / 2,
+        S_PLUS: +delta_s / 2,
+        P_MINUS: -delta_p / 2,
+        P_PLUS: +delta_p / 2,
+    }
+    frame = _frame_rotations(nu_c, nu_g)
+    h = np.stack(np.broadcast_arrays(*(zeeman[s] - frame[s] for s in labels)), axis=-1)
+    return h - h[..., :1]
+
+
 def build_system(
     scheme: LevelScheme,
     field: MagneticField,
@@ -120,18 +157,10 @@ def build_system(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     labels = _RETAINED[variant]
-    delta_s, delta_p = zeeman_splitting(scheme, field)
-    zeeman = {
-        S_MINUS: -delta_s / 2,
-        S_PLUS: +delta_s / 2,
-        P_MINUS: -delta_p / 2,
-        P_PLUS: +delta_p / 2,
-    }
     nu_c = beams.coupling.detuning
     nu_g = beams.cooling.detuning
-    frame = {S_MINUS: 0.0, P_PLUS: nu_c, S_PLUS: nu_c - nu_g, P_MINUS: nu_g}
-    h_diag = np.array([zeeman[s] - frame[s] for s in labels])
-    h_diag -= h_diag[0]
+    frame = _frame_rotations(nu_c, nu_g)
+    h_diag = level_energies(scheme, field, labels, nu_c, nu_g)
 
     couplings = []
     seen = {}
@@ -174,7 +203,7 @@ def build_system(
                         rabi_eff=complex(rabi_eff),
                         beam=beam.label,
                         q=q,
-                        oscillates=abs(residual) > 1e-6,
+                        oscillates=abs(residual) > _MIN_BEAT,
                     )
                 )
 
@@ -182,7 +211,7 @@ def build_system(
     for c in couplings:
         if c.oscillates:
             beat = nu_c - nu_g
-    if beat is not None and abs(beat) < 1e-6:
+    if beat is not None and abs(beat) < _MIN_BEAT:
         # degenerate lasers: nothing actually oscillates
         couplings = [
             Coupling(c.lower, c.upper, c.rabi_eff, c.beam, c.q, False) for c in couplings
@@ -240,38 +269,54 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _commutator_super(h: np.ndarray) -> np.ndarray:
-    eye = np.eye(h.shape[0])
-    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    """-i[h, rho] as a superoperator, for an ``h`` with zero diagonal.
+
+    Built by index arithmetic on the (d, d, d, d) view [j, i, l, k], which
+    holds the coefficient of rho[k, l] in (L rho)[i, j].
+    """
+    d = h.shape[0]
+    out = np.zeros((d, d, d, d), complex)
+    idx = np.arange(d)
+    out[idx, :, idx, :] = -1j * h  # -i h rho
+    out[:, idx, :, idx] = 1j * h.T  # +i rho h
+    return out.reshape(d * d, d * d)
+
+
+def _with_level_energies(l0: np.ndarray, h_diag: np.ndarray) -> np.ndarray:
+    """Copies of ``l0``, one per row of ``h_diag``, with that row's level energies.
+
+    The level energies enter L0 only through its diagonal, as the commutator
+    term -i(h_i - h_j) of rho[i, j]; that imaginary part is rewritten and the
+    decay rates on the real part are kept.
+    """
+    n, d = h_diag.shape
+    out = np.repeat(l0[None], n, axis=0)
+    diag = out.reshape(n, -1)[:, :: d * d + 1]  # view; entry j*d + i is rho[i, j]
+    diag.imag = (h_diag[:, :, None] - h_diag[:, None, :]).reshape(n, d * d)
+    return out
 
 
 def build_liouvillian(system: DrivenSystem) -> Liouvillian:
     """Lindblad superoperator with one jump operator per decay channel."""
     d = system.dim
-    h0 = np.diag(system.h_diag.astype(complex))
+    h0 = np.zeros((d, d), complex)  # static couplings
     a = np.zeros((d, d), complex)  # oscillating part, coefficient of e^{-i nu_b t}
     for c in system.couplings:
-        block = np.zeros((d, d), complex)
-        block[c.upper, c.lower] = c.rabi_eff / 2
-        if c.oscillates:
-            a += block
-        else:
-            h0 += block + block.conj().T
-    eye = np.eye(d)
-    l0 = _commutator_super(h0)
+        (a if c.oscillates else h0)[c.upper, c.lower] += c.rabi_eff / 2
+    l0 = _commutator_super(h0 + h0.conj().T)
+    loss = np.zeros((d, d))  # real part of the L0 diagonal, [j, i] for rho[i, j]
     for upper, lower, rate in system.decays:
-        s = np.zeros((d, d), complex)
-        s[lower, upper] = 1.0
-        sds = s.conj().T @ s
-        l0 += rate * (
-            np.kron(s.conj(), s)
-            - 0.5 * np.kron(eye, sds)
-            - 0.5 * np.kron(sds.T, eye)
-        )
+        l0.reshape(d, d, d, d)[lower, lower, upper, upper] += rate  # s rho s^dagger
+        anti = np.zeros((d, d))  # -{s^dagger s, rho}/2
+        anti[:, upper] = anti[upper, :] = -0.5
+        anti[upper, upper] = -1.0
+        loss += rate * anti
+    l0.reshape(-1)[:: d * d + 1].real = loss.reshape(-1)
+    l0 = _with_level_energies(l0, system.h_diag[None])[0]
     if system.beat is None:
         return Liouvillian(l0=l0, l_plus=None, l_minus=None, beat=None, dim=d)
-    l_minus = -1j * (np.kron(eye, a) - np.kron(a.T, eye))
-    adag = a.conj().T
-    l_plus = -1j * (np.kron(eye, adag) - np.kron(adag.T, eye))
+    l_minus = _commutator_super(a)
+    l_plus = _commutator_super(a.conj().T)
     return Liouvillian(l0=l0, l_plus=l_plus, l_minus=l_minus, beat=system.beat, dim=d)
 
 
@@ -291,45 +336,73 @@ def static_approximation(liouv: Liouvillian) -> Liouvillian:
 # uniqueness spread and relative residual accepted by the steady-state solves
 _CHECK_TOL = 1e-8
 
+# points per stacked solve; bounds the (N, d^2, d^2) temporaries of long sweeps
+_CHUNK = 32
 
-def _unique_null_vector(l: np.ndarray, dim: int, check_tol: float) -> np.ndarray:
-    """Trace-one null vector of ``l``, checked for uniqueness.
 
-    One row of ``l`` is replaced by the trace constraint; uniqueness is
-    verified by repeating the solve with a different row replaced (both
-    solves in one stacked call) and by a residual check on the original
-    equations.
+def _solve(a: np.ndarray, b: np.ndarray):
+    """``np.linalg.solve`` over a stack, flagging exactly singular members.
+
+    A stacked solve raises for the whole stack if one member is singular.
+    The singular members are then found by LU (``slogdet``), replaced by the
+    identity and the stack is solved again.  Returns (x, singular); rows of x
+    whose member is singular are meaningless.
     """
-    d2 = dim * dim
-    scale = np.max(np.abs(l))
+    try:
+        return np.linalg.solve(a, b), np.zeros(len(a), bool)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.slogdet(a)[0] == 0
+        a = np.where(singular[:, None, None], np.eye(a.shape[-1]), a)
+        return np.linalg.solve(a, b), singular
+
+
+def _null_vectors(l: np.ndarray, dim: int, check_tol: float):
+    """Trace-one null vector of each matrix in the stack ``l``, checked for uniqueness.
+
+    One row of each matrix is replaced by the trace constraint; uniqueness is
+    verified by repeating the solve with a different row replaced (all in one
+    stacked call) and by a residual check on the original equations.  Each
+    point is checked on its own.  Returns (v, errors): errors[n] is None or
+    the DegenerateSteadyStateError of point n, whose row of v is NaN.
+    """
+    n, d2 = len(l), dim * dim
+    scale = np.max(np.abs(l), axis=(1, 2))
     trace_row = np.zeros(d2)
     trace_row[:: dim + 1] = 1.0  # ones on the diagonal of rho
-    m = np.stack([l / scale] * 2)
-    m[0, 0] = trace_row
-    m[1, -1] = trace_row
-    rhs = np.zeros((2, d2, 1), complex)
-    rhs[0, 0, 0] = rhs[1, -1, 0] = 1.0
-    try:
-        v1, v2 = np.linalg.solve(m, rhs)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSteadyStateError(
-            f"steady state not unique (singular solve: {exc})"
-        ) from exc
-    spread = np.max(np.abs(v1 - v2))
-    resid = np.max(np.abs(l @ v1)) / scale
-    if spread > check_tol or resid > check_tol:
-        raise DegenerateSteadyStateError(
-            f"steady state not unique (solution spread "
-            f"{spread:.2e}, residual {resid:.2e})"
+    m = np.stack([l / scale[:, None, None]] * 2, axis=1)
+    m[:, 0, 0] = trace_row
+    m[:, 1, -1] = trace_row
+    rhs = np.zeros((n, 2, d2, 1), complex)
+    rhs[:, 0, 0, 0] = rhs[:, 1, -1, 0] = 1.0
+    x, singular = _solve(m.reshape(2 * n, d2, d2), rhs.reshape(2 * n, d2, 1))
+    x = x.reshape(n, 2, d2)
+    v = x[:, 0]
+    singular = singular.reshape(n, 2).any(axis=1)
+    spread = np.max(np.abs(v - x[:, 1]), axis=1)
+    resid = np.max(np.abs(l @ v[:, :, None]), axis=(1, 2)) / scale
+    errors = [None] * n
+    for i in np.flatnonzero(singular | ~((spread <= check_tol) & (resid <= check_tol))):
+        detail = (
+            "singular solve" if singular[i]
+            else f"solution spread {spread[i]:.2e}, residual {resid[i]:.2e}"
         )
-    return v1
+        errors[i] = DegenerateSteadyStateError(f"steady state not unique ({detail})")
+        v[i] = np.nan
+    return v, errors
 
 
-def _density_matrix(v: np.ndarray, dim: int) -> np.ndarray:
-    """Hermitian, unit-trace density matrix from a vectorized solution."""
-    rho = unvec(v, dim)
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho).real
+def _density_matrices(v: np.ndarray, dim: int) -> np.ndarray:
+    """Hermitian, unit-trace density matrices from a stack of vectorized solutions."""
+    rho = v.reshape(-1, dim, dim).transpose(0, 2, 1)  # column-major unvec
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    with np.errstate(invalid="ignore"):  # rows of failed points are NaN
+        return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+
+
+def _steady_states(l0s: np.ndarray, dim: int, check_tol: float = _CHECK_TOL):
+    """Unique steady state of each static Liouvillian in the stack: (rho, errors)."""
+    v, errors = _null_vectors(l0s, dim, check_tol)
+    return _density_matrices(v, dim), errors
 
 
 def steady_state(liouv: Liouvillian, check_tol: float = _CHECK_TOL) -> np.ndarray:
@@ -340,7 +413,10 @@ def steady_state(liouv: Liouvillian, check_tol: float = _CHECK_TOL) -> np.ndarra
     """
     if liouv.periodic:
         raise ValueError("Liouvillian is time-periodic; use periodic_harmonics")
-    return _density_matrix(_unique_null_vector(liouv.l0, liouv.dim, check_tol), liouv.dim)
+    (rho,), (error,) = _steady_states(liouv.l0[None], liouv.dim, check_tol)
+    if error is not None:
+        raise error
+    return rho
 
 
 def propagate(
@@ -421,9 +497,85 @@ def periodic_steady_state(
         t0 += window
         periods_done += window_periods
         if prev_avg is not None and np.max(np.abs(avg - prev_avg)) < drift_tol:
-            return _density_matrix(avg, liouv.dim)
+            return _density_matrices(avg[None], liouv.dim)[0]
         prev_avg = avg
     raise ConvergenceError(f"window average did not settle within {max_periods} periods")
+
+
+def _harmonic_states(
+    l0s: np.ndarray,
+    l_plus: np.ndarray,
+    l_minus: np.ndarray,
+    beats: np.ndarray,
+    dim: int,
+    tol: float = 1e-12,
+    max_harmonics: int = 24,
+):
+    """Floquet solution of each L0[n] + L+ e^{+i nu_n t} + L- e^{-i nu_n t} in the stack.
+
+    Expands rho(t) = sum_k rho_k e^{i k nu t} and solves the resulting block
+    tridiagonal linear system by folding the k != 0 chains onto the k = 0
+    block (Schur complements), then imposing the trace constraint with the
+    checks of ``_null_vectors``.  Each point grows its own truncation order
+    from 3 in steps of 2 until its rho_0 stops changing; the points still
+    growing form the active set of each fold.
+
+    Returns (rho0, rho1, order, errors): rho_0, rho_{+1}, the truncation
+    order reached and each point's failure (None if it has none).  Failed
+    points hold NaN.
+    """
+    n, d2 = len(l0s), dim * dim
+    eye = np.eye(d2)
+    v0 = np.full((n, d2), np.nan, complex)
+    r_up = np.full((n, d2, d2), np.nan, complex)
+    order = np.zeros(n, int)
+    errors = [None] * n
+
+    def solve_at(idx, k_max):
+        l0, nu = l0s[idx], beats[idx][:, None, None]
+        singular = np.zeros(len(idx), bool)
+        # upward chain rho_k = R_k rho_{k-1}, downward chain rho_{-k} = R'_{-k} rho_{-k+1}
+        chains = []
+        for sign, l_in, l_out in ((-1, l_minus, l_plus), (+1, l_plus, l_minus)):
+            r = None
+            for k in range(k_max, 0, -1):
+                m = l0 + sign * 1j * k * nu * eye
+                if r is not None:
+                    m = m + l_in @ r
+                r, flagged = _solve(m, l_out)
+                r = -r
+                singular |= flagged
+            chains.append(r)
+        up, dn = chains
+        v, errs = _null_vectors(l0 + l_minus @ up + l_plus @ dn, dim, _CHECK_TOL)
+        for i in np.flatnonzero(singular):
+            errs[i] = np.linalg.LinAlgError("Singular matrix")
+        return v, up, errs
+
+    # orders 3, 5, ... up to the first >= max_harmonics; the first order has
+    # no predecessor to compare with (NaN), so no point converges there
+    idx, v_prev = np.arange(n), np.full((n, d2), np.nan)
+    for k_max in range(3, max_harmonics + 2, 2):
+        if not len(idx):
+            break
+        v, up, errs = solve_at(idx, k_max)
+        failed = np.array([e is not None for e in errs], bool)
+        converged = ~failed & (np.max(np.abs(v - v_prev), axis=1) < tol)
+        for j in np.flatnonzero(failed):
+            errors[idx[j]] = errs[j]
+        done = idx[converged]
+        v0[done], r_up[done], order[done] = v[converged], up[converged], k_max
+        keep = ~failed & ~converged
+        idx, v_prev = idx[keep], v[keep]
+    for i in idx:
+        errors[i] = ConvergenceError(
+            f"harmonic expansion not converged at k = {max_harmonics}"
+        )
+
+    rho0 = _density_matrices(v0, dim)
+    vec0 = rho0.transpose(0, 2, 1).reshape(n, d2, 1)  # column-major vec
+    rho1 = (r_up @ vec0).reshape(n, dim, dim).transpose(0, 2, 1)
+    return rho0, rho1, order, errors
 
 
 def periodic_harmonics(
@@ -433,54 +585,62 @@ def periodic_harmonics(
 ):
     """Fourier components rho_k of the asymptotic periodic state.
 
-    Expands rho(t) = sum_k rho_k e^{i k nu t} and solves the resulting block
-    tridiagonal linear system by folding the k != 0 chains onto the k = 0
-    block (Schur complements), then imposing the trace constraint with the
-    same uniqueness and residual check as ``steady_state``.  The truncation
-    order is grown until rho_0 stops changing.
+    The one-point case of the stacked Floquet solve (see ``_harmonic_states``):
+    the truncation order is grown until rho_0 changes by less than ``tol``.
 
     Returns a dict {k: rho_k} with rho_{-k} = rho_k^dagger.
     """
     if not liouv.periodic:
         raise ValueError("Liouvillian is static; use steady_state")
-    d = liouv.dim
-    d2 = d * d
-    nu = liouv.beat
-    eye = np.eye(d2)
+    (rho0,), (rho1,), _, (error,) = _harmonic_states(
+        liouv.l0[None], liouv.l_plus, liouv.l_minus, np.array([liouv.beat]),
+        liouv.dim, tol, max_harmonics,
+    )
+    if error is not None:
+        raise error
+    return {0: rho0, 1: rho1, -1: rho1.conj().T}
 
-    def solve_at(k_max):
-        # upward chain: rho_k = R_k rho_{k-1}
-        r_up = None
-        for k in range(k_max, 0, -1):
-            m = liouv.l0 - 1j * k * nu * eye
-            if r_up is not None:
-                m = m + liouv.l_minus @ r_up
-            r_up = -np.linalg.solve(m, liouv.l_plus)
-        # downward chain: rho_{-k} = R'_{-k} rho_{-k+1}
-        r_dn = None
-        for k in range(k_max, 0, -1):
-            m = liouv.l0 + 1j * k * nu * eye
-            if r_dn is not None:
-                m = m + liouv.l_plus @ r_dn
-            r_dn = -np.linalg.solve(m, liouv.l_minus)
-        l_eff = liouv.l0 + liouv.l_minus @ r_up + liouv.l_plus @ r_dn
-        return _unique_null_vector(l_eff, d, _CHECK_TOL), r_up
 
-    k_max = 3
-    v0, r_up = solve_at(k_max)
-    while k_max < max_harmonics:
-        k_max += 2
-        v0_next, r_up = solve_at(k_max)
-        converged = np.max(np.abs(v0_next - v0)) < tol
-        v0 = v0_next
-        if converged:
-            break
+def sweep_states(liouv: Liouvillian, h_diag: np.ndarray, beats: np.ndarray):
+    """Steady states of ``liouv`` with the level energies of each row of ``h_diag``.
+
+    Point n is the system ``liouv`` was built from with its level energies
+    replaced by h_diag[n] and its beat by beats[n]; couplings and decays are
+    shared, so each point's L0 differs only in its commutator diagonal.  As in
+    ``build_system``, a point whose beat vanishes has nothing oscillating: its
+    oscillating coupling is folded into L0 and it is solved statically.
+    Points are solved in stacks of ``_CHUNK``.
+
+    Returns (rho0, rho1, order, errors): the time-averaged state, the
+    e^{+i nu t} harmonic (rho0 itself where L is static, which is what a
+    coupling that stops oscillating reads), the harmonic truncation order
+    reached (0 where static) and each point's solver failure or None.
+    Failed points hold NaN.
+    """
+    n, d = len(h_diag), liouv.dim
+    rho0 = np.empty((n, d, d), complex)
+    rho1 = np.empty((n, d, d), complex)
+    order = np.zeros(n, int)
+    errors = [None] * n
+    if liouv.periodic:
+        periodic = ~(np.abs(beats) < _MIN_BEAT)
+        l0_static = liouv.l0 + liouv.l_plus + liouv.l_minus
     else:
-        raise ConvergenceError(f"harmonic expansion not converged at k = {max_harmonics}")
-
-    out = {0: _density_matrix(v0, d)}
-    v = vec(out[0])
-    vk = r_up @ v
-    out[1] = unvec(vk, d)
-    out[-1] = out[1].conj().T
-    return out
+        periodic = np.zeros(n, bool)
+        l0_static = liouv.l0
+    groups = ((np.flatnonzero(~periodic), False), (np.flatnonzero(periodic), True))
+    for points, is_periodic in groups:
+        for start in range(0, len(points), _CHUNK):
+            part = points[start:start + _CHUNK]
+            if is_periodic:
+                rho0[part], rho1[part], order[part], errs = _harmonic_states(
+                    _with_level_energies(liouv.l0, h_diag[part]),
+                    liouv.l_plus, liouv.l_minus, beats[part], d,
+                )
+            else:
+                l0s = _with_level_energies(l0_static, h_diag[part])
+                rho0[part], errs = _steady_states(l0s, d)
+                rho1[part] = rho0[part]
+            for i, error in zip(part, errs):
+                errors[i] = error
+    return rho0, rho1, order, errors

@@ -16,7 +16,7 @@ from .cooling import (
     multimode_report,
     steady_state_n_sweep,
 )
-from .spectrum import scattering_rate
+from .spectrum import scattering_rates
 from .thermometry import (
     ThermalState,
     fit_thermal,
@@ -31,7 +31,7 @@ _AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 def _fmt(value) -> str:
     """Shortest round-trip decimal for floats; plain str otherwise."""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # numpy 2 reprs np.float64(x) as "np.float64(x)"
     return str(value)
 
 
@@ -67,9 +67,9 @@ def _run_spectrum(config: RunConfig):
     rows = []
     for variant in _variants(config):
         eit = config.eit_config(variant=variant)
-        for hz in grid_hz:
-            sample = scattering_rate(eit, angular(float(hz)))
-            rows.append([variant, float(hz), sample.w, sample.rho_p_total])
+        spectrum = scattering_rates(eit, angular(grid_hz)).checked()
+        rows += [[variant, float(hz), w, p]
+                 for hz, w, p in zip(grid_hz, spectrum.w, spectrum.rho_p_total)]
     return header, rows, {}
 
 

@@ -10,6 +10,12 @@ W is the per-beam absorbed-photon rate, the sum over couplings driven by the
 beam of Im(Omega_eff * rho[lower, upper]).  This equals Gamma times the upper
 population when a single beam scatters, and the per-beam rates always sum to
 Gamma * P_total in steady state (photon-rate balance).
+
+``scattering_rates`` is the spectrum engine: it builds the system once per
+configuration and solves every detuning of a sweep in one stacked, checked
+solve (``liouville.sweep_states``), reporting per-point failures instead of
+raising them.  ``scattering_rate`` is its one-point case; scans, Fano grids
+and the cooling coefficients all go through it.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ from .liouville import (
     DrivenSystem,
     build_liouvillian,
     build_system,
-    periodic_harmonics,
-    steady_state,
+    level_energies,
+    sweep_states,
 )
 
 _SQRT13 = math.sqrt(1.0 / 3.0)
@@ -135,14 +141,21 @@ class EITConfig:
         k_g = k * np.array([math.sin(self.beam_angle), 0.0, math.cos(self.beam_angle)])
         return k_g, k_r
 
+    def laser_frequencies(self, delta_pi):
+        """(nu_c, nu_g) referenced to the zero-field S->P resonance.
+
+        ``delta_pi`` may be an array of cooling detunings; nu_g then is too.
+        """
+        delta_s, delta_p = zeeman_splitting(self.scheme, self.field)
+        # transition-referenced -> zero-field-referenced detunings
+        nu_c = self.delta_sigma + 0.5 * (delta_p + delta_s)
+        return nu_c, delta_pi + 0.5 * (delta_p - delta_s)
+
     def beams(self, delta_pi: float | None = None) -> BeamSet:
         """Construct the physical beam pair for this configuration."""
         if delta_pi is None:
             delta_pi = self.delta_pi
-        delta_s, delta_p = zeeman_splitting(self.scheme, self.field)
-        # transition-referenced -> zero-field-referenced detunings
-        nu_c = self.delta_sigma + 0.5 * (delta_p + delta_s)
-        nu_g = delta_pi + 0.5 * (delta_p - delta_s)
+        nu_c, nu_g = self.laser_frequencies(delta_pi)
 
         coupling = Beam(
             label="coupling",
@@ -177,44 +190,92 @@ class EITConfig:
         return build_system(self.scheme, self.field, self.beams(delta_pi), self.variant)
 
 
+@dataclass(frozen=True)
+class Spectrum:
+    """Cooling-beam spectrum over a set of detunings; failed points hold NaN."""
+
+    detuning_pi: np.ndarray
+    w: np.ndarray  # cooling-beam scattering rate, photons/s
+    rho_p_total: np.ndarray
+    harmonic_order: np.ndarray  # Floquet truncation order reached; 0 where L is static
+    errors: tuple  # per point: the solver failure, or None
+
+    def checked(self) -> "Spectrum":
+        """This spectrum, after raising the first point's solver failure if any."""
+        for error in self.errors:
+            if error is not None:
+                raise error
+        return self
+
+
 def beam_scattering_rates(system: DrivenSystem, harmonics: dict) -> dict:
     """Absorbed-photon rate per beam from the (harmonic) steady state.
 
-    ``harmonics`` maps Fourier index k to rho_k; a static solution is passed
-    as {0: rho}.  Static couplings read rho_0, the beat-modulated coupling
-    reads rho_{+1}.
+    ``harmonics`` maps Fourier index k to rho_k, one (d, d) matrix or a
+    (N, d, d) stack; a static solution is passed as {0: rho}.  Static
+    couplings read rho_0, the beat-modulated coupling reads rho_{+1}.
     """
     rates: dict = {}
     for c in system.couplings:
-        rho = harmonics[1 if c.oscillates else 0]
-        rate = float(np.imag(c.rabi_eff * rho[c.lower, c.upper]))
+        rho = harmonics[1 if c.oscillates else 0][..., c.lower, c.upper]
+        # Im(rabi_eff * rho) written out: numpy rounds a complex product of
+        # scalars and of arrays differently, and this form rounds like the
+        # scalar one for a single point and a stack alike
+        rate = c.rabi_eff.real * rho.imag + c.rabi_eff.imag * rho.real
         rates[c.beam] = rates.get(c.beam, 0.0) + rate
     return rates
 
 
+def scattering_rates(config: EITConfig, detunings) -> Spectrum:
+    """Steady-state cooling-beam scattering rate at each cooling detuning.
+
+    The system is built once.  delta_pi enters it only through the level
+    energies (and the beat of the oblique-beam geometry), so every point's
+    Liouvillian is the shared one with its commutator diagonal rewritten, and
+    all points go through one stacked, checked solve (``sweep_states``).  A
+    point whose solve fails holds NaN and its exception in ``errors``; the
+    other points keep their values.
+    """
+    deltas = np.asarray(detunings, dtype=float)
+    nu_c, nu_g = config.laser_frequencies(deltas)
+    beats = nu_c - nu_g
+    # built where the beat is largest, so that an oscillating coupling is
+    # kept as such whenever any point has one
+    system = config.system(float(deltas[np.argmax(np.abs(beats))]))
+    h_diag = level_energies(config.scheme, config.field, system.labels, nu_c, nu_g)
+    rho0, rho1, order, errors = sweep_states(build_liouvillian(system), h_diag, beats)
+    rates = beam_scattering_rates(system, {0: rho0, 1: rho1})
+    return Spectrum(
+        detuning_pi=deltas,
+        w=rates.get("cooling", np.zeros(len(deltas))),
+        rho_p_total=sum(rho0[:, i, i].real for i in system.excited_indices()),
+        harmonic_order=order,
+        errors=tuple(errors),
+    )
+
+
 def scattering_rate(config: EITConfig, delta_pi: float | None = None) -> SpectrumSample:
-    """Steady-state cooling-beam scattering rate at the given detuning."""
+    """Steady-state cooling-beam scattering rate at one detuning.
+
+    The one-point case of ``scattering_rates``; a solver failure is raised.
+    """
     if delta_pi is None:
         delta_pi = config.delta_pi
-    system = config.system(delta_pi)
-    liouv = build_liouvillian(system)
-    if liouv.periodic:
-        harmonics = periodic_harmonics(liouv)
-    else:
-        harmonics = {0: steady_state(liouv)}
-    rates = beam_scattering_rates(system, harmonics)
-    rho0 = harmonics[0]
-    p_total = float(sum(rho0[i, i].real for i in system.excited_indices()))
+    spectrum = scattering_rates(config, [delta_pi]).checked()
     return SpectrumSample(
         detuning_pi=delta_pi,
-        w=rates.get("cooling", 0.0),
-        rho_p_total=p_total,
+        w=float(spectrum.w[0]),
+        rho_p_total=float(spectrum.rho_p_total[0]),
     )
 
 
 def scan_spectrum(config: EITConfig, detunings) -> list:
     """W(delta_pi) over an ordered list of cooling detunings."""
-    return [scattering_rate(config, float(d)) for d in sorted(detunings)]
+    spectrum = scattering_rates(config, sorted(detunings)).checked()
+    return [
+        SpectrumSample(detuning_pi=float(d), w=float(w), rho_p_total=float(p))
+        for d, w, p in zip(spectrum.detuning_pi, spectrum.w, spectrum.rho_p_total)
+    ]
 
 
 def fano_features(
@@ -236,7 +297,7 @@ def fano_features(
     if not (scan_lo < config.delta_sigma + delta < scan_hi):
         raise BracketError("scan range does not bracket the bright peak")
     grid = np.linspace(scan_lo, scan_hi, points)
-    w = np.array([scattering_rate(config, float(d)).w for d in grid])
+    w = scattering_rates(config, grid).checked().w
 
     def refine(idx, sign):
         if idx == 0 or idx == len(grid) - 1:

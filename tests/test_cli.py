@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import eitcool.cooling
 from eitcool.cli import bundled_config_path, main
 from eitcool.config import load_config
 from eitcool.liouville import DegenerateSteadyStateError
+from eitcool.runner import _fmt
 
 TP = 2 * math.pi
 
@@ -136,14 +138,19 @@ def test_hz_columns_equal_the_configured_values(tmp_path):
 
 
 def test_sweep_omega_reports_failed_points(tmp_path, monkeypatch):
-    solve = eitcool.cooling.cooling_coefficients
+    solve = eitcool.cooling.scattering_rates
 
-    def fail_above_2mhz(config, geometry):
-        if geometry.omega > TP * 2e6:
-            raise DegenerateSteadyStateError("injected")
-        return solve(config, geometry)
+    def fail_above_2mhz(config, detunings):
+        # W at delta_pi -/+ omega: fail both samples of the 3 MHz mode
+        spectrum = solve(config, detunings)
+        errors = tuple(
+            DegenerateSteadyStateError("injected")
+            if abs(d - config.delta_pi) > TP * 2.5e6 else error
+            for d, error in zip(spectrum.detuning_pi, spectrum.errors)
+        )
+        return replace(spectrum, errors=errors)
 
-    monkeypatch.setattr(eitcool.cooling, "cooling_coefficients", fail_above_2mhz)
+    monkeypatch.setattr(eitcool.cooling, "scattering_rates", fail_above_2mhz)
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("task = sweep-omega\nvariant = three_level\nsweep.start_hz = 1e6\n"
                    "sweep.stop_hz = 3e6\nsweep.points = 3\noutput = s.csv\n")
@@ -152,3 +159,17 @@ def test_sweep_omega_reports_failed_points(tmp_path, monkeypatch):
     n_ss = [r.split(",")[2] for r in _data_lines(out / "s.csv")[1:]]
     assert n_ss[2] == "nan" and n_ss[0] != "nan"
     assert "result.failed_points = 1" in (out / "s.csv.meta").read_text()
+
+
+def test_fmt_writes_numpy_floats_as_plain_decimals():
+    assert _fmt(np.float64(0.1)) == "0.1"
+    assert _fmt(0.1) == "0.1"
+    assert _fmt(True) == "True"
+
+
+def test_bundled_csvs_hold_no_numpy_reprs(tmp_path):
+    for name in BUNDLED:
+        assert main(["run", name, "--out", str(tmp_path)]) == 0
+    for path in tmp_path.glob("*.csv"):
+        cells = [cell for line in _data_lines(path) for cell in line.split(",")]
+        assert not [cell for cell in cells if "np." in cell], path.name

@@ -252,10 +252,10 @@ def test_sweep_records_degenerate_point_and_continues(variant):
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):
-    def broken(config, geometry):
+    def broken(config, detunings):
         raise TypeError("bug")
 
-    monkeypatch.setattr(eitcool.cooling, "cooling_coefficients", broken)
+    monkeypatch.setattr(eitcool.cooling, "scattering_rates", broken)
     with pytest.raises(TypeError):
         steady_state_n_sweep(fig2_config("three_level"), omegas=[TP * 1.62e6])
 

@@ -12,10 +12,13 @@ from eitcool.atom import (
     zeeman_splitting,
 )
 from eitcool.liouville import (
+    VARIANTS,
     BeamSet,
     ConvergenceError,
     DegenerateSteadyStateError,
     Liouvillian,
+    _harmonic_states,
+    _steady_states,
     build_liouvillian,
     build_system,
     periodic_harmonics,
@@ -198,6 +201,87 @@ def test_degenerate_geometry_harmonics_raise_like_the_static_solve():
         periodic_harmonics(liouv)
     with pytest.raises(DegenerateSteadyStateError):
         steady_state(static_approximation(liouv))
+
+
+def _kron_liouvillian(system):
+    """Oracle: the Lindblad superoperator written with np.kron (column-major vec)."""
+    d = system.dim
+    eye = np.eye(d)
+    h0 = np.diag(system.h_diag.astype(complex))
+    a = np.zeros((d, d), complex)
+    for c in system.couplings:
+        block = np.zeros((d, d), complex)
+        block[c.upper, c.lower] = c.rabi_eff / 2
+        if c.oscillates:
+            a += block
+        else:
+            h0 += block + block.conj().T
+
+    def commutator(h):
+        return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+
+    l0 = commutator(h0)
+    for upper, lower, rate in system.decays:
+        s = np.zeros((d, d), complex)
+        s[lower, upper] = 1.0
+        sds = s.conj().T @ s
+        l0 += rate * (
+            np.kron(s.conj(), s) - 0.5 * np.kron(eye, sds) - 0.5 * np.kron(sds.T, eye)
+        )
+    if system.beat is None:
+        return l0, None, None
+    return l0, commutator(a.conj().T), commutator(a)
+
+
+def test_kron_free_liouvillian_matches_kron_oracle(rng):
+    for _ in range(40):
+        variant = str(rng.choice(VARIANTS))
+        cfg = EITConfig(
+            variant=variant,
+            omega_sigma=rng.uniform(0.0, 2.0) * GAMMA,
+            omega_pi=rng.uniform(0.0, 0.5) * GAMMA,
+            delta_sigma=rng.uniform(-5.0, 5.0) * GAMMA,
+            delta_pi=rng.uniform(-5.0, 5.0) * GAMMA,
+            b_gauss=rng.uniform(0.5, 10.0),
+            beam_angle=math.radians(rng.uniform(30.0, 150.0)),
+        )
+        system = cfg.system()
+        liouv = build_liouvillian(system)
+        oracle = _kron_liouvillian(system)
+        assert (liouv.l_plus is None) == (oracle[1] is None)
+        for got, want in zip((liouv.l0, liouv.l_plus, liouv.l_minus), oracle):
+            if want is not None:
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_stacked_steady_states_isolate_a_degenerate_point():
+    good = build_liouvillian(_system("four_level_ideal"))
+    dead = build_liouvillian(_system("four_level_ideal", omega_sigma=0.0, omega_pi=0.0))
+    rho, errors = _steady_states(np.stack([good.l0, dead.l0]), good.dim)
+    assert errors[0] is None
+    assert isinstance(errors[1], DegenerateSteadyStateError)
+    assert np.array_equal(rho[0], steady_state(good))
+    assert np.all(np.isnan(rho[1]))
+
+
+def test_stacked_harmonics_isolate_a_degenerate_point():
+    # the stack shares L+ and L-; zero them so that the second point is undriven
+    liouv = build_liouvillian(_system("four_level_geometry"))
+    good = Liouvillian(
+        liouv.l0, 0.0 * liouv.l_plus, 0.0 * liouv.l_minus, liouv.beat, liouv.dim
+    )
+    dead = build_liouvillian(_system("four_level_geometry", omega_sigma=0.0, omega_pi=0.0))
+    rho0, rho1, order, errors = _harmonic_states(
+        np.stack([good.l0, dead.l0]), good.l_plus, good.l_minus,
+        np.array([good.beat, dead.beat]), good.dim,
+    )
+    assert errors[0] is None
+    assert isinstance(errors[1], DegenerateSteadyStateError)
+    harmonics = periodic_harmonics(good)
+    assert np.array_equal(rho0[0], harmonics[0])
+    assert np.array_equal(rho1[0], harmonics[1])
+    assert order[0] == 5
+    assert np.all(np.isnan(rho0[1]))
 
 
 def test_two_level_saturation_formula():

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitcool.liouville import (
+    _CHUNK,
+    DegenerateSteadyStateError,
     build_liouvillian,
     periodic_harmonics,
     static_approximation,
@@ -25,6 +27,7 @@ from eitcool.spectrum import (
     fano_features,
     scan_spectrum,
     scattering_rate,
+    scattering_rates,
 )
 
 from conftest import FIG2, TP, fig2_config, random_static_config
@@ -177,6 +180,60 @@ def test_geometry_rate_is_read_from_floquet_harmonics():
 
 
 # --------------------------------------------------------------- fano features
+
+
+def _fig2_detunings(cfg):
+    """W(delta_pi -/+ omega) samples of the fig2 mode-frequency grid."""
+    omegas = TP * np.linspace(0.5e6, 4e6, 57)
+    return np.concatenate([cfg.delta_pi - omegas, cfg.delta_pi + omegas])
+
+
+@pytest.mark.parametrize("variant", ["three_level", "four_level_ideal"])
+def test_static_spectrum_stack_is_bit_identical_to_single_points(variant):
+    cfg = fig2_config(variant)
+    deltas = _fig2_detunings(cfg)
+    assert len(deltas) > _CHUNK
+    spectrum = scattering_rates(cfg, deltas)
+    single = [scattering_rate(cfg, float(d)) for d in deltas]
+    assert spectrum.errors == (None,) * len(deltas)
+    assert np.array_equal(spectrum.w, [s.w for s in single])
+    assert np.array_equal(spectrum.rho_p_total, [s.rho_p_total for s in single])
+    assert not spectrum.harmonic_order.any()
+
+
+def test_geometry_spectrum_stack_matches_single_points():
+    cfg = fig2_config("four_level_geometry")
+    deltas = _fig2_detunings(cfg)
+    spectrum = scattering_rates(cfg, deltas)
+    assert spectrum.errors == (None,) * len(deltas)
+    for i, d in enumerate(deltas):
+        one = scattering_rates(cfg, [d])
+        assert spectrum.w[i] == pytest.approx(one.w[0], rel=1e-12, abs=0.0)
+        assert spectrum.rho_p_total[i] == pytest.approx(one.rho_p_total[0], rel=1e-12, abs=0.0)
+        assert spectrum.harmonic_order[i] == one.harmonic_order[0]
+    assert set(spectrum.harmonic_order) == {5}
+
+
+def test_geometry_sweep_through_a_vanishing_beat_matches_single_points():
+    cfg = fig2_config("four_level_geometry")
+    nu_c, nu_g_at_zero = cfg.laser_frequencies(0.0)
+    d0 = nu_c - nu_g_at_zero  # cooling detuning where the two lasers coincide
+    assert cfg.system(d0).beat is None
+    deltas = d0 + TP * np.array([0.0, -2e6, -1e6, 1e6, 2e6])
+    spectrum = scattering_rates(cfg, deltas)
+    assert list(spectrum.harmonic_order == 0) == [True, False, False, False, False]
+    for i, d in enumerate(deltas):
+        sample = scattering_rate(cfg, float(d))
+        assert spectrum.w[i] == pytest.approx(sample.w, rel=1e-12, abs=0.0)
+        assert spectrum.rho_p_total[i] == pytest.approx(sample.rho_p_total, rel=1e-12, abs=0.0)
+
+
+def test_spectrum_checked_raises_the_first_failure():
+    dead = fig2_config("three_level", omega_sigma=0.0, omega_pi=0.0)
+    spectrum = scattering_rates(dead, [dead.delta_pi])
+    assert np.isnan(spectrum.w[0])
+    with pytest.raises(DegenerateSteadyStateError):
+        spectrum.checked()
 
 
 def test_fano_features_at_reference_parameters():
