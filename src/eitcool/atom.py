@@ -26,7 +26,6 @@ from .constants import HBAR, K_B, MU_B, GAUSS_TO_TESLA
 
 S_MINUS, S_PLUS, P_MINUS, P_PLUS = "S-", "S+", "P-", "P+"
 STATES = (S_MINUS, S_PLUS, P_MINUS, P_PLUS)
-GROUND_STATES = (S_MINUS, S_PLUS)
 EXCITED_STATES = (P_MINUS, P_PLUS)
 
 # magnetic quantum number of each state
@@ -67,7 +66,6 @@ class LevelScheme:
     practice and small.
     """
 
-    states: tuple = STATES
     lande_g_S: float = 2.00225
     lande_g_P: float = 2.0 / 3.0
     gamma: float = 2 * math.pi * 20e6  # total P1/2 decay rate, rad/s

@@ -80,7 +80,7 @@ _TASK_REQUIRES = {
 }
 
 
-def _parse_value(raw: str, lineno: int):
+def _parse_value(raw: str):
     try:
         return int(raw)
     except ValueError:
@@ -106,7 +106,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: empty key or value")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(raw, lineno)
+        values[key] = _parse_value(raw)
     return values
 
 
@@ -117,7 +117,6 @@ class RunConfig:
     values: dict
     applied_defaults: tuple
     sha256: str
-    source: str = ""
 
     def __getitem__(self, key):
         return self.values[key]
@@ -135,12 +134,10 @@ class RunConfig:
     def scheme(self) -> LevelScheme:
         return LevelScheme(gamma=angular(self.values["ion.linewidth_hz"]))
 
-    def eit_config(self, variant: str | None = None,
-                   omega_sigma: float | None = None) -> EITConfig:
+    def eit_config(self, variant: str | None = None) -> EITConfig:
         v = variant or self.values["variant"]
         return EITConfig(
-            omega_sigma=(omega_sigma if omega_sigma is not None
-                         else angular(self.values["beams.coupling.rabi_hz"])),
+            omega_sigma=angular(self.values["beams.coupling.rabi_hz"]),
             omega_pi=angular(self.values["beams.cooling.rabi_hz"]),
             delta_sigma=angular(self.values["beams.coupling.detuning_hz"]),
             delta_pi=angular(self.values["beams.cooling.detuning_hz"]),
@@ -193,8 +190,6 @@ def resolve(values: dict) -> RunConfig:
                 )
             resolved[key] = val
         elif default is _REQUIRED:
-            if key in _TASK_REQUIRES[task]:
-                raise ConfigError(f"task {task!r} requires key {key!r}")
             resolved[key] = None
         else:
             resolved[key] = default
@@ -226,11 +221,4 @@ def load_config(path) -> RunConfig:
     """Load, parse and validate a configuration file."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    values = parse_config_text(text)
-    cfg = resolve(values)
-    return RunConfig(
-        values=cfg.values,
-        applied_defaults=cfg.applied_defaults,
-        sha256=cfg.sha256,
-        source=str(path),
-    )
+    return resolve(parse_config_text(text))

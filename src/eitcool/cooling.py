@@ -172,12 +172,6 @@ class SweepPoint:
     error: str = ""
 
 
-def _n_ss(a_plus: float, a_minus: float):
-    if a_minus > a_plus:
-        return a_plus / (a_minus - a_plus), True
-    return math.inf, False
-
-
 def steady_state_n_sweep(
     config: EITConfig,
     omegas=None,
@@ -216,11 +210,11 @@ def steady_state_n_sweep(
         ]
     if geometry is None:
         raise ValueError("a mode geometry is required to sweep the AC Stark shift")
+    deltas = [float(delta) for delta in deltas]
+    if any(delta <= 0 for delta in deltas):
+        raise ValueError("sweep shifts must be positive")
     rows = []
     for delta in deltas:
-        delta = float(delta)
-        if delta <= 0:
-            raise ValueError("sweep shifts must be positive")
         omega_sigma = coupling_for_target_shift(delta, config.delta_sigma)
         cfg = replace(config, omega_sigma=omega_sigma)
         (a_plus,), (a_minus,), (error,) = _mode_coefficients(cfg, [geometry])
@@ -231,8 +225,9 @@ def steady_state_n_sweep(
 def _sweep_point(value: float, a_plus: float, a_minus: float, error) -> SweepPoint:
     if error is not None:  # per-point solver failure: record and continue
         return SweepPoint(value, math.nan, math.nan, math.nan, False, error=str(error))
-    n_ss, cooled = _n_ss(a_plus, a_minus)
-    return SweepPoint(value, a_plus, a_minus, n_ss, cooled)
+    # n_ss and cooled depend on the rates alone
+    report = CoolingReport(label="", omega=math.nan, a_plus=a_plus, a_minus=a_minus)
+    return SweepPoint(value, a_plus, a_minus, report.n_ss, report.cooled)
 
 
 def multimode_report(config: EITConfig, geometries) -> list:

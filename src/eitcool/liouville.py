@@ -16,14 +16,15 @@ vec(X rho Y) = (Y^T kron X) vec(rho).  ``build_liouvillian`` writes the
 superoperators by index arithmetic on their (d, d, d, d) view rather than
 with kron products.
 
-Every solve is stacked: the solvers take an (N, d^2, d^2) stack and check
-each member on its own, so one degenerate or singular point is flagged
-without failing the others.  ``sweep_states`` is the sweep route: one
-Liouvillian whose level energies (only its commutator diagonal) and beat
-change from point to point, solved in stacks of ``_CHUNK`` points, by the
-unique steady state where L is static and by the Floquet harmonic expansion
-where it is periodic.  ``steady_state`` and ``periodic_harmonics`` are the
-stack-of-one cases.  ``propagate``, ``periodic_steady_state`` and
+One stacked routine, ``_states``, solves for every steady state: it takes
+an (N, d^2, d^2) stack and checks each member on its own, so one degenerate
+or singular point is flagged without failing the others.  A static point is
+the order-0 case, one checked null-vector solve; a periodic point gets the
+Floquet harmonic expansion, grown to its own truncation order.
+``sweep_states`` is the sweep route: one Liouvillian whose level energies
+(only its commutator diagonal) and beat change from point to point, solved
+in stacks of ``_CHUNK`` points.  ``steady_state`` and ``periodic_harmonics``
+are the stack-of-one cases.  ``propagate``, ``periodic_steady_state`` and
 ``static_approximation`` are reference oracles that the tests compare those
 against.
 """
@@ -336,6 +337,11 @@ def static_approximation(liouv: Liouvillian) -> Liouvillian:
 # uniqueness spread and relative residual accepted by the steady-state solves
 _CHECK_TOL = 1e-8
 
+# change of rho_0 between successive harmonic truncation orders at which the
+# Floquet expansion counts as converged, and the largest order tried
+_HARMONIC_TOL = 1e-12
+_MAX_HARMONICS = 24
+
 # points per stacked solve; bounds the (N, d^2, d^2) temporaries of long sweeps
 _CHUNK = 32
 
@@ -356,7 +362,7 @@ def _solve(a: np.ndarray, b: np.ndarray):
         return np.linalg.solve(a, b), singular
 
 
-def _null_vectors(l: np.ndarray, dim: int, check_tol: float):
+def _null_vectors(l: np.ndarray, dim: int):
     """Trace-one null vector of each matrix in the stack ``l``, checked for uniqueness.
 
     One row of each matrix is replaced by the trace constraint; uniqueness is
@@ -381,7 +387,7 @@ def _null_vectors(l: np.ndarray, dim: int, check_tol: float):
     spread = np.max(np.abs(v - x[:, 1]), axis=1)
     resid = np.max(np.abs(l @ v[:, :, None]), axis=(1, 2)) / scale
     errors = [None] * n
-    for i in np.flatnonzero(singular | ~((spread <= check_tol) & (resid <= check_tol))):
+    for i in np.flatnonzero(singular | ~((spread <= _CHECK_TOL) & (resid <= _CHECK_TOL))):
         detail = (
             "singular solve" if singular[i]
             else f"solution spread {spread[i]:.2e}, residual {resid[i]:.2e}"
@@ -399,13 +405,103 @@ def _density_matrices(v: np.ndarray, dim: int) -> np.ndarray:
         return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
 
 
-def _steady_states(l0s: np.ndarray, dim: int, check_tol: float = _CHECK_TOL):
-    """Unique steady state of each static Liouvillian in the stack: (rho, errors)."""
-    v, errors = _null_vectors(l0s, dim, check_tol)
-    return _density_matrices(v, dim), errors
+def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
+    """Steady state of each L0[n] + L+ e^{+i nu_n t} + L- e^{-i nu_n t} in the stack.
+
+    ``l_plus`` and ``l_minus`` are shared by the stack, or None where L is
+    static; ``beats`` is read only where they exist.  A point is static where
+    there are no L+/- or its beat is below ``_MIN_BEAT`` (as in
+    ``build_system``, nothing then oscillates).  Static points are the
+    order-0 case: L+ and L- are folded into L0 and one checked null-vector
+    solve gives rho_0, with rho_{+1} = rho_0 (which is what a coupling that
+    stops oscillating reads; the same array when no L+/- are given).
+
+    Every other point is periodic.  Its Floquet expansion
+    rho(t) = sum_k rho_k e^{i k nu t} gives a block tridiagonal linear system,
+    solved by folding the k != 0 chains onto the k = 0 block (Schur
+    complements) and imposing the trace constraint with the checks of
+    ``_null_vectors``.  Each periodic point grows its own truncation order
+    from 3 in steps of 2 until its rho_0 changes by less than
+    ``_HARMONIC_TOL``; the points still growing form the active set of each
+    fold.
+
+    Returns (rho0, rho1, order, errors): rho_0, rho_{+1}, the truncation
+    order reached and each point's failure (None if it has none).  Failed
+    points hold NaN.
+    """
+    n, d2 = len(l0s), dim * dim
+    order = np.zeros(n, int)
+    if l_plus is None:
+        v, errors = _null_vectors(l0s, dim)
+        rho0 = _density_matrices(v, dim)
+        return rho0, rho0, order, errors
+    rho0 = np.full((n, dim, dim), np.nan, complex)
+    rho1 = np.full((n, dim, dim), np.nan, complex)
+    errors = [None] * n
+    static = np.abs(beats) < _MIN_BEAT
+    if static.any():
+        rho0[static], rho1[static], _, errs = _states(
+            l0s[static] + l_plus + l_minus, None, None, None, dim
+        )
+        for i, error in zip(np.flatnonzero(static), errs):
+            errors[i] = error
+
+    # orders 3, 5, ... up to the first >= _MAX_HARMONICS; the first order has
+    # no predecessor to compare with (NaN), so no point converges there
+    idx = np.flatnonzero(~static)
+    v_prev = np.full((len(idx), d2), np.nan)
+    eye = np.eye(d2)
+    for k_max in range(3, _MAX_HARMONICS + 2, 2):
+        if not len(idx):
+            break
+        l0, nu = l0s[idx], beats[idx][:, None, None]
+        singular = np.zeros(len(idx), bool)
+        # upward chain rho_k = R_k rho_{k-1}, downward chain rho_{-k} = R'_{-k} rho_{-k+1}
+        chains = []
+        for sign, l_in, l_out in ((-1, l_minus, l_plus), (+1, l_plus, l_minus)):
+            r = None
+            for k in range(k_max, 0, -1):
+                m = l0 + sign * 1j * k * nu * eye
+                if r is not None:
+                    m = m + l_in @ r
+                r, flagged = _solve(m, l_out)
+                r = -r
+                singular |= flagged
+            chains.append(r)
+        up, dn = chains
+        v, errs = _null_vectors(l0 + l_minus @ up + l_plus @ dn, dim)
+        for j in np.flatnonzero(singular):
+            errs[j] = np.linalg.LinAlgError("Singular matrix")
+        failed = np.array([e is not None for e in errs], bool)
+        converged = ~failed & (np.max(np.abs(v - v_prev), axis=1) < _HARMONIC_TOL)
+        for j in np.flatnonzero(failed):
+            errors[idx[j]] = errs[j]
+        done = idx[converged]
+        if len(done):
+            rho0[done] = _density_matrices(v[converged], dim)
+            vec0 = rho0[done].transpose(0, 2, 1).reshape(len(done), d2, 1)  # column-major vec
+            rho1[done] = (up[converged] @ vec0).reshape(-1, dim, dim).transpose(0, 2, 1)
+            order[done] = k_max
+        keep = ~failed & ~converged
+        idx, v_prev = idx[keep], v[keep]
+    for i in idx:
+        errors[i] = ConvergenceError(
+            f"harmonic expansion not converged at k = {_MAX_HARMONICS}"
+        )
+    return rho0, rho1, order, errors
 
 
-def steady_state(liouv: Liouvillian, check_tol: float = _CHECK_TOL) -> np.ndarray:
+def _one_point(liouv: Liouvillian):
+    """(rho_0, rho_{+1}) of one Liouvillian by ``_states``; a failure is raised."""
+    (rho0,), (rho1,), _, (error,) = _states(
+        liouv.l0[None], liouv.l_plus, liouv.l_minus, np.array([liouv.beat]), liouv.dim
+    )
+    if error is not None:
+        raise error
+    return rho0, rho1
+
+
+def steady_state(liouv: Liouvillian) -> np.ndarray:
     """Unique steady state of a time-independent Liouvillian.
 
     Raises DegenerateSteadyStateError if the null space of L0 is not
@@ -413,10 +509,46 @@ def steady_state(liouv: Liouvillian, check_tol: float = _CHECK_TOL) -> np.ndarra
     """
     if liouv.periodic:
         raise ValueError("Liouvillian is time-periodic; use periodic_harmonics")
-    (rho,), (error,) = _steady_states(liouv.l0[None], liouv.dim, check_tol)
-    if error is not None:
-        raise error
-    return rho
+    return _one_point(liouv)[0]
+
+
+def periodic_harmonics(liouv: Liouvillian):
+    """Fourier components rho_k of the asymptotic periodic state.
+
+    The one-point case of the stacked Floquet solve (see ``_states``): the
+    truncation order is grown until rho_0 changes by less than
+    ``_HARMONIC_TOL``.
+
+    Returns a dict {k: rho_k} with rho_{-k} = rho_k^dagger.
+    """
+    if not liouv.periodic:
+        raise ValueError("Liouvillian is static; use steady_state")
+    rho0, rho1 = _one_point(liouv)
+    return {0: rho0, 1: rho1, -1: rho1.conj().T}
+
+
+def sweep_states(liouv: Liouvillian, h_diag: np.ndarray, beats: np.ndarray):
+    """Steady states of ``liouv`` with the level energies of each row of ``h_diag``.
+
+    Point n is the system ``liouv`` was built from with its level energies
+    replaced by h_diag[n] and its beat by beats[n]; couplings and decays are
+    shared, so each point's L0 differs only in its commutator diagonal.  The
+    points are solved by ``_states`` in stacks of ``_CHUNK``, and the result
+    is that of ``_states`` for the whole sweep: (rho0, rho1, order, errors).
+    """
+    n, d = len(h_diag), liouv.dim
+    rho0 = np.empty((n, d, d), complex)
+    rho1 = np.empty((n, d, d), complex)
+    order = np.zeros(n, int)
+    errors = []
+    for start in range(0, n, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        rho0[part], rho1[part], order[part], errs = _states(
+            _with_level_energies(liouv.l0, h_diag[part]),
+            liouv.l_plus, liouv.l_minus, beats[part], d,
+        )
+        errors += errs
+    return rho0, rho1, order, errors
 
 
 def propagate(
@@ -500,147 +632,3 @@ def periodic_steady_state(
             return _density_matrices(avg[None], liouv.dim)[0]
         prev_avg = avg
     raise ConvergenceError(f"window average did not settle within {max_periods} periods")
-
-
-def _harmonic_states(
-    l0s: np.ndarray,
-    l_plus: np.ndarray,
-    l_minus: np.ndarray,
-    beats: np.ndarray,
-    dim: int,
-    tol: float = 1e-12,
-    max_harmonics: int = 24,
-):
-    """Floquet solution of each L0[n] + L+ e^{+i nu_n t} + L- e^{-i nu_n t} in the stack.
-
-    Expands rho(t) = sum_k rho_k e^{i k nu t} and solves the resulting block
-    tridiagonal linear system by folding the k != 0 chains onto the k = 0
-    block (Schur complements), then imposing the trace constraint with the
-    checks of ``_null_vectors``.  Each point grows its own truncation order
-    from 3 in steps of 2 until its rho_0 stops changing; the points still
-    growing form the active set of each fold.
-
-    Returns (rho0, rho1, order, errors): rho_0, rho_{+1}, the truncation
-    order reached and each point's failure (None if it has none).  Failed
-    points hold NaN.
-    """
-    n, d2 = len(l0s), dim * dim
-    eye = np.eye(d2)
-    v0 = np.full((n, d2), np.nan, complex)
-    r_up = np.full((n, d2, d2), np.nan, complex)
-    order = np.zeros(n, int)
-    errors = [None] * n
-
-    def solve_at(idx, k_max):
-        l0, nu = l0s[idx], beats[idx][:, None, None]
-        singular = np.zeros(len(idx), bool)
-        # upward chain rho_k = R_k rho_{k-1}, downward chain rho_{-k} = R'_{-k} rho_{-k+1}
-        chains = []
-        for sign, l_in, l_out in ((-1, l_minus, l_plus), (+1, l_plus, l_minus)):
-            r = None
-            for k in range(k_max, 0, -1):
-                m = l0 + sign * 1j * k * nu * eye
-                if r is not None:
-                    m = m + l_in @ r
-                r, flagged = _solve(m, l_out)
-                r = -r
-                singular |= flagged
-            chains.append(r)
-        up, dn = chains
-        v, errs = _null_vectors(l0 + l_minus @ up + l_plus @ dn, dim, _CHECK_TOL)
-        for i in np.flatnonzero(singular):
-            errs[i] = np.linalg.LinAlgError("Singular matrix")
-        return v, up, errs
-
-    # orders 3, 5, ... up to the first >= max_harmonics; the first order has
-    # no predecessor to compare with (NaN), so no point converges there
-    idx, v_prev = np.arange(n), np.full((n, d2), np.nan)
-    for k_max in range(3, max_harmonics + 2, 2):
-        if not len(idx):
-            break
-        v, up, errs = solve_at(idx, k_max)
-        failed = np.array([e is not None for e in errs], bool)
-        converged = ~failed & (np.max(np.abs(v - v_prev), axis=1) < tol)
-        for j in np.flatnonzero(failed):
-            errors[idx[j]] = errs[j]
-        done = idx[converged]
-        v0[done], r_up[done], order[done] = v[converged], up[converged], k_max
-        keep = ~failed & ~converged
-        idx, v_prev = idx[keep], v[keep]
-    for i in idx:
-        errors[i] = ConvergenceError(
-            f"harmonic expansion not converged at k = {max_harmonics}"
-        )
-
-    rho0 = _density_matrices(v0, dim)
-    vec0 = rho0.transpose(0, 2, 1).reshape(n, d2, 1)  # column-major vec
-    rho1 = (r_up @ vec0).reshape(n, dim, dim).transpose(0, 2, 1)
-    return rho0, rho1, order, errors
-
-
-def periodic_harmonics(
-    liouv: Liouvillian,
-    tol: float = 1e-12,
-    max_harmonics: int = 24,
-):
-    """Fourier components rho_k of the asymptotic periodic state.
-
-    The one-point case of the stacked Floquet solve (see ``_harmonic_states``):
-    the truncation order is grown until rho_0 changes by less than ``tol``.
-
-    Returns a dict {k: rho_k} with rho_{-k} = rho_k^dagger.
-    """
-    if not liouv.periodic:
-        raise ValueError("Liouvillian is static; use steady_state")
-    (rho0,), (rho1,), _, (error,) = _harmonic_states(
-        liouv.l0[None], liouv.l_plus, liouv.l_minus, np.array([liouv.beat]),
-        liouv.dim, tol, max_harmonics,
-    )
-    if error is not None:
-        raise error
-    return {0: rho0, 1: rho1, -1: rho1.conj().T}
-
-
-def sweep_states(liouv: Liouvillian, h_diag: np.ndarray, beats: np.ndarray):
-    """Steady states of ``liouv`` with the level energies of each row of ``h_diag``.
-
-    Point n is the system ``liouv`` was built from with its level energies
-    replaced by h_diag[n] and its beat by beats[n]; couplings and decays are
-    shared, so each point's L0 differs only in its commutator diagonal.  As in
-    ``build_system``, a point whose beat vanishes has nothing oscillating: its
-    oscillating coupling is folded into L0 and it is solved statically.
-    Points are solved in stacks of ``_CHUNK``.
-
-    Returns (rho0, rho1, order, errors): the time-averaged state, the
-    e^{+i nu t} harmonic (rho0 itself where L is static, which is what a
-    coupling that stops oscillating reads), the harmonic truncation order
-    reached (0 where static) and each point's solver failure or None.
-    Failed points hold NaN.
-    """
-    n, d = len(h_diag), liouv.dim
-    rho0 = np.empty((n, d, d), complex)
-    rho1 = np.empty((n, d, d), complex)
-    order = np.zeros(n, int)
-    errors = [None] * n
-    if liouv.periodic:
-        periodic = ~(np.abs(beats) < _MIN_BEAT)
-        l0_static = liouv.l0 + liouv.l_plus + liouv.l_minus
-    else:
-        periodic = np.zeros(n, bool)
-        l0_static = liouv.l0
-    groups = ((np.flatnonzero(~periodic), False), (np.flatnonzero(periodic), True))
-    for points, is_periodic in groups:
-        for start in range(0, len(points), _CHUNK):
-            part = points[start:start + _CHUNK]
-            if is_periodic:
-                rho0[part], rho1[part], order[part], errs = _harmonic_states(
-                    _with_level_energies(liouv.l0, h_diag[part]),
-                    liouv.l_plus, liouv.l_minus, beats[part], d,
-                )
-            else:
-                l0s = _with_level_energies(l0_static, h_diag[part])
-                rho0[part], errs = _steady_states(l0s, d)
-                rho1[part] = rho0[part]
-            for i, error in zip(part, errs):
-                errors[i] = error
-    return rho0, rho1, order, errors

@@ -13,9 +13,10 @@ Gamma * P_total in steady state (photon-rate balance).
 
 ``scattering_rates`` is the spectrum engine: it builds the system once per
 configuration and solves every detuning of a sweep in one stacked, checked
-solve (``liouville.sweep_states``), reporting per-point failures instead of
-raising them.  ``scattering_rate`` is its one-point case; scans, Fano grids
-and the cooling coefficients all go through it.
+solve (``liouville.sweep_states``), static and time-periodic points alike,
+reporting per-point failures instead of raising them.  ``scattering_rate``
+is its one-point case; scans, Fano grids and the cooling coefficients all go
+through it.
 """
 
 from __future__ import annotations
@@ -232,9 +233,10 @@ def scattering_rates(config: EITConfig, detunings) -> Spectrum:
     The system is built once.  delta_pi enters it only through the level
     energies (and the beat of the oblique-beam geometry), so every point's
     Liouvillian is the shared one with its commutator diagonal rewritten, and
-    all points go through one stacked, checked solve (``sweep_states``).  A
-    point whose solve fails holds NaN and its exception in ``errors``; the
-    other points keep their values.
+    all points go through one stacked, checked solve (``sweep_states``),
+    which treats a point whose beat vanishes as static.  A point whose solve
+    fails holds NaN and its exception in ``errors``; the other points keep
+    their values.
     """
     deltas = np.asarray(detunings, dtype=float)
     nu_c, nu_g = config.laser_frequencies(deltas)

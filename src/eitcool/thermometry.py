@@ -21,7 +21,10 @@ from scipy.optimize import minimize_scalar
 
 SIDEBANDS = ("red", "blue")
 
-# largest Fock cutoff from_n_bar builds (n_bar up to about 144 at tail 1e-6)
+# thermal weight above the Fock cutoff that from_n_bar leaves out
+TAIL = 1e-6
+
+# largest Fock cutoff from_n_bar builds (n_bar up to about 144 at TAIL)
 MAX_CUTOFF = 2000
 
 
@@ -39,8 +42,8 @@ class ThermalState:
             raise ValueError("cutoff must be >= 0")
 
     @classmethod
-    def from_n_bar(cls, n_bar: float, tail: float = 1e-6):
-        """Cutoff at the smallest n with cumulative weight >= 1 - tail.
+    def from_n_bar(cls, n_bar: float):
+        """Cutoff at the smallest n with cumulative weight >= 1 - TAIL.
 
         Raises ValueError if that cutoff exceeds MAX_CUTOFF.
         """
@@ -48,10 +51,10 @@ class ThermalState:
             return cls(n_bar=max(n_bar, 0.0), cutoff=0)
         # geometric tail: sum_{n > N} p_n = (n_bar / (n_bar + 1))^(N+1)
         r = n_bar / (n_bar + 1.0)
-        cutoff = max(0, math.ceil(math.log(tail) / math.log(r)) - 1)
+        cutoff = max(0, math.ceil(math.log(TAIL) / math.log(r)) - 1)
         if cutoff > MAX_CUTOFF:
             raise ValueError(
-                f"n_bar = {n_bar!r} needs a Fock cutoff of {cutoff} for tail {tail!r}, "
+                f"n_bar = {n_bar!r} needs a Fock cutoff of {cutoff} for tail {TAIL!r}, "
                 f"above the maximum {MAX_CUTOFF}"
             )
         return cls(n_bar=n_bar, cutoff=cutoff)

@@ -19,7 +19,7 @@ from eitcool.cooling import (
     multimode_report,
     steady_state_n_sweep,
 )
-from eitcool.spectrum import coupling_for_target_shift, scattering_rate
+from eitcool.spectrum import coupling_for_target_shift, scattering_rate, scattering_rates
 
 from conftest import TP, fig2_config
 
@@ -241,6 +241,20 @@ def test_sweep_argument_validation():
         steady_state_n_sweep(cfg, deltas=[TP * 1e6])  # needs a geometry
     with pytest.raises(ValueError):
         steady_state_n_sweep(cfg, omegas=[-1.0])
+
+
+def test_delta_sweep_checks_every_shift_before_solving(monkeypatch):
+    calls = []
+
+    def counting(config, detunings):
+        calls.append(detunings)
+        return scattering_rates(config, detunings)
+
+    monkeypatch.setattr(eitcool.cooling, "scattering_rates", counting)
+    with pytest.raises(ValueError):
+        steady_state_n_sweep(fig2_config("three_level"), deltas=[TP * 1e6, -1.0],
+                             geometry=_reference_geometry())
+    assert calls == []
 
 
 @pytest.mark.parametrize("variant", ["three_level", "four_level_ideal", "four_level_geometry"])

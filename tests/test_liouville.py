@@ -17,8 +17,7 @@ from eitcool.liouville import (
     ConvergenceError,
     DegenerateSteadyStateError,
     Liouvillian,
-    _harmonic_states,
-    _steady_states,
+    _states,
     build_liouvillian,
     build_system,
     periodic_harmonics,
@@ -257,7 +256,7 @@ def test_kron_free_liouvillian_matches_kron_oracle(rng):
 def test_stacked_steady_states_isolate_a_degenerate_point():
     good = build_liouvillian(_system("four_level_ideal"))
     dead = build_liouvillian(_system("four_level_ideal", omega_sigma=0.0, omega_pi=0.0))
-    rho, errors = _steady_states(np.stack([good.l0, dead.l0]), good.dim)
+    rho, _, _, errors = _states(np.stack([good.l0, dead.l0]), None, None, None, good.dim)
     assert errors[0] is None
     assert isinstance(errors[1], DegenerateSteadyStateError)
     assert np.array_equal(rho[0], steady_state(good))
@@ -271,7 +270,7 @@ def test_stacked_harmonics_isolate_a_degenerate_point():
         liouv.l0, 0.0 * liouv.l_plus, 0.0 * liouv.l_minus, liouv.beat, liouv.dim
     )
     dead = build_liouvillian(_system("four_level_geometry", omega_sigma=0.0, omega_pi=0.0))
-    rho0, rho1, order, errors = _harmonic_states(
+    rho0, rho1, order, errors = _states(
         np.stack([good.l0, dead.l0]), good.l_plus, good.l_minus,
         np.array([good.beat, dead.beat]), good.dim,
     )
