@@ -26,8 +26,6 @@ from .liouville import (
     build_liouvillian,
     build_system,
     periodic_harmonics,
-    periodic_steady_state,
-    propagate,
     steady_state,
 )
 from .spectrum import (

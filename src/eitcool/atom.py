@@ -54,7 +54,7 @@ def _default_cg_weights() -> dict:
 
 
 class FrameDegenerateError(ValueError):
-    """Beam propagates along the quantization axis; in-plane x-axis undefined."""
+    """Beam travels along the quantization axis; in-plane x-axis undefined."""
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ class Beam:
     ``rabi`` is the bare Rabi frequency for a unit-CG transition, before
     polarization projection. ``detuning`` is referenced to the zero-field
     S1/2 -> P1/2 resonance. ``transverse_axis`` optionally fixes the spherical
-    frame when the beam propagates along the quantization axis.
+    frame when the beam travels along the quantization axis.
     """
 
     label: str  # "coupling" | "cooling"
@@ -168,7 +168,7 @@ def spherical_frame(k_hat, z_hat, transverse_axis=None):
     if norm < 1e-9:
         if transverse_axis is None:
             raise FrameDegenerateError(
-                "beam propagates along the quantization axis; "
+                "beam travels along the quantization axis; "
                 "supply an explicit transverse_axis"
             )
         t = np.asarray(transverse_axis, float)

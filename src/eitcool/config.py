@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 
 from .atom import LevelScheme
 from .constants import ATOMIC_MASS
+from .liouville import VARIANTS
 from .spectrum import EITConfig
 
 TASKS = ("spectrum", "sweep-omega", "sweep-delta", "dynamics", "multimode", "thermometry")
-VARIANT_CHOICES = ("three_level", "four_level_ideal", "four_level_geometry", "all")
-FIG2_VARIANTS = ("three_level", "four_level_ideal", "four_level_geometry")
+FIG2_VARIANTS = VARIANTS
+VARIANT_CHOICES = VARIANTS + ("all",)
 
 
 class ConfigError(ValueError):

@@ -188,7 +188,7 @@ def steady_state_n_sweep(
 
     Per-point solver failures (a degenerate steady state, an unconverged
     harmonic expansion, a singular linear solve) are recorded in the row's
-    ``error`` and the sweep continues; any other exception propagates.
+    ``error`` and the sweep continues; any other exception is raised.
     """
     if (omegas is None) == (deltas is None):
         raise ValueError("specify exactly one of omegas or deltas")

@@ -24,18 +24,15 @@ Floquet harmonic expansion, grown to its own truncation order.
 ``sweep_states`` is the sweep route: one Liouvillian whose level energies
 (only its commutator diagonal) and beat change from point to point, solved
 in stacks of ``_CHUNK`` points.  ``steady_state`` and ``periodic_harmonics``
-are the stack-of-one cases.  ``propagate``, ``periodic_steady_state`` and
-``static_approximation`` are reference oracles that the tests compare those
-against.
+are the stack-of-one cases.  The module needs numpy only; the brute-force
+propagation oracles these solves are checked against live in the tests.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .atom import (
     CG_AMPLITUDE,
@@ -52,15 +49,13 @@ from .atom import (
     zeeman_splitting,
 )
 
-VARIANTS = ("three_level", "four_level_ideal", "four_level_geometry", "two_level")
-
 # states retained per variant
 _RETAINED = {
     "three_level": (S_MINUS, S_PLUS, P_PLUS),
     "four_level_ideal": STATES,
     "four_level_geometry": STATES,
-    "two_level": (S_PLUS, P_PLUS),
 }
+VARIANTS = tuple(_RETAINED)
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -105,9 +100,6 @@ class DrivenSystem:
     def dim(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
     def excited_indices(self) -> tuple:
         return tuple(i for i, s in enumerate(self.labels) if s.startswith("P"))
 
@@ -151,9 +143,7 @@ def build_system(
 
     ``three_level`` keeps |S,->, |S,+>, |P,+> with the sigma+ and pi couplings
     only; ``four_level_ideal`` keeps all four levels but drops any sigma-
-    component of the cooling beam; ``four_level_geometry`` keeps everything;
-    ``two_level`` reduces to |S,+>, |P,+> with the pi drive and full-rate decay
-    (the textbook saturation limit, used as a verification oracle).
+    component of the cooling beam; ``four_level_geometry`` keeps everything.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -178,8 +168,6 @@ def build_system(
                     continue
                 upper_label = P_MINUS if m + q == -0.5 else P_PLUS
                 if lower_label not in labels or upper_label not in labels:
-                    continue
-                if variant == "two_level" and beam.label != "cooling":
                     continue
                 if variant == "four_level_ideal" and beam.label == "cooling" and q != 0:
                     continue
@@ -219,14 +207,11 @@ def build_system(
         ]
         beat = None
 
-    if variant == "two_level":
-        decays = ((labels.index(P_PLUS), labels.index(S_PLUS), scheme.gamma),)
-    else:
-        decays = tuple(
-            (labels.index(u), labels.index(l), rate)
-            for u, l, rate in scheme.decay_channels()
-            if u in labels and l in labels
-        )
+    decays = tuple(
+        (labels.index(u), labels.index(l), rate)
+        for u, l, rate in scheme.decay_channels()
+        if u in labels and l in labels
+    )
 
     return DrivenSystem(
         labels=labels,
@@ -251,22 +236,6 @@ class Liouvillian:
     @property
     def periodic(self) -> bool:
         return self.beat is not None
-
-    def apply(self, rho_vec: np.ndarray, t: float) -> np.ndarray:
-        out = self.l0 @ rho_vec
-        if self.periodic:
-            phase = np.exp(1j * self.beat * t)
-            out = out + phase * (self.l_plus @ rho_vec)
-            out = out + np.conj(phase) * (self.l_minus @ rho_vec)
-        return out
-
-
-def vec(rho: np.ndarray) -> np.ndarray:
-    return np.asarray(rho, complex).flatten(order="F")
-
-
-def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    return np.asarray(v, complex).reshape((dim, dim), order="F")
 
 
 def _commutator_super(h: np.ndarray) -> np.ndarray:
@@ -319,19 +288,6 @@ def build_liouvillian(system: DrivenSystem) -> Liouvillian:
     l_minus = _commutator_super(a)
     l_plus = _commutator_super(a.conj().T)
     return Liouvillian(l0=l0, l_plus=l_plus, l_minus=l_minus, beat=system.beat, dim=d)
-
-
-def static_approximation(liouv: Liouvillian) -> Liouvillian:
-    """Fold the oscillating parts into L0 (comparison mode, not exact)."""
-    if not liouv.periodic:
-        return liouv
-    return Liouvillian(
-        l0=liouv.l0 + liouv.l_plus + liouv.l_minus,
-        l_plus=None,
-        l_minus=None,
-        beat=None,
-        dim=liouv.dim,
-    )
 
 
 # uniqueness spread and relative residual accepted by the steady-state solves
@@ -549,86 +505,3 @@ def sweep_states(liouv: Liouvillian, h_diag: np.ndarray, beats: np.ndarray):
         )
         errors += errs
     return rho0, rho1, order, errors
-
-
-def propagate(
-    liouv: Liouvillian,
-    rho0: np.ndarray,
-    t: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> np.ndarray:
-    """Integrate d rho/dt = L(t) rho from 0 to t (adaptive RK, DOP853)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0:
-        return np.array(rho0, complex)
-    y0 = vec(rho0)
-    sol = solve_ivp(
-        lambda tt, y: liouv.apply(y, tt),
-        (0.0, t),
-        y0,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise ConvergenceError(f"propagation failed at t = {sol.t[-1]:.3e}: {sol.message}")
-    return unvec(sol.y[:, -1], liouv.dim)
-
-
-def periodic_steady_state(
-    liouv: Liouvillian,
-    relax_time: float,
-    window_periods: int = 20,
-    drift_tol: float = 1e-8,
-    max_periods: int = 10_000,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> np.ndarray:
-    """Time-averaged asymptotic state of a periodic Liouvillian, by propagation.
-
-    Starts from the steady state of the static part, relaxes for
-    ``relax_time``, then averages rho(t) over successive windows of an integer
-    number of beat periods until consecutive window averages drift below
-    ``drift_tol``.  Positivity of the average is not guaranteed; Hermiticity
-    and unit trace are.
-    """
-    if not liouv.periodic:
-        raise ValueError("Liouvillian is static; use steady_state")
-    period = 2 * math.pi / abs(liouv.beat)
-    rho = steady_state(
-        Liouvillian(liouv.l0, None, None, None, liouv.dim)
-    )
-    y = vec(rho)
-    d2 = liouv.dim**2
-
-    def rhs(tt, z):
-        dy = liouv.apply(z[:d2], tt)
-        return np.concatenate([dy, z[:d2]])
-
-    # relax without accumulating
-    sol = solve_ivp(
-        lambda tt, z: liouv.apply(z, tt),
-        (0.0, relax_time), y, method="DOP853", rtol=rtol, atol=atol,
-    )
-    if not sol.success:
-        raise ConvergenceError(f"relaxation failed: {sol.message}")
-    y = sol.y[:, -1]
-    t0 = relax_time
-    window = window_periods * period
-    prev_avg = None
-    periods_done = 0
-    while periods_done < max_periods:
-        z0 = np.concatenate([y, np.zeros(d2, complex)])
-        sol = solve_ivp(rhs, (t0, t0 + window), z0, method="DOP853", rtol=rtol, atol=atol)
-        if not sol.success:
-            raise ConvergenceError(f"averaging window failed: {sol.message}")
-        y = sol.y[:d2, -1]
-        avg = sol.y[d2:, -1] / window
-        t0 += window
-        periods_done += window_periods
-        if prev_avg is not None and np.max(np.abs(avg - prev_avg)) < drift_tol:
-            return _density_matrices(avg[None], liouv.dim)[0]
-        prev_avg = avg
-    raise ConvergenceError(f"window average did not settle within {max_periods} periods")

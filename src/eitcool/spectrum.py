@@ -15,8 +15,8 @@ Gamma * P_total in steady state (photon-rate balance).
 configuration and solves every detuning of a sweep in one stacked, checked
 solve (``liouville.sweep_states``), static and time-periodic points alike,
 reporting per-point failures instead of raising them.  ``scattering_rate``
-is its one-point case; scans, Fano grids and the cooling coefficients all go
-through it.
+is its one-point case; scans, the cooling coefficients and the Fano features
+(a grid, then stacked zoom passes) all go through it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .atom import (
     Beam,
@@ -46,6 +45,13 @@ from .liouville import (
 
 _SQRT13 = math.sqrt(1.0 / 3.0)
 _SQRT23 = math.sqrt(2.0 / 3.0)
+
+# fano_features zoom: samples per bracket per pass, the bracket width (in
+# units of the AC Stark shift) at which the passes stop, and a cap on the
+# passes (each narrows a bracket 8-fold, so 20 reach double resolution)
+_ZOOM_POINTS = 17
+_ZOOM_WIDTH = 2e-4
+_MAX_ZOOMS = 20
 
 
 class DegenerateFeatureError(RuntimeError):
@@ -136,7 +142,7 @@ class EITConfig:
         return MagneticField(magnitude=self.b_gauss)
 
     def k_vectors(self):
-        """(k_cooling, k_coupling) in 1/m; coupling propagates along B."""
+        """(k_cooling, k_coupling) in 1/m; coupling travels along B."""
         k = 2 * math.pi / self.wavelength
         k_r = np.array([0.0, 0.0, k])
         k_g = k * np.array([math.sin(self.beam_angle), 0.0, math.cos(self.beam_angle)])
@@ -242,8 +248,8 @@ def scattering_rates(config: EITConfig, detunings) -> Spectrum:
     nu_c, nu_g = config.laser_frequencies(deltas)
     beats = nu_c - nu_g
     # built where the beat is largest, so that an oscillating coupling is
-    # kept as such whenever any point has one
-    system = config.system(float(deltas[np.argmax(np.abs(beats))]))
+    # kept as such whenever any point has one; an empty sweep solves nothing
+    system = config.system(float(deltas[np.argmax(np.abs(beats))]) if deltas.size else None)
     h_diag = level_energies(config.scheme, config.field, system.labels, nu_c, nu_g)
     rho0, rho1, order, errors = sweep_states(build_liouvillian(system), h_diag, beats)
     rates = beam_scattering_rates(system, {0: rho0, 1: rho1})
@@ -288,8 +294,13 @@ def fano_features(
 ) -> FanoFeatures:
     """Locate the dark point (min W) and bright peak (max W) of the spectrum.
 
-    Grid scan followed by golden-section refinement of each extremum to a
-    resolution of 1e-4 times the closed-form AC Stark shift.
+    Grid scan, then zoom passes: each pass samples ``_ZOOM_POINTS`` points
+    across the bracket of each extremum, both brackets in one
+    ``scattering_rates`` call, and narrows each bracket to the neighbours of
+    its best point.  The passes stop once both brackets are at most
+    ``_ZOOM_WIDTH`` times the closed-form AC Stark shift wide (or after
+    ``_MAX_ZOOMS`` passes); each feature is the best point of the last pass,
+    so it sits within half a zoom step of the extremum.
     """
     if config.omega_sigma == 0:
         raise DegenerateFeatureError("no coupling laser: spectrum has no EIT features")
@@ -300,23 +311,18 @@ def fano_features(
         raise BracketError("scan range does not bracket the bright peak")
     grid = np.linspace(scan_lo, scan_hi, points)
     w = scattering_rates(config, grid).checked().w
-
-    def refine(idx, sign):
-        if idx == 0 or idx == len(grid) - 1:
-            raise BracketError("feature extremum sits at the scan boundary")
-        try:
-            res = minimize_scalar(
-                lambda d: sign * scattering_rate(config, float(d)).w,
-                bracket=(grid[idx - 1], grid[idx], grid[idx + 1]),
-                method="golden",
-                options={"xtol": 1e-4 * delta / max(abs(grid[idx]), 1.0)},
-            )
-        except ValueError:
-            # flat extremum at numerical noise level: the grid point is as
-            # good as any refinement
-            return float(grid[idx])
-        return float(res.x)
-
-    dark = refine(int(np.argmin(w)), +1)
-    bright = refine(int(np.argmax(w)), -1)
-    return FanoFeatures(dark_point=dark, bright_peak=bright)
+    best = [int(np.argmin(w)), int(np.argmax(w))]
+    if {0, points - 1} & set(best):
+        raise BracketError("feature extremum sits at the scan boundary")
+    features = grid[best]
+    brackets = np.array([grid[[i - 1, i + 1]] for i in best])  # (dark, bright) x (lo, hi)
+    for _ in range(_MAX_ZOOMS):
+        if np.all(brackets[:, 1] - brackets[:, 0] <= _ZOOM_WIDTH * delta):
+            break
+        zoom = np.linspace(brackets[:, 0], brackets[:, 1], _ZOOM_POINTS, axis=1)
+        w = scattering_rates(config, zoom.ravel()).checked().w.reshape(zoom.shape)
+        best = [int(np.argmin(w[0])), int(np.argmax(w[1]))]
+        for f, i in enumerate(best):
+            brackets[f] = zoom[f, max(i - 1, 0)], zoom[f, min(i + 1, _ZOOM_POINTS - 1)]
+        features = zoom[[0, 1], best]
+    return FanoFeatures(dark_point=float(features[0]), bright_peak=float(features[1]))

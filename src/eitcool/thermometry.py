@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 SIDEBANDS = ("red", "blue")
 
@@ -133,7 +132,13 @@ def fit_thermal(
     omega0: float,
     n_bar_max: float = 1e3,
 ) -> ThermalFit:
-    """Least-squares thermal-distribution fit of a flop record over n_bar."""
+    """Least-squares thermal-distribution fit of a flop record over n_bar.
+
+    ``minimize_scalar`` (bounded Brent) is imported here, the package's one
+    dependency beyond numpy, so that everything else loads without it.
+    """
+    from scipy.optimize import minimize_scalar
+
     t = np.asarray(record.times, float)
     target = np.asarray(record.excitation, float)
 

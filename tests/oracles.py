@@ -1,0 +1,157 @@
+"""Reference oracles the tests check the package's solvers against.
+
+These are deliberately brute force and independent of the stacked solves in
+``eitcool.liouville``: adaptive time propagation of the master equation
+(scipy's DOP853), a window-averaged periodic state, the static fold of a
+periodic Liouvillian, a hand-built two-level atom with a textbook steady
+state, and a numerically integrated phonon rate equation.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.integrate import solve_ivp
+
+from eitcool.atom import P_PLUS, S_PLUS
+from eitcool.liouville import (
+    ConvergenceError,
+    Coupling,
+    DrivenSystem,
+    Liouvillian,
+    steady_state,
+)
+
+
+def vec(rho: np.ndarray) -> np.ndarray:
+    """Column-major vectorization, the convention of ``build_liouvillian``."""
+    return np.asarray(rho, complex).flatten(order="F")
+
+
+def unvec(v: np.ndarray, dim: int) -> np.ndarray:
+    return np.asarray(v, complex).reshape((dim, dim), order="F")
+
+
+def apply(liouv: Liouvillian, rho_vec: np.ndarray, t: float) -> np.ndarray:
+    """L(t) vec(rho) with L(t) = L0 + L+ e^{+i nu t} + L- e^{-i nu t}."""
+    out = liouv.l0 @ rho_vec
+    if liouv.periodic:
+        phase = np.exp(1j * liouv.beat * t)
+        out = out + phase * (liouv.l_plus @ rho_vec)
+        out = out + np.conj(phase) * (liouv.l_minus @ rho_vec)
+    return out
+
+
+def static_approximation(liouv: Liouvillian) -> Liouvillian:
+    """Fold the oscillating parts into L0 (a comparison, not exact)."""
+    if not liouv.periodic:
+        return liouv
+    return Liouvillian(
+        l0=liouv.l0 + liouv.l_plus + liouv.l_minus,
+        l_plus=None,
+        l_minus=None,
+        beat=None,
+        dim=liouv.dim,
+    )
+
+
+def two_level_system(omega_pi: float, delta_pi: float, gamma: float) -> DrivenSystem:
+    """|S,+>, |P,+> driven by pi light of Rabi frequency ``omega_pi``.
+
+    The upper level sits at -delta_pi in the rotating frame and decays to the
+    lower one at the full rate ``gamma``: the textbook saturation limit.
+    """
+    return DrivenSystem(
+        labels=(S_PLUS, P_PLUS),
+        h_diag=np.array([0.0, -delta_pi]),
+        couplings=(Coupling(lower=0, upper=1, rabi_eff=complex(omega_pi),
+                            beam="cooling", q=0),),
+        decays=((1, 0, gamma),),
+        beat=None,
+        gamma=gamma,
+    )
+
+
+def propagate(
+    liouv: Liouvillian,
+    rho0: np.ndarray,
+    t: float,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+) -> np.ndarray:
+    """Integrate d rho/dt = L(t) rho from 0 to t (adaptive RK, DOP853)."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    if t == 0:
+        return np.array(rho0, complex)
+    sol = solve_ivp(
+        lambda tt, y: apply(liouv, y, tt),
+        (0.0, t),
+        vec(rho0),
+        method="DOP853",
+        rtol=rtol,
+        atol=atol,
+    )
+    if not sol.success:
+        raise ConvergenceError(f"propagation failed at t = {sol.t[-1]:.3e}: {sol.message}")
+    return unvec(sol.y[:, -1], liouv.dim)
+
+
+def periodic_steady_state(
+    liouv: Liouvillian,
+    relax_time: float,
+    window_periods: int = 20,
+    drift_tol: float = 1e-8,
+    max_periods: int = 10_000,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+) -> np.ndarray:
+    """Time-averaged asymptotic state of a periodic Liouvillian, by propagation.
+
+    Starts from the steady state of the static part, relaxes for
+    ``relax_time``, then averages rho(t) over successive windows of an integer
+    number of beat periods until consecutive window averages drift below
+    ``drift_tol``.  The average is made Hermitian with unit trace.
+    """
+    if not liouv.periodic:
+        raise ValueError("Liouvillian is static; use steady_state")
+    period = 2 * math.pi / abs(liouv.beat)
+    y = vec(steady_state(Liouvillian(liouv.l0, None, None, None, liouv.dim)))
+    d2 = liouv.dim**2
+
+    def rhs(tt, z):
+        return np.concatenate([apply(liouv, z[:d2], tt), z[:d2]])
+
+    # relax without accumulating
+    sol = solve_ivp(
+        lambda tt, z: apply(liouv, z, tt),
+        (0.0, relax_time), y, method="DOP853", rtol=rtol, atol=atol,
+    )
+    if not sol.success:
+        raise ConvergenceError(f"relaxation failed: {sol.message}")
+    y = sol.y[:, -1]
+    t0 = relax_time
+    window = window_periods * period
+    prev_avg = None
+    for _ in range(0, max_periods, window_periods):
+        z0 = np.concatenate([y, np.zeros(d2, complex)])
+        sol = solve_ivp(rhs, (t0, t0 + window), z0, method="DOP853", rtol=rtol, atol=atol)
+        if not sol.success:
+            raise ConvergenceError(f"averaging window failed: {sol.message}")
+        y = sol.y[:d2, -1]
+        avg = sol.y[d2:, -1] / window
+        t0 += window
+        if prev_avg is not None and np.max(np.abs(avg - prev_avg)) < drift_tol:
+            rho = unvec(avg, liouv.dim)
+            rho = 0.5 * (rho + rho.conj().T)
+            return rho / np.trace(rho).real
+        prev_avg = avg
+    raise ConvergenceError(f"window average did not settle within {max_periods} periods")
+
+
+def integrate_occupation(a_plus: float, a_minus: float, n0: float, t: float) -> float:
+    """n(t) of dn/dt = -(A- - A+) n + A+ by adaptive integration from n(0) = n0."""
+    sol = solve_ivp(lambda _t, n: [-(a_minus - a_plus) * n[0] + a_plus],
+                    (0.0, t), [n0], rtol=1e-12, atol=1e-14)
+    return float(sol.y[0, -1])

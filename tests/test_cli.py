@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eitcool
 import eitcool.cooling
 from eitcool.cli import bundled_config_path, main
 from eitcool.config import load_config
@@ -173,3 +178,19 @@ def test_bundled_csvs_hold_no_numpy_reprs(tmp_path):
     for path in tmp_path.glob("*.csv"):
         cells = [cell for line in _data_lines(path) for cell in line.split(",")]
         assert not [cell for cell in cells if "np." in cell], path.name
+
+
+def test_bundled_runs_load_no_scipy(tmp_path):
+    # scipy is a runtime dependency of the thermometry fit alone
+    script = (
+        "import sys\n"
+        "import eitcool, eitcool.cli\n"
+        f"for name in {BUNDLED[:4]!r}:\n"
+        f"    assert eitcool.cli.main(['run', name, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    src = str(Path(eitcool.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"

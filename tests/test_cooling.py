@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
 
 import eitcool.cooling
 from eitcool.constants import CA40_MASS
@@ -22,6 +21,7 @@ from eitcool.cooling import (
 from eitcool.spectrum import coupling_for_target_shift, scattering_rate, scattering_rates
 
 from conftest import TP, fig2_config
+from oracles import integrate_occupation
 
 GAMMA = TP * 20e6
 WAVELENGTH = 397e-9
@@ -154,11 +154,8 @@ def test_evolve_n_matches_numeric_integration():
         a_minus = rng.uniform(0.0, 5000.0)
         n0 = rng.uniform(0.0, 30.0)
         t = rng.uniform(0.0, 5e-3)
-        sol = solve_ivp(
-            lambda _t, n: [-(a_minus - a_plus) * n[0] + a_plus],
-            (0.0, t), [n0], rtol=1e-12, atol=1e-14,
-        )
-        worst = max(worst, abs(evolve_n(a_plus, a_minus, n0, t) - sol.y[0, -1]))
+        numeric = integrate_occupation(a_plus, a_minus, n0, t)
+        worst = max(worst, abs(evolve_n(a_plus, a_minus, n0, t) - numeric))
     assert worst <= 1e-10
 
 

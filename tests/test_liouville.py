@@ -21,16 +21,20 @@ from eitcool.liouville import (
     build_liouvillian,
     build_system,
     periodic_harmonics,
-    periodic_steady_state,
-    propagate,
-    static_approximation,
     steady_state,
-    unvec,
-    vec,
 )
 from eitcool.spectrum import EITConfig
 
 from conftest import FIG2, TP, fig2_config
+from oracles import (
+    apply,
+    periodic_steady_state,
+    propagate,
+    static_approximation,
+    two_level_system,
+    unvec,
+    vec,
+)
 
 GAMMA = TP * 20e6
 
@@ -125,8 +129,9 @@ def test_transition_driven_at_two_frequencies_is_rejected():
 
 def test_unknown_variant_rejected():
     cfg = fig2_config("three_level")
-    with pytest.raises(ValueError):
-        build_system(cfg.scheme, cfg.field, cfg.beams(), "five_level")
+    for variant in ("five_level", "two_level"):  # two_level is a test oracle only
+        with pytest.raises(ValueError):
+            build_system(cfg.scheme, cfg.field, cfg.beams(), variant)
 
 
 # --------------------------------------------------------------- vectorization
@@ -166,7 +171,7 @@ def test_trace_preservation_on_random_hermitian_matrices():
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = a + a.conj().T
         for t in (0.0, 1e-9, 3e-8):
-            drho = unvec(liouv.apply(vec(rho), t), 4)
+            drho = unvec(apply(liouv, vec(rho), t), 4)
             assert abs(np.trace(drho)) <= 1e-12 * scale
 
 
@@ -181,7 +186,7 @@ def test_no_spurious_gain_in_static_spectrum():
 
 
 def test_two_level_pure_decay_steady_state_is_the_ground_state():
-    liouv = _pure_decay_liouvillian("two_level")
+    liouv = build_liouvillian(two_level_system(0.0, 0.0, GAMMA))
     rho = steady_state(liouv)
     assert rho[0, 0].real == pytest.approx(1.0, abs=1e-12)  # S+ is index 0
     assert abs(rho[1, 1]) <= 1e-12
@@ -287,10 +292,7 @@ def test_two_level_saturation_formula():
     # independently-derived resonance fluorescence steady state
     for omega, delta in [(0.3 * GAMMA, 0.0), (0.8 * GAMMA, 0.5 * GAMMA),
                          (2.0 * GAMMA, -1.2 * GAMMA)]:
-        cfg = EITConfig(omega_sigma=0.0, omega_pi=omega,
-                        delta_sigma=TP * 70e6, delta_pi=delta,
-                        variant="two_level")
-        rho = steady_state(build_liouvillian(cfg.system()))
+        rho = steady_state(build_liouvillian(two_level_system(omega, delta, GAMMA)))
         p_upper = rho[1, 1].real
         expected = (omega**2 / 4) / (delta**2 + omega**2 / 2 + GAMMA**2 / 4)
         assert p_upper == pytest.approx(expected, rel=1e-10)
@@ -358,7 +360,7 @@ def test_propagate_rejects_negative_time():
 
 
 def test_pure_decay_population_drops_by_e_after_one_lifetime():
-    liouv = _pure_decay_liouvillian("two_level")
+    liouv = build_liouvillian(two_level_system(0.0, 0.0, GAMMA))
     rho0 = np.diag([0.0, 1.0]).astype(complex)
     rho = propagate(liouv, rho0, 1.0 / GAMMA)
     assert rho[1, 1].real == pytest.approx(math.exp(-1.0), abs=1e-8)

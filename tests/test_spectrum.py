@@ -6,18 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eitcool.spectrum
+
 from eitcool.liouville import (
     _CHUNK,
     DegenerateSteadyStateError,
     build_liouvillian,
     periodic_harmonics,
-    static_approximation,
     steady_state,
 )
 from eitcool.spectrum import (
     BracketError,
     DegenerateFeatureError,
-    EITConfig,
     ac_stark_shift,
     ac_stark_shift_approx,
     beam_scattering_rates,
@@ -31,6 +31,7 @@ from eitcool.spectrum import (
 )
 
 from conftest import FIG2, TP, fig2_config, random_static_config
+from oracles import static_approximation, two_level_system
 
 GAMMA = TP * 20e6
 
@@ -130,11 +131,10 @@ def test_scan_is_nonnegative_with_bounded_population():
 
 
 def test_single_beam_scattering_equals_gamma_times_upper_population():
-    cfg = EITConfig(omega_sigma=0.0, omega_pi=0.4 * GAMMA,
-                    delta_sigma=TP * 70e6, delta_pi=0.3 * GAMMA,
-                    variant="two_level")
-    sample = scattering_rate(cfg)
-    assert sample.w == pytest.approx(GAMMA * sample.rho_p_total, rel=1e-10)
+    system = two_level_system(0.4 * GAMMA, 0.3 * GAMMA, GAMMA)
+    rho = steady_state(build_liouvillian(system))
+    w = beam_scattering_rates(system, {0: rho})["cooling"]
+    assert w == pytest.approx(GAMMA * rho[1, 1].real, rel=1e-10)
 
 
 def test_per_beam_attribution_balances_photon_rates(rng):
@@ -228,6 +228,17 @@ def test_geometry_sweep_through_a_vanishing_beat_matches_single_points():
         assert spectrum.rho_p_total[i] == pytest.approx(sample.rho_p_total, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("variant", ["three_level", "four_level_ideal", "four_level_geometry"])
+def test_empty_sweep_returns_an_empty_spectrum(variant):
+    cfg = fig2_config(variant)
+    spectrum = scattering_rates(cfg, [])
+    assert spectrum.errors == ()
+    for values in (spectrum.detuning_pi, spectrum.w, spectrum.rho_p_total,
+                   spectrum.harmonic_order):
+        assert values.shape == (0,)
+    assert scan_spectrum(cfg, []) == []
+
+
 def test_spectrum_checked_raises_the_first_failure():
     dead = fig2_config("three_level", omega_sigma=0.0, omega_pi=0.0)
     spectrum = scattering_rates(dead, [dead.delta_pi])
@@ -246,6 +257,28 @@ def test_fano_features_at_reference_parameters():
     assert features.dark_point == pytest.approx(cfg.delta_sigma, abs=1e-3 * delta)
     assert features.stark_shift == pytest.approx(TP * 1.60e6, rel=0.01)
     assert features.dark_point < features.bright_peak  # blue-detuned coupling
+
+
+def test_fano_features_agree_with_a_dense_grid():
+    delta = ac_stark_shift(TP * 21.4e6, TP * 70e6)
+    cfg = fig2_config("three_level", omega_pi=0.05 * delta)
+    lo, hi = cfg.delta_sigma - TP * 4e6, cfg.delta_sigma + TP * 4e6
+    features = fano_features(cfg, lo, hi, points=200)
+    dense = np.linspace(lo, hi, 20001)
+    w = scattering_rates(cfg, dense).checked().w
+    assert features.dark_point == pytest.approx(dense[np.argmin(w)], abs=2e-4 * delta)
+    assert features.bright_peak == pytest.approx(dense[np.argmax(w)], abs=2e-4 * delta)
+
+
+def test_fano_zoom_stops_below_float_resolution(monkeypatch):
+    # a closed-form shift too small for any bracket to reach: the pass cap ends the zoom
+    cfg = fig2_config("three_level", omega_pi=0.05 * TP * 1.6e6)
+    lo, hi = cfg.delta_sigma - TP * 4e6, cfg.delta_sigma + TP * 4e6
+    want = fano_features(cfg, lo, hi, points=200)
+    monkeypatch.setattr(eitcool.spectrum, "ac_stark_shift", lambda *args: 1e-12)
+    got = fano_features(cfg, lo, hi, points=200)
+    assert got.dark_point == pytest.approx(want.dark_point, abs=TP * 1e3)
+    assert got.bright_peak == pytest.approx(want.bright_peak, abs=TP * 1e3)
 
 
 def test_dark_point_tracks_a_rigid_shift_of_both_detunings():
