@@ -4,7 +4,6 @@ from .atom import (
     Beam,
     LevelScheme,
     MagneticField,
-    PolarizationComponents,
     decompose_polarization,
     doppler_limit_occupation,
     zeeman_splitting,

@@ -18,7 +18,7 @@ Sign conventions (the single place they are documented):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,29 +28,19 @@ S_MINUS, S_PLUS, P_MINUS, P_PLUS = "S-", "S+", "P-", "P+"
 STATES = (S_MINUS, S_PLUS, P_MINUS, P_PLUS)
 EXCITED_STATES = (P_MINUS, P_PLUS)
 
-# magnetic quantum number of each state
-M_OF = {S_MINUS: -0.5, S_PLUS: +0.5, P_MINUS: -0.5, P_PLUS: +0.5}
-
 _SQRT13 = math.sqrt(1.0 / 3.0)
 _SQRT23 = math.sqrt(2.0 / 3.0)
 
-# Signed <1/2 m; 1 q | 1/2 m+q> amplitudes, keyed by (ground m, q).
-CG_AMPLITUDE = {
-    (-0.5, +1): -_SQRT23,  # S- -> P+
-    (+0.5, 0): +_SQRT13,   # S+ -> P+
-    (-0.5, 0): -_SQRT13,   # S- -> P-
-    (+0.5, -1): +_SQRT23,  # S+ -> P-
+# Every dipole transition, keyed by (ground state, q): the excited state
+# m + q and the signed <1/2 m; 1 q | 1/2 m+q> amplitude.  build_system adds
+# the couplings of a beam in this order; a decay P -> S emits the same q with
+# weight amplitude^2.
+TRANSITIONS = {
+    (S_PLUS, -1): (P_MINUS, +_SQRT23),
+    (S_MINUS, 0): (P_MINUS, -_SQRT13),
+    (S_PLUS, 0): (P_PLUS, +_SQRT13),
+    (S_MINUS, +1): (P_PLUS, -_SQRT23),
 }
-
-
-def _default_cg_weights() -> dict:
-    """Squared CG weight per (upper state, q) decay channel."""
-    return {
-        (P_PLUS, +1): 2.0 / 3.0,   # P+ -> S-
-        (P_PLUS, 0): 1.0 / 3.0,    # P+ -> S+
-        (P_MINUS, 0): 1.0 / 3.0,   # P- -> S-
-        (P_MINUS, -1): 2.0 / 3.0,  # P- -> S+
-    }
 
 
 class FrameDegenerateError(ValueError):
@@ -69,21 +59,18 @@ class LevelScheme:
     lande_g_S: float = 2.00225
     lande_g_P: float = 2.0 / 3.0
     gamma: float = 2 * math.pi * 20e6  # total P1/2 decay rate, rad/s
-    cg_weights: dict = field(default_factory=_default_cg_weights)
 
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        for upper in EXCITED_STATES:
-            total = sum(w for (u, _q), w in self.cg_weights.items() if u == upper)
-            if abs(total - 1.0) > 1e-14:
-                raise ValueError(f"CG weights for {upper} sum to {total}, not 1")
 
     def decay_channels(self):
-        """Yield (upper, lower, rate) for every dipole decay channel."""
-        for (upper, q), weight in sorted(self.cg_weights.items()):
-            lower = S_MINUS if M_OF[upper] - q == -0.5 else S_PLUS
-            yield upper, lower, self.gamma * weight
+        """Yield (upper, lower, rate) for every dipole decay channel, by (upper, q)."""
+        channels = sorted(
+            (excited, q, ground, cg) for (ground, q), (excited, cg) in TRANSITIONS.items()
+        )
+        for upper, _q, lower, cg in channels:
+            yield upper, lower, self.gamma * cg**2
 
 
 @dataclass(frozen=True)
@@ -144,21 +131,6 @@ class Beam:
         return (2 * math.pi / self.wavelength) * np.asarray(self.k_hat, float)
 
 
-@dataclass(frozen=True)
-class PolarizationComponents:
-    """Spherical components (q = -1, 0, +1) of a beam polarization."""
-
-    amp_minus: complex
-    amp_pi: complex
-    amp_plus: complex
-
-    def amp(self, q: int) -> complex:
-        return {-1: self.amp_minus, 0: self.amp_pi, +1: self.amp_plus}[q]
-
-    def weights(self) -> tuple:
-        return (abs(self.amp_minus) ** 2, abs(self.amp_pi) ** 2, abs(self.amp_plus) ** 2)
-
-
 def spherical_frame(k_hat, z_hat, transverse_axis=None):
     """Right-handed frame (x_B, y_B, z_B) with x_B along k projected off z_B."""
     z = np.asarray(z_hat, float)
@@ -181,18 +153,19 @@ def spherical_frame(k_hat, z_hat, transverse_axis=None):
     return x, y, z
 
 
-def decompose_polarization(beam: Beam, field: MagneticField) -> PolarizationComponents:
-    """Spherical (sigma-, pi, sigma+) amplitudes of the beam polarization.
+def decompose_polarization(beam: Beam, field: MagneticField) -> dict:
+    """Spherical amplitudes {q: amp} (q = -1, 0, +1) of the beam polarization.
 
     The transverse x_B axis is the beam's own k projected perpendicular to
     the field; a beam along the field must carry an explicit transverse_axis.
     """
     x, y, z = spherical_frame(beam.k_hat, field.z_hat, beam.transverse_axis)
     eps = np.asarray(beam.polarization, complex)
-    amp0 = eps @ z
-    amp_plus = -(eps @ x + 1j * (eps @ y)) / math.sqrt(2)
-    amp_minus = +(eps @ x - 1j * (eps @ y)) / math.sqrt(2)
-    return PolarizationComponents(amp_minus=amp_minus, amp_pi=amp0, amp_plus=amp_plus)
+    return {
+        -1: +(eps @ x - 1j * (eps @ y)) / math.sqrt(2),
+        0: eps @ z,
+        +1: -(eps @ x + 1j * (eps @ y)) / math.sqrt(2),
+    }
 
 
 def linear_polarization_in_plane(k_hat, z_hat) -> np.ndarray:

@@ -4,12 +4,16 @@ Rotating frame convention: with relative laser frequencies nu_c (coupling)
 and nu_g (cooling), both referenced to the zero-field S->P resonance, each
 level rotates at
 
-    f(S-) = 0,  f(P+) = nu_c,  f(S+) = nu_c - nu_g,  f(P-) = nu_g.
+    f(S-) = 0,  f(P+) = nu_c,  f(S+) = nu_c - nu_g,  f(P-) = nu_g,
 
-This leaves the sigma+ coupling (S- -> P+) and both pi couplings static.  The
-sigma- coupling (S+ -> P-), present only in the oblique-beam geometry, closes
-a loop mixing the two laser frequencies and oscillates at the residual beat
-nu_b = nu_c - nu_g; no frame makes it static.
+held as integer coefficients of (nu_c, nu_g) in ``_FRAME``.  This leaves the
+sigma+ coupling (S- -> P+) and both pi couplings static.  The sigma-
+coupling (S+ -> P-), present only in the oblique-beam geometry, closes a
+loop mixing the two laser frequencies and oscillates at the residual beat
+nu_b = nu_c - nu_g; no frame makes it static.  ``build_system`` computes
+each residual in integers, so the structure does not depend on the
+detunings, and rejects any other residual.  The solver alone treats a point
+with |nu_b| < ``_MIN_BEAT`` (degenerate lasers) as static.
 
 Vectorization is column-major: vec(rho) = rho.flatten(order="F"), so that
 vec(X rho Y) = (Y^T kron X) vec(rho).  ``build_liouvillian`` writes the
@@ -35,13 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atom import (
-    CG_AMPLITUDE,
-    M_OF,
     P_MINUS,
     P_PLUS,
     S_MINUS,
     S_PLUS,
     STATES,
+    TRANSITIONS,
     Beam,
     LevelScheme,
     MagneticField,
@@ -56,6 +59,14 @@ _RETAINED = {
     "four_level_geometry": STATES,
 }
 VARIANTS = tuple(_RETAINED)
+
+# spherical components q of the cooling beam that each variant leaves out
+_DROPPED_COOLING = {"four_level_ideal": (-1, +1), "four_level_geometry": (+1,)}
+
+# rotation of each level's frame, as integer coefficients of (nu_c, nu_g)
+_FRAME = {S_MINUS: (0, 0), P_PLUS: (1, 0), S_PLUS: (1, -1), P_MINUS: (0, 1)}
+# residual rotation of a coupling that oscillates: the beat nu_c - nu_g
+_BEAT = (1, -1)
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -93,8 +104,7 @@ class DrivenSystem:
     h_diag: np.ndarray  # rad/s
     couplings: tuple
     decays: tuple  # (upper_index, lower_index, rate)
-    beat: float | None
-    gamma: float
+    beat: float | None  # nu_c - nu_g if a coupling oscillates
 
     @property
     def dim(self) -> int:
@@ -104,13 +114,8 @@ class DrivenSystem:
         return tuple(i for i, s in enumerate(self.labels) if s.startswith("P"))
 
 
-# beat (rad/s) below which the lasers count as degenerate and nothing oscillates
+# beat (rad/s) below which the lasers count as degenerate and a point is static
 _MIN_BEAT = 1e-6
-
-
-def _frame_rotations(nu_c, nu_g) -> dict:
-    """Rotation frequency of each level's frame (see the module docstring)."""
-    return {S_MINUS: 0.0, P_PLUS: nu_c, S_PLUS: nu_c - nu_g, P_MINUS: nu_g}
 
 
 def level_energies(
@@ -128,7 +133,7 @@ def level_energies(
         P_MINUS: -delta_p / 2,
         P_PLUS: +delta_p / 2,
     }
-    frame = _frame_rotations(nu_c, nu_g)
+    frame = {s: a * nu_c + b * nu_g for s, (a, b) in _FRAME.items()}
     h = np.stack(np.broadcast_arrays(*(zeeman[s] - frame[s] for s in labels)), axis=-1)
     return h - h[..., :1]
 
@@ -142,70 +147,53 @@ def build_system(
     """Assemble the rotating-frame system for the requested variant.
 
     ``three_level`` keeps |S,->, |S,+>, |P,+> with the sigma+ and pi couplings
-    only; ``four_level_ideal`` keeps all four levels but drops any sigma-
-    component of the cooling beam; ``four_level_geometry`` keeps everything.
+    only; ``four_level_ideal`` keeps all four levels but drops both sigma
+    components of the cooling beam; ``four_level_geometry`` keeps everything
+    but the cooling beam's sigma+ component, which is weak and addresses the
+    transition the coupling laser already drives, at a second frequency.
+
+    A coupling whose frame residual is neither 0 nor the beat, or a
+    transition driven by both beams, raises ValueError.  ``beat`` is
+    nu_c - nu_g whenever a coupling oscillates, however small.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     labels = _RETAINED[variant]
     nu_c = beams.coupling.detuning
     nu_g = beams.cooling.detuning
-    frame = _frame_rotations(nu_c, nu_g)
     h_diag = level_energies(scheme, field, labels, nu_c, nu_g)
 
     couplings = []
-    seen = {}
-    for beam in beams:
-        comps = decompose_polarization(beam, field)
-        nu = beam.detuning
-        for q in (-1, 0, +1):
-            amp = comps.amp(q)
-            if abs(amp) < 1e-12:
+    driven = set()
+    dropped = _DROPPED_COOLING.get(variant, ())
+    for beam, nu, skip in ((beams.coupling, (1, 0), ()), (beams.cooling, (0, 1), dropped)):
+        amps = decompose_polarization(beam, field)
+        for (lower_label, q), (upper_label, cg) in TRANSITIONS.items():
+            pair = (lower_label, upper_label)
+            if abs(amps[q]) < 1e-12 or q in skip or not set(pair) <= set(labels):
                 continue
-            for lower_label in (S_MINUS, S_PLUS):
-                m = M_OF[lower_label]
-                if (m, q) not in CG_AMPLITUDE:
-                    continue
-                upper_label = P_MINUS if m + q == -0.5 else P_PLUS
-                if lower_label not in labels or upper_label not in labels:
-                    continue
-                if variant == "four_level_ideal" and beam.label == "cooling" and q != 0:
-                    continue
-                # The sigma+ component of an oblique cooling beam addresses the
-                # transition the coupling laser already drives, at a second
-                # frequency; it is weak and dropped from the model, which keeps
-                # only the pi and sigma- components of the cooling beam.
-                if variant == "four_level_geometry" and beam.label == "cooling" and q == +1:
-                    continue
-                pair = (lower_label, upper_label)
-                if pair in seen and seen[pair] != nu:
-                    raise ValueError(
-                        f"transition {pair} driven by two distinct frequencies"
-                    )
-                seen[pair] = nu
-                residual = nu - (frame[upper_label] - frame[lower_label])
-                rabi_eff = beam.rabi * amp * CG_AMPLITUDE[(m, q)]
-                couplings.append(
-                    Coupling(
-                        lower=labels.index(lower_label),
-                        upper=labels.index(upper_label),
-                        rabi_eff=complex(rabi_eff),
-                        beam=beam.label,
-                        q=q,
-                        oscillates=abs(residual) > _MIN_BEAT,
-                    )
+            if pair in driven:
+                raise ValueError(f"transition {pair} driven by two distinct frequencies")
+            driven.add(pair)
+            residual = tuple(
+                n - u + l for n, u, l in zip(nu, _FRAME[upper_label], _FRAME[lower_label])
+            )
+            if residual not in ((0, 0), _BEAT):
+                raise ValueError(
+                    f"{beam.label} beam drives {pair} at {residual[0]} nu_c + "
+                    f"{residual[1]} nu_g in the rotating frame; only static couplings "
+                    "and couplings at the beat nu_c - nu_g are modelled"
                 )
-
-    beat = None
-    for c in couplings:
-        if c.oscillates:
-            beat = nu_c - nu_g
-    if beat is not None and abs(beat) < _MIN_BEAT:
-        # degenerate lasers: nothing actually oscillates
-        couplings = [
-            Coupling(c.lower, c.upper, c.rabi_eff, c.beam, c.q, False) for c in couplings
-        ]
-        beat = None
+            couplings.append(
+                Coupling(
+                    lower=labels.index(lower_label),
+                    upper=labels.index(upper_label),
+                    rabi_eff=complex(beam.rabi * amps[q] * cg),
+                    beam=beam.label,
+                    q=q,
+                    oscillates=residual == _BEAT,
+                )
+            )
 
     decays = tuple(
         (labels.index(u), labels.index(l), rate)
@@ -218,8 +206,7 @@ def build_system(
         h_diag=h_diag,
         couplings=tuple(couplings),
         decays=decays,
-        beat=beat,
-        gamma=scheme.gamma,
+        beat=nu_c - nu_g if any(c.oscillates for c in couplings) else None,
     )
 
 
@@ -235,7 +222,7 @@ class Liouvillian:
 
     @property
     def periodic(self) -> bool:
-        return self.beat is not None
+        return self.beat is not None and abs(self.beat) >= _MIN_BEAT
 
 
 def _commutator_super(h: np.ndarray) -> np.ndarray:
@@ -366,11 +353,11 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
 
     ``l_plus`` and ``l_minus`` are shared by the stack, or None where L is
     static; ``beats`` is read only where they exist.  A point is static where
-    there are no L+/- or its beat is below ``_MIN_BEAT`` (as in
-    ``build_system``, nothing then oscillates).  Static points are the
-    order-0 case: L+ and L- are folded into L0 and one checked null-vector
-    solve gives rho_0, with rho_{+1} = rho_0 (which is what a coupling that
-    stops oscillating reads; the same array when no L+/- are given).
+    there are no L+/- or its beat is below ``_MIN_BEAT`` (degenerate lasers:
+    nothing then oscillates).  Static points are the order-0 case: L+ and L-
+    are folded into L0 and one checked null-vector solve gives rho_0, with
+    rho_{+1} = rho_0 (which is what a coupling that stops oscillating reads;
+    the same array when no L+/- are given).
 
     Every other point is periodic.  Its Floquet expansion
     rho(t) = sum_k rho_k e^{i k nu t} gives a block tridiagonal linear system,
@@ -460,8 +447,9 @@ def _one_point(liouv: Liouvillian):
 def steady_state(liouv: Liouvillian) -> np.ndarray:
     """Unique steady state of a time-independent Liouvillian.
 
-    Raises DegenerateSteadyStateError if the null space of L0 is not
-    one-dimensional.
+    A Liouvillian whose beat is below ``_MIN_BEAT`` counts as
+    time-independent: its L+ and L- are folded into L0.  Raises
+    DegenerateSteadyStateError if the null space is not one-dimensional.
     """
     if liouv.periodic:
         raise ValueError("Liouvillian is time-periodic; use periodic_harmonics")

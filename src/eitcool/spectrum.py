@@ -27,6 +27,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .atom import (
+    S_MINUS,
+    S_PLUS,
+    TRANSITIONS,
     Beam,
     LevelScheme,
     MagneticField,
@@ -42,9 +45,6 @@ from .liouville import (
     level_energies,
     sweep_states,
 )
-
-_SQRT13 = math.sqrt(1.0 / 3.0)
-_SQRT23 = math.sqrt(2.0 / 3.0)
 
 # fano_features zoom: samples per bracket per pass, the bracket width (in
 # units of the AC Stark shift) at which the passes stop, and a cap on the
@@ -141,13 +141,6 @@ class EITConfig:
     def field(self) -> MagneticField:
         return MagneticField(magnitude=self.b_gauss)
 
-    def k_vectors(self):
-        """(k_cooling, k_coupling) in 1/m; coupling travels along B."""
-        k = 2 * math.pi / self.wavelength
-        k_r = np.array([0.0, 0.0, k])
-        k_g = k * np.array([math.sin(self.beam_angle), 0.0, math.cos(self.beam_angle)])
-        return k_g, k_r
-
     def laser_frequencies(self, delta_pi):
         """(nu_c, nu_g) referenced to the zero-field S->P resonance.
 
@@ -166,7 +159,7 @@ class EITConfig:
 
         coupling = Beam(
             label="coupling",
-            rabi=self.omega_sigma / _SQRT23,
+            rabi=self.omega_sigma / abs(TRANSITIONS[(S_MINUS, +1)][1]),
             detuning=nu_c,
             k_hat=(0.0, 0.0, 1.0),
             wavelength=self.wavelength,
@@ -185,7 +178,7 @@ class EITConfig:
             amp_pi = 1.0
         cooling = Beam(
             label="cooling",
-            rabi=self.omega_pi / (amp_pi * _SQRT13),
+            rabi=self.omega_pi / (amp_pi * TRANSITIONS[(S_PLUS, 0)][1]),
             detuning=nu_g,
             k_hat=k_hat,
             wavelength=self.wavelength,
@@ -237,21 +230,17 @@ def scattering_rates(config: EITConfig, detunings) -> Spectrum:
     """Steady-state cooling-beam scattering rate at each cooling detuning.
 
     The system is built once.  delta_pi enters it only through the level
-    energies (and the beat of the oblique-beam geometry), so every point's
-    Liouvillian is the shared one with its commutator diagonal rewritten, and
-    all points go through one stacked, checked solve (``sweep_states``),
-    which treats a point whose beat vanishes as static.  A point whose solve
-    fails holds NaN and its exception in ``errors``; the other points keep
-    their values.
+    energies and the beat, so every point's Liouvillian is the shared one
+    with its commutator diagonal rewritten, and all points go through one
+    stacked, checked solve (``sweep_states``), which treats a point whose
+    beat vanishes as static.  A point whose solve fails holds NaN and its
+    exception in ``errors``; the other points keep their values.
     """
     deltas = np.asarray(detunings, dtype=float)
     nu_c, nu_g = config.laser_frequencies(deltas)
-    beats = nu_c - nu_g
-    # built where the beat is largest, so that an oscillating coupling is
-    # kept as such whenever any point has one; an empty sweep solves nothing
-    system = config.system(float(deltas[np.argmax(np.abs(beats))]) if deltas.size else None)
+    system = config.system()
     h_diag = level_energies(config.scheme, config.field, system.labels, nu_c, nu_g)
-    rho0, rho1, order, errors = sweep_states(build_liouvillian(system), h_diag, beats)
+    rho0, rho1, order, errors = sweep_states(build_liouvillian(system), h_diag, nu_c - nu_g)
     rates = beam_scattering_rates(system, {0: rho0, 1: rho1})
     return Spectrum(
         detuning_pi=deltas,

@@ -77,7 +77,7 @@ class FlopRecord:
     sideband: str
 
     def __post_init__(self):
-        if self.sideband not in SIDEBANDS + ("carrier",):
+        if self.sideband not in SIDEBANDS:
             raise ValueError(f"unknown sideband {self.sideband!r}")
         if any(p < 0 or p > 1 for p in self.excitation):
             raise ValueError("excitation probabilities must lie in [0, 1]")

@@ -69,7 +69,6 @@ def two_level_system(omega_pi: float, delta_pi: float, gamma: float) -> DrivenSy
                             beam="cooling", q=0),),
         decays=((1, 0, gamma),),
         beat=None,
-        gamma=gamma,
     )
 
 

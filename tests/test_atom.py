@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitcool.atom import (
-    CG_AMPLITUDE,
     EXCITED_STATES,
+    TRANSITIONS,
     Beam,
     FrameDegenerateError,
     LevelScheme,
@@ -27,18 +27,26 @@ TP = 2 * math.pi
 # ---------------------------------------------------------------- level scheme
 
 
+def _weights(comps: dict) -> dict:
+    return {q: abs(amp) ** 2 for q, amp in comps.items()}
+
+
 def test_cg_weights_normalized_per_upper_state():
-    scheme = LevelScheme()
     for upper in EXCITED_STATES:
-        total = sum(w for (u, _q), w in scheme.cg_weights.items() if u == upper)
+        total = sum(cg**2 for u, cg in TRANSITIONS.values() if u == upper)
         assert total == pytest.approx(1.0, abs=1e-15)
 
 
 def test_cg_amplitudes_square_to_weights():
-    assert CG_AMPLITUDE[(-0.5, +1)] ** 2 == pytest.approx(2 / 3)
-    assert CG_AMPLITUDE[(+0.5, 0)] ** 2 == pytest.approx(1 / 3)
-    assert CG_AMPLITUDE[(-0.5, 0)] ** 2 == pytest.approx(1 / 3)
-    assert CG_AMPLITUDE[(+0.5, -1)] ** 2 == pytest.approx(2 / 3)
+    assert TRANSITIONS[("S-", +1)][1] ** 2 == pytest.approx(2 / 3)
+    assert TRANSITIONS[("S+", 0)][1] ** 2 == pytest.approx(1 / 3)
+    assert TRANSITIONS[("S-", 0)][1] ** 2 == pytest.approx(1 / 3)
+    assert TRANSITIONS[("S+", -1)][1] ** 2 == pytest.approx(2 / 3)
+    # the decay weights are the squared amplitudes
+    scheme = LevelScheme()
+    assert {(u, l): rate / scheme.gamma for u, l, rate in scheme.decay_channels()} == {
+        (u, g): cg**2 for (g, _q), (u, cg) in TRANSITIONS.items()
+    }
 
 
 def test_decay_channels_sum_to_gamma_per_upper_state():
@@ -49,7 +57,8 @@ def test_decay_channels_sum_to_gamma_per_upper_state():
 
 
 def test_level_scheme_rejects_bad_weights():
-    with pytest.raises(ValueError):
+    # the CG weights are fixed by TRANSITIONS, not a settable value
+    with pytest.raises(TypeError):
         LevelScheme(cg_weights={("P+", +1): 0.5, ("P+", 0): 0.4,
                                 ("P-", 0): 1 / 3, ("P-", -1): 2 / 3})
     with pytest.raises(ValueError):
@@ -84,7 +93,7 @@ FIELD_Z = MagneticField(magnitude=4.4)
 def test_pure_pi_beam_perpendicular_to_field():
     beam = Beam("cooling", 1.0, 0.0, (1, 0, 0), 397e-9, (0, 0, 1))
     comps = decompose_polarization(beam, FIELD_Z)
-    assert comps.weights() == pytest.approx((0.0, 1.0, 0.0), abs=1e-14)
+    assert _weights(comps) == pytest.approx({-1: 0.0, 0: 1.0, +1: 0.0}, abs=1e-14)
 
 
 def test_oblique_beam_in_plane_polarization_weights():
@@ -93,7 +102,8 @@ def test_oblique_beam_in_plane_polarization_weights():
     k_hat = (math.sin(ang), 0.0, math.cos(ang))
     pol = linear_polarization_in_plane(k_hat, (0, 0, 1))
     beam = Beam("cooling", 1.0, 0.0, k_hat, 397e-9, tuple(pol))
-    w_minus, w_pi, w_plus = decompose_polarization(beam, FIELD_Z).weights()
+    weights = _weights(decompose_polarization(beam, FIELD_Z))
+    w_minus, w_pi, w_plus = weights[-1], weights[0], weights[+1]
     assert w_pi == pytest.approx(math.sin(ang) ** 2, abs=1e-12)  # ~0.671
     assert w_minus == pytest.approx(math.cos(ang) ** 2 / 2, abs=1e-12)  # ~0.165
     assert w_plus == pytest.approx(math.cos(ang) ** 2 / 2, abs=1e-12)
@@ -104,8 +114,8 @@ def test_circular_sigma_plus_along_field_is_pure_q_plus_one():
     beam = Beam("coupling", 1.0, 0.0, (0, 0, 1), 397e-9, tuple(pol),
                 transverse_axis=(1, 0, 0))
     comps = decompose_polarization(beam, FIELD_Z)
-    assert comps.weights() == pytest.approx((0.0, 0.0, 1.0), abs=1e-14)
-    assert comps.amp(+1) == pytest.approx(1.0, abs=1e-14)
+    assert _weights(comps) == pytest.approx({-1: 0.0, 0: 0.0, +1: 1.0}, abs=1e-14)
+    assert comps[+1] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_beam_along_field_without_transverse_axis_is_rejected():
@@ -148,7 +158,7 @@ def test_decomposition_is_unitary_for_random_geometry(k, b, phase, tilt):
     beam = Beam("cooling", 1.0, 0.0, tuple(k), 397e-9, tuple(eps),
                 transverse_axis=tuple(e1))
     comps = decompose_polarization(beam, MagneticField(magnitude=1.0, direction=tuple(b)))
-    assert sum(comps.weights()) == pytest.approx(1.0, abs=1e-10)
+    assert sum(_weights(comps).values()) == pytest.approx(1.0, abs=1e-10)
 
 
 # ------------------------------------------------------------ zeeman splitting

@@ -21,7 +21,6 @@ from eitcool.cooling import (
 from eitcool.spectrum import coupling_for_target_shift, scattering_rate, scattering_rates
 
 from conftest import TP, fig2_config
-from oracles import integrate_occupation
 
 GAMMA = TP * 20e6
 WAVELENGTH = 397e-9
@@ -144,19 +143,6 @@ def test_rate_scales_exactly_with_geometric_prefactor():
 def test_evolve_n_initial_value_and_fixed_point():
     assert evolve_n(10.0, 500.0, 16.0, 0.0) == 16.0
     assert evolve_n(10.0, 500.0, 16.0, 1e3) == pytest.approx(10.0 / 490.0, rel=1e-12)
-
-
-def test_evolve_n_matches_numeric_integration():
-    rng = np.random.default_rng(99)
-    worst = 0.0
-    for _ in range(100):
-        a_plus = rng.uniform(0.0, 50.0)
-        a_minus = rng.uniform(0.0, 5000.0)
-        n0 = rng.uniform(0.0, 30.0)
-        t = rng.uniform(0.0, 5e-3)
-        numeric = integrate_occupation(a_plus, a_minus, n0, t)
-        worst = max(worst, abs(evolve_n(a_plus, a_minus, n0, t) - numeric))
-    assert worst <= 1e-10
 
 
 def test_evolve_n_monotone_decay_toward_steady_state():

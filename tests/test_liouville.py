@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from eitcool.atom import (
-    CG_AMPLITUDE,
-    M_OF,
+    TRANSITIONS,
+    Beam,
     LevelScheme,
     MagneticField,
+    circular_polarization,
     decompose_polarization,
     zeeman_splitting,
 )
@@ -85,14 +86,21 @@ def test_four_level_geometry_adds_oscillating_sigma_minus():
 
 
 def test_degenerate_lasers_suppress_the_beat():
-    # detunings arranged so the two lasers coincide: beat nulled, all static
+    # detunings arranged so the two lasers coincide: the coupling structure
+    # is that of any other detuning, but the beat is nulled and the
+    # Liouvillian is solved as static
     scheme = LevelScheme()
     delta_s, _ = zeeman_splitting(scheme, MagneticField(4.4))
     cfg = fig2_config("four_level_geometry",
                       delta_pi=FIG2["delta_sigma"] + delta_s)
     system = cfg.system()
-    assert system.beat is None
-    assert not any(c.oscillates for c in system.couplings)
+    assert system.couplings == _system("four_level_geometry").couplings
+    assert abs(system.beat) < 1e-6
+    liouv = build_liouvillian(system)
+    assert not liouv.periodic
+    assert np.trace(steady_state(liouv)).real == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="static"):
+        periodic_harmonics(liouv)
 
 
 def test_effective_rabi_amplitudes_are_reconstructible():
@@ -102,8 +110,9 @@ def test_effective_rabi_amplitudes_are_reconstructible():
     for c in system.couplings:
         beam = beams[c.beam]
         comps = decompose_polarization(beam, cfg.field)
-        m = M_OF[system.labels[c.lower]]
-        expected = beam.rabi * comps.amp(c.q) * CG_AMPLITUDE[(m, c.q)]
+        upper, cg = TRANSITIONS[(system.labels[c.lower], c.q)]
+        assert upper == system.labels[c.upper]
+        expected = beam.rabi * comps[c.q] * cg
         assert c.rabi_eff == pytest.approx(expected, rel=1e-12)
 
 
@@ -117,14 +126,26 @@ def test_each_coupling_driven_by_exactly_one_beam():
 
 
 def test_transition_driven_at_two_frequencies_is_rejected():
-    from eitcool.atom import Beam, circular_polarization
-
     pol = tuple(circular_polarization(+1, (1, 0, 0), (0, 1, 0)))
     mk = lambda label, detuning: Beam(label, 1e6, detuning, (0, 0, 1), 397e-9,
                                       pol, transverse_axis=(1, 0, 0))
     beams = BeamSet(coupling=mk("coupling", TP * 70e6), cooling=mk("cooling", TP * 60e6))
     with pytest.raises(ValueError, match="two distinct frequencies"):
         build_system(LevelScheme(), MagneticField(4.4), beams, "three_level")
+
+
+def test_coupling_off_the_beat_is_rejected():
+    # an elliptical coupling beam along B puts a sigma- coupling on (S+, P-),
+    # which rotates at 2 (nu_c - nu_g) in the frame; no Liouvillian term runs it
+    cfg = fig2_config("four_level_ideal")
+    fig2 = cfg.beams()
+    x, y = (1, 0, 0), (0, 1, 0)
+    pol = 0.8 * circular_polarization(+1, x, y) + 0.6 * circular_polarization(-1, x, y)
+    coupling = Beam("coupling", fig2.coupling.rabi, fig2.coupling.detuning, (0, 0, 1),
+                    397e-9, tuple(pol), transverse_axis=x)
+    beams = BeamSet(coupling=coupling, cooling=fig2.cooling)
+    with pytest.raises(ValueError, match=r"\('S\+', 'P-'\)"):
+        build_system(cfg.scheme, cfg.field, beams, "four_level_ideal")
 
 
 def test_unknown_variant_rejected():

@@ -107,6 +107,13 @@ def test_flop_record_validation():
         FlopRecord(times=(0.0,), excitation=(0.5,), sideband="purple")
 
 
+def test_flop_record_rejects_carrier_that_no_model_fits():
+    # no sideband model produces or fits a carrier record; it must not reach
+    # fit_thermal, which would return a meaningless n_bar with infinite residual
+    with pytest.raises(ValueError, match="carrier"):
+        FlopRecord(times=(0.0, 1e-5), excitation=(0.0, 0.5), sideband="carrier")
+
+
 # ---------------------------------------------------------------- fitting
 
 
