@@ -110,13 +110,10 @@ class Beam:
     rabi: float
     detuning: float
     k_hat: tuple
-    wavelength: float
     polarization: tuple
     transverse_axis: tuple | None = None
 
     def __post_init__(self):
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be positive")
         k = np.asarray(self.k_hat, dtype=float)
         if abs(np.linalg.norm(k) - 1.0) > 1e-12:
             raise ValueError("k_hat must be a unit vector")
@@ -125,10 +122,6 @@ class Beam:
             raise ValueError("polarization must be a unit vector")
         if abs(np.vdot(k, eps)) > 1e-12:
             raise ValueError("polarization must be orthogonal to k_hat")
-
-    @property
-    def k_vector(self) -> np.ndarray:
-        return (2 * math.pi / self.wavelength) * np.asarray(self.k_hat, float)
 
 
 def spherical_frame(k_hat, z_hat, transverse_axis=None):

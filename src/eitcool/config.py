@@ -17,6 +17,7 @@ from .atom import LevelScheme
 from .constants import ATOMIC_MASS
 from .liouville import VARIANTS
 from .spectrum import EITConfig
+from .thermometry import SIDEBANDS
 
 TASKS = ("spectrum", "sweep-omega", "sweep-delta", "dynamics", "multimode", "thermometry")
 FIG2_VARIANTS = VARIANTS
@@ -145,7 +146,6 @@ class RunConfig:
             variant=v,
             b_gauss=self.values["field.gauss"],
             beam_angle=math.radians(self.values["geometry.beam_angle_deg"]),
-            wavelength=self.values["ion.wavelength_nm"] * 1e-9,
             scheme=self.scheme(),
         )
 
@@ -200,8 +200,8 @@ def resolve(values: dict) -> RunConfig:
         raise ConfigError(f"variant must be one of {VARIANT_CHOICES}, got {variant!r}")
     if variant == "all" and task not in ("sweep-omega", "spectrum"):
         raise ConfigError("variant 'all' is only meaningful for sweep-omega/spectrum tasks")
-    if resolved["thermometry.sideband"] not in ("red", "blue"):
-        raise ConfigError("thermometry.sideband must be 'red' or 'blue'")
+    if resolved["thermometry.sideband"] not in SIDEBANDS:
+        raise ConfigError(f"thermometry.sideband must be one of {SIDEBANDS}")
     if resolved["mode"] not in ("x", "y", "z"):
         raise ConfigError("mode must be one of x, y, z")
     for key in ("sweep.points", "dynamics.points", "thermometry.points"):

@@ -87,25 +87,24 @@ def geometry_from_angle(mode: TrapMode, delta_k_mag: float, phi: float) -> Cooli
 def _mode_coefficients(config: EITConfig, geometries) -> tuple:
     """(A+, A-, error) lists for modes under one laser config, from one spectrum solve.
 
-    W is sampled at delta_pi -/+ omega of every mode in one ``scattering_rates``
-    call.  A mode whose solve failed has NaN rates and the first of its two
-    failures as error; a zero geometric prefactor gives (0, 0) without a solve.
+    W is sampled at delta_pi -/+ omega of every mode in one (2, modes)
+    ``scattering_rates`` stack; a laser parameter given as an array has one
+    entry per mode.  A mode whose solve failed has NaN rates and the first of
+    its two failures as error; a zero geometric prefactor gives (0, 0) and no
+    error whatever its solve gives.
     """
     n = len(geometries)
     a_plus, a_minus, errors = [0.0] * n, [0.0] * n, [None] * n
-    prefactors = [geo.eta**2 * geo.cos_phi**2 for geo in geometries]
-    live = [i for i in range(n) if prefactors[i] != 0]
-    if not live:
-        return a_plus, a_minus, errors
-    omegas = np.array([geometries[i].omega for i in live])
+    omegas = np.array([geo.omega for geo in geometries])
     spectrum = scattering_rates(
-        config, np.concatenate([config.delta_pi - omegas, config.delta_pi + omegas])
+        config, np.stack([config.delta_pi - omegas, config.delta_pi + omegas])
     )
-    for j, i in enumerate(live):
-        k = len(live) + j  # the delta_pi + omega sample of mode i
-        a_plus[i] = prefactors[i] * float(spectrum.w[j])
-        a_minus[i] = prefactors[i] * float(spectrum.w[k])
-        errors[i] = spectrum.errors[j] or spectrum.errors[k]
+    for i, geo in enumerate(geometries):
+        prefactor = geo.eta**2 * geo.cos_phi**2
+        if prefactor != 0:
+            a_plus[i] = prefactor * float(spectrum.w[0, i])
+            a_minus[i] = prefactor * float(spectrum.w[1, i])
+            errors[i] = spectrum.errors[i] or spectrum.errors[n + i]
     return a_plus, a_minus, errors
 
 
@@ -184,7 +183,8 @@ def steady_state_n_sweep(
     ``deltas`` (sweep the AC Stark shift by adjusting the coupling Rabi
     frequency, at the fixed mode in ``geometry``) must be given.  The
     geometric prefactor cancels in n_ss, so ``geometry`` is optional for
-    omega sweeps (unit prefactor is then reported in A+/-).
+    omega sweeps (unit prefactor is then reported in A+/-).  Either sweep is
+    one stacked spectrum solve; a ``deltas`` stack has one coupling per shift.
 
     Per-point solver failures (a degenerate steady state, an unconverged
     harmonic expansion, a singular linear solve) are recorded in the row's
@@ -193,33 +193,26 @@ def steady_state_n_sweep(
     if (omegas is None) == (deltas is None):
         raise ValueError("specify exactly one of omegas or deltas")
     if omegas is not None:
-        omegas = [float(omega) for omega in omegas]
-        if any(omega <= 0 for omega in omegas):
+        values = [float(omega) for omega in omegas]
+        if any(omega <= 0 for omega in values):
             raise ValueError("sweep frequencies must be positive")
         geometries = [
             replace(geometry, omega=omega)
             if geometry is not None
             else CoolingGeometry(omega=omega, eta=1.0, cos_phi=1.0)
-            for omega in omegas
+            for omega in values
         ]
-        return [
-            _sweep_point(omega, a_plus, a_minus, error)
-            for omega, a_plus, a_minus, error in zip(
-                omegas, *_mode_coefficients(config, geometries)
-            )
-        ]
-    if geometry is None:
-        raise ValueError("a mode geometry is required to sweep the AC Stark shift")
-    deltas = [float(delta) for delta in deltas]
-    if any(delta <= 0 for delta in deltas):
-        raise ValueError("sweep shifts must be positive")
-    rows = []
-    for delta in deltas:
-        omega_sigma = coupling_for_target_shift(delta, config.delta_sigma)
-        cfg = replace(config, omega_sigma=omega_sigma)
-        (a_plus,), (a_minus,), (error,) = _mode_coefficients(cfg, [geometry])
-        rows.append(_sweep_point(delta, a_plus, a_minus, error))
-    return rows
+    else:
+        if geometry is None:
+            raise ValueError("a mode geometry is required to sweep the AC Stark shift")
+        values = [float(delta) for delta in deltas]
+        if any(delta <= 0 for delta in values):
+            raise ValueError("sweep shifts must be positive")
+        omega_sigma = [coupling_for_target_shift(d, config.delta_sigma) for d in values]
+        config = replace(config, omega_sigma=np.array(omega_sigma))
+        geometries = [geometry] * len(values)
+    rows = zip(values, *_mode_coefficients(config, geometries))
+    return [_sweep_point(*row) for row in rows]
 
 
 def _sweep_point(value: float, a_plus: float, a_minus: float, error) -> SweepPoint:

@@ -25,10 +25,11 @@ an (N, d^2, d^2) stack and checks each member on its own, so one degenerate
 or singular point is flagged without failing the others.  A static point is
 the order-0 case, one checked null-vector solve; a periodic point gets the
 Floquet harmonic expansion, grown to its own truncation order.
-``sweep_states`` is the sweep route: one Liouvillian whose level energies
-(only its commutator diagonal) and beat change from point to point, solved
-in stacks of ``_CHUNK`` points.  ``steady_state`` and ``periodic_harmonics``
-are the stack-of-one cases.  The module needs numpy only; the brute-force
+``sweep_states`` is the sweep route: a stacked Liouvillian, built by
+broadcasting per-point laser parameters through ``build_system`` and
+``build_liouvillian``, solved in stacks of ``_CHUNK`` points; no built
+Liouvillian is rewritten.  ``steady_state`` and ``periodic_harmonics`` are
+the stack-of-one cases.  The module needs numpy only; the brute-force
 propagation oracles these solves are checked against live in the tests.
 """
 
@@ -81,7 +82,8 @@ class ConvergenceError(RuntimeError):
 class Coupling:
     lower: int
     upper: int
-    rabi_eff: complex  # H += rabi_eff/2 |u><l| + h.c. (times the beat phase if oscillating)
+    # H += rabi_eff/2 |u><l| + h.c. (times the beat phase if oscillating)
+    rabi_eff: complex | np.ndarray
     beam: str
     q: int
     oscillates: bool = False
@@ -101,10 +103,10 @@ class DrivenSystem:
     """Rotating-frame description of the driven level system."""
 
     labels: tuple
-    h_diag: np.ndarray  # rad/s
+    h_diag: np.ndarray  # rad/s, (..., dim)
     couplings: tuple
     decays: tuple  # (upper_index, lower_index, rate)
-    beat: float | None  # nu_c - nu_g if a coupling oscillates
+    beat: float | np.ndarray | None  # nu_c - nu_g if a coupling oscillates
 
     @property
     def dim(self) -> int:
@@ -116,26 +118,6 @@ class DrivenSystem:
 
 # beat (rad/s) below which the lasers count as degenerate and a point is static
 _MIN_BEAT = 1e-6
-
-
-def level_energies(
-    scheme: LevelScheme, field: MagneticField, labels, nu_c, nu_g
-) -> np.ndarray:
-    """Rotating-frame level energies ``h_diag`` of ``build_system`` (rad/s).
-
-    The first level sits at zero.  ``nu_g`` may be an array of cooling-laser
-    frequencies; the result then has one row of energies per entry.
-    """
-    delta_s, delta_p = zeeman_splitting(scheme, field)
-    zeeman = {
-        S_MINUS: -delta_s / 2,
-        S_PLUS: +delta_s / 2,
-        P_MINUS: -delta_p / 2,
-        P_PLUS: +delta_p / 2,
-    }
-    frame = {s: a * nu_c + b * nu_g for s, (a, b) in _FRAME.items()}
-    h = np.stack(np.broadcast_arrays(*(zeeman[s] - frame[s] for s in labels)), axis=-1)
-    return h - h[..., :1]
 
 
 def build_system(
@@ -152,8 +134,11 @@ def build_system(
     but the cooling beam's sigma+ component, which is weak and addresses the
     transition the coupling laser already drives, at a second frequency.
 
-    A coupling whose frame residual is neither 0 nor the beat, or a
-    transition driven by both beams, raises ValueError.  ``beat`` is
+    Beam Rabi frequencies and detunings may be arrays that broadcast: the
+    system is then a stack with one coupling structure, ``h_diag`` (..., dim),
+    each ``rabi_eff`` shaped like its beam's Rabi frequency and ``beat`` like
+    the detunings.  A coupling whose frame residual is neither 0 nor the beat,
+    or a transition driven by both beams, raises ValueError.  ``beat`` is
     nu_c - nu_g whenever a coupling oscillates, however small.
     """
     if variant not in VARIANTS:
@@ -161,7 +146,12 @@ def build_system(
     labels = _RETAINED[variant]
     nu_c = beams.coupling.detuning
     nu_g = beams.cooling.detuning
-    h_diag = level_energies(scheme, field, labels, nu_c, nu_g)
+    delta_s, delta_p = zeeman_splitting(scheme, field)
+    zeeman = {S_MINUS: -delta_s / 2, S_PLUS: delta_s / 2,
+              P_MINUS: -delta_p / 2, P_PLUS: delta_p / 2}
+    levels = [zeeman[s] - (_FRAME[s][0] * nu_c + _FRAME[s][1] * nu_g) for s in labels]
+    h_diag = np.stack(np.broadcast_arrays(*levels), axis=-1)
+    h_diag = h_diag - h_diag[..., :1]  # first level at zero
 
     couplings = []
     driven = set()
@@ -188,7 +178,7 @@ def build_system(
                 Coupling(
                     lower=labels.index(lower_label),
                     upper=labels.index(upper_label),
-                    rabi_eff=complex(beam.rabi * amps[q] * cg),
+                    rabi_eff=beam.rabi * amps[q] * cg,
                     beam=beam.label,
                     q=q,
                     oscillates=residual == _BEAT,
@@ -212,68 +202,78 @@ def build_system(
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Vectorized master-equation generator L(t) = L0 + L+ e^{+i nu t} + L- e^{-i nu t}."""
+    """Vectorized master-equation generator L(t) = L0 + L+ e^{+i nu t} + L- e^{-i nu t}.
+
+    A stack when the system is one: ``l0`` is (..., d^2, d^2), and L+/- have
+    the batch shape of the oscillating couplings' Rabi frequencies only, so
+    the points of a detuning sweep share one L+ and one L-.
+    """
 
     l0: np.ndarray
     l_plus: np.ndarray | None
     l_minus: np.ndarray | None
-    beat: float | None
+    beat: float | np.ndarray | None
     dim: int
 
     @property
     def periodic(self) -> bool:
+        if self.l0.ndim != 2:
+            raise ValueError("a stack of Liouvillians is solved by sweep_states")
         return self.beat is not None and abs(self.beat) >= _MIN_BEAT
 
 
-def _commutator_super(h: np.ndarray) -> np.ndarray:
-    """-i[h, rho] as a superoperator, for an ``h`` with zero diagonal.
+def _coupling_matrix(couplings, d: int) -> np.ndarray:
+    """Sum of rabi_eff/2 |u><l| over ``couplings``, batched like their Rabi frequencies."""
+    batch = np.broadcast_shapes(*(np.shape(c.rabi_eff) for c in couplings))
+    h = np.zeros(batch + (d, d), complex)
+    for c in couplings:
+        h[..., c.upper, c.lower] += c.rabi_eff / 2
+    return h
 
-    Built by index arithmetic on the (d, d, d, d) view [j, i, l, k], which
+
+def _commutator_super(h: np.ndarray) -> np.ndarray:
+    """-i[h, rho] as a superoperator, for a stack ``h`` (..., d, d) with zero diagonal.
+
+    Built by index arithmetic on the (..., d, d, d, d) view [j, i, l, k], which
     holds the coefficient of rho[k, l] in (L rho)[i, j].
     """
-    d = h.shape[0]
-    out = np.zeros((d, d, d, d), complex)
+    d = h.shape[-1]
+    out = np.zeros(h.shape[:-2] + (d, d, d, d), complex)
     idx = np.arange(d)
-    out[idx, :, idx, :] = -1j * h  # -i h rho
-    out[:, idx, :, idx] = 1j * h.T  # +i rho h
-    return out.reshape(d * d, d * d)
-
-
-def _with_level_energies(l0: np.ndarray, h_diag: np.ndarray) -> np.ndarray:
-    """Copies of ``l0``, one per row of ``h_diag``, with that row's level energies.
-
-    The level energies enter L0 only through its diagonal, as the commutator
-    term -i(h_i - h_j) of rho[i, j]; that imaginary part is rewritten and the
-    decay rates on the real part are kept.
-    """
-    n, d = h_diag.shape
-    out = np.repeat(l0[None], n, axis=0)
-    diag = out.reshape(n, -1)[:, :: d * d + 1]  # view; entry j*d + i is rho[i, j]
-    diag.imag = (h_diag[:, :, None] - h_diag[:, None, :]).reshape(n, d * d)
-    return out
+    out[..., idx, :, idx, :] = -1j * h  # -i h rho
+    out[..., :, idx, :, idx] = 1j * np.swapaxes(h, -1, -2)  # +i rho h
+    return out.reshape(h.shape[:-2] + (d * d, d * d))
 
 
 def build_liouvillian(system: DrivenSystem) -> Liouvillian:
-    """Lindblad superoperator with one jump operator per decay channel."""
+    """Lindblad superoperator with one jump operator per decay channel.
+
+    L0 has the batch shape of the level energies broadcast with the static
+    couplings' Rabi frequencies.  The level energies enter only its diagonal,
+    as the commutator term -i(h_i - h_j) of rho[i, j], so the couplings and
+    decays are assembled once and the diagonal is written per point.
+    """
     d = system.dim
-    h0 = np.zeros((d, d), complex)  # static couplings
-    a = np.zeros((d, d), complex)  # oscillating part, coefficient of e^{-i nu_b t}
-    for c in system.couplings:
-        (a if c.oscillates else h0)[c.upper, c.lower] += c.rabi_eff / 2
-    l0 = _commutator_super(h0 + h0.conj().T)
+    h0 = _coupling_matrix([c for c in system.couplings if not c.oscillates], d)
+    l0 = _commutator_super(h0 + np.swapaxes(h0.conj(), -1, -2))
     loss = np.zeros((d, d))  # real part of the L0 diagonal, [j, i] for rho[i, j]
     for upper, lower, rate in system.decays:
-        l0.reshape(d, d, d, d)[lower, lower, upper, upper] += rate  # s rho s^dagger
+        l0[..., lower * d + lower, upper * d + upper] += rate  # s rho s^dagger
         anti = np.zeros((d, d))  # -{s^dagger s, rho}/2
         anti[:, upper] = anti[upper, :] = -0.5
         anti[upper, upper] = -1.0
         loss += rate * anti
-    l0.reshape(-1)[:: d * d + 1].real = loss.reshape(-1)
-    l0 = _with_level_energies(l0, system.h_diag[None])[0]
+    h = system.h_diag
+    batch = np.broadcast_shapes(l0.shape[:-2], h.shape[:-1])
+    l0 = np.broadcast_to(l0, batch + l0.shape[-2:]).copy()
+    diag = l0.reshape(batch + (d**4,))[..., :: d * d + 1]  # view; entry j*d + i is rho[i, j]
+    diag.real = loss.reshape(-1)
+    diag.imag = (h[..., :, None] - h[..., None, :]).reshape(h.shape[:-1] + (d * d,))
     if system.beat is None:
         return Liouvillian(l0=l0, l_plus=None, l_minus=None, beat=None, dim=d)
+    a = _coupling_matrix([c for c in system.couplings if c.oscillates], d)  # of e^{-i nu_b t}
     l_minus = _commutator_super(a)
-    l_plus = _commutator_super(a.conj().T)
+    l_plus = _commutator_super(np.swapaxes(a.conj(), -1, -2))
     return Liouvillian(l0=l0, l_plus=l_plus, l_minus=l_minus, beat=system.beat, dim=d)
 
 
@@ -349,9 +349,9 @@ def _density_matrices(v: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
-    """Steady state of each L0[n] + L+ e^{+i nu_n t} + L- e^{-i nu_n t} in the stack.
+    """Steady state of each L0[n] + L+[n] e^{+i nu_n t} + L-[n] e^{-i nu_n t} in the stack.
 
-    ``l_plus`` and ``l_minus`` are shared by the stack, or None where L is
+    ``l_plus`` and ``l_minus`` are stacks like ``l0s``, or None where L is
     static; ``beats`` is read only where they exist.  A point is static where
     there are no L+/- or its beat is below ``_MIN_BEAT`` (degenerate lasers:
     nothing then oscillates).  Static points are the order-0 case: L+ and L-
@@ -384,7 +384,7 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
     static = np.abs(beats) < _MIN_BEAT
     if static.any():
         rho0[static], rho1[static], _, errs = _states(
-            l0s[static] + l_plus + l_minus, None, None, None, dim
+            l0s[static] + l_plus[static] + l_minus[static], None, None, None, dim
         )
         for i, error in zip(np.flatnonzero(static), errs):
             errors[i] = error
@@ -397,11 +397,11 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
     for k_max in range(3, _MAX_HARMONICS + 2, 2):
         if not len(idx):
             break
-        l0, nu = l0s[idx], beats[idx][:, None, None]
+        l0, lp, lm, nu = l0s[idx], l_plus[idx], l_minus[idx], beats[idx][:, None, None]
         singular = np.zeros(len(idx), bool)
         # upward chain rho_k = R_k rho_{k-1}, downward chain rho_{-k} = R'_{-k} rho_{-k+1}
         chains = []
-        for sign, l_in, l_out in ((-1, l_minus, l_plus), (+1, l_plus, l_minus)):
+        for sign, l_in, l_out in ((-1, lm, lp), (+1, lp, lm)):
             r = None
             for k in range(k_max, 0, -1):
                 m = l0 + sign * 1j * k * nu * eye
@@ -412,7 +412,7 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
                 singular |= flagged
             chains.append(r)
         up, dn = chains
-        v, errs = _null_vectors(l0 + l_minus @ up + l_plus @ dn, dim)
+        v, errs = _null_vectors(l0 + lm @ up + lp @ dn, dim)
         for j in np.flatnonzero(singular):
             errs[j] = np.linalg.LinAlgError("Singular matrix")
         failed = np.array([e is not None for e in errs], bool)
@@ -435,10 +435,8 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
 
 
 def _one_point(liouv: Liouvillian):
-    """(rho_0, rho_{+1}) of one Liouvillian by ``_states``; a failure is raised."""
-    (rho0,), (rho1,), _, (error,) = _states(
-        liouv.l0[None], liouv.l_plus, liouv.l_minus, np.array([liouv.beat]), liouv.dim
-    )
+    """(rho_0, rho_{+1}) of one Liouvillian by ``sweep_states``; a failure is raised."""
+    rho0, rho1, _, (error,) = sweep_states(liouv)
     if error is not None:
         raise error
     return rho0, rho1
@@ -471,16 +469,21 @@ def periodic_harmonics(liouv: Liouvillian):
     return {0: rho0, 1: rho1, -1: rho1.conj().T}
 
 
-def sweep_states(liouv: Liouvillian, h_diag: np.ndarray, beats: np.ndarray):
-    """Steady states of ``liouv`` with the level energies of each row of ``h_diag``.
+def sweep_states(liouv: Liouvillian):
+    """Steady state of every point of a stacked Liouvillian.
 
-    Point n is the system ``liouv`` was built from with its level energies
-    replaced by h_diag[n] and its beat by beats[n]; couplings and decays are
-    shared, so each point's L0 differs only in its commutator diagonal.  The
-    points are solved by ``_states`` in stacks of ``_CHUNK``, and the result
-    is that of ``_states`` for the whole sweep: (rho0, rho1, order, errors).
+    L0, L+/- and the beat broadcast to one batch shape, whose points are
+    solved by ``_states`` in stacks of ``_CHUNK``.  Returns (rho0, rho1,
+    order, errors): the first three with the batch shape in front, ``errors``
+    a list over the points in C order.
     """
-    n, d = len(h_diag), liouv.dim
+    d, periodic = liouv.dim, liouv.beat is not None
+    ops = (liouv.l0, liouv.l_plus, liouv.l_minus) if periodic else (liouv.l0,)
+    batch = np.broadcast_shapes(np.shape(liouv.beat), *(x.shape[:-2] for x in ops))
+    # flat (N, ...) stacks of L0, L+, L- and the beats; None where L is static
+    flat = [np.broadcast_to(x, batch + x.shape[-2:]).reshape(-1, d * d, d * d) for x in ops]
+    flat += [np.broadcast_to(liouv.beat, batch).reshape(-1)] if periodic else [None] * 3
+    n = len(flat[0])
     rho0 = np.empty((n, d, d), complex)
     rho1 = np.empty((n, d, d), complex)
     order = np.zeros(n, int)
@@ -488,8 +491,8 @@ def sweep_states(liouv: Liouvillian, h_diag: np.ndarray, beats: np.ndarray):
     for start in range(0, n, _CHUNK):
         part = slice(start, start + _CHUNK)
         rho0[part], rho1[part], order[part], errs = _states(
-            _with_level_energies(liouv.l0, h_diag[part]),
-            liouv.l_plus, liouv.l_minus, beats[part], d,
+            *(None if x is None else x[part] for x in flat), d
         )
         errors += errs
-    return rho0, rho1, order, errors
+    rho0, rho1 = (rho.reshape(batch + (d, d)) for rho in (rho0, rho1))
+    return rho0, rho1, order.reshape(batch), errors

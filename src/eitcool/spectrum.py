@@ -11,12 +11,12 @@ beam of Im(Omega_eff * rho[lower, upper]).  This equals Gamma times the upper
 population when a single beam scatters, and the per-beam rates always sum to
 Gamma * P_total in steady state (photon-rate balance).
 
-``scattering_rates`` is the spectrum engine: it builds the system once per
-configuration and solves every detuning of a sweep in one stacked, checked
-solve (``liouville.sweep_states``), static and time-periodic points alike,
-reporting per-point failures instead of raising them.  ``scattering_rate``
-is its one-point case; scans, the cooling coefficients and the Fano features
-(a grid, then stacked zoom passes) all go through it.
+``scattering_rates`` is the spectrum engine: a sweep is one stacked system,
+built by broadcasting the detunings and any laser parameter given as an array,
+and one stacked, checked solve (``liouville.sweep_states``) that reports
+per-point failures instead of raising them.  ``scattering_rate`` is its
+one-point case; scans, the cooling coefficients, coupling-strength sweeps and
+the Fano features (a grid, then stacked zoom passes) all go through it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .liouville import (
     DrivenSystem,
     build_liouvillian,
     build_system,
-    level_energies,
     sweep_states,
 )
 
@@ -124,7 +123,8 @@ class EITConfig:
     ``omega_sigma`` and ``omega_pi`` are effective transition Rabi frequencies
     (sigma+ on S- -> P+, pi on S+ -> P+), the quantities entering the dressed
     state formulas; bare beam Rabi frequencies are recovered internally by
-    dividing out polarization projection and CG factors.
+    dividing out polarization projection and CG factors.  The four laser
+    parameters may be arrays, one entry per point of a ``scattering_rates`` stack.
     """
 
     omega_sigma: float
@@ -134,7 +134,6 @@ class EITConfig:
     variant: str = "three_level"
     b_gauss: float = 4.4
     beam_angle: float = math.radians(125.0)  # between cooling and coupling k
-    wavelength: float = 397e-9
     scheme: LevelScheme = dc_field(default_factory=LevelScheme)
 
     @property
@@ -162,7 +161,6 @@ class EITConfig:
             rabi=self.omega_sigma / abs(TRANSITIONS[(S_MINUS, +1)][1]),
             detuning=nu_c,
             k_hat=(0.0, 0.0, 1.0),
-            wavelength=self.wavelength,
             polarization=tuple(circular_polarization(+1, (1, 0, 0), (0, 1, 0))),
             transverse_axis=(1.0, 0.0, 0.0),
         )
@@ -181,7 +179,6 @@ class EITConfig:
             rabi=self.omega_pi / (amp_pi * TRANSITIONS[(S_PLUS, 0)][1]),
             detuning=nu_g,
             k_hat=k_hat,
-            wavelength=self.wavelength,
             polarization=tuple(pol),
         )
         return BeamSet(coupling=coupling, cooling=cooling)
@@ -212,7 +209,7 @@ def beam_scattering_rates(system: DrivenSystem, harmonics: dict) -> dict:
     """Absorbed-photon rate per beam from the (harmonic) steady state.
 
     ``harmonics`` maps Fourier index k to rho_k, one (d, d) matrix or a
-    (N, d, d) stack; a static solution is passed as {0: rho}.  Static
+    (..., d, d) stack; a static solution is passed as {0: rho}.  Static
     couplings read rho_0, the beat-modulated coupling reads rho_{+1}.
     """
     rates: dict = {}
@@ -229,23 +226,20 @@ def beam_scattering_rates(system: DrivenSystem, harmonics: dict) -> dict:
 def scattering_rates(config: EITConfig, detunings) -> Spectrum:
     """Steady-state cooling-beam scattering rate at each cooling detuning.
 
-    The system is built once.  delta_pi enters it only through the level
-    energies and the beat, so every point's Liouvillian is the shared one
-    with its commutator diagonal rewritten, and all points go through one
-    stacked, checked solve (``sweep_states``), which treats a point whose
+    One stacked system over the detunings broadcast with the laser parameters
+    of ``config`` that are arrays, whose shape the result has, goes through
+    one stacked, checked solve (``sweep_states``), which treats a point whose
     beat vanishes as static.  A point whose solve fails holds NaN and its
-    exception in ``errors``; the other points keep their values.
+    exception in ``errors`` (in C order); the other points keep their values.
     """
     deltas = np.asarray(detunings, dtype=float)
-    nu_c, nu_g = config.laser_frequencies(deltas)
-    system = config.system()
-    h_diag = level_energies(config.scheme, config.field, system.labels, nu_c, nu_g)
-    rho0, rho1, order, errors = sweep_states(build_liouvillian(system), h_diag, nu_c - nu_g)
+    system = config.system(deltas)
+    rho0, rho1, order, errors = sweep_states(build_liouvillian(system))
     rates = beam_scattering_rates(system, {0: rho0, 1: rho1})
     return Spectrum(
         detuning_pi=deltas,
-        w=rates.get("cooling", np.zeros(len(deltas))),
-        rho_p_total=sum(rho0[:, i, i].real for i in system.excited_indices()),
+        w=rates.get("cooling", np.zeros(order.shape)),
+        rho_p_total=sum(rho0[..., i, i].real for i in system.excited_indices()),
         harmonic_order=order,
         errors=tuple(errors),
     )

@@ -97,13 +97,11 @@ def sideband_flops(
     omega0: float,
     sideband: str,
     times,
-    contrast_decay: float = 0.0,
 ) -> FlopRecord:
     """Thermal-averaged sideband Rabi oscillations.
 
     Valid to first order in the Lamb-Dicke expansion, which requires
-    eta_probe * sqrt(cutoff) < 0.5.  ``contrast_decay`` optionally damps the
-    oscillating part with exp(-contrast_decay * t) for realism studies.
+    eta_probe * sqrt(cutoff) < 0.5.
     """
     if eta_probe * math.sqrt(max(state.cutoff, 1)) >= 0.5:
         raise ValueError(
@@ -114,8 +112,6 @@ def sideband_flops(
     n = np.arange(state.cutoff + 1)
     rabi = _sideband_rabi(n, eta_probe, omega0, sideband)
     signal = np.sin(np.outer(t, rabi) / 2.0) ** 2 @ p
-    if contrast_decay > 0:
-        signal = 0.5 * p.sum() - (0.5 * p.sum() - signal) * np.exp(-contrast_decay * t)
     signal = np.clip(signal, 0.0, 1.0)
     return FlopRecord(times=tuple(t), excitation=tuple(signal), sideband=sideband)
 
@@ -130,12 +126,14 @@ def fit_thermal(
     record: FlopRecord,
     eta_probe: float,
     omega0: float,
-    n_bar_max: float = 1e3,
 ) -> ThermalFit:
     """Least-squares thermal-distribution fit of a flop record over n_bar.
 
-    ``minimize_scalar`` (bounded Brent) is imported here, the package's one
-    dependency beyond numpy, so that everything else loads without it.
+    A grid over n_bar in [0, 1e3] brackets the minimum for bounded Brent.
+    A best grid point with no finite score above it (as for a record hotter
+    than the model represents) raises ValueError.  ``minimize_scalar`` is
+    imported here, the package's one dependency beyond numpy, so that
+    everything else loads without it.
     """
     from scipy.optimize import minimize_scalar
 
@@ -153,13 +151,15 @@ def fit_thermal(
         return float(np.sum((np.asarray(model.excitation) - target) ** 2))
 
     # coarse bracket on a log-ish grid, then bounded 1-D refinement
-    grid = np.concatenate([[0.0], np.geomspace(1e-3, n_bar_max, 160)])
-    values = [sse(n) for n in grid]
+    grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 160)])
+    values = np.array([sse(n) for n in grid])
     i = int(np.argmin(values))
-    if i == len(grid) - 1:
-        raise ValueError("best-fit n_bar not bracketed below n_bar_max")
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
+    if not np.isfinite(values[i + 1:]).any():
+        raise ValueError(
+            f"best-fit n_bar not bracketed: n_bar = {grid[i]:.4g} is the last grid "
+            "point the sideband model can represent"
+        )
+    lo, hi = grid[max(i - 1, 0)], grid[i + 1]
     res = minimize_scalar(sse, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-10})
     best = float(res.x)

@@ -77,11 +77,9 @@ def test_field_requires_unit_direction_and_nonnegative_magnitude():
 
 def test_beam_invariants_enforced():
     with pytest.raises(ValueError):
-        Beam("cooling", 1.0, 0.0, (0, 0, 2), 397e-9, (1, 0, 0))
+        Beam("cooling", 1.0, 0.0, (0, 0, 2), (1, 0, 0))
     with pytest.raises(ValueError):
-        Beam("cooling", 1.0, 0.0, (0, 0, 1), 397e-9, (0, 0, 1))  # pol not perp k
-    with pytest.raises(ValueError):
-        Beam("cooling", 1.0, 0.0, (0, 0, 1), -397e-9, (1, 0, 0))
+        Beam("cooling", 1.0, 0.0, (0, 0, 1), (0, 0, 1))  # pol not perp k
 
 
 # --------------------------------------------------- polarization decomposition
@@ -91,7 +89,7 @@ FIELD_Z = MagneticField(magnitude=4.4)
 
 
 def test_pure_pi_beam_perpendicular_to_field():
-    beam = Beam("cooling", 1.0, 0.0, (1, 0, 0), 397e-9, (0, 0, 1))
+    beam = Beam("cooling", 1.0, 0.0, (1, 0, 0), (0, 0, 1))
     comps = decompose_polarization(beam, FIELD_Z)
     assert _weights(comps) == pytest.approx({-1: 0.0, 0: 1.0, +1: 0.0}, abs=1e-14)
 
@@ -101,7 +99,7 @@ def test_oblique_beam_in_plane_polarization_weights():
     ang = math.radians(55.0)
     k_hat = (math.sin(ang), 0.0, math.cos(ang))
     pol = linear_polarization_in_plane(k_hat, (0, 0, 1))
-    beam = Beam("cooling", 1.0, 0.0, k_hat, 397e-9, tuple(pol))
+    beam = Beam("cooling", 1.0, 0.0, k_hat, tuple(pol))
     weights = _weights(decompose_polarization(beam, FIELD_Z))
     w_minus, w_pi, w_plus = weights[-1], weights[0], weights[+1]
     assert w_pi == pytest.approx(math.sin(ang) ** 2, abs=1e-12)  # ~0.671
@@ -111,7 +109,7 @@ def test_oblique_beam_in_plane_polarization_weights():
 
 def test_circular_sigma_plus_along_field_is_pure_q_plus_one():
     pol = circular_polarization(+1, (1, 0, 0), (0, 1, 0))
-    beam = Beam("coupling", 1.0, 0.0, (0, 0, 1), 397e-9, tuple(pol),
+    beam = Beam("coupling", 1.0, 0.0, (0, 0, 1), tuple(pol),
                 transverse_axis=(1, 0, 0))
     comps = decompose_polarization(beam, FIELD_Z)
     assert _weights(comps) == pytest.approx({-1: 0.0, 0: 0.0, +1: 1.0}, abs=1e-14)
@@ -120,7 +118,7 @@ def test_circular_sigma_plus_along_field_is_pure_q_plus_one():
 
 def test_beam_along_field_without_transverse_axis_is_rejected():
     pol = circular_polarization(+1, (1, 0, 0), (0, 1, 0))
-    beam = Beam("coupling", 1.0, 0.0, (0, 0, 1), 397e-9, tuple(pol))
+    beam = Beam("coupling", 1.0, 0.0, (0, 0, 1), tuple(pol))
     with pytest.raises(FrameDegenerateError):
         decompose_polarization(beam, FIELD_Z)
 
@@ -155,7 +153,7 @@ def test_decomposition_is_unitary_for_random_geometry(k, b, phase, tilt):
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(k, e1)
     eps = math.cos(tilt) * e1 + math.sin(tilt) * np.exp(1j * phase) * e2
-    beam = Beam("cooling", 1.0, 0.0, tuple(k), 397e-9, tuple(eps),
+    beam = Beam("cooling", 1.0, 0.0, tuple(k), tuple(eps),
                 transverse_axis=tuple(e1))
     comps = decompose_polarization(beam, MagneticField(magnitude=1.0, direction=tuple(b)))
     assert sum(_weights(comps).values()) == pytest.approx(1.0, abs=1e-10)

@@ -151,7 +151,7 @@ def test_sweep_omega_reports_failed_points(tmp_path, monkeypatch):
         errors = tuple(
             DegenerateSteadyStateError("injected")
             if abs(d - config.delta_pi) > TP * 2.5e6 else error
-            for d, error in zip(spectrum.detuning_pi, spectrum.errors)
+            for d, error in zip(spectrum.detuning_pi.ravel(), spectrum.errors)
         )
         return replace(spectrum, errors=errors)
 

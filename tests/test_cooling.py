@@ -240,6 +240,21 @@ def test_delta_sweep_checks_every_shift_before_solving(monkeypatch):
     assert calls == []
 
 
+def test_delta_sweep_is_one_spectrum_solve(monkeypatch):
+    calls = []
+
+    def counting(config, detunings):
+        calls.append(detunings)
+        return scattering_rates(config, detunings)
+
+    monkeypatch.setattr(eitcool.cooling, "scattering_rates", counting)
+    rows = steady_state_n_sweep(fig2_config("four_level_geometry", omega_pi=TP * 2.14e6),
+                                deltas=TP * np.linspace(0.5e6, 4e6, 45),
+                                geometry=_reference_geometry())
+    assert len(calls) == 1
+    assert len(rows) == 45 and not any(row.error for row in rows)
+
+
 @pytest.mark.parametrize("variant", ["three_level", "four_level_ideal", "four_level_geometry"])
 def test_sweep_records_degenerate_point_and_continues(variant):
     cfg = fig2_config(variant, omega_sigma=0.0, omega_pi=0.0)
@@ -268,6 +283,17 @@ def test_multimode_single_mode_matches_direct_path():
     assert (report.a_plus, report.a_minus) == (a_plus, a_minus)
     assert report.rate == a_minus - a_plus
     assert report.time_constant == pytest.approx(1.0 / report.rate, rel=1e-12)
+
+
+def test_per_mode_laser_arrays_stay_aligned_past_an_uncoolable_mode():
+    cfg = fig2_config("three_level")
+    omega_sigma = TP * np.array([18e6, 25e6])
+    dead = CoolingGeometry(omega=TP * 1.2e6, eta=0.25, cos_phi=0.0, label="dead")
+    geometries = [dead, _reference_geometry()]
+    reports = multimode_report(replace(cfg, omega_sigma=omega_sigma), geometries)
+    for s, geo, report in zip(omega_sigma, geometries, reports):
+        single = cooling_coefficients(replace(cfg, omega_sigma=s), geo)
+        assert (report.a_plus, report.a_minus) == single
 
 
 def test_multimode_orthogonal_mode_uncoolable():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from eitcool.liouville import (
     build_system,
     periodic_harmonics,
     steady_state,
+    sweep_states,
 )
 from eitcool.spectrum import EITConfig
 
@@ -127,8 +129,8 @@ def test_each_coupling_driven_by_exactly_one_beam():
 
 def test_transition_driven_at_two_frequencies_is_rejected():
     pol = tuple(circular_polarization(+1, (1, 0, 0), (0, 1, 0)))
-    mk = lambda label, detuning: Beam(label, 1e6, detuning, (0, 0, 1), 397e-9,
-                                      pol, transverse_axis=(1, 0, 0))
+    mk = lambda label, detuning: Beam(label, 1e6, detuning, (0, 0, 1), pol,
+                                      transverse_axis=(1, 0, 0))
     beams = BeamSet(coupling=mk("coupling", TP * 70e6), cooling=mk("cooling", TP * 60e6))
     with pytest.raises(ValueError, match="two distinct frequencies"):
         build_system(LevelScheme(), MagneticField(4.4), beams, "three_level")
@@ -142,7 +144,7 @@ def test_coupling_off_the_beat_is_rejected():
     x, y = (1, 0, 0), (0, 1, 0)
     pol = 0.8 * circular_polarization(+1, x, y) + 0.6 * circular_polarization(-1, x, y)
     coupling = Beam("coupling", fig2.coupling.rabi, fig2.coupling.detuning, (0, 0, 1),
-                    397e-9, tuple(pol), transverse_axis=x)
+                    tuple(pol), transverse_axis=x)
     beams = BeamSet(coupling=coupling, cooling=fig2.cooling)
     with pytest.raises(ValueError, match=r"\('S\+', 'P-'\)"):
         build_system(cfg.scheme, cfg.field, beams, "four_level_ideal")
@@ -279,6 +281,34 @@ def test_kron_free_liouvillian_matches_kron_oracle(rng):
                 assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+def test_liouvillian_stack_broadcasts_the_laser_parameters():
+    # a detuning sweep shares one L+ and one L-; a cooling Rabi frequency per
+    # point gives one per point; every member equals the single-point build
+    cfg = fig2_config("four_level_geometry")
+    deltas = cfg.delta_pi + TP * np.array([-2e6, -0.5e6, 0.0, 1e6, 3e6])
+    omega_pi = cfg.omega_pi * np.array([0.5, 0.8, 1.0, 1.3, 2.0])
+    swept = build_liouvillian(cfg.system(deltas))
+    assert swept.l0.shape == (5, 16, 16) and swept.l_plus.shape == (16, 16)
+    stacked = build_liouvillian(replace(cfg, omega_pi=omega_pi).system(deltas))
+    assert stacked.l_plus.shape == stacked.l_minus.shape == (5, 16, 16)
+    for i, d in enumerate(deltas):
+        one = build_liouvillian(replace(cfg, omega_pi=omega_pi[i]).system(d))
+        assert np.array_equal(stacked.l0[i], one.l0)
+        assert np.array_equal(stacked.l_plus[i], one.l_plus)
+        assert np.array_equal(stacked.l_minus[i], one.l_minus)
+        assert stacked.beat[i] == one.beat
+        assert np.array_equal(swept.l0[i], build_liouvillian(cfg.system(d)).l0)
+
+
+@pytest.mark.parametrize("variant", ["three_level", "four_level_geometry"])
+def test_one_point_solvers_reject_a_stack(variant):
+    cfg = fig2_config(variant)
+    stack = build_liouvillian(cfg.system(cfg.delta_pi + TP * np.array([0.0, 1e6])))
+    for solve in (steady_state, periodic_harmonics):
+        with pytest.raises(ValueError, match="sweep_states"):
+            solve(stack)
+
+
 def test_stacked_steady_states_isolate_a_degenerate_point():
     good = build_liouvillian(_system("four_level_ideal"))
     dead = build_liouvillian(_system("four_level_ideal", omega_sigma=0.0, omega_pi=0.0))
@@ -296,10 +326,10 @@ def test_stacked_harmonics_isolate_a_degenerate_point():
         liouv.l0, 0.0 * liouv.l_plus, 0.0 * liouv.l_minus, liouv.beat, liouv.dim
     )
     dead = build_liouvillian(_system("four_level_geometry", omega_sigma=0.0, omega_pi=0.0))
-    rho0, rho1, order, errors = _states(
+    rho0, rho1, order, errors = sweep_states(Liouvillian(
         np.stack([good.l0, dead.l0]), good.l_plus, good.l_minus,
         np.array([good.beat, dead.beat]), good.dim,
-    )
+    ))
     assert errors[0] is None
     assert isinstance(errors[1], DegenerateSteadyStateError)
     harmonics = periodic_harmonics(good)

@@ -229,6 +229,30 @@ def test_geometry_sweep_through_a_vanishing_beat_matches_single_points():
 
 
 @pytest.mark.parametrize("variant", ["three_level", "four_level_ideal", "four_level_geometry"])
+@given(points=st.lists(
+    st.tuples(st.floats(0.2, 1.5), st.floats(0.02, 0.5), st.floats(-5.0, 5.0)),
+    min_size=1, max_size=8,
+))
+@settings(max_examples=6, deadline=None)
+def test_stack_of_laser_parameters_equals_single_points(variant, points):
+    # per-point Omega_sigma, Omega_pi (units of Gamma) and delta_pi offset (MHz)
+    omega_sigma, omega_pi, offset = (np.array(column) for column in zip(*points))
+    cfg = fig2_config(variant)
+    deltas = cfg.delta_pi + TP * 1e6 * offset
+    stack = scattering_rates(
+        replace(cfg, omega_sigma=omega_sigma * GAMMA, omega_pi=omega_pi * GAMMA), deltas
+    )
+    singles = [
+        scattering_rates(replace(cfg, omega_sigma=s * GAMMA, omega_pi=p * GAMMA), [d])
+        for s, p, d in zip(omega_sigma, omega_pi, deltas)
+    ]
+    for field in ("w", "rho_p_total", "harmonic_order"):
+        single = np.concatenate([getattr(one, field) for one in singles])
+        assert getattr(stack, field).tobytes() == single.tobytes()
+    assert [repr(e) for e in stack.errors] == [repr(one.errors[0]) for one in singles]
+
+
+@pytest.mark.parametrize("variant", ["three_level", "four_level_ideal", "four_level_geometry"])
 def test_empty_sweep_returns_an_empty_spectrum(variant):
     cfg = fig2_config(variant)
     spectrum = scattering_rates(cfg, [])

@@ -88,13 +88,6 @@ def test_hot_state_flop_is_damped_and_multi_frequency():
     assert max(hot.excitation[tail]) < 0.8 * max(cold.excitation[tail])
 
 
-def test_contrast_decay_damps_toward_half():
-    times = np.linspace(1e-4, 50e-3, 50)
-    record = sideband_flops(ThermalState.from_n_bar(0.5), 0.03, OMEGA0, "blue",
-                            times, contrast_decay=2e3)
-    assert record.excitation[-1] == pytest.approx(0.5, abs=1e-6)
-
-
 def test_lamb_dicke_validity_precondition():
     with pytest.raises(ValueError):
         sideband_flops(ThermalState.from_n_bar(100.0), 0.3, OMEGA0, "blue", [0.0])
@@ -127,10 +120,12 @@ def test_fit_round_trips_noiseless_flops(n_bar):
 
 
 def test_fit_reports_unbracketed_minimum():
-    times = np.linspace(0.0, 2e-3, 60)
-    record = sideband_flops(ThermalState.from_n_bar(5.0), 0.03, OMEGA0, "blue", times)
-    with pytest.raises(ValueError):
-        fit_thermal(record, 0.03, OMEGA0, n_bar_max=1.0)
+    # a flat P(t) = 1/2 record is hotter than any n_bar the first-order model
+    # represents at this eta; its best grid point is the edge of the valid range
+    times = np.linspace(0.0, 2e-3, 120)
+    record = FlopRecord(times=tuple(times), excitation=(0.5,) * len(times), sideband="blue")
+    with pytest.raises(ValueError, match="not bracketed"):
+        fit_thermal(record, 0.03, OMEGA0)
 
 
 # -------------------------------------------------------------- ratio method
