@@ -31,13 +31,11 @@ from .spectrum import (
     EITConfig,
     FanoFeatures,
     Spectrum,
-    SpectrumSample,
     ac_stark_shift,
     ac_stark_shift_approx,
     coupling_for_target_shift,
     dressed_state,
     fano_features,
-    scan_spectrum,
     scattering_rate,
     scattering_rates,
 )

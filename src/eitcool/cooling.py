@@ -5,9 +5,11 @@ The phonon number of a mode obeys d<n>/dt = -(A- - A+) <n> + A+ with
     A+/- = eta^2 cos^2(phi) W(delta_pi -/+ omega),
 
 where W is the cooling-beam scattering spectrum sampled at detunings shifted
-by one vibrational quantum.  W is always taken from the full Bloch-equation
-solve, so the same code path serves the three-level and both four-level
-configurations.
+by one vibrational quantum, from the full Bloch-equation solve for every
+variant.  The modes of a multimode report or the points of a sweep are one
+(2, modes) ``scattering_rates`` stack, read out as one ``CoolingReport`` per
+mode; sweeps keep a point's solver failure on its report, and
+``multimode_report`` and ``cooling_coefficients`` raise it.
 """
 
 from __future__ import annotations
@@ -84,36 +86,10 @@ def geometry_from_angle(mode: TrapMode, delta_k_mag: float, phi: float) -> Cooli
     )
 
 
-def _mode_coefficients(config: EITConfig, geometries) -> tuple:
-    """(A+, A-, error) lists for modes under one laser config, from one spectrum solve.
-
-    W is sampled at delta_pi -/+ omega of every mode in one (2, modes)
-    ``scattering_rates`` stack; a laser parameter given as an array has one
-    entry per mode.  A mode whose solve failed has NaN rates and the first of
-    its two failures as error; a zero geometric prefactor gives (0, 0) and no
-    error whatever its solve gives.
-    """
-    n = len(geometries)
-    a_plus, a_minus, errors = [0.0] * n, [0.0] * n, [None] * n
-    omegas = np.array([geo.omega for geo in geometries])
-    spectrum = scattering_rates(
-        config, np.stack([config.delta_pi - omegas, config.delta_pi + omegas])
-    )
-    for i, geo in enumerate(geometries):
-        prefactor = geo.eta**2 * geo.cos_phi**2
-        if prefactor != 0:
-            a_plus[i] = prefactor * float(spectrum.w[0, i])
-            a_minus[i] = prefactor * float(spectrum.w[1, i])
-            errors[i] = spectrum.errors[i] or spectrum.errors[n + i]
-    return a_plus, a_minus, errors
-
-
 def cooling_coefficients(config: EITConfig, geometry: CoolingGeometry):
     """(A+, A-) in 1/s for one mode at the configured cooling detuning."""
-    (a_plus,), (a_minus,), (error,) = _mode_coefficients(config, [geometry])
-    if error is not None:
-        raise error
-    return a_plus, a_minus
+    (report,) = multimode_report(config, [geometry])
+    return report.a_plus, report.a_minus
 
 
 def evolve_n(a_plus: float, a_minus: float, n0: float, t: float) -> float:
@@ -129,12 +105,17 @@ def evolve_n(a_plus: float, a_minus: float, n0: float, t: float) -> float:
 
 @dataclass(frozen=True)
 class CoolingReport:
-    """Cooling figures of merit for one mode."""
+    """Cooling figures of merit for one mode.
+
+    ``error`` is the mode's solver failure, or None; a failed mode has NaN
+    rates, so its ``n_ss``, ``time_constant`` and ``lamb_dicke_check`` are NaN.
+    """
 
     label: str
     omega: float
     a_plus: float
     a_minus: float
+    error: Exception | None = None
 
     @property
     def rate(self) -> float:
@@ -146,29 +127,43 @@ class CoolingReport:
 
     @property
     def n_ss(self) -> float:
-        if not self.cooled:
-            return math.inf
-        return self.a_plus / self.rate
+        return math.inf if self.rate <= 0 else self.a_plus / self.rate
 
     @property
     def time_constant(self) -> float:
-        if not self.cooled:
-            return math.inf
-        return 1.0 / self.rate
+        return math.inf if self.rate <= 0 else 1.0 / self.rate
 
     def lamb_dicke_check(self, eta: float) -> float:
         """eta * sqrt(n_ss); values >= 0.1 are outside the deep Lamb-Dicke regime."""
-        return eta * math.sqrt(self.n_ss) if self.cooled else math.inf
+        return math.inf if self.rate <= 0 else eta * math.sqrt(self.n_ss)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    value: float
-    a_plus: float
-    a_minus: float
-    n_ss: float
-    cooled: bool
-    error: str = ""
+def _reports(config: EITConfig, geometries) -> list:
+    """One ``CoolingReport`` per mode under one laser config, from one spectrum solve.
+
+    W is sampled at delta_pi -/+ omega of every mode in one (2, modes)
+    ``scattering_rates`` stack: a laser parameter given as an array must have
+    one entry per mode.  A failed mode has NaN rates and the first of its two
+    failures as ``error``; a zero geometric prefactor gives (0, 0) and no error.
+    """
+    n = len(geometries)
+    omegas = np.array([geo.omega for geo in geometries])
+    spectrum = scattering_rates(
+        config, np.stack([config.delta_pi - omegas, config.delta_pi + omegas])
+    )
+    if np.shape(spectrum.w) != (2, n):
+        shape = np.shape(spectrum.w)
+        raise ValueError(f"laser arrays need one entry per mode: {shape} spectrum, {n} modes")
+    reports = []
+    for i, geo in enumerate(geometries):
+        prefactor = geo.eta**2 * geo.cos_phi**2
+        a_plus, a_minus, error = 0.0, 0.0, None
+        if prefactor != 0:
+            error = spectrum.errors[i] or spectrum.errors[n + i]
+            a_plus = math.nan if error else prefactor * float(spectrum.w[0, i])
+            a_minus = math.nan if error else prefactor * float(spectrum.w[1, i])
+        reports.append(CoolingReport(geo.label, geo.omega, a_plus, a_minus, error))
+    return reports
 
 
 def steady_state_n_sweep(
@@ -185,10 +180,8 @@ def steady_state_n_sweep(
     geometric prefactor cancels in n_ss, so ``geometry`` is optional for
     omega sweeps (unit prefactor is then reported in A+/-).  Either sweep is
     one stacked spectrum solve; a ``deltas`` stack has one coupling per shift.
-
-    Per-point solver failures (a degenerate steady state, an unconverged
-    harmonic expansion, a singular linear solve) are recorded in the row's
-    ``error`` and the sweep continues; any other exception is raised.
+    Returns one ``CoolingReport`` per value; a solver failure (degenerate steady
+    state, unconverged harmonics, singular solve) is kept in its ``error``.
     """
     if (omegas is None) == (deltas is None):
         raise ValueError("specify exactly one of omegas or deltas")
@@ -211,25 +204,13 @@ def steady_state_n_sweep(
         omega_sigma = [coupling_for_target_shift(d, config.delta_sigma) for d in values]
         config = replace(config, omega_sigma=np.array(omega_sigma))
         geometries = [geometry] * len(values)
-    rows = zip(values, *_mode_coefficients(config, geometries))
-    return [_sweep_point(*row) for row in rows]
-
-
-def _sweep_point(value: float, a_plus: float, a_minus: float, error) -> SweepPoint:
-    if error is not None:  # per-point solver failure: record and continue
-        return SweepPoint(value, math.nan, math.nan, math.nan, False, error=str(error))
-    # n_ss and cooled depend on the rates alone
-    report = CoolingReport(label="", omega=math.nan, a_plus=a_plus, a_minus=a_minus)
-    return SweepPoint(value, a_plus, a_minus, report.n_ss, report.cooled)
+    return _reports(config, geometries)
 
 
 def multimode_report(config: EITConfig, geometries) -> list:
-    """Per-mode cooling report under one shared laser configuration."""
-    a_plus, a_minus, errors = _mode_coefficients(config, geometries)
-    for error in errors:
-        if error is not None:
-            raise error
-    return [
-        CoolingReport(label=geo.label, omega=geo.omega, a_plus=ap, a_minus=am)
-        for geo, ap, am in zip(geometries, a_plus, a_minus)
-    ]
+    """Per-mode cooling report under one shared laser config; raises the first failure."""
+    reports = _reports(config, geometries)
+    for report in reports:
+        if report.error is not None:
+            raise report.error
+    return reports

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atom import (
+    EXCITED_STATES,
     P_MINUS,
     P_PLUS,
     S_MINUS,
@@ -94,9 +95,6 @@ class BeamSet:
     coupling: Beam
     cooling: Beam
 
-    def __iter__(self):
-        return iter((self.coupling, self.cooling))
-
 
 @dataclass(frozen=True)
 class DrivenSystem:
@@ -113,7 +111,7 @@ class DrivenSystem:
         return len(self.labels)
 
     def excited_indices(self) -> tuple:
-        return tuple(i for i, s in enumerate(self.labels) if s.startswith("P"))
+        return tuple(i for i, s in enumerate(self.labels) if s in EXCITED_STATES)
 
 
 # beat (rad/s) below which the lasers count as degenerate and a point is static

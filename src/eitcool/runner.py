@@ -10,7 +10,6 @@ from .config import FIG2_VARIANTS, RunConfig, angular
 from .constants import CONSTANTS_VERSION
 from .cooling import (
     TrapMode,
-    cooling_coefficients,
     evolve_n,
     geometry_from_angle,
     multimode_report,
@@ -47,7 +46,7 @@ def _variants(config: RunConfig) -> tuple:
 
 
 def _failure_meta(points) -> dict:
-    failed = [pt for pt in points if pt.error]
+    failed = [pt for pt in points if pt.error is not None]
     return {"failed_points": str(len(failed))} if failed else {}
 
 
@@ -98,16 +97,15 @@ def _run_sweep_delta(config: RunConfig):
 
 def _run_dynamics(config: RunConfig):
     geometry = _mode_geometry(config, config["mode"])
-    eit = config.eit_config()
-    a_plus, a_minus = cooling_coefficients(eit, geometry)
+    (report,) = multimode_report(config.eit_config(), [geometry])
     times = np.linspace(0.0, config["dynamics.t_max_s"], config["dynamics.points"])
     header = ["t_s", "n_bar"]
-    rows = [[float(t), evolve_n(a_plus, a_minus, config["dynamics.n0"], float(t))]
+    rows = [[float(t), evolve_n(report.a_plus, report.a_minus, config["dynamics.n0"], float(t))]
             for t in times]
     meta = {
-        "a_plus_per_s": _fmt(a_plus),
-        "a_minus_per_s": _fmt(a_minus),
-        "time_constant_s": _fmt(1.0 / (a_minus - a_plus)) if a_minus > a_plus else "inf",
+        "a_plus_per_s": _fmt(report.a_plus),
+        "a_minus_per_s": _fmt(report.a_minus),
+        "time_constant_s": _fmt(report.time_constant),
     }
     return header, rows, meta
 

@@ -14,15 +14,16 @@ Gamma * P_total in steady state (photon-rate balance).
 ``scattering_rates`` is the spectrum engine: a sweep is one stacked system,
 built by broadcasting the detunings and any laser parameter given as an array,
 and one stacked, checked solve (``liouville.sweep_states``) that reports
-per-point failures instead of raising them.  ``scattering_rate`` is its
-one-point case; scans, the cooling coefficients, coupling-strength sweeps and
-the Fano features (a grid, then stacked zoom passes) all go through it.
+per-point failures instead of raising them.  Its ``Spectrum`` is the one
+result record: ``scattering_rate`` returns the checked 0-d ``Spectrum`` of one
+laser setting, and the cooling rates, coupling-strength sweeps and the Fano
+features (a grid, then stacked zoom passes) all read a ``Spectrum`` stack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -97,13 +98,6 @@ def dressed_state(omega_sigma: float, delta_sigma: float):
     if norm == 0:
         return (1.0, 0.0)
     return (omega_sigma / norm, 2 * delta / norm)
-
-
-@dataclass(frozen=True)
-class SpectrumSample:
-    detuning_pi: float
-    w: float  # cooling-beam scattering rate, photons/s
-    rho_p_total: float
 
 
 @dataclass(frozen=True)
@@ -245,28 +239,23 @@ def scattering_rates(config: EITConfig, detunings) -> Spectrum:
     )
 
 
-def scattering_rate(config: EITConfig, delta_pi: float | None = None) -> SpectrumSample:
-    """Steady-state cooling-beam scattering rate at one detuning.
+def _require_one_point(config: EITConfig, entry: str) -> None:
+    """Raise ValueError naming the first laser parameter of ``config`` that is an array."""
+    for name in ("omega_sigma", "omega_pi", "delta_sigma", "delta_pi"):
+        if np.ndim(getattr(config, name)):
+            raise ValueError(f"{entry} takes one laser setting, but {name} is an array")
 
-    The one-point case of ``scattering_rates``; a solver failure is raised.
+
+def scattering_rate(config: EITConfig, delta_pi: float | None = None) -> Spectrum:
+    """Steady-state cooling-beam scattering rate at one detuning, as a 0-d ``Spectrum``.
+
+    The one-point case of ``scattering_rates``: a solver failure is raised, and
+    so is a laser parameter or detuning given as an array (ValueError).
     """
-    if delta_pi is None:
-        delta_pi = config.delta_pi
-    spectrum = scattering_rates(config, [delta_pi]).checked()
-    return SpectrumSample(
-        detuning_pi=delta_pi,
-        w=float(spectrum.w[0]),
-        rho_p_total=float(spectrum.rho_p_total[0]),
-    )
-
-
-def scan_spectrum(config: EITConfig, detunings) -> list:
-    """W(delta_pi) over an ordered list of cooling detunings."""
-    spectrum = scattering_rates(config, sorted(detunings)).checked()
-    return [
-        SpectrumSample(detuning_pi=float(d), w=float(w), rho_p_total=float(p))
-        for d, w, p in zip(spectrum.detuning_pi, spectrum.w, spectrum.rho_p_total)
-    ]
+    if delta_pi is not None:
+        config = replace(config, delta_pi=delta_pi)
+    _require_one_point(config, "scattering_rate")
+    return scattering_rates(config, config.delta_pi).checked()
 
 
 def fano_features(
@@ -283,8 +272,10 @@ def fano_features(
     its best point.  The passes stop once both brackets are at most
     ``_ZOOM_WIDTH`` times the closed-form AC Stark shift wide (or after
     ``_MAX_ZOOMS`` passes); each feature is the best point of the last pass,
-    so it sits within half a zoom step of the extremum.
+    so it sits within half a zoom step of the extremum.  A laser parameter
+    given as an array is a ValueError.
     """
+    _require_one_point(config, "fano_features")
     if config.omega_sigma == 0:
         raise DegenerateFeatureError("no coupling laser: spectrum has no EIT features")
     delta = ac_stark_shift(config.omega_sigma, config.delta_sigma)

@@ -18,7 +18,13 @@ from eitcool.cooling import (
     multimode_report,
     steady_state_n_sweep,
 )
-from eitcool.spectrum import coupling_for_target_shift, scattering_rate, scattering_rates
+from eitcool.liouville import DegenerateSteadyStateError
+from eitcool.spectrum import (
+    coupling_for_target_shift,
+    fano_features,
+    scattering_rate,
+    scattering_rates,
+)
 
 from conftest import TP, fig2_config
 
@@ -259,8 +265,11 @@ def test_delta_sweep_is_one_spectrum_solve(monkeypatch):
 def test_sweep_records_degenerate_point_and_continues(variant):
     cfg = fig2_config(variant, omega_sigma=0.0, omega_pi=0.0)
     (pt,) = steady_state_n_sweep(cfg, omegas=[TP * 1.62e6])
-    assert "steady state not unique" in pt.error
+    assert isinstance(pt.error, DegenerateSteadyStateError)
+    assert "steady state not unique" in str(pt.error)
+    assert math.isnan(pt.a_plus) and math.isnan(pt.a_minus)
     assert math.isnan(pt.n_ss) and not pt.cooled
+    assert math.isnan(pt.time_constant) and math.isnan(pt.lamb_dicke_check(0.1))
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):
@@ -294,6 +303,18 @@ def test_per_mode_laser_arrays_stay_aligned_past_an_uncoolable_mode():
     for s, geo, report in zip(omega_sigma, geometries, reports):
         single = cooling_coefficients(replace(cfg, omega_sigma=s), geo)
         assert (report.a_plus, report.a_minus) == single
+
+
+@pytest.mark.parametrize("entry, message", [
+    (lambda cfg: scattering_rate(cfg), "omega_sigma is an array"),
+    (lambda cfg: cooling_coefficients(cfg, _reference_geometry()), "one entry per mode"),
+    (lambda cfg: fano_features(cfg, TP * 66e6, TP * 74e6), "omega_sigma is an array"),
+], ids=["scattering_rate", "cooling_coefficients", "fano_features"])
+def test_one_point_entries_reject_a_stacked_config(entry, message):
+    # two coupling strengths would broadcast to two points; none may be dropped
+    cfg = fig2_config("three_level", omega_sigma=TP * np.array([20e6, 22e6]))
+    with pytest.raises(ValueError, match=message):
+        entry(cfg)
 
 
 def test_multimode_orthogonal_mode_uncoolable():

@@ -4,6 +4,9 @@ Every numeric token of the CSV and ``.meta`` files must agree with the frozen
 one to 1e-12 relative (NaN equals NaN); every other token, and the separators
 between tokens, must match exactly.  Regenerate the files only for a change
 that is meant to move the physics: ``eitcool run <name>.cfg --out tests/golden``.
+Configs that are not bundled live next to their outputs (``spectrum.cfg``: a
+301-point W(delta_pi) scan of every variant across both Fano features), and
+are regenerated with ``eitcool run tests/golden/<name>.cfg --out tests/golden``.
 """
 
 import math
@@ -16,6 +19,7 @@ from eitcool.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 BUNDLED = ("fig2", "fig3", "fig4", "multimode", "thermometry")
+LOCAL = ("spectrum",)
 RTOL = 1e-12
 
 _SEPARATORS = re.compile(r"([,\s=]+)")
@@ -63,9 +67,10 @@ def test_token_comparison_rules():
     assert _mismatches("a\n", "a\nb\n")
 
 
-@pytest.mark.parametrize("name", BUNDLED)
+@pytest.mark.parametrize("name", BUNDLED + LOCAL)
 def test_bundled_config_reproduces_frozen_output(name, tmp_path):
-    assert main(["run", f"{name}.cfg", "--out", str(tmp_path)]) == 0
+    config = str(GOLDEN / f"{name}.cfg") if name in LOCAL else f"{name}.cfg"
+    assert main(["run", config, "--out", str(tmp_path)]) == 0
     for suffix in (".csv", ".csv.meta"):
         new = (tmp_path / f"{name}{suffix}").read_text(encoding="utf-8")
         old = (GOLDEN / f"{name}{suffix}").read_text(encoding="utf-8")

@@ -108,7 +108,8 @@ def test_degenerate_lasers_suppress_the_beat():
 def test_effective_rabi_amplitudes_are_reconstructible():
     cfg = fig2_config("four_level_geometry")
     system = cfg.system()
-    beams = {b.label: b for b in cfg.beams()}
+    beam_set = cfg.beams()
+    beams = {b.label: b for b in (beam_set.coupling, beam_set.cooling)}
     for c in system.couplings:
         beam = beams[c.beam]
         comps = decompose_polarization(beam, cfg.field)
