@@ -7,9 +7,9 @@ decomposition) is centralized here.
 
 Sign conventions (the single place they are documented):
 
-* Spherical basis relative to the quantization axis z_B with transverse frame
-  (x_B, y_B, z_B): amp_0 = eps . z_B, amp_{+/-1} = -/+ (eps . x_B +/- i eps . y_B)/sqrt(2).
-  This map is unitary for any complex unit polarization eps.
+* Polarizations are complex unit vectors eps in the field frame (x_B, y_B, z_B),
+  z_B along B and x_B in the plane of the cooling beam's k and B: amp_0 = eps_z,
+  amp_{+/-1} = -/+ (eps_x +/- i eps_y)/sqrt(2), a unitary map.
 * Clebsch-Gordan amplitudes <1/2 m; 1 q | 1/2 m+q> in the Condon-Shortley
   convention; squared weights are 1/3 for pi (q=0) and 2/3 for sigma (q=+/-1)
   channels.
@@ -43,10 +43,6 @@ TRANSITIONS = {
 }
 
 
-class FrameDegenerateError(ValueError):
-    """Beam travels along the quantization axis; in-plane x-axis undefined."""
-
-
 @dataclass(frozen=True)
 class LevelScheme:
     """Zeeman structure of the S1/2 and P1/2 manifolds.
@@ -75,25 +71,13 @@ class LevelScheme:
 
 @dataclass(frozen=True)
 class MagneticField:
-    """Static quantization field; magnitude in gauss, direction a unit vector."""
+    """Static quantization field along z_B; magnitude in gauss."""
 
     magnitude: float
-    direction: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
         if self.magnitude < 0:
             raise ValueError("field magnitude must be >= 0")
-        d = np.asarray(self.direction, dtype=float)
-        if abs(np.linalg.norm(d) - 1.0) > 1e-12:
-            raise ValueError("field direction must be a unit vector")
-
-    @property
-    def z_hat(self) -> np.ndarray:
-        return np.asarray(self.direction, dtype=float)
-
-    @property
-    def tesla(self) -> float:
-        return self.magnitude * GAUSS_TO_TESLA
 
 
 @dataclass(frozen=True)
@@ -102,94 +86,40 @@ class Beam:
 
     ``rabi`` is the bare Rabi frequency for a unit-CG transition, before
     polarization projection. ``detuning`` is referenced to the zero-field
-    S1/2 -> P1/2 resonance. ``transverse_axis`` optionally fixes the spherical
-    frame when the beam travels along the quantization axis.
+    S1/2 -> P1/2 resonance, ``polarization`` to the field frame (x_B, y_B, z_B).
     """
 
     label: str  # "coupling" | "cooling"
     rabi: float
     detuning: float
-    k_hat: tuple
     polarization: tuple
-    transverse_axis: tuple | None = None
 
     def __post_init__(self):
-        k = np.asarray(self.k_hat, dtype=float)
-        if abs(np.linalg.norm(k) - 1.0) > 1e-12:
-            raise ValueError("k_hat must be a unit vector")
         eps = np.asarray(self.polarization, dtype=complex)
         if abs(np.linalg.norm(eps) - 1.0) > 1e-12:
             raise ValueError("polarization must be a unit vector")
-        if abs(np.vdot(k, eps)) > 1e-12:
-            raise ValueError("polarization must be orthogonal to k_hat")
 
 
-def spherical_frame(k_hat, z_hat, transverse_axis=None):
-    """Right-handed frame (x_B, y_B, z_B) with x_B along k projected off z_B."""
-    z = np.asarray(z_hat, float)
-    k = np.asarray(k_hat, float)
-    perp = k - (k @ z) * z
-    norm = np.linalg.norm(perp)
-    if norm < 1e-9:
-        if transverse_axis is None:
-            raise FrameDegenerateError(
-                "beam travels along the quantization axis; "
-                "supply an explicit transverse_axis"
-            )
-        t = np.asarray(transverse_axis, float)
-        perp = t - (t @ z) * z
-        norm = np.linalg.norm(perp)
-        if norm < 1e-9:
-            raise FrameDegenerateError("transverse_axis is parallel to the field")
-    x = perp / norm
-    y = np.cross(z, x)
-    return x, y, z
-
-
-def decompose_polarization(beam: Beam, field: MagneticField) -> dict:
-    """Spherical amplitudes {q: amp} (q = -1, 0, +1) of the beam polarization.
-
-    The transverse x_B axis is the beam's own k projected perpendicular to
-    the field; a beam along the field must carry an explicit transverse_axis.
-    """
-    x, y, z = spherical_frame(beam.k_hat, field.z_hat, beam.transverse_axis)
-    eps = np.asarray(beam.polarization, complex)
+def decompose_polarization(polarization) -> dict:
+    """Spherical amplitudes {q: amp} (q = -1, 0, +1) of a field-frame polarization."""
+    ex, ey, ez = np.asarray(polarization, complex)
     return {
-        -1: +(eps @ x - 1j * (eps @ y)) / math.sqrt(2),
-        0: eps @ z,
-        +1: -(eps @ x + 1j * (eps @ y)) / math.sqrt(2),
+        -1: +(ex - 1j * ey) / math.sqrt(2),
+        0: ez,
+        +1: -(ex + 1j * ey) / math.sqrt(2),
     }
 
 
-def linear_polarization_in_plane(k_hat, z_hat) -> np.ndarray:
-    """Linear polarization in the (k, B) plane, orthogonal to k.
-
-    This maximizes the pi component for a beam at an oblique angle to the
-    field; the sigma content is what remains.
-    """
-    k = np.asarray(k_hat, float)
-    z = np.asarray(z_hat, float)
-    eps = z - (z @ k) * k
-    norm = np.linalg.norm(eps)
-    if norm < 1e-9:
-        raise FrameDegenerateError("k parallel to B: no in-plane polarization exists")
-    return eps / norm
-
-
-def circular_polarization(q: int, x_hat, y_hat) -> np.ndarray:
-    """Unit polarization that decomposes to a single spherical component q."""
-    x = np.asarray(x_hat, float)
-    y = np.asarray(y_hat, float)
-    if q == +1:
-        return (-x + 1j * y) / math.sqrt(2)
-    if q == -1:
-        return (x + 1j * y) / math.sqrt(2)
-    raise ValueError("q must be +1 or -1")
+def circular_polarization(q: int) -> np.ndarray:
+    """Field-frame unit polarization (-q, i, 0)/sqrt(2), the pure spherical component q."""
+    if q not in (-1, +1):
+        raise ValueError("q must be +1 or -1")
+    return np.array([-q, 1j, 0]) / math.sqrt(2)
 
 
 def zeeman_splitting(scheme: LevelScheme, field: MagneticField):
     """Full m=-1/2 <-> +1/2 splittings (delta_S, delta_P) in rad/s."""
-    b = field.tesla
+    b = field.magnitude * GAUSS_TO_TESLA
     delta_s = scheme.lande_g_S * MU_B * b / HBAR
     delta_p = scheme.lande_g_P * MU_B * b / HBAR
     return delta_s, delta_p

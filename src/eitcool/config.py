@@ -152,6 +152,9 @@ class RunConfig:
     def ion_mass(self) -> float:
         return self.values["ion.mass_amu"] * ATOMIC_MASS
 
+    def mode_labels(self) -> list:
+        return [m.strip() for m in self.values["multimode.modes"].split(",") if m.strip()]
+
     def trap_omega(self, label: str) -> float:
         return angular(self.values[f"trap.omega_{label}_hz"])
 
@@ -204,18 +207,24 @@ def resolve(values: dict) -> RunConfig:
         raise ConfigError(f"thermometry.sideband must be one of {SIDEBANDS}")
     if resolved["mode"] not in ("x", "y", "z"):
         raise ConfigError("mode must be one of x, y, z")
+    if resolved["field.gauss"] < 0:
+        raise ConfigError("field.gauss must be >= 0")
     for key in ("sweep.points", "dynamics.points", "thermometry.points"):
         if resolved[key] is not None and resolved[key] < 2:
             raise ConfigError(f"{key} must be >= 2")
     for key, val in resolved.items():
-        if key.endswith("_hz") and val is not None and val <= 0:
+        if key.endswith(("_hz", "_s")) and val is not None and val <= 0:
             raise ConfigError(f"{key} must be positive")
         if key.endswith("_deg") and val is not None and not (0.0 <= val <= 180.0):
             raise ConfigError(f"{key} must lie in [0, 180] degrees")
     digest = hashlib.sha256(
         "\n".join(f"{k}={resolved[k]!r}" for k in sorted(resolved)).encode()
     ).hexdigest()
-    return RunConfig(values=resolved, applied_defaults=tuple(applied), sha256=digest)
+    config = RunConfig(values=resolved, applied_defaults=tuple(applied), sha256=digest)
+    modes = config.mode_labels()
+    if not modes or len(set(modes)) < len(modes) or not set(modes) <= {"x", "y", "z"}:
+        raise ConfigError("multimode.modes must list distinct modes out of x, y, z")
+    return config
 
 
 def load_config(path) -> RunConfig:

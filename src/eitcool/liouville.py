@@ -155,7 +155,7 @@ def build_system(
     driven = set()
     dropped = _DROPPED_COOLING.get(variant, ())
     for beam, nu, skip in ((beams.coupling, (1, 0), ()), (beams.cooling, (0, 1), dropped)):
-        amps = decompose_polarization(beam, field)
+        amps = decompose_polarization(beam.polarization)
         for (lower_label, q), (upper_label, cg) in TRANSITIONS.items():
             pair = (lower_label, upper_label)
             if abs(amps[q]) < 1e-12 or q in skip or not set(pair) <= set(labels):

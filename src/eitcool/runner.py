@@ -111,8 +111,7 @@ def _run_dynamics(config: RunConfig):
 
 
 def _run_multimode(config: RunConfig):
-    labels = [m.strip() for m in config["multimode.modes"].split(",") if m.strip()]
-    geometries = [_mode_geometry(config, label) for label in labels]
+    geometries = [_mode_geometry(config, label) for label in config.mode_labels()]
     eit = config.eit_config()
     reports = multimode_report(eit, geometries)
     header = [

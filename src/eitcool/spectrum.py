@@ -35,7 +35,6 @@ from .atom import (
     LevelScheme,
     MagneticField,
     circular_polarization,
-    linear_polarization_in_plane,
     zeeman_splitting,
 )
 from .liouville import (
@@ -119,6 +118,8 @@ class EITConfig:
     state formulas; bare beam Rabi frequencies are recovered internally by
     dividing out polarization projection and CG factors.  The four laser
     parameters may be arrays, one entry per point of a ``scattering_rates`` stack.
+    Field-frame polarizations: sigma+ coupling light; pi cooling light, or in
+    ``four_level_geometry`` linear light in the (k, B) plane at ``beam_angle`` to B.
     """
 
     omega_sigma: float
@@ -154,26 +155,22 @@ class EITConfig:
             label="coupling",
             rabi=self.omega_sigma / abs(TRANSITIONS[(S_MINUS, +1)][1]),
             detuning=nu_c,
-            k_hat=(0.0, 0.0, 1.0),
-            polarization=tuple(circular_polarization(+1, (1, 0, 0), (0, 1, 0))),
-            transverse_axis=(1.0, 0.0, 0.0),
+            polarization=tuple(circular_polarization(+1)),
         )
 
         if self.variant == "four_level_geometry":
-            k_hat = (math.sin(self.beam_angle), 0.0, math.cos(self.beam_angle))
-            pol = linear_polarization_in_plane(k_hat, (0, 0, 1))
+            pol = (-math.cos(self.beam_angle), 0.0, math.sin(self.beam_angle))
             amp_pi = abs(math.sin(self.beam_angle))
+            if amp_pi < 1e-9:
+                raise ValueError("beam_angle puts the cooling beam along B, with no pi light")
         else:
-            # idealized pi light perpendicular to B
-            k_hat = (1.0, 0.0, 0.0)
-            pol = np.array([0.0, 0.0, 1.0])
+            pol = (0.0, 0.0, 1.0)
             amp_pi = 1.0
         cooling = Beam(
             label="cooling",
             rabi=self.omega_pi / (amp_pi * TRANSITIONS[(S_PLUS, 0)][1]),
             detuning=nu_g,
-            k_hat=k_hat,
-            polarization=tuple(pol),
+            polarization=pol,
         )
         return BeamSet(coupling=coupling, cooling=cooling)
 

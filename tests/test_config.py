@@ -102,6 +102,21 @@ def test_angle_range_enforced():
         resolve(values)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("multimode.modes", "y,w"),
+    ("multimode.modes", ","),
+    ("multimode.modes", "y,z,y"),
+    ("field.gauss", -4.4),
+    ("dynamics.t_max_s", -1e-3),
+    ("thermometry.t_max_s", 0.0),
+])
+def test_value_that_run_cannot_use_is_rejected(key, value):
+    values = parse_config_text(MINIMAL_SWEEP)
+    values[key] = value
+    with pytest.raises(ConfigError, match=key):
+        resolve(values)
+
+
 def test_type_mismatch_rejected():
     values = parse_config_text(MINIMAL_SWEEP)
     values["sweep.points"] = "many"

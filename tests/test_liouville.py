@@ -112,7 +112,7 @@ def test_effective_rabi_amplitudes_are_reconstructible():
     beams = {b.label: b for b in (beam_set.coupling, beam_set.cooling)}
     for c in system.couplings:
         beam = beams[c.beam]
-        comps = decompose_polarization(beam, cfg.field)
+        comps = decompose_polarization(beam.polarization)
         upper, cg = TRANSITIONS[(system.labels[c.lower], c.q)]
         assert upper == system.labels[c.upper]
         expected = beam.rabi * comps[c.q] * cg
@@ -129,9 +129,8 @@ def test_each_coupling_driven_by_exactly_one_beam():
 
 
 def test_transition_driven_at_two_frequencies_is_rejected():
-    pol = tuple(circular_polarization(+1, (1, 0, 0), (0, 1, 0)))
-    mk = lambda label, detuning: Beam(label, 1e6, detuning, (0, 0, 1), pol,
-                                      transverse_axis=(1, 0, 0))
+    pol = tuple(circular_polarization(+1))
+    mk = lambda label, detuning: Beam(label, 1e6, detuning, pol)
     beams = BeamSet(coupling=mk("coupling", TP * 70e6), cooling=mk("cooling", TP * 60e6))
     with pytest.raises(ValueError, match="two distinct frequencies"):
         build_system(LevelScheme(), MagneticField(4.4), beams, "three_level")
@@ -142,10 +141,8 @@ def test_coupling_off_the_beat_is_rejected():
     # which rotates at 2 (nu_c - nu_g) in the frame; no Liouvillian term runs it
     cfg = fig2_config("four_level_ideal")
     fig2 = cfg.beams()
-    x, y = (1, 0, 0), (0, 1, 0)
-    pol = 0.8 * circular_polarization(+1, x, y) + 0.6 * circular_polarization(-1, x, y)
-    coupling = Beam("coupling", fig2.coupling.rabi, fig2.coupling.detuning, (0, 0, 1),
-                    tuple(pol), transverse_axis=x)
+    pol = 0.8 * circular_polarization(+1) + 0.6 * circular_polarization(-1)
+    coupling = Beam("coupling", fig2.coupling.rabi, fig2.coupling.detuning, tuple(pol))
     beams = BeamSet(coupling=coupling, cooling=fig2.cooling)
     with pytest.raises(ValueError, match=r"\('S\+', 'P-'\)"):
         build_system(cfg.scheme, cfg.field, beams, "four_level_ideal")

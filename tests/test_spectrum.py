@@ -14,6 +14,7 @@ from eitcool.liouville import (
     build_liouvillian,
     periodic_harmonics,
     steady_state,
+    sweep_states,
 )
 from eitcool.spectrum import (
     BracketError,
@@ -157,6 +158,44 @@ def test_periodic_attribution_balances_photon_rates():
     rates = beam_scattering_rates(system, harmonics)
     p_total = sum(harmonics[0][i, i].real for i in system.excited_indices())
     assert sum(rates.values()) == pytest.approx(GAMMA * p_total, rel=1e-8)
+
+
+@given(
+    angle_deg=st.floats(10.0, 170.0),
+    omega_sigma=st.floats(0.3, 1.2),
+    omega_pi=st.floats(0.3, 1.2),
+    delta_sigma=st.floats(0.2, 1.5),
+    offset=st.floats(0.1, 1.0),
+    signs=st.tuples(st.sampled_from([-1, 1]), st.sampled_from([-1, 1])),
+)
+@settings(max_examples=60, deadline=None)
+def test_geometry_steady_state_is_a_photon_balanced_density_matrix(
+    angle_deg, omega_sigma, omega_pi, delta_sigma, offset, signs
+):
+    # criterion 08's laser ranges (in units of Gamma), in the oblique-beam geometry
+    dsig = signs[0] * delta_sigma * GAMMA
+    cfg = fig2_config(
+        "four_level_geometry", omega_sigma=omega_sigma * GAMMA, omega_pi=omega_pi * GAMMA,
+        delta_sigma=dsig, delta_pi=dsig + signs[1] * offset * GAMMA,
+        beam_angle=math.radians(angle_deg),
+    )
+    system = cfg.system()
+    rho0, rho1, order, errors = sweep_states(build_liouvillian(system))
+    assert errors == [None]
+    assert order <= 25
+    np.testing.assert_allclose(rho0, rho0.conj().T, rtol=0, atol=1e-12)
+    assert np.linalg.eigvalsh(rho0).min() >= -1e-10
+    assert np.trace(rho0).real == pytest.approx(1.0, abs=1e-12)
+    rates = beam_scattering_rates(system, {0: rho0, 1: rho1})
+    p_total = sum(rho0[i, i].real for i in system.excited_indices())
+    assert rates["coupling"] + rates["cooling"] == pytest.approx(GAMMA * p_total, rel=1e-8)
+
+
+@pytest.mark.parametrize("angle_deg", [0.0, 180.0])
+def test_cooling_beam_along_field_is_rejected(angle_deg):
+    cfg = fig2_config("four_level_geometry", beam_angle=math.radians(angle_deg))
+    with pytest.raises(ValueError, match="beam_angle"):
+        scattering_rate(cfg)
 
 
 def test_linear_response_quadratic_in_probe_rabi():
