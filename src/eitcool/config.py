@@ -20,7 +20,6 @@ from .spectrum import EITConfig
 from .thermometry import SIDEBANDS
 
 TASKS = ("spectrum", "sweep-omega", "sweep-delta", "dynamics", "multimode", "thermometry")
-FIG2_VARIANTS = VARIANTS
 VARIANT_CHOICES = VARIANTS + ("all",)
 
 
@@ -136,6 +135,10 @@ class RunConfig:
     def scheme(self) -> LevelScheme:
         return LevelScheme(gamma=angular(self.values["ion.linewidth_hz"]))
 
+    def variants(self) -> tuple:
+        """The model variants the task runs."""
+        return VARIANTS if self.values["variant"] == "all" else (self.values["variant"],)
+
     def eit_config(self, variant: str | None = None) -> EITConfig:
         v = variant or self.values["variant"]
         return EITConfig(
@@ -224,6 +227,12 @@ def resolve(values: dict) -> RunConfig:
     modes = config.mode_labels()
     if not modes or len(set(modes)) < len(modes) or not set(modes) <= {"x", "y", "z"}:
         raise ConfigError("multimode.modes must list distinct modes out of x, y, z")
+    if task != "thermometry":  # every other task builds the beams of its variants
+        for v in config.variants():
+            try:
+                config.eit_config(v).beams()
+            except ValueError as exc:
+                raise ConfigError(f"variant {v!r}: {exc}") from exc
     return config
 
 

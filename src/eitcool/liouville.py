@@ -205,6 +205,9 @@ class Liouvillian:
     A stack when the system is one: ``l0`` is (..., d^2, d^2), and L+/- have
     the batch shape of the oscillating couplings' Rabi frequencies only, so
     the points of a detuning sweep share one L+ and one L-.
+
+    L(t) preserves Hermiticity, and the Floquet solve relies on it: with C the
+    map vec(rho) -> vec(rho^dagger), C L0 C = L0 and C L+ C = L-.
     """
 
     l0: np.ndarray
@@ -352,38 +355,34 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
     ``l_plus`` and ``l_minus`` are stacks like ``l0s``, or None where L is
     static; ``beats`` is read only where they exist.  A point is static where
     there are no L+/- or its beat is below ``_MIN_BEAT`` (degenerate lasers:
-    nothing then oscillates).  Static points are the order-0 case: L+ and L-
-    are folded into L0 and one checked null-vector solve gives rho_0, with
-    rho_{+1} = rho_0 (which is what a coupling that stops oscillating reads;
-    the same array when no L+/- are given).
+    nothing then oscillates).  All static points are the order-0 case, one
+    checked null-vector solve of L0 + L+ + L-, with rho_{+1} = rho_0 (what a
+    coupling that stops oscillating reads).
 
     Every other point is periodic.  Its Floquet expansion
     rho(t) = sum_k rho_k e^{i k nu t} gives a block tridiagonal linear system,
     solved by folding the k != 0 chains onto the k = 0 block (Schur
     complements) and imposing the trace constraint with the checks of
-    ``_null_vectors``.  Each periodic point grows its own truncation order
-    from 3 in steps of 2 until its rho_0 changes by less than
-    ``_HARMONIC_TOL``; the points still growing form the active set of each
-    fold.
+    ``_null_vectors``.  Only the upward chain rho_k = R_k rho_{k-1} is solved:
+    L(t) preserves Hermiticity (see ``Liouvillian``), so rho_{-k} = rho_k^dagger
+    and the downward chain is its mirror, R'_{-k} = C R_k C.  Each periodic
+    point grows its own truncation order from 3 in steps of 2 until its rho_0
+    changes by less than ``_HARMONIC_TOL``; the points still growing form the
+    active set of each fold.
 
     Returns (rho0, rho1, order, errors): rho_0, rho_{+1}, the truncation
     order reached and each point's failure (None if it has none).  Failed
     points hold NaN.
     """
     n, d2 = len(l0s), dim * dim
+    rho0, rho1 = np.full((2, n, dim, dim), np.nan, complex)
     order = np.zeros(n, int)
-    if l_plus is None:
-        v, errors = _null_vectors(l0s, dim)
-        rho0 = _density_matrices(v, dim)
-        return rho0, rho0, order, errors
-    rho0 = np.full((n, dim, dim), np.nan, complex)
-    rho1 = np.full((n, dim, dim), np.nan, complex)
     errors = [None] * n
-    static = np.abs(beats) < _MIN_BEAT
+    static = np.ones(n, bool) if l_plus is None else np.abs(beats) < _MIN_BEAT
     if static.any():
-        rho0[static], rho1[static], _, errs = _states(
-            l0s[static] + l_plus[static] + l_minus[static], None, None, None, dim
-        )
+        l = l0s[static] if l_plus is None else l0s[static] + l_plus[static] + l_minus[static]
+        v, errs = _null_vectors(l, dim)
+        rho0[static] = rho1[static] = _density_matrices(v, dim)
         for i, error in zip(np.flatnonzero(static), errs):
             errors[i] = error
 
@@ -392,24 +391,21 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
     idx = np.flatnonzero(~static)
     v_prev = np.full((len(idx), d2), np.nan)
     eye = np.eye(d2)
+    t = np.arange(d2).reshape(dim, dim).T.ravel()  # vec(rho^T) = vec(rho)[t]
     for k_max in range(3, _MAX_HARMONICS + 2, 2):
         if not len(idx):
             break
         l0, lp, lm, nu = l0s[idx], l_plus[idx], l_minus[idx], beats[idx][:, None, None]
-        singular = np.zeros(len(idx), bool)
-        # upward chain rho_k = R_k rho_{k-1}, downward chain rho_{-k} = R'_{-k} rho_{-k+1}
-        chains = []
-        for sign, l_in, l_out in ((-1, lm, lp), (+1, lp, lm)):
-            r = None
-            for k in range(k_max, 0, -1):
-                m = l0 + sign * 1j * k * nu * eye
-                if r is not None:
-                    m = m + l_in @ r
-                r, flagged = _solve(m, l_out)
-                r = -r
-                singular |= flagged
-            chains.append(r)
-        up, dn = chains
+        singular = np.zeros(len(idx), bool)  # a member is singular exactly when its mirror is
+        up = None
+        for k in range(k_max, 0, -1):
+            m = l0 - 1j * k * nu * eye
+            if up is not None:
+                m = m + lm @ up
+            up, flagged = _solve(m, lp)
+            up = -up
+            singular |= flagged
+        dn = up.conj()[:, t[:, None], t]  # C R_k C
         v, errs = _null_vectors(l0 + lm @ up + lp @ dn, dim)
         for j in np.flatnonzero(singular):
             errs[j] = np.linalg.LinAlgError("Singular matrix")
@@ -426,9 +422,7 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
         keep = ~failed & ~converged
         idx, v_prev = idx[keep], v[keep]
     for i in idx:
-        errors[i] = ConvergenceError(
-            f"harmonic expansion not converged at k = {_MAX_HARMONICS}"
-        )
+        errors[i] = ConvergenceError(f"harmonic expansion not converged at k = {k_max}")
     return rho0, rho1, order, errors
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import FIG2_VARIANTS, RunConfig, angular
+from .config import RunConfig, angular
 from .constants import CONSTANTS_VERSION
 from .cooling import (
     TrapMode,
@@ -41,10 +41,6 @@ def _sweep_hz(config: RunConfig) -> np.ndarray:
     )
 
 
-def _variants(config: RunConfig) -> tuple:
-    return FIG2_VARIANTS if config["variant"] == "all" else (config["variant"],)
-
-
 def _failure_meta(points) -> dict:
     failed = [pt for pt in points if pt.error is not None]
     return {"failed_points": str(len(failed))} if failed else {}
@@ -64,7 +60,7 @@ def _run_spectrum(config: RunConfig):
     grid_hz = _sweep_hz(config)
     header = ["variant", "delta_pi_hz", "W_per_s", "rho_P_total"]
     rows = []
-    for variant in _variants(config):
+    for variant in config.variants():
         eit = config.eit_config(variant=variant)
         spectrum = scattering_rates(eit, angular(grid_hz)).checked()
         rows += [[variant, float(hz), w, p]
@@ -76,7 +72,7 @@ def _run_sweep_omega(config: RunConfig):
     grid_hz = _sweep_hz(config)
     header = ["variant", "omega_hz", "n_ss"]
     rows, points = [], []
-    for variant in _variants(config):
+    for variant in config.variants():
         eit = config.eit_config(variant=variant)
         swept = steady_state_n_sweep(eit, omegas=angular(grid_hz))
         rows += [[variant, float(hz), pt.n_ss] for hz, pt in zip(grid_hz, swept)]

@@ -2,7 +2,7 @@
 
 These are deliberately brute force and independent of the stacked solves in
 ``eitcool.liouville``: adaptive time propagation of the master equation
-(scipy's DOP853), a window-averaged periodic state, the static fold of a
+(scipy's DOP853), a one-period monodromy periodic state, the static fold of a
 periodic Liouvillian, a hand-built two-level atom with a textbook steady
 state, and a numerically integrated phonon rate equation.
 """
@@ -18,9 +18,9 @@ from eitcool.atom import P_PLUS, S_PLUS
 from eitcool.liouville import (
     ConvergenceError,
     Coupling,
+    DegenerateSteadyStateError,
     DrivenSystem,
     Liouvillian,
-    steady_state,
 )
 
 
@@ -98,55 +98,40 @@ def propagate(
 
 
 def periodic_steady_state(
-    liouv: Liouvillian,
-    relax_time: float,
-    window_periods: int = 20,
-    drift_tol: float = 1e-8,
-    max_periods: int = 10_000,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    liouv: Liouvillian, rtol: float = 1e-10, atol: float = 1e-12
 ) -> np.ndarray:
-    """Time-averaged asymptotic state of a periodic Liouvillian, by propagation.
+    """Period-averaged asymptotic state of a periodic Liouvillian, by one-period monodromy.
 
-    Starts from the steady state of the static part, relaxes for
-    ``relax_time``, then averages rho(t) over successive windows of an integer
-    number of beat periods until consecutive window averages drift below
-    ``drift_tol``.  The average is made Hermitian with unit trace.
+    Integrates the fundamental matrix, dU/dt = L(t) U from U = I, over one
+    beat period T = 2 pi / |nu| (DOP853).  The periodic state starts at the
+    eigenvector rho(0) of the monodromy matrix U(T) at eigenvalue 1; one more
+    period of rho and its integral from there gives the period average
+    V(T) rho(0) / T, V the integral of U, returned Hermitian with unit trace.
+    (Integrating V alongside U would double the state to 2 d^4 entries, where
+    the stage sums of DOP853 go to multithreaded BLAS and stall on a busy host.)
     """
     if not liouv.periodic:
         raise ValueError("Liouvillian is static; use steady_state")
     period = 2 * math.pi / abs(liouv.beat)
-    y = vec(steady_state(Liouvillian(liouv.l0, None, None, None, liouv.dim)))
     d2 = liouv.dim**2
 
-    def rhs(tt, z):
-        return np.concatenate([apply(liouv, z[:d2], tt), z[:d2]])
-
-    # relax without accumulating
-    sol = solve_ivp(
-        lambda tt, z: apply(liouv, z, tt),
-        (0.0, relax_time), y, method="DOP853", rtol=rtol, atol=atol,
-    )
-    if not sol.success:
-        raise ConvergenceError(f"relaxation failed: {sol.message}")
-    y = sol.y[:, -1]
-    t0 = relax_time
-    window = window_periods * period
-    prev_avg = None
-    for _ in range(0, max_periods, window_periods):
-        z0 = np.concatenate([y, np.zeros(d2, complex)])
-        sol = solve_ivp(rhs, (t0, t0 + window), z0, method="DOP853", rtol=rtol, atol=atol)
+    def one_period(rhs, y0):
+        sol = solve_ivp(rhs, (0.0, period), y0, method="DOP853", rtol=rtol, atol=atol)
         if not sol.success:
-            raise ConvergenceError(f"averaging window failed: {sol.message}")
-        y = sol.y[:d2, -1]
-        avg = sol.y[d2:, -1] / window
-        t0 += window
-        if prev_avg is not None and np.max(np.abs(avg - prev_avg)) < drift_tol:
-            rho = unvec(avg, liouv.dim)
-            rho = 0.5 * (rho + rho.conj().T)
-            return rho / np.trace(rho).real
-        prev_avg = avg
-    raise ConvergenceError(f"window average did not settle within {max_periods} periods")
+            raise ConvergenceError(f"one-period propagation failed: {sol.message}")
+        return sol.y[:, -1]
+
+    u = one_period(lambda tt, z: apply(liouv, z.reshape(d2, d2), tt).ravel(),
+                   np.eye(d2, dtype=complex).ravel())
+    multipliers, vectors = np.linalg.eig(u.reshape(d2, d2))
+    nearest = np.argsort(np.abs(multipliers - 1.0))
+    if abs(multipliers[nearest[1]] - 1.0) < 1e-6:
+        raise DegenerateSteadyStateError("Floquet multiplier 1 is not isolated")
+    y = one_period(lambda tt, z: np.concatenate([apply(liouv, z[:d2], tt), z[:d2]]),
+                   np.concatenate([vectors[:, nearest[0]], np.zeros(d2, complex)]))
+    rho = unvec(y[d2:] / period, liouv.dim)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
 
 
 def integrate_occupation(a_plus: float, a_minus: float, n0: float, t: float) -> float:

@@ -60,6 +60,28 @@ def test_validate_reports_config_errors(tmp_path, capsys):
     assert "nearest valid key" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_cooling_beam_along_the_field(tmp_path, capsys):
+    # a config that run would reject fails validation (exit 2) when a variant
+    # it runs builds beams; thermometry builds none, and three_level's cooling
+    # light is pi at any angle
+    trap = "trap.omega_x_hz = 1.69e6\ntrap.omega_y_hz = 1.62e6\ntrap.omega_z_hz = 3.32e6\n"
+    sweep = "sweep.start_hz = 66e6\nsweep.stop_hz = 74e6\n"
+    cases = [
+        ("task = dynamics\ngeometry.beam_angle_deg = 180\n" + trap, 2),
+        ("task = spectrum\nvariant = all\ngeometry.beam_angle_deg = 0\n" + sweep, 2),
+        ("task = thermometry\ngeometry.beam_angle_deg = 180\n", 0),
+        ("task = dynamics\nvariant = three_level\ngeometry.beam_angle_deg = 0\n" + trap, 0),
+    ]
+    paths = []
+    for i, (text, code) in enumerate(cases):
+        paths.append(tmp_path / f"case{i}.cfg")
+        paths[-1].write_text(text)
+        assert main(["validate", str(paths[-1])]) == code
+    assert main(["run", str(paths[0]), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("along B") == 3 and "four_level_geometry" in err
+
+
 def test_missing_config_file_is_a_usage_error(capsys):
     assert main(["run", "no_such_file.cfg"]) == 2
     assert "not found" in capsys.readouterr().err

@@ -277,6 +277,16 @@ def test_kron_free_liouvillian_matches_kron_oracle(rng):
         for got, want in zip((liouv.l0, liouv.l_plus, liouv.l_minus), oracle):
             if want is not None:
                 assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        # L(t) preserves Hermiticity, exactly: C L0 C = L0 and C L- C = L+, with
+        # C the antilinear map vec(rho) -> vec(rho^dagger) = swap conj(vec(rho))
+        d = system.dim
+        swap = np.zeros((d * d, d * d))
+        for i in range(d):
+            for j in range(d):
+                swap[i * d + j, j * d + i] = 1.0  # vec(rho^T) = swap vec(rho)
+        assert np.array_equal(swap @ liouv.l0.conj() @ swap, liouv.l0)
+        if liouv.l_plus is not None:
+            assert np.array_equal(swap @ liouv.l_minus.conj() @ swap, liouv.l_plus)
 
 
 def test_liouvillian_stack_broadcasts_the_laser_parameters():
@@ -461,12 +471,12 @@ def test_harmonic_components_are_a_consistent_fourier_set():
 
 
 def test_harmonic_solution_agrees_with_propagation_average():
-    # independent oracle: relax-then-average brute-force propagation
+    # independent oracle: one-period monodromy of brute-force propagation
     liouv = build_liouvillian(_system("four_level_geometry"))
-    rho_prop = periodic_steady_state(liouv, relax_time=20.0 / GAMMA)
+    rho_prop = periodic_steady_state(liouv)
     rho_harm = periodic_harmonics(liouv)[0]
     assert np.trace(rho_prop).real == pytest.approx(1.0, abs=1e-9)
-    assert np.max(np.abs(rho_prop - rho_harm)) <= 1e-6
+    assert np.max(np.abs(rho_prop - rho_harm)) <= 1e-12
 
 
 def test_periodic_solvers_reject_static_liouvillian():
@@ -474,4 +484,4 @@ def test_periodic_solvers_reject_static_liouvillian():
     with pytest.raises(ValueError):
         periodic_harmonics(liouv)
     with pytest.raises(ValueError):
-        periodic_steady_state(liouv, relax_time=1e-6)
+        periodic_steady_state(liouv)

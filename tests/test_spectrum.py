@@ -10,6 +10,7 @@ import eitcool.spectrum
 
 from eitcool.liouville import (
     _CHUNK,
+    VARIANTS,
     DegenerateSteadyStateError,
     build_liouvillian,
     periodic_harmonics,
@@ -172,23 +173,26 @@ def test_periodic_attribution_balances_photon_rates():
 def test_geometry_steady_state_is_a_photon_balanced_density_matrix(
     angle_deg, omega_sigma, omega_pi, delta_sigma, offset, signs
 ):
-    # criterion 08's laser ranges (in units of Gamma), in the oblique-beam geometry
+    # criterion 08's laser ranges (in units of Gamma), for every variant; the
+    # beam angle matters in the oblique-beam geometry only
     dsig = signs[0] * delta_sigma * GAMMA
-    cfg = fig2_config(
-        "four_level_geometry", omega_sigma=omega_sigma * GAMMA, omega_pi=omega_pi * GAMMA,
-        delta_sigma=dsig, delta_pi=dsig + signs[1] * offset * GAMMA,
-        beam_angle=math.radians(angle_deg),
-    )
-    system = cfg.system()
-    rho0, rho1, order, errors = sweep_states(build_liouvillian(system))
-    assert errors == [None]
-    assert order <= 25
-    np.testing.assert_allclose(rho0, rho0.conj().T, rtol=0, atol=1e-12)
-    assert np.linalg.eigvalsh(rho0).min() >= -1e-10
-    assert np.trace(rho0).real == pytest.approx(1.0, abs=1e-12)
-    rates = beam_scattering_rates(system, {0: rho0, 1: rho1})
-    p_total = sum(rho0[i, i].real for i in system.excited_indices())
-    assert rates["coupling"] + rates["cooling"] == pytest.approx(GAMMA * p_total, rel=1e-8)
+    for variant in VARIANTS:
+        cfg = fig2_config(
+            variant, omega_sigma=omega_sigma * GAMMA, omega_pi=omega_pi * GAMMA,
+            delta_sigma=dsig, delta_pi=dsig + signs[1] * offset * GAMMA,
+            beam_angle=math.radians(angle_deg),
+        )
+        system = cfg.system()
+        rho0, rho1, order, errors = sweep_states(build_liouvillian(system))
+        assert errors == [None], variant
+        assert order <= 25
+        np.testing.assert_allclose(rho0, rho0.conj().T, rtol=0, atol=1e-12)
+        assert np.linalg.eigvalsh(rho0).min() >= -1e-10
+        assert np.trace(rho0).real == pytest.approx(1.0, abs=1e-12)
+        rates = beam_scattering_rates(system, {0: rho0, 1: rho1})
+        assert rates["cooling"] >= -1e-12 * GAMMA
+        p_total = sum(rho0[i, i].real for i in system.excited_indices())
+        assert rates["coupling"] + rates["cooling"] == pytest.approx(GAMMA * p_total, rel=1e-8)
 
 
 @pytest.mark.parametrize("angle_deg", [0.0, 180.0])
