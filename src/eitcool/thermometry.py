@@ -27,6 +27,15 @@ TAIL = 1e-6
 MAX_CUTOFF = 2000
 
 
+def _cutoff(n_bar: float) -> int:
+    """Smallest Fock cutoff N whose thermal tail weight is at most TAIL."""
+    if n_bar <= 0:
+        return 0
+    # geometric tail: sum_{n > N} p_n = (n_bar / (n_bar + 1))^(N+1)
+    r = n_bar / (n_bar + 1.0)
+    return max(0, math.ceil(math.log(TAIL) / math.log(r)) - 1)
+
+
 @dataclass(frozen=True)
 class ThermalState:
     """Truncated thermal (geometric) phonon distribution."""
@@ -46,25 +55,17 @@ class ThermalState:
 
         Raises ValueError if that cutoff exceeds MAX_CUTOFF.
         """
-        if n_bar <= 0:
-            return cls(n_bar=max(n_bar, 0.0), cutoff=0)
-        # geometric tail: sum_{n > N} p_n = (n_bar / (n_bar + 1))^(N+1)
-        r = n_bar / (n_bar + 1.0)
-        cutoff = max(0, math.ceil(math.log(TAIL) / math.log(r)) - 1)
+        cutoff = _cutoff(n_bar)
         if cutoff > MAX_CUTOFF:
             raise ValueError(
                 f"n_bar = {n_bar!r} needs a Fock cutoff of {cutoff} for tail {TAIL!r}, "
                 f"above the maximum {MAX_CUTOFF}"
             )
-        return cls(n_bar=n_bar, cutoff=cutoff)
+        return cls(n_bar=max(n_bar, 0.0), cutoff=cutoff)
 
     def probabilities(self) -> np.ndarray:
         n = np.arange(self.cutoff + 1)
-        if self.n_bar == 0:
-            p = np.zeros(self.cutoff + 1)
-            p[0] = 1.0
-            return p
-        r = self.n_bar / (self.n_bar + 1.0)
+        r = self.n_bar / (self.n_bar + 1.0)  # 0 ** 0 == 1 leaves n_bar = 0 pure ground
         return r**n / (self.n_bar + 1.0)
 
 
@@ -79,16 +80,21 @@ class FlopRecord:
     def __post_init__(self):
         if self.sideband not in SIDEBANDS:
             raise ValueError(f"unknown sideband {self.sideband!r}")
-        if any(p < 0 or p > 1 for p in self.excitation):
+        if len(self.times) != len(self.excitation):
+            raise ValueError(f"{len(self.times)} times but {len(self.excitation)} excitations")
+        excitation = np.asarray(self.excitation, float)
+        if not (np.isfinite(self.times).all() and np.isfinite(excitation).all()):
+            raise ValueError("times and excitation probabilities must be finite")
+        if ((excitation < 0) | (excitation > 1)).any():
             raise ValueError("excitation probabilities must lie in [0, 1]")
 
 
-def _sideband_rabi(n: np.ndarray, eta_probe: float, omega0: float, sideband: str):
-    if sideband == "blue":
-        return omega0 * eta_probe * np.sqrt(n + 1.0)
-    if sideband == "red":
-        return omega0 * eta_probe * np.sqrt(n.astype(float))
-    raise ValueError(f"unknown sideband {sideband!r}")
+def _signal(t: np.ndarray, p: np.ndarray, eta_probe: float, omega0: float, sideband: str):
+    """sum_n p_n sin^2(Omega_n t / 2) over n < len(p), clipped to [0, 1], per column of p."""
+    if sideband not in SIDEBANDS:
+        raise ValueError(f"unknown sideband {sideband!r}")
+    rabi = omega0 * eta_probe * np.sqrt(np.arange(len(p)) + (sideband == "blue"))
+    return np.clip(np.sin(np.outer(t, rabi) / 2.0) ** 2 @ p, 0.0, 1.0)
 
 
 def sideband_flops(
@@ -108,11 +114,7 @@ def sideband_flops(
             "first-order sideband model invalid: eta_probe * sqrt(cutoff) >= 0.5"
         )
     t = np.asarray(list(times), float)
-    p = state.probabilities()
-    n = np.arange(state.cutoff + 1)
-    rabi = _sideband_rabi(n, eta_probe, omega0, sideband)
-    signal = np.sin(np.outer(t, rabi) / 2.0) ** 2 @ p
-    signal = np.clip(signal, 0.0, 1.0)
+    signal = _signal(t, state.probabilities(), eta_probe, omega0, sideband)
     return FlopRecord(times=tuple(t), excitation=tuple(signal), sideband=sideband)
 
 
@@ -122,6 +124,88 @@ class ThermalFit:
     residual: float  # sum of squared deviations at the optimum
 
 
+def _grid_sse(record: FlopRecord, eta_probe: float, omega0: float, grid: np.ndarray):
+    """Squared deviation of the thermal model from record at each n_bar of grid.
+
+    The Rabi frequencies do not depend on n_bar, so sin^2(Omega_n t / 2) is
+    built once, up to the largest valid cutoff, and multiplied by the
+    zero-padded weights of all valid grid points.  The others score inf.
+    """
+    cutoffs = np.array([_cutoff(n_bar) for n_bar in grid])
+    # the cutoffs from_n_bar builds and sideband_flops' first-order model accepts
+    valid = (cutoffs <= MAX_CUTOFF) & (eta_probe * np.sqrt(np.maximum(cutoffs, 1)) < 0.5)
+    n_bar, cutoffs = grid[valid], cutoffs[valid]
+    n = np.arange(cutoffs.max(initial=0) + 1)[:, None]
+    weights = np.where(n <= cutoffs, (n_bar / (n_bar + 1.0)) ** n / (n_bar + 1.0), 0.0)
+    model = _signal(np.asarray(record.times, float), weights, eta_probe, omega0,
+                    record.sideband)
+    values = np.full(len(grid), math.inf)
+    values[valid] = np.sum((model - np.asarray(record.excitation, float)[:, None]) ** 2,
+                           axis=0)
+    return values
+
+
+def _bounded_brent(f, lo: float, hi: float, xatol: float):
+    """(x, f(x)) at the minimum of f over [lo, hi], within 500 evaluations.
+
+    Brent's golden-section search with parabolic steps (*Algorithms for
+    Minimization without Derivatives*, 1973, ch. 5), in the float operations
+    and order of scipy's ``minimize_scalar(method="bounded")``: same bits.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = float(lo), float(hi)
+    fulc = nfc = xf = a + golden_mean * (b - a)
+    rat = e = 0.0
+    ffulc = fnfc = fx = f(xf)
+    num = 1
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if not abs(xf - xm) > tol2 - 0.5 * (b - a) or num >= 500:
+            return xf, fx
+        golden = True
+        if abs(e) > tol1:  # parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * _step_sign(xm - xf)
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + _step_sign(rat) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+
+def _step_sign(v: float) -> int:
+    """sign(v) + (v == 0): the direction of a Brent step, +1 for zero."""
+    return (v > 0) - (v < 0) + (v == 0)
+
+
 def fit_thermal(
     record: FlopRecord,
     eta_probe: float,
@@ -129,41 +213,32 @@ def fit_thermal(
 ) -> ThermalFit:
     """Least-squares thermal-distribution fit of a flop record over n_bar.
 
-    A grid over n_bar in [0, 1e3] brackets the minimum for bounded Brent.
-    A best grid point with no finite score above it (as for a record hotter
-    than the model represents) raises ValueError.  ``minimize_scalar`` is
-    imported here, the package's one dependency beyond numpy, so that
-    everything else loads without it.
+    A grid over n_bar in [0, 1e3], scored in one stacked evaluation, brackets
+    the minimum; bounded Brent refines it to 1e-10 in n_bar, each of its
+    evaluations one sideband_flops call.  A best grid point with no finite
+    score above it (as for a record hotter than the model represents) raises
+    ValueError.
     """
-    from scipy.optimize import minimize_scalar
-
     t = np.asarray(record.times, float)
     target = np.asarray(record.excitation, float)
 
     def sse(n_bar):
-        try:
-            state = ThermalState.from_n_bar(max(float(n_bar), 0.0))
-            model = sideband_flops(state, eta_probe, omega0, record.sideband, t)
-        except ValueError:
-            # trial n_bar pushes the cutoff past MAX_CUTOFF or outside the
-            # first-order sideband model's validity; treat as arbitrarily bad
-            return math.inf
+        # Brent evaluates inside the bracket only; validity is monotone in n_bar
+        # and the bracket's top grid point is valid, so this never raises
+        state = ThermalState.from_n_bar(n_bar)
+        model = sideband_flops(state, eta_probe, omega0, record.sideband, t)
         return float(np.sum((np.asarray(model.excitation) - target) ** 2))
 
-    # coarse bracket on a log-ish grid, then bounded 1-D refinement
     grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 160)])
-    values = np.array([sse(n) for n in grid])
+    values = _grid_sse(record, eta_probe, omega0, grid)
     i = int(np.argmin(values))
     if not np.isfinite(values[i + 1:]).any():
         raise ValueError(
             f"best-fit n_bar not bracketed: n_bar = {grid[i]:.4g} is the last grid "
             "point the sideband model can represent"
         )
-    lo, hi = grid[max(i - 1, 0)], grid[i + 1]
-    res = minimize_scalar(sse, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
-    best = float(res.x)
-    return ThermalFit(n_bar=best, residual=float(res.fun))
+    best, residual = _bounded_brent(sse, grid[max(i - 1, 0)], grid[i + 1], 1e-10)
+    return ThermalFit(n_bar=best, residual=residual)
 
 
 def sideband_ratio_n(p_red: float, p_blue: float) -> float:

@@ -203,11 +203,11 @@ def test_bundled_csvs_hold_no_numpy_reprs(tmp_path):
 
 
 def test_bundled_runs_load_no_scipy(tmp_path):
-    # scipy is a runtime dependency of the thermometry fit alone
+    # the runtime is numpy alone; scipy is a test dependency, for the oracles
     script = (
         "import sys\n"
         "import eitcool, eitcool.cli\n"
-        f"for name in {BUNDLED[:4]!r}:\n"
+        f"for name in {BUNDLED!r}:\n"
         f"    assert eitcool.cli.main(['run', name, '--out', {str(tmp_path)!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )

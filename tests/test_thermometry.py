@@ -6,8 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitcool.thermometry import (
+    MAX_CUTOFF,
+    SIDEBANDS,
+    TAIL,
     FlopRecord,
     ThermalState,
+    _bounded_brent,
+    _cutoff,
+    _grid_sse,
     fit_thermal,
     ground_state_probability,
     sideband_flops,
@@ -100,6 +106,18 @@ def test_flop_record_validation():
         FlopRecord(times=(0.0,), excitation=(0.5,), sideband="purple")
 
 
+@pytest.mark.parametrize("times, excitation, problem", [
+    ((0.0, 1e-5), (0.0, math.nan), "finite"),
+    ((0.0, math.inf), (0.0, 0.5), "finite"),
+    ((0.0, 1e-5, 2e-5), (0.0, 0.5), "3 times but 2 excitations"),
+], ids=["nan-excitation", "inf-time", "unequal-lengths"])
+def test_flop_record_rejects_malformed_arrays(times, excitation, problem):
+    # a NaN excitation used to pass (NaN < 0 and NaN > 1 are both false) and
+    # reach fit_thermal as "not bracketed"; unequal lengths failed in numpy
+    with pytest.raises(ValueError, match=problem):
+        FlopRecord(times=times, excitation=excitation, sideband="blue")
+
+
 def test_flop_record_rejects_carrier_that_no_model_fits():
     # no sideband model produces or fits a carrier record; it must not reach
     # fit_thermal, which would return a meaningless n_bar with infinite residual
@@ -126,6 +144,109 @@ def test_fit_reports_unbracketed_minimum():
     record = FlopRecord(times=tuple(times), excitation=(0.5,) * len(times), sideband="blue")
     with pytest.raises(ValueError, match="not bracketed"):
         fit_thermal(record, 0.03, OMEGA0)
+
+
+def _loop_grid_sse(record, eta, omega0, grid):
+    """Reference: one sideband_flops per grid point, inf where it is rejected."""
+    target = np.asarray(record.excitation)
+
+    def sse(n_bar):
+        try:
+            state = ThermalState.from_n_bar(n_bar)
+            model = sideband_flops(state, eta, omega0, record.sideband, record.times)
+        except ValueError:
+            return math.inf
+        return float(np.sum((np.asarray(model.excitation) - target) ** 2))
+
+    return np.array([sse(n_bar) for n_bar in grid])
+
+
+def _n_bar_with_cutoff(cutoff):
+    r = TAIL ** (1.0 / (cutoff + 0.5))  # tail weight r^(N+1) <= TAIL first at N = cutoff
+    n_bar = r / (1.0 - r)
+    assert _cutoff(n_bar) == cutoff
+    return n_bar
+
+
+def test_stacked_grid_matches_the_per_point_loop():
+    rng = np.random.default_rng(12)
+    # fit_thermal's grid, plus the points either side of each validity limit at
+    # the eta range's ends: eta * sqrt(100) == 0.5 at 0.05, MAX_CUTOFF at 0.01
+    edges = [_n_bar_with_cutoff(c) for c in (99, 100, MAX_CUTOFF, MAX_CUTOFF + 1)]
+    grid = np.sort(np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 160), edges]))
+    cutoffs = np.array([_cutoff(n_bar) for n_bar in grid])
+    limits = set()
+    for draw in range(16):
+        eta = (0.01, 0.05)[draw] if draw < 2 else rng.uniform(0.01, 0.05)
+        n_bar = 60.0 * (0.05 / 60.0) ** rng.uniform()
+        while eta * math.sqrt(_cutoff(n_bar)) >= 0.5:  # a record the model can make
+            n_bar = 60.0 * (0.05 / 60.0) ** rng.uniform()
+        sideband = SIDEBANDS[draw % 2]
+        times = np.linspace(0.0, rng.uniform(0.5e-3, 3e-3), 60)
+        flops = sideband_flops(ThermalState.from_n_bar(n_bar), eta, OMEGA0, sideband, times)
+        noisy = np.clip(np.array(flops.excitation) + rng.normal(0.0, 0.02, len(times)), 0, 1)
+        record = FlopRecord(times=flops.times, excitation=tuple(noisy), sideband=sideband)
+
+        stacked = _grid_sse(record, eta, OMEGA0, grid)
+        loop = _loop_grid_sse(record, eta, OMEGA0, grid)
+        assert np.array_equal(np.isinf(stacked), np.isinf(loop))
+        assert np.argmin(stacked) == np.argmin(loop)
+        finite = np.isfinite(loop)
+        assert np.allclose(stacked[finite], loop[finite], rtol=1e-10, atol=0.0)
+        # which limit ends the valid grid: the cutoff cap or eta * sqrt(cutoff)
+        last = cutoffs[np.flatnonzero(finite)[-1] + 1]
+        limits.add("max_cutoff" if last > MAX_CUTOFF else "lamb_dicke")
+    assert limits == {"max_cutoff", "lamb_dicke"}
+
+
+def _brent_problem(rng, kind):
+    """A random bounded 1-D minimization of the given kind: (f, lo, hi)."""
+    if kind == "monotone":
+        # minimum at an end; from hi = 1e150 down to lo = 0 the search takes
+        # more than the 500 evaluations it is allowed
+        hi, slope = 10.0 ** rng.uniform(0.0, 150.0), float(rng.choice([-1.0, 1.0]))
+        return (lambda x: slope * x), 0.0, hi
+    lo = rng.uniform(-5.0, 5.0)
+    hi = lo + math.exp(rng.uniform(math.log(1e-6), math.log(50.0)))
+    c, w = rng.uniform(lo - 1.0, hi + 1.0), rng.uniform(0.1, 5.0)
+    if kind == "smooth":
+        return (lambda x: (x - c) ** 2 + w * math.cos(3.0 * x)), lo, hi
+    if kind == "near-an-end":
+        # parabolic steps that land within the tolerance of lo or hi
+        c = (lo, hi)[rng.integers(2)] + (hi - lo) * rng.uniform(-1e-7, 1e-7)
+        return (lambda x: (x - c) ** 2), lo, hi
+    if kind == "non-smooth":
+        return (lambda x: abs(x - c) ** 0.5 + w * abs(math.sin(x))), lo, hi
+    if kind == "plateaus":
+        # ties between f values, and parabolic steps of length zero
+        return (lambda x: float(round(abs(x - c) * 8.0 / w))), lo, hi
+    if kind == "inf-above":
+        # as a thermal fit's sse past the sideband model's validity
+        edge = rng.uniform(lo, hi)
+        return (lambda x: math.inf if x > edge else (x - c) ** 2 * w), lo, hi
+    assert kind == "gaussian-well"  # flat far from the well: golden steps
+    return (lambda x: 1e-3 * x - math.exp(-(((x - c) / w) ** 2))), lo, hi
+
+
+BRENT_KINDS = ["smooth", "gaussian-well", "near-an-end", "non-smooth", "plateaus", "inf-above",
+               "monotone"]
+
+
+@pytest.mark.parametrize("kind", BRENT_KINDS)
+def test_bounded_brent_matches_scipy_bit_for_bit(kind):
+    # scipy is a test-only oracle; the fitted n_bar is noise-limited, so only
+    # the same floats in the same order keep the thermometry golden
+    from scipy.optimize import minimize_scalar
+
+    rng = np.random.default_rng(BRENT_KINDS.index(kind))
+    for _ in range(60):
+        f, lo, hi = _brent_problem(rng, kind)
+        xatol = 10.0 ** rng.uniform(-12.0, -2.0)
+        x, fx = _bounded_brent(f, lo, hi, xatol)
+        with np.errstate(invalid="ignore", over="ignore"):  # scipy's numpy scalars warn
+            res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                                  options={"xatol": xatol})
+        assert (x, fx) == (res.x, res.fun)
 
 
 # -------------------------------------------------------------- ratio method
