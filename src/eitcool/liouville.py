@@ -24,7 +24,9 @@ One stacked routine, ``_states``, solves for every steady state: it takes
 an (N, d^2, d^2) stack and checks each member on its own, so one degenerate
 or singular point is flagged without failing the others.  A static point is
 the order-0 case, one checked null-vector solve; a periodic point gets the
-Floquet harmonic expansion, grown to its own truncation order.
+Floquet harmonic expansion, grown to its own truncation order, whose fold
+solves only on L+'s nonzero columns (7 of 16 in the oblique-beam geometry:
+the sigma- coupling S+ -> P- reads only rho[P-, .] and rho[., S+]).
 ``sweep_states`` is the sweep route: a stacked Liouvillian, built by
 broadcasting per-point laser parameters through ``build_system`` and
 ``build_liouvillian``, solved in stacks of ``_CHUNK`` points; no built
@@ -257,13 +259,15 @@ def build_liouvillian(system: DrivenSystem) -> Liouvillian:
     d = system.dim
     h0 = _coupling_matrix([c for c in system.couplings if not c.oscillates], d)
     l0 = _commutator_super(h0 + np.swapaxes(h0.conj(), -1, -2))
-    loss = np.zeros((d, d))  # real part of the L0 diagonal, [j, i] for rho[i, j]
-    for upper, lower, rate in system.decays:
-        l0[..., lower * d + lower, upper * d + upper] += rate  # s rho s^dagger
-        anti = np.zeros((d, d))  # -{s^dagger s, rho}/2
-        anti[:, upper] = anti[upper, :] = -0.5
-        anti[upper, upper] = -1.0
-        loss += rate * anti
+    upper, lower, rate = ([decay[i] for decay in system.decays] for i in range(3))
+    # s rho s^dagger: rho[u, u] feeds rho[l, l], one entry per channel, in one write
+    flat = l0.reshape(l0.shape[:-2] + (d**4,))
+    flat[..., [(l * d + l) * d * d + u * d + u for u, l in zip(upper, lower)]] += rate
+    # -{s^dagger s, rho}/2, the real part of the L0 diagonal: -(g_i + g_j)/2 for
+    # rho[i, j], g the total decay rate of each level (0.0 - x leaves +0.0, not
+    # -0.0, where neither level decays)
+    total = np.bincount(np.array(upper, int), rate, d)
+    loss = 0.0 - 0.5 * (total[:, None] + total)
     h = system.h_diag
     batch = np.broadcast_shapes(l0.shape[:-2], h.shape[:-1])
     l0 = np.broadcast_to(l0, batch + l0.shape[-2:]).copy()
@@ -365,7 +369,11 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
     complements) and imposing the trace constraint with the checks of
     ``_null_vectors``.  Only the upward chain rho_k = R_k rho_{k-1} is solved:
     L(t) preserves Hermiticity (see ``Liouvillian``), so rho_{-k} = rho_k^dagger
-    and the downward chain is its mirror, R'_{-k} = C R_k C.  Each periodic
+    and the downward chain is its mirror, R'_{-k} = C R_k C.  Each step
+    M_k R_k = -L+, with M_k = L0 - i k nu + L- R_{k+1}, is solved on L+'s
+    column support only, the columns where any L+ of the stack is nonzero:
+    elsewhere R_k = M_k^{-1} 0 is exactly zero, and L- R_k changes only those
+    columns of M_{k-1}.  Each periodic
     point grows its own truncation order from 3 in steps of 2 until its rho_0
     changes by less than ``_HARMONIC_TOL``; the points still growing form the
     active set of each fold.
@@ -390,23 +398,26 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
     # no predecessor to compare with (NaN), so no point converges there
     idx = np.flatnonzero(~static)
     v_prev = np.full((len(idx), d2), np.nan)
-    eye = np.eye(d2)
     t = np.arange(d2).reshape(dim, dim).T.ravel()  # vec(rho^T) = vec(rho)[t]
     for k_max in range(3, _MAX_HARMONICS + 2, 2):
         if not len(idx):
             break
-        l0, lp, lm, nu = l0s[idx], l_plus[idx], l_minus[idx], beats[idx][:, None, None]
+        l0, lp, lm, nu = l0s[idx], l_plus[idx], l_minus[idx], beats[idx][:, None]
+        cols = np.flatnonzero(np.any(lp != 0, axis=(0, 1)))  # R_k is zero elsewhere
+        rhs = -lp[:, :, cols]
         singular = np.zeros(len(idx), bool)  # a member is singular exactly when its mirror is
         up = None
         for k in range(k_max, 0, -1):
-            m = l0 - 1j * k * nu * eye
+            m = l0.copy()
+            m.reshape(len(idx), -1)[:, :: d2 + 1] -= 1j * k * nu  # L0 - i k nu
             if up is not None:
-                m = m + lm @ up
-            up, flagged = _solve(m, lp)
-            up = -up
+                m[:, :, cols] += lm @ up
+            up, flagged = _solve(m, rhs)
             singular |= flagged
-        dn = up.conj()[:, t[:, None], t]  # C R_k C
-        v, errs = _null_vectors(l0 + lm @ up + lp @ dn, dim)
+        a = l0.copy()
+        a[:, :, cols] += lm @ up
+        a[:, :, t[cols]] += lp @ up.conj()[:, t]  # L+ C R_1 C; C R_1 C lives on t[cols]
+        v, errs = _null_vectors(a, dim)
         for j in np.flatnonzero(singular):
             errs[j] = np.linalg.LinAlgError("Singular matrix")
         failed = np.array([e is not None for e in errs], bool)
@@ -417,7 +428,11 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
         if len(done):
             rho0[done] = _density_matrices(v[converged], dim)
             vec0 = rho0[done].transpose(0, 2, 1).reshape(len(done), d2, 1)  # column-major vec
-            rho1[done] = (up[converged] @ vec0).reshape(-1, dim, dim).transpose(0, 2, 1)
+            # R_1 zero-filled to full width: a product over cols alone moves
+            # rho_{+1} in the last bit, which the bundled outputs would show
+            r = np.zeros((len(done), d2, d2), complex)
+            r[:, :, cols] = up[converged]
+            rho1[done] = (r @ vec0).reshape(-1, dim, dim).transpose(0, 2, 1)
             order[done] = k_max
         keep = ~failed & ~converged
         idx, v_prev = idx[keep], v[keep]

@@ -89,12 +89,17 @@ class FlopRecord:
             raise ValueError("excitation probabilities must lie in [0, 1]")
 
 
-def _signal(t: np.ndarray, p: np.ndarray, eta_probe: float, omega0: float, sideband: str):
-    """sum_n p_n sin^2(Omega_n t / 2) over n < len(p), clipped to [0, 1], per column of p."""
+def _flop_table(t: np.ndarray, terms: int, eta_probe: float, omega0: float, sideband: str):
+    """sin^2(Omega_n t / 2), a row per time and a column per n < terms."""
     if sideband not in SIDEBANDS:
         raise ValueError(f"unknown sideband {sideband!r}")
-    rabi = omega0 * eta_probe * np.sqrt(np.arange(len(p)) + (sideband == "blue"))
-    return np.clip(np.sin(np.outer(t, rabi) / 2.0) ** 2 @ p, 0.0, 1.0)
+    rabi = omega0 * eta_probe * np.sqrt(np.arange(terms) + (sideband == "blue"))
+    return np.sin(np.outer(t, rabi) / 2.0) ** 2
+
+
+def _signal(table: np.ndarray, p: np.ndarray):
+    """sum_n p_n sin^2(Omega_n t / 2) over n < len(p), clipped to [0, 1], per column of p."""
+    return np.clip(table[:, :len(p)] @ p, 0.0, 1.0)
 
 
 def sideband_flops(
@@ -114,7 +119,8 @@ def sideband_flops(
             "first-order sideband model invalid: eta_probe * sqrt(cutoff) >= 0.5"
         )
     t = np.asarray(list(times), float)
-    signal = _signal(t, state.probabilities(), eta_probe, omega0, sideband)
+    p = state.probabilities()
+    signal = _signal(_flop_table(t, len(p), eta_probe, omega0, sideband), p)
     return FlopRecord(times=tuple(t), excitation=tuple(signal), sideband=sideband)
 
 
@@ -125,11 +131,12 @@ class ThermalFit:
 
 
 def _grid_sse(record: FlopRecord, eta_probe: float, omega0: float, grid: np.ndarray):
-    """Squared deviation of the thermal model from record at each n_bar of grid.
+    """(sse, table): squared deviation of the thermal model from record at each
+    n_bar of grid, and the sin^2(Omega_n t / 2) table it was computed from.
 
-    The Rabi frequencies do not depend on n_bar, so sin^2(Omega_n t / 2) is
-    built once, up to the largest valid cutoff, and multiplied by the
-    zero-padded weights of all valid grid points.  The others score inf.
+    The Rabi frequencies do not depend on n_bar, so the table is built once, up
+    to the largest valid cutoff, and multiplied by the zero-padded weights of
+    all valid grid points.  The others score inf.
     """
     cutoffs = np.array([_cutoff(n_bar) for n_bar in grid])
     # the cutoffs from_n_bar builds and sideband_flops' first-order model accepts
@@ -137,12 +144,13 @@ def _grid_sse(record: FlopRecord, eta_probe: float, omega0: float, grid: np.ndar
     n_bar, cutoffs = grid[valid], cutoffs[valid]
     n = np.arange(cutoffs.max(initial=0) + 1)[:, None]
     weights = np.where(n <= cutoffs, (n_bar / (n_bar + 1.0)) ** n / (n_bar + 1.0), 0.0)
-    model = _signal(np.asarray(record.times, float), weights, eta_probe, omega0,
-                    record.sideband)
+    table = _flop_table(np.asarray(record.times, float), len(n), eta_probe, omega0,
+                        record.sideband)
+    model = _signal(table, weights)
     values = np.full(len(grid), math.inf)
     values[valid] = np.sum((model - np.asarray(record.excitation, float)[:, None]) ** 2,
                            axis=0)
-    return values
+    return values, table
 
 
 def _bounded_brent(f, lo: float, hi: float, xatol: float):
@@ -214,23 +222,21 @@ def fit_thermal(
     """Least-squares thermal-distribution fit of a flop record over n_bar.
 
     A grid over n_bar in [0, 1e3], scored in one stacked evaluation, brackets
-    the minimum; bounded Brent refines it to 1e-10 in n_bar, each of its
-    evaluations one sideband_flops call.  A best grid point with no finite
-    score above it (as for a record hotter than the model represents) raises
-    ValueError.
+    the minimum; bounded Brent refines it to 1e-10 in n_bar.  Grid and Brent
+    share one sin^2(Omega_n t / 2) table, so a Brent evaluation is one
+    matrix-vector product.  A best grid point with no finite score above it
+    (as for a record hotter than the model represents) raises ValueError.
     """
-    t = np.asarray(record.times, float)
     target = np.asarray(record.excitation, float)
+    grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 160)])
+    values, table = _grid_sse(record, eta_probe, omega0, grid)
 
     def sse(n_bar):
         # Brent evaluates inside the bracket only; validity is monotone in n_bar
-        # and the bracket's top grid point is valid, so this never raises
-        state = ThermalState.from_n_bar(n_bar)
-        model = sideband_flops(state, eta_probe, omega0, record.sideband, t)
-        return float(np.sum((np.asarray(model.excitation) - target) ** 2))
+        # and the bracket's top grid point is valid, so the table is wide enough
+        p = ThermalState.from_n_bar(n_bar).probabilities()
+        return float(np.sum((_signal(table, p) - target) ** 2))
 
-    grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 160)])
-    values = _grid_sse(record, eta_probe, omega0, grid)
     i = int(np.argmin(values))
     if not np.isfinite(values[i + 1:]).any():
         raise ValueError(

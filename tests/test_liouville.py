@@ -270,23 +270,24 @@ def test_kron_free_liouvillian_matches_kron_oracle(rng):
             b_gauss=rng.uniform(0.5, 10.0),
             beam_angle=math.radians(rng.uniform(30.0, 150.0)),
         )
-        system = cfg.system()
-        liouv = build_liouvillian(system)
-        oracle = _kron_liouvillian(system)
-        assert (liouv.l_plus is None) == (oracle[1] is None)
-        for got, want in zip((liouv.l0, liouv.l_plus, liouv.l_minus), oracle):
-            if want is not None:
-                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-        # L(t) preserves Hermiticity, exactly: C L0 C = L0 and C L- C = L+, with
-        # C the antilinear map vec(rho) -> vec(rho^dagger) = swap conj(vec(rho))
-        d = system.dim
-        swap = np.zeros((d * d, d * d))
-        for i in range(d):
-            for j in range(d):
-                swap[i * d + j, j * d + i] = 1.0  # vec(rho^T) = swap vec(rho)
-        assert np.array_equal(swap @ liouv.l0.conj() @ swap, liouv.l0)
-        if liouv.l_plus is not None:
-            assert np.array_equal(swap @ liouv.l_minus.conj() @ swap, liouv.l_plus)
+        # each system also without its decays: a closed atom is built the same way
+        for system in (cfg.system(), replace(cfg.system(), decays=())):
+            liouv = build_liouvillian(system)
+            oracle = _kron_liouvillian(system)
+            assert (liouv.l_plus is None) == (oracle[1] is None)
+            for got, want in zip((liouv.l0, liouv.l_plus, liouv.l_minus), oracle):
+                if want is not None:
+                    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+            # L(t) preserves Hermiticity, exactly: C L0 C = L0 and C L- C = L+, with
+            # C the antilinear map vec(rho) -> vec(rho^dagger) = swap conj(vec(rho))
+            d = system.dim
+            swap = np.zeros((d * d, d * d))
+            for i in range(d):
+                for j in range(d):
+                    swap[i * d + j, j * d + i] = 1.0  # vec(rho^T) = swap vec(rho)
+            assert np.array_equal(swap @ liouv.l0.conj() @ swap, liouv.l0)
+            if liouv.l_plus is not None:
+                assert np.array_equal(swap @ liouv.l_minus.conj() @ swap, liouv.l_plus)
 
 
 def test_liouvillian_stack_broadcasts_the_laser_parameters():
@@ -470,13 +471,38 @@ def test_harmonic_components_are_a_consistent_fourier_set():
     assert np.max(np.abs(harmonics[-1] - harmonics[1].conj().T)) == 0.0
 
 
+def _criterion_08_geometry_systems(count):
+    """Seeded oblique-beam systems with criterion 08's laser ranges."""
+    rng = np.random.default_rng(8)
+    systems = []
+    for _ in range(count):
+        dsig = rng.uniform(0.2, 1.5) * GAMMA * rng.choice([-1, 1])
+        dpi = dsig + rng.uniform(0.1, 1.0) * GAMMA * rng.choice([-1, 1])
+        systems.append(EITConfig(
+            variant="four_level_geometry",
+            omega_sigma=rng.uniform(0.3, 1.2) * GAMMA,
+            omega_pi=rng.uniform(0.3, 1.2) * GAMMA,
+            delta_sigma=dsig,
+            delta_pi=dpi,
+        ).system())
+    return systems
+
+
 def test_harmonic_solution_agrees_with_propagation_average():
-    # independent oracle: one-period monodromy of brute-force propagation
-    liouv = build_liouvillian(_system("four_level_geometry"))
-    rho_prop = periodic_steady_state(liouv)
-    rho_harm = periodic_harmonics(liouv)[0]
-    assert np.trace(rho_prop).real == pytest.approx(1.0, abs=1e-9)
-    assert np.max(np.abs(rho_prop - rho_harm)) <= 1e-12
+    # independent oracle: one-period monodromy of brute-force propagation, at
+    # the fig2 point and at four seeded points (beats from 0.23 to 1.25 Gamma),
+    # each with its truncation order pinned
+    systems = [_system("four_level_geometry")] + _criterion_08_geometry_systems(4)
+    for system, expected_order in zip(systems, (5, 11, 5, 7, 7)):
+        liouv = build_liouvillian(system)
+        # the propagation is tightened past the default, whose error reaches
+        # 1.5e-12 at some of these points; the harmonic solve's is below 1e-14
+        rho_prop = periodic_steady_state(liouv, rtol=1e-12, atol=1e-14)
+        rho_harm, _, order, _ = sweep_states(liouv)
+        assert np.trace(rho_prop).real == pytest.approx(1.0, abs=1e-9)
+        assert np.max(np.abs(rho_prop - rho_harm)) <= 1e-12
+        assert order == expected_order
+        assert np.array_equal(rho_harm, periodic_harmonics(liouv)[0])
 
 
 def test_periodic_solvers_reject_static_liouvillian():

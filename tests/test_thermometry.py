@@ -128,13 +128,57 @@ def test_flop_record_rejects_carrier_that_no_model_fits():
 # ---------------------------------------------------------------- fitting
 
 
+FIT_GRID = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 160)])  # fit_thermal's grid
+
+
+def _per_evaluation_fit(record, eta, omega0):
+    """Reference for fit_thermal: (n_bar, residual, bracket top index).
+
+    The bracket comes from the per-point grid loop and Brent refines it with
+    one sideband_flops call per evaluation, in place of the shared table.
+    """
+    i = int(np.argmin(_loop_grid_sse(record, eta, omega0, FIT_GRID)))
+    target = np.asarray(record.excitation)
+
+    def sse(n_bar):
+        model = sideband_flops(ThermalState.from_n_bar(n_bar), eta, omega0, record.sideband,
+                               record.times)
+        return float(np.sum((np.asarray(model.excitation) - target) ** 2))
+
+    n_bar, residual = _bounded_brent(sse, FIT_GRID[max(i - 1, 0)], FIT_GRID[i + 1], 1e-10)
+    return n_bar, residual, i + 1
+
+
 @pytest.mark.parametrize("n_bar", [0.1, 0.18, 0.5, 2.0, 16.0])
 def test_fit_round_trips_noiseless_flops(n_bar):
     times = np.linspace(0.0, 2e-3, 120)
-    record = sideband_flops(ThermalState.from_n_bar(n_bar), 0.03, OMEGA0, "blue", times)
-    fit = fit_thermal(record, 0.03, OMEGA0)
-    assert fit.n_bar == pytest.approx(n_bar, rel=0.05)
-    assert fit.residual < 1e-10
+    for sideband in SIDEBANDS:
+        record = sideband_flops(ThermalState.from_n_bar(n_bar), 0.03, OMEGA0, sideband, times)
+        fit = fit_thermal(record, 0.03, OMEGA0)
+        assert fit.n_bar == pytest.approx(n_bar, rel=0.05)
+        assert fit.residual < 1e-10
+        assert (fit.n_bar, fit.residual) == _per_evaluation_fit(record, 0.03, OMEGA0)[:2]
+
+
+@pytest.mark.parametrize("eta", [0.03, 0.05])
+def test_fit_bracketed_by_the_last_representable_grid_point(eta):
+    # the bracket's top is the last grid n_bar the model represents at this
+    # eta, the point whose cutoff sizes the sin^2 table; Brent's evaluations
+    # above the best grid point read columns past that point's cutoff, and the
+    # fit must equal the per-evaluation objective's bit for bit
+    cutoffs = np.array([_cutoff(n_bar) for n_bar in FIT_GRID])
+    last = np.flatnonzero(eta * np.sqrt(np.maximum(cutoffs, 1)) < 0.5)[-1]
+    # four tenths of the way from the second-to-last point to the last, in
+    # log n_bar: the best grid point stays the second-to-last
+    n_bar = FIT_GRID[last - 1] ** 0.6 * FIT_GRID[last] ** 0.4
+    times = np.linspace(0.0, 2e-3, 120)
+    for sideband in SIDEBANDS:
+        record = sideband_flops(ThermalState.from_n_bar(n_bar), eta, OMEGA0, sideband, times)
+        fit = fit_thermal(record, eta, OMEGA0)
+        reference_n_bar, reference_residual, top = _per_evaluation_fit(record, eta, OMEGA0)
+        assert top == last
+        assert (fit.n_bar, fit.residual) == (reference_n_bar, reference_residual)
+        assert fit.n_bar == pytest.approx(n_bar, rel=1e-3)
 
 
 def test_fit_reports_unbracketed_minimum():
@@ -187,7 +231,7 @@ def test_stacked_grid_matches_the_per_point_loop():
         noisy = np.clip(np.array(flops.excitation) + rng.normal(0.0, 0.02, len(times)), 0, 1)
         record = FlopRecord(times=flops.times, excitation=tuple(noisy), sideband=sideband)
 
-        stacked = _grid_sse(record, eta, OMEGA0, grid)
+        stacked, _ = _grid_sse(record, eta, OMEGA0, grid)
         loop = _loop_grid_sse(record, eta, OMEGA0, grid)
         assert np.array_equal(np.isinf(stacked), np.isinf(loop))
         assert np.argmin(stacked) == np.argmin(loop)
