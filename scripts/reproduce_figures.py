@@ -26,7 +26,7 @@ def run_all(out_dir: str) -> int:
         if status != 0:
             print(f"{name}: FAILED (exit {status})", file=sys.stderr)
             return status
-        print(f"{name}: done in {time.perf_counter() - start:.1f} s")
+        print(f"{name}: done in {1e3 * (time.perf_counter() - start):.1f} ms")
     return 0
 
 

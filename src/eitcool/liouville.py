@@ -25,13 +25,13 @@ an (N, d^2, d^2) stack and checks each member on its own, so one degenerate
 or singular point is flagged without failing the others.  A static point is
 the order-0 case, one checked null-vector solve; a periodic point gets the
 Floquet harmonic expansion, grown to its own truncation order, whose fold
-solves only on L+'s nonzero columns (7 of 16 in the oblique-beam geometry:
-the sigma- coupling S+ -> P- reads only rho[P-, .] and rho[., S+]).
-``sweep_states`` is the sweep route: a stacked Liouvillian, built by
-broadcasting per-point laser parameters through ``build_system`` and
-``build_liouvillian``, solved in stacks of ``_CHUNK`` points; no built
-Liouvillian is rewritten.  ``steady_state`` and ``periodic_harmonics`` are
-the stack-of-one cases.  The module needs numpy only; the brute-force
+multiplies only the sigma- coupling's 7 x 7 blocks (S+ -> P- makes L+ read
+rho[P-, .] and rho[., S+] alone).  ``sweep_states`` is the sweep route: a
+stacked Liouvillian, built by broadcasting per-point laser parameters through
+``build_system`` and ``build_liouvillian``, solved in stacks of ``_CHUNK``
+points; no built Liouvillian is rewritten, and an L+/- that the points share
+stays one matrix.  ``steady_state`` and ``periodic_harmonics`` are the
+stack-of-one cases.  The module needs numpy only; the brute-force
 propagation oracles these solves are checked against live in the tests.
 """
 
@@ -206,7 +206,7 @@ class Liouvillian:
 
     A stack when the system is one: ``l0`` is (..., d^2, d^2), and L+/- have
     the batch shape of the oscillating couplings' Rabi frequencies only, so
-    the points of a detuning sweep share one L+ and one L-.
+    the points of a detuning sweep share one L+ and one L-, solved unbroadcast.
 
     L(t) preserves Hermiticity, and the Floquet solve relies on it: with C the
     map vec(rho) -> vec(rho^dagger), C L0 C = L0 and C L+ C = L-.
@@ -345,6 +345,11 @@ def _null_vectors(l: np.ndarray, dim: int):
     return v, errors
 
 
+def _members(x, sel):
+    """Members ``sel`` of a stack, the one (d^2, d^2) matrix that a stack shares, or None."""
+    return x if x is None or x.ndim == 2 else x[sel]
+
+
 def _density_matrices(v: np.ndarray, dim: int) -> np.ndarray:
     """Hermitian, unit-trace density matrices from a stack of vectorized solutions."""
     rho = v.reshape(-1, dim, dim).transpose(0, 2, 1)  # column-major unvec
@@ -356,12 +361,12 @@ def _density_matrices(v: np.ndarray, dim: int) -> np.ndarray:
 def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
     """Steady state of each L0[n] + L+[n] e^{+i nu_n t} + L-[n] e^{-i nu_n t} in the stack.
 
-    ``l_plus`` and ``l_minus`` are stacks like ``l0s``, or None where L is
-    static; ``beats`` is read only where they exist.  A point is static where
-    there are no L+/- or its beat is below ``_MIN_BEAT`` (degenerate lasers:
-    nothing then oscillates).  All static points are the order-0 case, one
-    checked null-vector solve of L0 + L+ + L-, with rho_{+1} = rho_0 (what a
-    coupling that stops oscillating reads).
+    ``l_plus`` and ``l_minus`` are stacks like ``l0s``, matrices all points
+    share, or None where L is static; ``beats`` is read only where they exist.
+    A point is static where there are no L+/- or its beat is below
+    ``_MIN_BEAT`` (degenerate lasers: nothing then oscillates).  All static
+    points are the order-0 case, one checked null-vector solve of L0 + L+ + L-,
+    with rho_{+1} = rho_0 (what a coupling that stops oscillating reads).
 
     Every other point is periodic.  Its Floquet expansion
     rho(t) = sum_k rho_k e^{i k nu t} gives a block tridiagonal linear system,
@@ -369,14 +374,15 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
     complements) and imposing the trace constraint with the checks of
     ``_null_vectors``.  Only the upward chain rho_k = R_k rho_{k-1} is solved:
     L(t) preserves Hermiticity (see ``Liouvillian``), so rho_{-k} = rho_k^dagger
-    and the downward chain is its mirror, R'_{-k} = C R_k C.  Each step
-    M_k R_k = -L+, with M_k = L0 - i k nu + L- R_{k+1}, is solved on L+'s
-    column support only, the columns where any L+ of the stack is nonzero:
-    elsewhere R_k = M_k^{-1} 0 is exactly zero, and L- R_k changes only those
-    columns of M_{k-1}.  Each periodic
-    point grows its own truncation order from 3 in steps of 2 until its rho_0
-    changes by less than ``_HARMONIC_TOL``; the points still growing form the
-    active set of each fold.
+    and the downward chain is its mirror, R'_{-k} = C R_k C.  With S the
+    columns where any L+ is nonzero (7 of 16 in the oblique-beam geometry),
+    read once per call, and S' = t[S] (vec(rho^T) = vec(rho)[t]), L+ lives on
+    S' x S and L- on S x S'.  So M_k R_k = -L+, M_k = L0 - i k nu + L- R_{k+1},
+    is solved on the columns S (R_k is exactly zero elsewhere), and L- R_{k+1}
+    and L+ C R_1 C are 7 x 7 products into the S x S block of M_k and the
+    S' x S' block of the folded L0.  Each periodic point grows its own
+    truncation order from 3 in steps of 2 until its rho_0 changes by less than
+    ``_HARMONIC_TOL``; the points still growing form the active set of a fold.
 
     Returns (rho0, rho1, order, errors): rho_0, rho_{+1}, the truncation
     order reached and each point's failure (None if it has none).  Failed
@@ -388,7 +394,7 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
     errors = [None] * n
     static = np.ones(n, bool) if l_plus is None else np.abs(beats) < _MIN_BEAT
     if static.any():
-        l = l0s[static] if l_plus is None else l0s[static] + l_plus[static] + l_minus[static]
+        l = sum((_members(x, static) for x in (l_plus, l_minus) if x is not None), l0s[static])
         v, errs = _null_vectors(l, dim)
         rho0[static] = rho1[static] = _density_matrices(v, dim)
         for i, error in zip(np.flatnonzero(static), errs):
@@ -398,25 +404,30 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
     # no predecessor to compare with (NaN), so no point converges there
     idx = np.flatnonzero(~static)
     v_prev = np.full((len(idx), d2), np.nan)
-    t = np.arange(d2).reshape(dim, dim).T.ravel()  # vec(rho^T) = vec(rho)[t]
+    if len(idx):
+        t = np.arange(d2).reshape(dim, dim).T.ravel()  # vec(rho^T) = vec(rho)[t]
+        on = (l_plus != 0).reshape(-1, d2).any(axis=0)
+        # S and S' = t[S], ascending so that block products sum in the dense order
+        cols, rows = np.flatnonzero(on), np.flatnonzero(on[t])
+        lp, lm = l_plus[..., rows[:, None], cols], l_minus[..., cols[:, None], rows]
+        rhs = -l_plus[..., :, cols]
     for k_max in range(3, _MAX_HARMONICS + 2, 2):
         if not len(idx):
             break
-        l0, lp, lm, nu = l0s[idx], l_plus[idx], l_minus[idx], beats[idx][:, None]
-        cols = np.flatnonzero(np.any(lp != 0, axis=(0, 1)))  # R_k is zero elsewhere
-        rhs = -lp[:, :, cols]
+        l0, nu = l0s[idx], beats[idx][:, None]
+        lp_k, lm_k, rhs_k = (_members(x, idx) for x in (lp, lm, rhs))
         singular = np.zeros(len(idx), bool)  # a member is singular exactly when its mirror is
-        up = None
+        up = None  # R_k on the columns S
         for k in range(k_max, 0, -1):
             m = l0.copy()
             m.reshape(len(idx), -1)[:, :: d2 + 1] -= 1j * k * nu  # L0 - i k nu
             if up is not None:
-                m[:, :, cols] += lm @ up
-            up, flagged = _solve(m, rhs)
+                m[:, cols[:, None], cols] += lm_k @ up[:, rows]  # L- R_{k+1}
+            up, flagged = _solve(m, rhs_k)
             singular |= flagged
         a = l0.copy()
-        a[:, :, cols] += lm @ up
-        a[:, :, t[cols]] += lp @ up.conj()[:, t]  # L+ C R_1 C; C R_1 C lives on t[cols]
+        a[:, cols[:, None], cols] += lm_k @ up[:, rows]
+        a[:, rows[:, None], t[cols]] += lp_k @ up.conj()[:, t[cols]]  # L+ C R_1 C
         v, errs = _null_vectors(a, dim)
         for j in np.flatnonzero(singular):
             errs[j] = np.linalg.LinAlgError("Singular matrix")
@@ -487,8 +498,10 @@ def sweep_states(liouv: Liouvillian):
     d, periodic = liouv.dim, liouv.beat is not None
     ops = (liouv.l0, liouv.l_plus, liouv.l_minus) if periodic else (liouv.l0,)
     batch = np.broadcast_shapes(np.shape(liouv.beat), *(x.shape[:-2] for x in ops))
-    # flat (N, ...) stacks of L0, L+, L- and the beats; None where L is static
-    flat = [np.broadcast_to(x, batch + x.shape[-2:]).reshape(-1, d * d, d * d) for x in ops]
+    # flat (N, ...) stacks of L0, L+, L- and the beats, None where L is static;
+    # an L+/- with no batch axes (a detuning sweep) stays one matrix for all points
+    flat = [np.broadcast_to(x, batch + x.shape[-2:]).reshape(-1, d * d, d * d)
+            if x is liouv.l0 or x.ndim > 2 else x for x in ops]
     flat += [np.broadcast_to(liouv.beat, batch).reshape(-1)] if periodic else [None] * 3
     n = len(flat[0])
     rho0 = np.empty((n, d, d), complex)
@@ -498,7 +511,7 @@ def sweep_states(liouv: Liouvillian):
     for start in range(0, n, _CHUNK):
         part = slice(start, start + _CHUNK)
         rho0[part], rho1[part], order[part], errs = _states(
-            *(None if x is None else x[part] for x in flat), d
+            *(_members(x, part) for x in flat), d
         )
         errors += errs
     rho0, rho1 = (rho.reshape(batch + (d, d)) for rho in (rho0, rho1))

@@ -10,6 +10,7 @@ import pytest
 
 import eitcool
 import eitcool.cooling
+import eitcool.runner
 from eitcool.cli import bundled_config_path, main
 from eitcool.config import load_config
 from eitcool.liouville import DegenerateSteadyStateError
@@ -186,6 +187,21 @@ def test_sweep_omega_reports_failed_points(tmp_path, monkeypatch):
     n_ss = [r.split(",")[2] for r in _data_lines(out / "s.csv")[1:]]
     assert n_ss[2] == "nan" and n_ss[0] != "nan"
     assert "result.failed_points = 1" in (out / "s.csv.meta").read_text()
+
+
+def test_run_failure_names_the_error_type(spectrum_cfg, tmp_path, monkeypatch, capsys):
+    solve = eitcool.runner.scattering_rates
+
+    def fail_first_point(config, detunings):
+        spectrum = solve(config, detunings)
+        error = DegenerateSteadyStateError("steady state not unique (injected)")
+        return replace(spectrum, errors=(error,) + spectrum.errors[1:])
+
+    monkeypatch.setattr(eitcool.runner, "scattering_rates", fail_first_point)
+    assert main(["run", str(spectrum_cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: DegenerateSteadyStateError: steady state not unique (injected)\n"
+    )
 
 
 def test_fmt_writes_numpy_floats_as_plain_decimals():

@@ -318,6 +318,39 @@ def test_one_point_solvers_reject_a_stack(variant):
             solve(stack)
 
 
+@pytest.mark.parametrize(
+    "angle_deg, b_gauss", [(125.0, 4.4), (55.0, 2.0), (100.0, 8.0), (160.0, 0.5)]
+)
+def test_floquet_fold_steps_live_on_seven_by_seven_blocks(angle_deg, b_gauss):
+    # the structure the fold relies on: with S the columns where L+ is nonzero
+    # and S' = t[S] (vec(rho^T) = vec(rho)[t]), L+ lives on S' x S and L- on
+    # S x S', so a fold step R = M^-1 (-L+) is zero off the columns S
+    liouv = build_liouvillian(_system(
+        "four_level_geometry", beam_angle=math.radians(angle_deg), b_gauss=b_gauss
+    ))
+    d2 = liouv.dim**2
+    t = np.arange(d2).reshape(liouv.dim, liouv.dim).T.ravel()
+    cols = np.flatnonzero(np.any(liouv.l_plus != 0, axis=0))
+    rows = np.sort(t[cols])
+    assert len(cols) == 7
+    outside = np.ones((d2, d2), bool)
+    outside[np.ix_(rows, cols)] = False
+    assert not liouv.l_plus[outside].any()
+    assert not liouv.l_minus[outside.T].any()
+    r = np.linalg.solve(liouv.l0 - 1j * liouv.beat * np.eye(d2), -liouv.l_plus)
+    assert not np.delete(r, cols, axis=1).any()
+    # one fold step on the blocks equals the dense 16 x 16 products exactly:
+    # L- R into the S x S block, L+ (C R C) into the S' x t[S] block, with C
+    # the mirror vec(rho) -> vec(rho^dagger)
+    block = np.zeros((d2, d2), complex)
+    block[np.ix_(cols, cols)] = liouv.l_minus[np.ix_(cols, rows)] @ r[np.ix_(rows, cols)]
+    assert np.array_equal(block, liouv.l_minus @ r)
+    block = np.zeros((d2, d2), complex)
+    mirrored = r.conj()[np.ix_(t[cols], cols)]  # the rows S of C R C, on its columns t[S]
+    block[np.ix_(rows, t[cols])] = liouv.l_plus[np.ix_(rows, cols)] @ mirrored
+    assert np.array_equal(block, liouv.l_plus @ r.conj()[np.ix_(t, t)])
+
+
 def test_stacked_steady_states_isolate_a_degenerate_point():
     good = build_liouvillian(_system("four_level_ideal"))
     dead = build_liouvillian(_system("four_level_ideal", omega_sigma=0.0, omega_pi=0.0))

@@ -252,10 +252,27 @@ def test_geometry_spectrum_stack_matches_single_points():
     assert spectrum.errors == (None,) * len(deltas)
     for i, d in enumerate(deltas):
         one = scattering_rates(cfg, [d])
-        assert spectrum.w[i] == pytest.approx(one.w[0], rel=1e-12, abs=0.0)
-        assert spectrum.rho_p_total[i] == pytest.approx(one.rho_p_total[0], rel=1e-12, abs=0.0)
+        assert spectrum.w[i] == one.w[0]
+        assert spectrum.rho_p_total[i] == one.rho_p_total[0]
         assert spectrum.harmonic_order[i] == one.harmonic_order[0]
     assert set(spectrum.harmonic_order) == {5}
+
+
+def test_geometry_stack_with_per_point_cooling_rabi_matches_single_points():
+    # a cooling Rabi frequency per point gives one L+ and one L- per point;
+    # the sweep spans three solve stacks, the last one partial, and the
+    # strongly driven points, spread over all three, need higher orders
+    cfg = fig2_config("four_level_geometry")
+    n = 2 * _CHUNK + 5
+    deltas = cfg.delta_pi + TP * np.linspace(-3e6, 3e6, n)
+    omega_pi = cfg.omega_pi * np.geomspace(0.3, 20.0, n)[7 * np.arange(n) % n]
+    spectrum = scattering_rates(replace(cfg, omega_pi=omega_pi), deltas)
+    singles = [scattering_rates(replace(cfg, omega_pi=p), [d]) for p, d in zip(omega_pi, deltas)]
+    assert spectrum.errors == (None,) * n
+    for field in ("w", "rho_p_total", "harmonic_order"):
+        single = np.concatenate([getattr(one, field) for one in singles])
+        assert getattr(spectrum, field).tobytes() == single.tobytes()
+    assert set(spectrum.harmonic_order) == {5, 7, 9}
 
 
 def test_geometry_sweep_through_a_vanishing_beat_matches_single_points():
