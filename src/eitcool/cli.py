@@ -68,6 +68,9 @@ def main(argv=None) -> int:
         return 2
     except Exception as exc:  # solver and runtime failures
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if getattr(args, "verbose", False):
+            import traceback
+            traceback.print_exc()
         return 1
 
 

@@ -8,7 +8,6 @@ are degrees, converted to radians; ``_s`` seconds; ``_nm`` nanometers.
 
 from __future__ import annotations
 
-import difflib
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -173,6 +172,7 @@ def resolve(values: dict) -> RunConfig:
     """Validate raw key/value pairs against the schema and apply defaults."""
     for key in values:
         if key not in _SCHEMA:
+            import difflib  # on the error path only: at the top it costs each cold run 1.5 ms
             close = difflib.get_close_matches(key, _SCHEMA.keys(), n=1)
             hint = f"; nearest valid key: {close[0]!r}" if close else ""
             raise ConfigError(f"unknown key {key!r}{hint}")

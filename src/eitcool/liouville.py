@@ -24,7 +24,7 @@ One stacked routine, ``_states``, solves for every steady state: it takes
 an (N, d^2, d^2) stack and checks each member on its own, so one degenerate
 or singular point is flagged without failing the others.  A static point is
 the order-0 case, one checked null-vector solve; a periodic point gets the
-Floquet harmonic expansion, grown to its own truncation order, whose fold
+Floquet harmonic expansion, grown over even truncation orders, whose fold
 multiplies only the sigma- coupling's 7 x 7 blocks (S+ -> P- makes L+ read
 rho[P-, .] and rho[., S+] alone).  ``sweep_states`` is the sweep route: a
 stacked Liouvillian, built by broadcasting per-point laser parameters through
@@ -288,7 +288,7 @@ _CHECK_TOL = 1e-8
 # change of rho_0 between successive harmonic truncation orders at which the
 # Floquet expansion counts as converged, and the largest order tried
 _HARMONIC_TOL = 1e-12
-_MAX_HARMONICS = 24
+_MAX_HARMONICS = 26
 
 # points per stacked solve; bounds the (N, d^2, d^2) temporaries of long sweeps
 _CHUNK = 32
@@ -323,7 +323,9 @@ def _null_vectors(l: np.ndarray, dim: int):
     scale = np.max(np.abs(l), axis=(1, 2))
     trace_row = np.zeros(d2)
     trace_row[:: dim + 1] = 1.0  # ones on the diagonal of rho
-    m = np.stack([l / scale[:, None, None]] * 2, axis=1)
+    m = np.empty((n, 2, d2, d2), complex)
+    np.divide(l, scale[:, None, None], out=m[:, 0])
+    m[:, 1] = m[:, 0]
     m[:, 0, 0] = trace_row
     m[:, 1, -1] = trace_row
     rhs = np.zeros((n, 2, d2, 1), complex)
@@ -381,8 +383,10 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
     is solved on the columns S (R_k is exactly zero elsewhere), and L- R_{k+1}
     and L+ C R_1 C are 7 x 7 products into the S x S block of M_k and the
     S' x S' block of the folded L0.  Each periodic point grows its own
-    truncation order from 3 in steps of 2 until its rho_0 changes by less than
-    ``_HARMONIC_TOL``; the points still growing form the active set of a fold.
+    truncation order over 2, 4, ..., ``_MAX_HARMONICS`` until its rho_0 changes
+    by less than ``_HARMONIC_TOL`` from the order before; the points still
+    growing form the active set of a fold.  Order 4 is the first that can be
+    accepted, at 6 fold solves and 4 null-vector LUs in all.
 
     Returns (rho0, rho1, order, errors): rho_0, rho_{+1}, the truncation
     order reached and each point's failure (None if it has none).  Failed
@@ -400,8 +404,8 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
         for i, error in zip(np.flatnonzero(static), errs):
             errors[i] = error
 
-    # orders 3, 5, ... up to the first >= _MAX_HARMONICS; the first order has
-    # no predecessor to compare with (NaN), so no point converges there
+    # even orders 2, 4, ..., _MAX_HARMONICS; the first order has no
+    # predecessor to compare with (NaN), so no point converges there
     idx = np.flatnonzero(~static)
     v_prev = np.full((len(idx), d2), np.nan)
     if len(idx):
@@ -411,7 +415,7 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
         cols, rows = np.flatnonzero(on), np.flatnonzero(on[t])
         lp, lm = l_plus[..., rows[:, None], cols], l_minus[..., cols[:, None], rows]
         rhs = -l_plus[..., :, cols]
-    for k_max in range(3, _MAX_HARMONICS + 2, 2):
+    for k_max in range(2, _MAX_HARMONICS + 1, 2):
         if not len(idx):
             break
         l0, nu = l0s[idx], beats[idx][:, None]
@@ -425,9 +429,9 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
                 m[:, cols[:, None], cols] += lm_k @ up[:, rows]  # L- R_{k+1}
             up, flagged = _solve(m, rhs_k)
             singular |= flagged
-        a = l0.copy()
+        a = l0  # a gathered copy, not needed again: folded in place
         a[:, cols[:, None], cols] += lm_k @ up[:, rows]
-        a[:, rows[:, None], t[cols]] += lp_k @ up.conj()[:, t[cols]]  # L+ C R_1 C
+        a[:, rows[:, None], t[cols]] += lp_k @ up[:, t[cols]].conj()  # L+ C R_1 C
         v, errs = _null_vectors(a, dim)
         for j in np.flatnonzero(singular):
             errs[j] = np.linalg.LinAlgError("Singular matrix")
@@ -476,8 +480,8 @@ def periodic_harmonics(liouv: Liouvillian):
     """Fourier components rho_k of the asymptotic periodic state.
 
     The one-point case of the stacked Floquet solve (see ``_states``): the
-    truncation order is grown until rho_0 changes by less than
-    ``_HARMONIC_TOL``.
+    truncation order is grown over even orders until rho_0 changes by less
+    than ``_HARMONIC_TOL``.
 
     Returns a dict {k: rho_k} with rho_{-k} = rho_k^dagger.
     """

@@ -61,8 +61,11 @@ def _run_spectrum(config: RunConfig):
     header = ["variant", "delta_pi_hz", "W_per_s", "rho_P_total"]
     rows = []
     for variant in config.variants():
-        eit = config.eit_config(variant=variant)
-        spectrum = scattering_rates(eit, angular(grid_hz)).checked()
+        spectrum = scattering_rates(config.eit_config(variant=variant), angular(grid_hz))
+        for hz, error in zip(grid_hz, spectrum.errors):
+            if error is not None:
+                where = f"variant {variant}, delta_pi/2pi = {_fmt(float(hz))} Hz"
+                raise type(error)(f"{where}: {error}") from error
         rows += [[variant, float(hz), w, p]
                  for hz, w, p in zip(grid_hz, spectrum.w, spectrum.rho_p_total)]
     return header, rows, {}

@@ -2,9 +2,10 @@
 
 These are deliberately brute force and independent of the stacked solves in
 ``eitcool.liouville``: adaptive time propagation of the master equation
-(scipy's DOP853), a one-period monodromy periodic state, the static fold of a
-periodic Liouvillian, a hand-built two-level atom with a textbook steady
-state, and a numerically integrated phonon rate equation.
+(scipy's DOP853), a one-period monodromy periodic state, a banded solve of
+the truncated Floquet equations, the static fold of a periodic Liouvillian, a
+hand-built two-level atom with a textbook steady state, and a numerically
+integrated phonon rate equation.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import solve_banded
 
 from eitcool.atom import P_PLUS, S_PLUS
 from eitcool.liouville import (
@@ -132,6 +134,39 @@ def periodic_steady_state(
     rho = unvec(y[d2:] / period, liouv.dim)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
+
+
+def truncated_floquet_state(liouv: Liouvillian, order: int) -> np.ndarray:
+    """rho_0 of the Floquet equations truncated at |k| <= ``order``, by one banded solve.
+
+    (L0 - i k nu) rho_k + L+ rho_{k-1} + L- rho_{k+1} = 0 for every |k| <= order,
+    with rho_k = 0 beyond, and one equation of the k = 0 block replaced by
+    tr rho_0 = 1: all (2 order + 1) d^2 unknowns in one LU of the band, with no
+    continued fraction and no Hermitian mirror.  (A dense ``np.linalg.solve``
+    of the same system goes to multithreaded LAPACK and stalls on a busy host.)
+    """
+    d2 = liouv.dim**2
+    blocks = 2 * order + 1
+    a = np.zeros((blocks, d2, blocks, d2), complex)
+    for j, k in enumerate(range(-order, order + 1)):
+        a[j, :, j] = liouv.l0 - 1j * k * liouv.beat * np.eye(d2)
+        if j > 0:
+            a[j, :, j - 1] = liouv.l_plus
+        if j < blocks - 1:
+            a[j, :, j + 1] = liouv.l_minus
+    a[order, 0] = 0.0
+    a[order, 0, order, :: liouv.dim + 1] = 1.0  # tr rho_0 = 1
+    a = a.reshape(blocks * d2, blocks * d2)
+    width = 2 * d2 - 1  # of the block tridiagonal band, below and above the diagonal
+    row, col = np.indices(a.shape)
+    band = np.abs(row - col) <= width
+    ab = np.zeros((2 * width + 1, len(a)), complex)
+    ab[width + row[band] - col[band], col[band]] = a[band]
+    b = np.zeros((blocks, d2), complex)
+    b[order, 0] = 1.0
+    x = solve_banded((width, width), ab, b.ravel()).reshape(blocks, d2)
+    rho = unvec(x[order], liouv.dim)
+    return 0.5 * (rho + rho.conj().T)
 
 
 def integrate_occupation(a_plus: float, a_minus: float, n0: float, t: float) -> float:

@@ -13,7 +13,7 @@ import eitcool.cooling
 import eitcool.runner
 from eitcool.cli import bundled_config_path, main
 from eitcool.config import load_config
-from eitcool.liouville import DegenerateSteadyStateError
+from eitcool.liouville import ConvergenceError, DegenerateSteadyStateError
 from eitcool.runner import _fmt
 
 TP = 2 * math.pi
@@ -200,8 +200,73 @@ def test_run_failure_names_the_error_type(spectrum_cfg, tmp_path, monkeypatch, c
     monkeypatch.setattr(eitcool.runner, "scattering_rates", fail_first_point)
     assert main(["run", str(spectrum_cfg), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == (
-        "error: DegenerateSteadyStateError: steady state not unique (injected)\n"
+        "error: DegenerateSteadyStateError: variant three_level, delta_pi/2pi = 66000000.0 Hz: "
+        "steady state not unique (injected)\n"
     )
+
+
+def test_spectrum_failure_names_the_variant_and_the_first_failed_point(
+    tmp_path, monkeypatch, capsys
+):
+    solve = eitcool.runner.scattering_rates
+
+    def fail_two_ideal_points(config, detunings):
+        spectrum = solve(config, detunings)
+        if config.variant != "four_level_ideal":
+            return spectrum
+        errors = list(spectrum.errors)
+        errors[4] = ConvergenceError("injected at 70 MHz")
+        errors[6] = DegenerateSteadyStateError("injected at 72 MHz")
+        return replace(spectrum, errors=tuple(errors))
+
+    monkeypatch.setattr(eitcool.runner, "scattering_rates", fail_two_ideal_points)
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(SMALL_SPECTRUM.replace("variant = three_level", "variant = all"))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: ConvergenceError: variant four_level_ideal, delta_pi/2pi = 70000000.0 Hz: "
+        "injected at 70 MHz\n"
+    )
+
+
+@pytest.mark.parametrize("name, failed, label", [
+    # W at delta_pi - omega_y, delta_pi - omega_z, delta_pi + omega_y, delta_pi + omega_z
+    ("multimode.cfg", (1, 2), "y"),
+    ("multimode.cfg", (3,), "z"),
+    ("fig4.cfg", (0, 1), "y"),
+])
+def test_mode_failure_names_the_mode(name, failed, label, tmp_path, monkeypatch, capsys):
+    solve = eitcool.cooling.scattering_rates
+
+    def fail_samples(config, detunings):
+        spectrum = solve(config, detunings)
+        errors = [DegenerateSteadyStateError("injected") if i in failed else error
+                  for i, error in enumerate(spectrum.errors)]
+        return replace(spectrum, errors=tuple(errors))
+
+    monkeypatch.setattr(eitcool.cooling, "scattering_rates", fail_samples)
+    assert main(["run", name, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: DegenerateSteadyStateError: mode '{label}': injected\n"
+    )
+
+
+def _raise_index_error(config, detunings):
+    return [][0]
+
+
+def test_unexpected_failure_prints_its_traceback_only_when_verbose(
+    spectrum_cfg, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(eitcool.runner, "scattering_rates", _raise_index_error)
+    assert main(["run", str(spectrum_cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: IndexError: list index out of range\n"
+    assert main(["run", str(spectrum_cfg), "--out", str(tmp_path), "--verbose"]) == 1
+    first, *trace = capsys.readouterr().err.splitlines()
+    assert first == "error: IndexError: list index out of range"
+    assert trace[0] == "Traceback (most recent call last):"
+    assert "in _raise_index_error" in "\n".join(trace)
+    assert trace[-1] == "IndexError: list index out of range"
 
 
 def test_fmt_writes_numpy_floats_as_plain_decimals():
