@@ -208,9 +208,9 @@ def steady_state_n_sweep(
 
 
 def multimode_report(config: EITConfig, geometries) -> list:
-    """Per-mode cooling reports for one laser config; raises the first failure with its mode."""
+    """Per-mode cooling report under one shared laser config; raises the first failure."""
     reports = _reports(config, geometries)
     for report in reports:
         if report.error is not None:
-            raise type(report.error)(f"mode {report.label!r}: {report.error}") from report.error
+            raise report.error
     return reports

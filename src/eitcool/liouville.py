@@ -285,8 +285,8 @@ def build_liouvillian(system: DrivenSystem) -> Liouvillian:
 # uniqueness spread and relative residual accepted by the steady-state solves
 _CHECK_TOL = 1e-8
 
-# change of rho_0 between successive harmonic truncation orders at which the
-# Floquet expansion counts as converged, and the largest order tried
+# change of rho_0 and rho_{+1} between successive harmonic truncation orders
+# at which the Floquet expansion counts as converged, and the largest order tried
 _HARMONIC_TOL = 1e-12
 _MAX_HARMONICS = 26
 
@@ -323,9 +323,7 @@ def _null_vectors(l: np.ndarray, dim: int):
     scale = np.max(np.abs(l), axis=(1, 2))
     trace_row = np.zeros(d2)
     trace_row[:: dim + 1] = 1.0  # ones on the diagonal of rho
-    m = np.empty((n, 2, d2, d2), complex)
-    np.divide(l, scale[:, None, None], out=m[:, 0])
-    m[:, 1] = m[:, 0]
+    m = np.stack([l / scale[:, None, None]] * 2, axis=1)
     m[:, 0, 0] = trace_row
     m[:, 1, -1] = trace_row
     rhs = np.zeros((n, 2, d2, 1), complex)
@@ -383,10 +381,13 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
     is solved on the columns S (R_k is exactly zero elsewhere), and L- R_{k+1}
     and L+ C R_1 C are 7 x 7 products into the S x S block of M_k and the
     S' x S' block of the folded L0.  Each periodic point grows its own
-    truncation order over 2, 4, ..., ``_MAX_HARMONICS`` until its rho_0 changes
-    by less than ``_HARMONIC_TOL`` from the order before; the points still
-    growing form the active set of a fold.  Order 4 is the first that can be
-    accepted, at 6 fold solves and 4 null-vector LUs in all.
+    truncation order over 2, 4, ..., ``_MAX_HARMONICS`` until rho_0 and
+    rho_{+1} (which the oscillating coupling's rate reads) both change by less
+    than ``_HARMONIC_TOL`` from the order before, or rho_0 does and rho_{+1}'s
+    change stops falling: at beats of a fraction of a rad/s, M_1 is nearly
+    singular and rho_{+1} carries round-off above the tolerance at every order.
+    The points still growing form the active set of a fold.  Order 4 is the
+    first that can be accepted, at 6 fold solves and 4 null-vector LUs in all.
 
     Returns (rho0, rho1, order, errors): rho_0, rho_{+1}, the truncation
     order reached and each point's failure (None if it has none).  Failed
@@ -407,7 +408,7 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
     # even orders 2, 4, ..., _MAX_HARMONICS; the first order has no
     # predecessor to compare with (NaN), so no point converges there
     idx = np.flatnonzero(~static)
-    v_prev = np.full((len(idx), d2), np.nan)
+    v_prev = v1_prev = dv1_prev = np.nan
     if len(idx):
         t = np.arange(d2).reshape(dim, dim).T.ravel()  # vec(rho^T) = vec(rho)[t]
         on = (l_plus != 0).reshape(-1, d2).any(axis=0)
@@ -433,10 +434,13 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
         a[:, cols[:, None], cols] += lm_k @ up[:, rows]
         a[:, rows[:, None], t[cols]] += lp_k @ up[:, t[cols]].conj()  # L+ C R_1 C
         v, errs = _null_vectors(a, dim)
+        v1 = (up @ v[:, cols, None])[..., 0]  # rho_{+1}
+        dv1 = np.max(np.abs(v1 - v1_prev), axis=1)
         for j in np.flatnonzero(singular):
             errs[j] = np.linalg.LinAlgError("Singular matrix")
         failed = np.array([e is not None for e in errs], bool)
         converged = ~failed & (np.max(np.abs(v - v_prev), axis=1) < _HARMONIC_TOL)
+        converged &= (dv1 < _HARMONIC_TOL) | (dv1 >= dv1_prev)  # or at round-off
         for j in np.flatnonzero(failed):
             errors[idx[j]] = errs[j]
         done = idx[converged]
@@ -450,7 +454,7 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
             rho1[done] = (r @ vec0).reshape(-1, dim, dim).transpose(0, 2, 1)
             order[done] = k_max
         keep = ~failed & ~converged
-        idx, v_prev = idx[keep], v[keep]
+        idx, v_prev, v1_prev, dv1_prev = idx[keep], v[keep], v1[keep], dv1[keep]
     for i in idx:
         errors[i] = ConvergenceError(f"harmonic expansion not converged at k = {k_max}")
     return rho0, rho1, order, errors
@@ -480,8 +484,8 @@ def periodic_harmonics(liouv: Liouvillian):
     """Fourier components rho_k of the asymptotic periodic state.
 
     The one-point case of the stacked Floquet solve (see ``_states``): the
-    truncation order is grown over even orders until rho_0 changes by less
-    than ``_HARMONIC_TOL``.
+    truncation order is grown over even orders until rho_0 and rho_{+1}
+    settle.
 
     Returns a dict {k: rho_k} with rho_{-k} = rho_k^dagger.
     """

@@ -136,8 +136,8 @@ def periodic_steady_state(
     return rho / np.trace(rho).real
 
 
-def truncated_floquet_state(liouv: Liouvillian, order: int) -> np.ndarray:
-    """rho_0 of the Floquet equations truncated at |k| <= ``order``, by one banded solve.
+def truncated_floquet_state(liouv: Liouvillian, order: int):
+    """(rho_0, rho_{+1}) of the Floquet equations truncated at |k| <= ``order``, by one banded solve.
 
     (L0 - i k nu) rho_k + L+ rho_{k-1} + L- rho_{k+1} = 0 for every |k| <= order,
     with rho_k = 0 beyond, and one equation of the k = 0 block replaced by
@@ -166,7 +166,7 @@ def truncated_floquet_state(liouv: Liouvillian, order: int) -> np.ndarray:
     b[order, 0] = 1.0
     x = solve_banded((width, width), ab, b.ravel()).reshape(blocks, d2)
     rho = unvec(x[order], liouv.dim)
-    return 0.5 * (rho + rho.conj().T)
+    return 0.5 * (rho + rho.conj().T), unvec(x[order + 1], liouv.dim)
 
 
 def integrate_occupation(a_plus: float, a_minus: float, n0: float, t: float) -> float:

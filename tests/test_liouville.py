@@ -26,7 +26,7 @@ from eitcool.liouville import (
     steady_state,
     sweep_states,
 )
-from eitcool.spectrum import EITConfig
+from eitcool.spectrum import EITConfig, scattering_rates
 
 from conftest import FIG2, TP, fig2_config
 from oracles import (
@@ -553,11 +553,45 @@ def test_harmonic_solution_agrees_with_propagation_average_at_high_orders():
     # monodromy oracle's rho(0) is off by 5e-9, and the slow relaxation carries
     # 1e-11 of that into its average at any tolerance from 1e-10 to 3e-14, so
     # the point is checked against the truncated Floquet equations instead,
-    # solved in one banded LU at order 20, over three times the fold's order
+    # solved in one banded LU at order 20, over twice the fold's order
     liouv = build_liouvillian(systems[10])
-    rho_harm, _, order, _ = sweep_states(liouv)
-    assert order == 6
-    assert np.max(np.abs(truncated_floquet_state(liouv, 20) - rho_harm)) <= 1e-12
+    rho_harm, rho1, order, _ = sweep_states(liouv)
+    assert order == 8
+    rho_ref, rho1_ref = truncated_floquet_state(liouv, 20)
+    assert np.max(np.abs(rho_ref - rho_harm)) <= 1e-12
+    assert np.max(np.abs(rho1_ref - rho1)) <= 1e-12
+
+
+def test_truncation_order_waits_for_rho_plus_one():
+    # a strongly driven point (beat 0.093 Gamma) where rho_0 moves by less than
+    # 1e-12 from order 10 to 12 while rho_{+1}, which W reads, is still 2e-12
+    # off; the fold goes on until rho_{+1} settles too
+    liouv = build_liouvillian(EITConfig(
+        variant="four_level_geometry",
+        omega_sigma=1.188817 * GAMMA, omega_pi=2.887822 * GAMMA,
+        delta_sigma=-1.638675 * GAMMA, delta_pi=-0.705475 * GAMMA,
+        b_gauss=7.322978, beam_angle=math.radians(136.460122),
+    ).system())
+    rho0, rho1, order, _ = sweep_states(liouv)
+    assert order == 16
+    rho0_ref, rho1_ref = truncated_floquet_state(liouv, 40)
+    assert np.max(np.abs(rho0_ref - rho0)) <= 1e-13
+    assert np.max(np.abs(rho1_ref - rho1)) <= 1e-13
+
+
+def test_fold_converges_where_rho_plus_one_sits_at_round_off():
+    # beats of 0.1-0.3 rad/s (1e-9 Gamma) at the fig2 point: L0 - i k nu is
+    # nearly singular, and rho_{+1} moves by about 1e-11 of round-off between
+    # orders, above the tolerance at every order; such a point converges once
+    # that change stops falling, and W stays on the adiabatic line, linear in
+    # the beat
+    delta_s, _ = zeeman_splitting(LevelScheme(), MagneticField(4.4))
+    beats = np.array([0.1, 0.2, 0.3])
+    spectrum = scattering_rates(fig2_config("four_level_geometry"),
+                                FIG2["delta_sigma"] + delta_s - beats)
+    assert spectrum.errors == (None, None, None)
+    w = spectrum.w
+    assert abs(w[1] - (w[0] + w[2]) / 2) <= 1e-11 * w[1]
 
 
 def test_periodic_solvers_reject_static_liouvillian():
