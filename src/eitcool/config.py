@@ -16,7 +16,7 @@ from .atom import LevelScheme
 from .constants import ATOMIC_MASS
 from .liouville import VARIANTS
 from .spectrum import EITConfig
-from .thermometry import SIDEBANDS
+from .thermometry import SIDEBANDS, ThermalState
 
 TASKS = ("spectrum", "sweep-omega", "sweep-delta", "dynamics", "multimode", "thermometry")
 VARIANT_CHOICES = VARIANTS + ("all",)
@@ -227,7 +227,13 @@ def resolve(values: dict) -> RunConfig:
     modes = config.mode_labels()
     if not modes or len(set(modes)) < len(modes) or not set(modes) <= {"x", "y", "z"}:
         raise ConfigError("multimode.modes must list distinct modes out of x, y, z")
-    if task != "thermometry":  # every other task builds the beams of its variants
+    if task == "thermometry":  # it builds a thermal state and its probe, no beams
+        try:
+            ThermalState.from_n_bar(resolved["thermometry.n_bar"]).checked(
+                resolved["thermometry.eta_probe"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    else:  # every other task builds the beams of its variants
         for v in config.variants():
             try:
                 config.eit_config(v).beams()

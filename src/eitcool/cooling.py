@@ -9,7 +9,7 @@ by one vibrational quantum, from the full Bloch-equation solve for every
 variant.  The modes of a multimode report or the points of a sweep are one
 (2, modes) ``scattering_rates`` stack, read out as one ``CoolingReport`` per
 mode; sweeps keep a point's solver failure on its report, and
-``multimode_report`` and ``cooling_coefficients`` raise it.
+``multimode_report`` and ``cooling_coefficients`` raise it, led by its mode.
 """
 
 from __future__ import annotations
@@ -208,9 +208,10 @@ def steady_state_n_sweep(
 
 
 def multimode_report(config: EITConfig, geometries) -> list:
-    """Per-mode cooling report under one shared laser config; raises the first failure."""
+    """Per-mode cooling report under one shared laser config; the first failed mode's
+    error is raised as its own type, its message led by the mode label."""
     reports = _reports(config, geometries)
     for report in reports:
         if report.error is not None:
-            raise report.error
+            raise type(report.error)(f"mode {report.label!r}: {report.error}") from report.error
     return reports

@@ -12,8 +12,8 @@ coupling (S+ -> P-), present only in the oblique-beam geometry, closes a
 loop mixing the two laser frequencies and oscillates at the residual beat
 nu_b = nu_c - nu_g; no frame makes it static.  ``build_system`` computes
 each residual in integers, so the structure does not depend on the
-detunings, and rejects any other residual.  The solver alone treats a point
-with |nu_b| < ``_MIN_BEAT`` (degenerate lasers) as static.
+detunings, and rejects any other residual.  A point is static exactly when
+|nu_b| < ``_MIN_BEAT``: nothing oscillates (beat 0), or the lasers are degenerate.
 
 Vectorization is column-major: vec(rho) = rho.flatten(order="F"), so that
 vec(X rho Y) = (Y^T kron X) vec(rho).  ``build_liouvillian`` writes the
@@ -106,7 +106,7 @@ class DrivenSystem:
     h_diag: np.ndarray  # rad/s, (..., dim)
     couplings: tuple
     decays: tuple  # (upper_index, lower_index, rate)
-    beat: float | np.ndarray | None  # nu_c - nu_g if a coupling oscillates
+    beat: float | np.ndarray  # nu_c - nu_g if a coupling oscillates, else 0.0
 
     @property
     def dim(self) -> int:
@@ -139,7 +139,7 @@ def build_system(
     each ``rabi_eff`` shaped like its beam's Rabi frequency and ``beat`` like
     the detunings.  A coupling whose frame residual is neither 0 nor the beat,
     or a transition driven by both beams, raises ValueError.  ``beat`` is
-    nu_c - nu_g whenever a coupling oscillates, however small.
+    nu_c - nu_g whenever a coupling oscillates, however small, else 0.0.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -196,7 +196,7 @@ def build_system(
         h_diag=h_diag,
         couplings=tuple(couplings),
         decays=decays,
-        beat=nu_c - nu_g if any(c.oscillates for c in couplings) else None,
+        beat=nu_c - nu_g if any(c.oscillates for c in couplings) else 0.0,
     )
 
 
@@ -207,22 +207,18 @@ class Liouvillian:
     A stack when the system is one: ``l0`` is (..., d^2, d^2), and L+/- have
     the batch shape of the oscillating couplings' Rabi frequencies only, so
     the points of a detuning sweep share one L+ and one L-, solved unbroadcast.
+    A system with nothing oscillating has beat 0.0 and zero L+/- (one shared
+    (d^2, d^2) matrix); a point is static exactly when |beat| < ``_MIN_BEAT``.
 
     L(t) preserves Hermiticity, and the Floquet solve relies on it: with C the
     map vec(rho) -> vec(rho^dagger), C L0 C = L0 and C L+ C = L-.
     """
 
     l0: np.ndarray
-    l_plus: np.ndarray | None
-    l_minus: np.ndarray | None
-    beat: float | np.ndarray | None
+    l_plus: np.ndarray
+    l_minus: np.ndarray
+    beat: float | np.ndarray
     dim: int
-
-    @property
-    def periodic(self) -> bool:
-        if self.l0.ndim != 2:
-            raise ValueError("a stack of Liouvillians is solved by sweep_states")
-        return self.beat is not None and abs(self.beat) >= _MIN_BEAT
 
 
 def _coupling_matrix(couplings, d: int) -> np.ndarray:
@@ -274,11 +270,13 @@ def build_liouvillian(system: DrivenSystem) -> Liouvillian:
     diag = l0.reshape(batch + (d**4,))[..., :: d * d + 1]  # view; entry j*d + i is rho[i, j]
     diag.real = loss.reshape(-1)
     diag.imag = (h[..., :, None] - h[..., None, :]).reshape(h.shape[:-1] + (d * d,))
-    if system.beat is None:
-        return Liouvillian(l0=l0, l_plus=None, l_minus=None, beat=None, dim=d)
-    a = _coupling_matrix([c for c in system.couplings if c.oscillates], d)  # of e^{-i nu_b t}
-    l_minus = _commutator_super(a)
-    l_plus = _commutator_super(np.swapaxes(a.conj(), -1, -2))
+    oscillating = [c for c in system.couplings if c.oscillates]
+    if oscillating:
+        a = _coupling_matrix(oscillating, d)  # of e^{-i nu_b t}
+        l_minus = _commutator_super(a)
+        l_plus = _commutator_super(np.swapaxes(a.conj(), -1, -2))
+    else:  # allocated: _commutator_super of a zero coupling makes a static build ~1.5x slower
+        l_plus = l_minus = np.zeros((d * d, d * d), complex)
     return Liouvillian(l0=l0, l_plus=l_plus, l_minus=l_minus, beat=system.beat, dim=d)
 
 
@@ -346,8 +344,8 @@ def _null_vectors(l: np.ndarray, dim: int):
 
 
 def _members(x, sel):
-    """Members ``sel`` of a stack, the one (d^2, d^2) matrix that a stack shares, or None."""
-    return x if x is None or x.ndim == 2 else x[sel]
+    """Members ``sel`` of a stack, or the one (d^2, d^2) matrix that a stack shares."""
+    return x if x.ndim == 2 else x[sel]
 
 
 def _density_matrices(v: np.ndarray, dim: int) -> np.ndarray:
@@ -361,12 +359,11 @@ def _density_matrices(v: np.ndarray, dim: int) -> np.ndarray:
 def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
     """Steady state of each L0[n] + L+[n] e^{+i nu_n t} + L-[n] e^{-i nu_n t} in the stack.
 
-    ``l_plus`` and ``l_minus`` are stacks like ``l0s``, matrices all points
-    share, or None where L is static; ``beats`` is read only where they exist.
-    A point is static where there are no L+/- or its beat is below
-    ``_MIN_BEAT`` (degenerate lasers: nothing then oscillates).  All static
-    points are the order-0 case, one checked null-vector solve of L0 + L+ + L-,
-    with rho_{+1} = rho_0 (what a coupling that stops oscillating reads).
+    ``l_plus`` and ``l_minus`` are stacks like ``l0s`` or matrices all points
+    share.  A point is static where its beat is below ``_MIN_BEAT`` (nothing
+    oscillates, or the lasers are degenerate); all static points are the
+    order-0 case, one checked null-vector solve of L0 + L+ + L-, with
+    rho_{+1} = rho_0 (what a coupling that stops oscillating reads).
 
     Every other point is periodic.  Its Floquet expansion
     rho(t) = sum_k rho_k e^{i k nu t} gives a block tridiagonal linear system,
@@ -397,9 +394,12 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
     rho0, rho1 = np.full((2, n, dim, dim), np.nan, complex)
     order = np.zeros(n, int)
     errors = [None] * n
-    static = np.ones(n, bool) if l_plus is None else np.abs(beats) < _MIN_BEAT
+    static = np.abs(beats) < _MIN_BEAT
     if static.any():
-        l = sum((_members(x, static) for x in (l_plus, l_minus) if x is not None), l0s[static])
+        # L0 + (L+ + L-), folded into the gathered copy; L+ and L- share no
+        # nonzero entry, so this rounds as (L0 + L+) + L- does
+        l = l0s[static]
+        l += _members(l_plus, static) + _members(l_minus, static)
         v, errs = _null_vectors(l, dim)
         rho0[static] = rho1[static] = _density_matrices(v, dim)
         for i, error in zip(np.flatnonzero(static), errs):
@@ -460,8 +460,14 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
     return rho0, rho1, order, errors
 
 
-def _one_point(liouv: Liouvillian):
-    """(rho_0, rho_{+1}) of one Liouvillian by ``sweep_states``; a failure is raised."""
+def _one_point(liouv: Liouvillian, periodic: bool):
+    """(rho_0, rho_{+1}) of one Liouvillian, periodic (|beat| >= ``_MIN_BEAT``) or
+    not as asked, by ``sweep_states``; a failure is raised."""
+    if liouv.l0.ndim != 2:
+        raise ValueError("a stack of Liouvillians is solved by sweep_states")
+    if periodic != (abs(liouv.beat) >= _MIN_BEAT):
+        raise ValueError("Liouvillian is static; use steady_state" if periodic
+                         else "Liouvillian is time-periodic; use periodic_harmonics")
     rho0, rho1, _, (error,) = sweep_states(liouv)
     if error is not None:
         raise error
@@ -475,9 +481,7 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     time-independent: its L+ and L- are folded into L0.  Raises
     DegenerateSteadyStateError if the null space is not one-dimensional.
     """
-    if liouv.periodic:
-        raise ValueError("Liouvillian is time-periodic; use periodic_harmonics")
-    return _one_point(liouv)[0]
+    return _one_point(liouv, periodic=False)[0]
 
 
 def periodic_harmonics(liouv: Liouvillian):
@@ -489,9 +493,7 @@ def periodic_harmonics(liouv: Liouvillian):
 
     Returns a dict {k: rho_k} with rho_{-k} = rho_k^dagger.
     """
-    if not liouv.periodic:
-        raise ValueError("Liouvillian is static; use steady_state")
-    rho0, rho1 = _one_point(liouv)
+    rho0, rho1 = _one_point(liouv, periodic=True)
     return {0: rho0, 1: rho1, -1: rho1.conj().T}
 
 
@@ -503,17 +505,15 @@ def sweep_states(liouv: Liouvillian):
     order, errors): the first three with the batch shape in front, ``errors``
     a list over the points in C order.
     """
-    d, periodic = liouv.dim, liouv.beat is not None
-    ops = (liouv.l0, liouv.l_plus, liouv.l_minus) if periodic else (liouv.l0,)
+    d, ops = liouv.dim, (liouv.l0, liouv.l_plus, liouv.l_minus)
     batch = np.broadcast_shapes(np.shape(liouv.beat), *(x.shape[:-2] for x in ops))
-    # flat (N, ...) stacks of L0, L+, L- and the beats, None where L is static;
-    # an L+/- with no batch axes (a detuning sweep) stays one matrix for all points
+    # flat (N, ...) stacks of L0, L+, L- and the beats; an L+/- with no batch
+    # axes (a detuning sweep, or nothing oscillating) stays one matrix for all points
     flat = [np.broadcast_to(x, batch + x.shape[-2:]).reshape(-1, d * d, d * d)
             if x is liouv.l0 or x.ndim > 2 else x for x in ops]
-    flat += [np.broadcast_to(liouv.beat, batch).reshape(-1)] if periodic else [None] * 3
+    flat.append(np.broadcast_to(liouv.beat, batch).reshape(-1))
     n = len(flat[0])
-    rho0 = np.empty((n, d, d), complex)
-    rho1 = np.empty((n, d, d), complex)
+    rho0, rho1 = np.empty((2, n, d, d), complex)
     order = np.zeros(n, int)
     errors = []
     for start in range(0, n, _CHUNK):

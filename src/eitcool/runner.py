@@ -10,9 +10,9 @@ from .config import RunConfig, angular
 from .constants import CONSTANTS_VERSION
 from .cooling import (
     TrapMode,
-    _reports,
     evolve_n,
     geometry_from_angle,
+    multimode_report,
     steady_state_n_sweep,
 )
 from .spectrum import scattering_rates
@@ -46,20 +46,6 @@ def _failure_meta(points) -> dict:
     return {"failed_points": str(len(failed))} if failed else {}
 
 
-def _raise_first(errors, where) -> None:
-    """Raise the first failure in ``errors`` as its own type, its message led by ``where(i)``."""
-    for i, error in enumerate(errors):
-        if error is not None:
-            raise type(error)(f"{where(i)}: {error}") from error
-
-
-def _mode_reports(eit, geometries) -> list:
-    """One cooling report per mode, as ``multimode_report`` gives; a failure names its mode."""
-    reports = _reports(eit, geometries)
-    _raise_first([report.error for report in reports], lambda i: f"mode {reports[i].label!r}")
-    return reports
-
-
 def _mode_geometry(config: RunConfig, label: str):
     mode = TrapMode(
         omega=config.trap_omega(label),
@@ -76,8 +62,10 @@ def _run_spectrum(config: RunConfig):
     rows = []
     for variant in config.variants():
         spectrum = scattering_rates(config.eit_config(variant=variant), angular(grid_hz))
-        _raise_first(spectrum.errors,
-                     lambda i: f"variant {variant}, delta_pi/2pi = {_fmt(float(grid_hz[i]))} Hz")
+        for hz, error in zip(grid_hz, spectrum.errors):
+            if error is not None:  # raised as its own type, led by where it happened
+                where = f"variant {variant}, delta_pi/2pi = {_fmt(float(hz))} Hz"
+                raise type(error)(f"{where}: {error}") from error
         rows += [[variant, float(hz), w, p]
                  for hz, w, p in zip(grid_hz, spectrum.w, spectrum.rho_p_total)]
     return header, rows, {}
@@ -108,7 +96,7 @@ def _run_sweep_delta(config: RunConfig):
 
 def _run_dynamics(config: RunConfig):
     geometry = _mode_geometry(config, config["mode"])
-    (report,) = _mode_reports(config.eit_config(), [geometry])
+    (report,) = multimode_report(config.eit_config(), [geometry])
     times = np.linspace(0.0, config["dynamics.t_max_s"], config["dynamics.points"])
     header = ["t_s", "n_bar"]
     rows = [[float(t), evolve_n(report.a_plus, report.a_minus, config["dynamics.n0"], float(t))]
@@ -123,25 +111,14 @@ def _run_dynamics(config: RunConfig):
 
 def _run_multimode(config: RunConfig):
     geometries = [_mode_geometry(config, label) for label in config.mode_labels()]
-    eit = config.eit_config()
-    reports = _mode_reports(eit, geometries)
+    reports = multimode_report(config.eit_config(), geometries)
     header = [
         "mode", "omega_hz", "a_plus_per_s", "a_minus_per_s", "rate_per_s",
         "n_ss", "time_constant_s", "eta_sqrt_nss", "cooled",
     ]
-    rows = []
-    for geo, rep in zip(geometries, reports):
-        rows.append([
-            rep.label,
-            config[f"trap.omega_{rep.label}_hz"],
-            rep.a_plus,
-            rep.a_minus,
-            rep.rate,
-            rep.n_ss,
-            rep.time_constant,
-            rep.lamb_dicke_check(geo.eta),
-            rep.cooled,
-        ])
+    rows = [[rep.label, config[f"trap.omega_{rep.label}_hz"], rep.a_plus, rep.a_minus, rep.rate,
+             rep.n_ss, rep.time_constant, rep.lamb_dicke_check(geo.eta), rep.cooled]
+            for geo, rep in zip(geometries, reports)]
     return header, rows, {}
 
 

@@ -219,8 +219,8 @@ def scattering_rates(config: EITConfig, detunings) -> Spectrum:
 
     One stacked system over the detunings broadcast with the laser parameters
     of ``config`` that are arrays, whose shape the result has, goes through
-    one stacked, checked solve (``sweep_states``), which treats a point whose
-    beat vanishes as static.  A point whose solve fails holds NaN and its
+    one stacked, checked solve (``sweep_states``), static at every point whose
+    beat is below ``_MIN_BEAT``.  A point whose solve fails holds NaN and its
     exception in ``errors`` (in C order); the other points keep their values.
     """
     deltas = np.asarray(detunings, dtype=float)

@@ -36,6 +36,13 @@ def _cutoff(n_bar: float) -> int:
     return max(0, math.ceil(math.log(TAIL) / math.log(r)) - 1)
 
 
+def _outside(cutoff, eta_probe: float):
+    """The model's two bounds at a Fock cutoff (a number or an array): a cutoff above
+    MAX_CUTOFF, which from_n_bar does not build, and eta_probe * sqrt(cutoff) >= 0.5,
+    outside the first-order sideband model.  Returns (too_deep, beyond_first_order)."""
+    return cutoff > MAX_CUTOFF, eta_probe * np.sqrt(np.maximum(cutoff, 1)) >= 0.5
+
+
 @dataclass(frozen=True)
 class ThermalState:
     """Truncated thermal (geometric) phonon distribution."""
@@ -55,13 +62,19 @@ class ThermalState:
 
         Raises ValueError if that cutoff exceeds MAX_CUTOFF.
         """
-        cutoff = _cutoff(n_bar)
-        if cutoff > MAX_CUTOFF:
-            raise ValueError(
-                f"n_bar = {n_bar!r} needs a Fock cutoff of {cutoff} for tail {TAIL!r}, "
-                f"above the maximum {MAX_CUTOFF}"
-            )
-        return cls(n_bar=max(n_bar, 0.0), cutoff=cutoff)
+        return cls(n_bar=max(n_bar, 0.0), cutoff=_cutoff(n_bar)).checked()
+
+    def checked(self, eta_probe: float = 0.0) -> "ThermalState":
+        """This state, after raising ValueError if, probed at ``eta_probe``, it is
+        outside a bound of ``_outside``."""
+        too_deep, beyond_first_order = _outside(self.cutoff, eta_probe)
+        if too_deep:
+            raise ValueError(f"n_bar = {self.n_bar!r} needs a Fock cutoff of {self.cutoff} "
+                             f"for tail {TAIL!r}, above the maximum {MAX_CUTOFF}")
+        if beyond_first_order:
+            raise ValueError("first-order sideband model invalid: "
+                             "eta_probe * sqrt(cutoff) >= 0.5")
+        return self
 
     def probabilities(self) -> np.ndarray:
         n = np.arange(self.cutoff + 1)
@@ -112,12 +125,9 @@ def sideband_flops(
     """Thermal-averaged sideband Rabi oscillations.
 
     Valid to first order in the Lamb-Dicke expansion, which requires
-    eta_probe * sqrt(cutoff) < 0.5.
+    eta_probe * sqrt(cutoff) < 0.5 (``ThermalState.checked``).
     """
-    if eta_probe * math.sqrt(max(state.cutoff, 1)) >= 0.5:
-        raise ValueError(
-            "first-order sideband model invalid: eta_probe * sqrt(cutoff) >= 0.5"
-        )
+    state.checked(eta_probe)
     t = np.asarray(list(times), float)
     p = state.probabilities()
     signal = _signal(_flop_table(t, len(p), eta_probe, omega0, sideband), p)
@@ -140,7 +150,7 @@ def _grid_sse(record: FlopRecord, eta_probe: float, omega0: float, grid: np.ndar
     """
     cutoffs = np.array([_cutoff(n_bar) for n_bar in grid])
     # the cutoffs from_n_bar builds and sideband_flops' first-order model accepts
-    valid = (cutoffs <= MAX_CUTOFF) & (eta_probe * np.sqrt(np.maximum(cutoffs, 1)) < 0.5)
+    valid = ~np.logical_or(*_outside(cutoffs, eta_probe))
     n_bar, cutoffs = grid[valid], cutoffs[valid]
     n = np.arange(cutoffs.max(initial=0) + 1)[:, None]
     weights = np.where(n <= cutoffs, (n_bar / (n_bar + 1.0)) ** n / (n_bar + 1.0), 0.0)
@@ -234,7 +244,8 @@ def fit_thermal(
     def sse(n_bar):
         # Brent evaluates inside the bracket only; validity is monotone in n_bar
         # and the bracket's top grid point is valid, so the table is wide enough
-        p = ThermalState.from_n_bar(n_bar).probabilities()
+        # and the state needs no check
+        p = ThermalState(n_bar=n_bar, cutoff=_cutoff(n_bar)).probabilities()
         return float(np.sum((_signal(table, p) - target) ** 2))
 
     i = int(np.argmin(values))

@@ -18,6 +18,7 @@ from scipy.linalg import solve_banded
 
 from eitcool.atom import P_PLUS, S_PLUS
 from eitcool.liouville import (
+    _MIN_BEAT,
     ConvergenceError,
     Coupling,
     DegenerateSteadyStateError,
@@ -36,24 +37,20 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
 
 
 def apply(liouv: Liouvillian, rho_vec: np.ndarray, t: float) -> np.ndarray:
-    """L(t) vec(rho) with L(t) = L0 + L+ e^{+i nu t} + L- e^{-i nu t}."""
-    out = liouv.l0 @ rho_vec
-    if liouv.periodic:
-        phase = np.exp(1j * liouv.beat * t)
-        out = out + phase * (liouv.l_plus @ rho_vec)
-        out = out + np.conj(phase) * (liouv.l_minus @ rho_vec)
-    return out
+    """L(t) vec(rho) with L(t) = L0 + L+ e^{+i nu t} + L- e^{-i nu t}, at any beat."""
+    phase = np.exp(1j * liouv.beat * t)
+    return (liouv.l0 @ rho_vec + phase * (liouv.l_plus @ rho_vec)
+            + np.conj(phase) * (liouv.l_minus @ rho_vec))
 
 
 def static_approximation(liouv: Liouvillian) -> Liouvillian:
-    """Fold the oscillating parts into L0 (a comparison, not exact)."""
-    if not liouv.periodic:
-        return liouv
+    """Fold the oscillating parts into L0 (a comparison, not exact), leaving zero L+/-."""
+    zero = np.zeros_like(liouv.l_plus)
     return Liouvillian(
         l0=liouv.l0 + liouv.l_plus + liouv.l_minus,
-        l_plus=None,
-        l_minus=None,
-        beat=None,
+        l_plus=zero,
+        l_minus=zero,
+        beat=0.0,
         dim=liouv.dim,
     )
 
@@ -70,7 +67,7 @@ def two_level_system(omega_pi: float, delta_pi: float, gamma: float) -> DrivenSy
         couplings=(Coupling(lower=0, upper=1, rabi_eff=complex(omega_pi),
                             beam="cooling", q=0),),
         decays=((1, 0, gamma),),
-        beat=None,
+        beat=0.0,
     )
 
 
@@ -112,7 +109,7 @@ def periodic_steady_state(
     (Integrating V alongside U would double the state to 2 d^4 entries, where
     the stage sums of DOP853 go to multithreaded BLAS and stall on a busy host.)
     """
-    if not liouv.periodic:
+    if abs(liouv.beat) < _MIN_BEAT:
         raise ValueError("Liouvillian is static; use steady_state")
     period = 2 * math.pi / abs(liouv.beat)
     d2 = liouv.dim**2

@@ -83,6 +83,22 @@ def test_validate_rejects_a_cooling_beam_along_the_field(tmp_path, capsys):
     assert err.count("along B") == 3 and "four_level_geometry" in err
 
 
+@pytest.mark.parametrize("keys, message", [
+    ("thermometry.n_bar = 500\n",
+     "n_bar = 500.0 needs a Fock cutoff of 6914 for tail 1e-06, above the maximum 2000"),
+    ("thermometry.n_bar = 100\nthermometry.eta_probe = 0.2\n",
+     "first-order sideband model invalid: eta_probe * sqrt(cutoff) >= 0.5"),
+])
+def test_validate_rejects_a_thermal_state_outside_the_model(keys, message, tmp_path, capsys):
+    # the Fock cutoff cap and the first-order sideband bound, checked before run
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text("task = thermometry\n" + keys)
+    for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(tmp_path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "thermometry.csv").exists()
+
+
 def test_missing_config_file_is_a_usage_error(capsys):
     assert main(["run", "no_such_file.cfg"]) == 2
     assert "not found" in capsys.readouterr().err

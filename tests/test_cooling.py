@@ -325,3 +325,15 @@ def test_multimode_orthogonal_mode_uncoolable():
     assert not report.cooled
     assert math.isinf(report.n_ss)
     assert math.isinf(report.lamb_dicke_check(geo.eta))
+
+
+def test_mode_failures_lead_with_the_mode_and_keep_their_type():
+    # an undriven atom has no unique steady state at either sideband detuning
+    cfg = fig2_config("three_level", omega_sigma=0.0, omega_pi=0.0)
+    live = CoolingGeometry(omega=TP * 1.2e6, eta=0.25, cos_phi=0.5, label="z")
+    for entry in (lambda: multimode_report(cfg, [_reference_geometry(), live]),
+                  lambda: cooling_coefficients(cfg, _reference_geometry())):
+        with pytest.raises(DegenerateSteadyStateError) as caught:
+            entry()
+        assert str(caught.value).startswith("mode 'y': steady state not unique")
+        assert type(caught.value.__cause__) is DegenerateSteadyStateError

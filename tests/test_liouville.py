@@ -14,6 +14,7 @@ from eitcool.atom import (
     zeeman_splitting,
 )
 from eitcool.liouville import (
+    _MIN_BEAT,
     VARIANTS,
     BeamSet,
     ConvergenceError,
@@ -58,8 +59,10 @@ def test_three_level_couplings_and_static_hamiltonian():
     system = _system("three_level")
     assert system.labels == ("S-", "S+", "P+")
     assert _coupling_set(system) == {("S-", "P+", +1), ("S+", "P+", 0)}
-    assert system.beat is None
+    assert system.beat == 0.0
     assert not any(c.oscillates for c in system.couplings)
+    liouv = build_liouvillian(system)
+    assert not liouv.l_plus.any() and not liouv.l_minus.any()
 
 
 def test_four_level_ideal_couplings():
@@ -68,7 +71,9 @@ def test_four_level_ideal_couplings():
     assert _coupling_set(system) == {
         ("S-", "P+", +1), ("S-", "P-", 0), ("S+", "P+", 0)
     }
-    assert system.beat is None
+    assert system.beat == 0.0
+    liouv = build_liouvillian(system)
+    assert not liouv.l_plus.any() and not liouv.l_minus.any()
 
 
 def test_four_level_geometry_adds_oscillating_sigma_minus():
@@ -100,10 +105,21 @@ def test_degenerate_lasers_suppress_the_beat():
     assert system.couplings == _system("four_level_geometry").couplings
     assert abs(system.beat) < 1e-6
     liouv = build_liouvillian(system)
-    assert not liouv.periodic
+    assert abs(liouv.beat) < _MIN_BEAT
     assert np.trace(steady_state(liouv)).real == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError, match="static"):
         periodic_harmonics(liouv)
+
+
+def test_degenerate_beat_fold_matches_propagation():
+    # at beat 0 the sigma- coupling stops oscillating and L(t) = L0 + L+ + L-
+    # is constant: brute-force propagation of it relaxes onto the folded
+    # steady state, 0.08 away from the state with L+/- left out; a stronger,
+    # further detuned cooling beam than fig2's relaxes within 600 / Gamma
+    cfg = fig2_config("four_level_geometry", omega_pi=TP * 15e6, delta_pi=TP * 60e6)
+    liouv = replace(build_liouvillian(cfg.system()), beat=0.0)
+    rho = propagate(liouv, np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex), 600.0 / GAMMA)
+    assert np.max(np.abs(rho - steady_state(liouv))) <= 1e-7
 
 
 def test_effective_rabi_amplitudes_are_reconstructible():
@@ -222,7 +238,7 @@ def test_four_level_pure_decay_steady_state_is_degenerate():
 
 def test_degenerate_geometry_harmonics_raise_like_the_static_solve():
     liouv = build_liouvillian(_system("four_level_geometry", omega_sigma=0.0, omega_pi=0.0))
-    assert liouv.periodic
+    assert abs(liouv.beat) >= _MIN_BEAT
     with pytest.raises(DegenerateSteadyStateError):
         periodic_harmonics(liouv)
     with pytest.raises(DegenerateSteadyStateError):
@@ -254,8 +270,6 @@ def _kron_liouvillian(system):
         l0 += rate * (
             np.kron(s.conj(), s) - 0.5 * np.kron(eye, sds) - 0.5 * np.kron(sds.T, eye)
         )
-    if system.beat is None:
-        return l0, None, None
     return l0, commutator(a.conj().T), commutator(a)
 
 
@@ -275,10 +289,8 @@ def test_kron_free_liouvillian_matches_kron_oracle(rng):
         for system in (cfg.system(), replace(cfg.system(), decays=())):
             liouv = build_liouvillian(system)
             oracle = _kron_liouvillian(system)
-            assert (liouv.l_plus is None) == (oracle[1] is None)
             for got, want in zip((liouv.l0, liouv.l_plus, liouv.l_minus), oracle):
-                if want is not None:
-                    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
             # L(t) preserves Hermiticity, exactly: C L0 C = L0 and C L- C = L+, with
             # C the antilinear map vec(rho) -> vec(rho^dagger) = swap conj(vec(rho))
             d = system.dim
@@ -287,8 +299,9 @@ def test_kron_free_liouvillian_matches_kron_oracle(rng):
                 for j in range(d):
                     swap[i * d + j, j * d + i] = 1.0  # vec(rho^T) = swap vec(rho)
             assert np.array_equal(swap @ liouv.l0.conj() @ swap, liouv.l0)
-            if liouv.l_plus is not None:
-                assert np.array_equal(swap @ liouv.l_minus.conj() @ swap, liouv.l_plus)
+            assert np.array_equal(swap @ liouv.l_minus.conj() @ swap, liouv.l_plus)
+            # the static fold sums L+ and L- first, exact where they share no entry
+            assert not ((liouv.l_plus != 0) & (liouv.l_minus != 0)).any()
 
 
 def test_liouvillian_stack_broadcasts_the_laser_parameters():
@@ -355,7 +368,8 @@ def test_floquet_fold_steps_live_on_seven_by_seven_blocks(angle_deg, b_gauss):
 def test_stacked_steady_states_isolate_a_degenerate_point():
     good = build_liouvillian(_system("four_level_ideal"))
     dead = build_liouvillian(_system("four_level_ideal", omega_sigma=0.0, omega_pi=0.0))
-    rho, _, _, errors = _states(np.stack([good.l0, dead.l0]), None, None, None, good.dim)
+    zero = np.zeros_like(good.l0)
+    rho, _, _, errors = _states(np.stack([good.l0, dead.l0]), zero, zero, np.zeros(2), good.dim)
     assert errors[0] is None
     assert isinstance(errors[1], DegenerateSteadyStateError)
     assert np.array_equal(rho[0], steady_state(good))
@@ -492,7 +506,7 @@ def test_harmonic_solution_continuous_in_oscillating_amplitude():
     )
     rho0 = periodic_harmonics(small)[0]
     rho_static = steady_state(
-        Liouvillian(liouv.l0, None, None, None, liouv.dim)
+        Liouvillian(liouv.l0, 0.0 * liouv.l_plus, 0.0 * liouv.l_minus, 0.0, liouv.dim)
     )
     assert np.max(np.abs(rho0 - rho_static)) <= 1e-8
 
