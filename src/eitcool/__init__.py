@@ -24,7 +24,6 @@ from .liouville import (
     Liouvillian,
     build_liouvillian,
     build_system,
-    periodic_harmonics,
     steady_state,
 )
 from .spectrum import (

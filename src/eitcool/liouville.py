@@ -30,13 +30,15 @@ rho[P-, .] and rho[., S+] alone).  ``sweep_states`` is the sweep route: a
 stacked Liouvillian, built by broadcasting per-point laser parameters through
 ``build_system`` and ``build_liouvillian``, solved in stacks of ``_CHUNK``
 points; no built Liouvillian is rewritten, and an L+/- that the points share
-stays one matrix.  ``steady_state`` and ``periodic_harmonics`` are the
-stack-of-one cases.  The module needs numpy only; the brute-force
-propagation oracles these solves are checked against live in the tests.
+stays one matrix.  ``steady_state`` is the one-point case, for any
+Liouvillian: its rho_0, the period average where the point is periodic.
+The module needs numpy only; the brute-force propagation oracles these
+solves are checked against live in the tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,6 +211,7 @@ class Liouvillian:
     the points of a detuning sweep share one L+ and one L-, solved unbroadcast.
     A system with nothing oscillating has beat 0.0 and zero L+/- (one shared
     (d^2, d^2) matrix); a point is static exactly when |beat| < ``_MIN_BEAT``.
+    The level count d is read from L0, so it cannot disagree with it.
 
     L(t) preserves Hermiticity, and the Floquet solve relies on it: with C the
     map vec(rho) -> vec(rho^dagger), C L0 C = L0 and C L+ C = L-.
@@ -218,7 +221,10 @@ class Liouvillian:
     l_plus: np.ndarray
     l_minus: np.ndarray
     beat: float | np.ndarray
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return math.isqrt(self.l0.shape[-1])
 
 
 def _coupling_matrix(couplings, d: int) -> np.ndarray:
@@ -277,7 +283,7 @@ def build_liouvillian(system: DrivenSystem) -> Liouvillian:
         l_plus = _commutator_super(np.swapaxes(a.conj(), -1, -2))
     else:  # allocated: _commutator_super of a zero coupling makes a static build ~1.5x slower
         l_plus = l_minus = np.zeros((d * d, d * d), complex)
-    return Liouvillian(l0=l0, l_plus=l_plus, l_minus=l_minus, beat=system.beat, dim=d)
+    return Liouvillian(l0=l0, l_plus=l_plus, l_minus=l_minus, beat=system.beat)
 
 
 # uniqueness spread and relative residual accepted by the steady-state solves
@@ -460,41 +466,21 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
     return rho0, rho1, order, errors
 
 
-def _one_point(liouv: Liouvillian, periodic: bool):
-    """(rho_0, rho_{+1}) of one Liouvillian, periodic (|beat| >= ``_MIN_BEAT``) or
-    not as asked, by ``sweep_states``; a failure is raised."""
-    if liouv.l0.ndim != 2:
+def steady_state(liouv: Liouvillian) -> np.ndarray:
+    """rho_0 of one Liouvillian, static or periodic, by ``sweep_states``.
+
+    At a point whose beat is below ``_MIN_BEAT`` L+ and L- are folded into L0
+    and rho_0 is the steady state; at any other it is the period average of
+    the asymptotic periodic state (rho_{+1} is read from ``sweep_states``).
+    The point's failure is raised: DegenerateSteadyStateError if the null
+    space is not one-dimensional.  A stack in any field is a ValueError.
+    """
+    if np.ndim(liouv.beat) or any(x.ndim > 2 for x in (liouv.l0, liouv.l_plus, liouv.l_minus)):
         raise ValueError("a stack of Liouvillians is solved by sweep_states")
-    if periodic != (abs(liouv.beat) >= _MIN_BEAT):
-        raise ValueError("Liouvillian is static; use steady_state" if periodic
-                         else "Liouvillian is time-periodic; use periodic_harmonics")
-    rho0, rho1, _, (error,) = sweep_states(liouv)
+    rho0, _, _, (error,) = sweep_states(liouv)
     if error is not None:
         raise error
-    return rho0, rho1
-
-
-def steady_state(liouv: Liouvillian) -> np.ndarray:
-    """Unique steady state of a time-independent Liouvillian.
-
-    A Liouvillian whose beat is below ``_MIN_BEAT`` counts as
-    time-independent: its L+ and L- are folded into L0.  Raises
-    DegenerateSteadyStateError if the null space is not one-dimensional.
-    """
-    return _one_point(liouv, periodic=False)[0]
-
-
-def periodic_harmonics(liouv: Liouvillian):
-    """Fourier components rho_k of the asymptotic periodic state.
-
-    The one-point case of the stacked Floquet solve (see ``_states``): the
-    truncation order is grown over even orders until rho_0 and rho_{+1}
-    settle.
-
-    Returns a dict {k: rho_k} with rho_{-k} = rho_k^dagger.
-    """
-    rho0, rho1 = _one_point(liouv, periodic=True)
-    return {0: rho0, 1: rho1, -1: rho1.conj().T}
+    return rho0
 
 
 def sweep_states(liouv: Liouvillian):

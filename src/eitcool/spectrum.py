@@ -196,16 +196,16 @@ class Spectrum:
         return self
 
 
-def beam_scattering_rates(system: DrivenSystem, harmonics: dict) -> dict:
-    """Absorbed-photon rate per beam from the (harmonic) steady state.
+def beam_scattering_rates(system: DrivenSystem, rho0: np.ndarray, rho1: np.ndarray) -> dict:
+    """Absorbed-photon rate per beam from the steady state's rho_0 and rho_{+1}.
 
-    ``harmonics`` maps Fourier index k to rho_k, one (d, d) matrix or a
-    (..., d, d) stack; a static solution is passed as {0: rho}.  Static
+    ``rho0`` and ``rho1`` are what ``sweep_states`` returns, one (d, d) matrix
+    each or (..., d, d) stacks; at a static point rho_{+1} is rho_0.  Static
     couplings read rho_0, the beat-modulated coupling reads rho_{+1}.
     """
     rates: dict = {}
     for c in system.couplings:
-        rho = harmonics[1 if c.oscillates else 0][..., c.lower, c.upper]
+        rho = (rho1 if c.oscillates else rho0)[..., c.lower, c.upper]
         # Im(rabi_eff * rho) written out: numpy rounds a complex product of
         # scalars and of arrays differently, and this form rounds like the
         # scalar one for a single point and a stack alike
@@ -226,7 +226,7 @@ def scattering_rates(config: EITConfig, detunings) -> Spectrum:
     deltas = np.asarray(detunings, dtype=float)
     system = config.system(deltas)
     rho0, rho1, order, errors = sweep_states(build_liouvillian(system))
-    rates = beam_scattering_rates(system, {0: rho0, 1: rho1})
+    rates = beam_scattering_rates(system, rho0, rho1)
     return Spectrum(
         detuning_pi=deltas,
         w=rates.get("cooling", np.zeros(order.shape)),

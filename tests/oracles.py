@@ -51,7 +51,6 @@ def static_approximation(liouv: Liouvillian) -> Liouvillian:
         l_plus=zero,
         l_minus=zero,
         beat=0.0,
-        dim=liouv.dim,
     )
 
 

@@ -155,7 +155,7 @@ def test_criterion_08_solver_oracle_equivalence(rng):
         rho0 = np.eye(dim, dtype=complex) / dim
         rho_t = propagate(liouv, rho0, 200.0 / GAMMA)
         worst_diff = max(worst_diff, float(np.max(np.abs(rho_t - rho_ss))))
-        rates = beam_scattering_rates(system, {0: rho_ss})
+        rates = beam_scattering_rates(system, rho_ss, rho_ss)
         p_total = sum(rho_ss[i, i].real for i in system.excited_indices())
         worst_balance = max(
             worst_balance,

@@ -23,7 +23,6 @@ from eitcool.liouville import (
     _states,
     build_liouvillian,
     build_system,
-    periodic_harmonics,
     steady_state,
     sweep_states,
 )
@@ -107,8 +106,7 @@ def test_degenerate_lasers_suppress_the_beat():
     liouv = build_liouvillian(system)
     assert abs(liouv.beat) < _MIN_BEAT
     assert np.trace(steady_state(liouv)).real == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError, match="static"):
-        periodic_harmonics(liouv)
+    assert np.array_equal(steady_state(liouv), sweep_states(liouv)[0])
 
 
 def test_degenerate_beat_fold_matches_propagation():
@@ -240,7 +238,7 @@ def test_degenerate_geometry_harmonics_raise_like_the_static_solve():
     liouv = build_liouvillian(_system("four_level_geometry", omega_sigma=0.0, omega_pi=0.0))
     assert abs(liouv.beat) >= _MIN_BEAT
     with pytest.raises(DegenerateSteadyStateError):
-        periodic_harmonics(liouv)
+        steady_state(liouv)
     with pytest.raises(DegenerateSteadyStateError):
         steady_state(static_approximation(liouv))
 
@@ -325,11 +323,15 @@ def test_liouvillian_stack_broadcasts_the_laser_parameters():
 
 @pytest.mark.parametrize("variant", ["three_level", "four_level_geometry"])
 def test_one_point_solvers_reject_a_stack(variant):
+    # a stack in any field: L0, the beat, or L+/- alone
     cfg = fig2_config(variant)
     stack = build_liouvillian(cfg.system(cfg.delta_pi + TP * np.array([0.0, 1e6])))
-    for solve in (steady_state, periodic_harmonics):
+    one = build_liouvillian(cfg.system())
+    pair = np.stack([one.l_plus] * 2)
+    for liouv in (stack, replace(one, beat=np.array([1.0, 2.0]) * GAMMA),
+                  replace(one, l_plus=pair, l_minus=pair.conj())):
         with pytest.raises(ValueError, match="sweep_states"):
-            solve(stack)
+            steady_state(liouv)
 
 
 @pytest.mark.parametrize(
@@ -379,19 +381,16 @@ def test_stacked_steady_states_isolate_a_degenerate_point():
 def test_stacked_harmonics_isolate_a_degenerate_point():
     # the stack shares L+ and L-; zero them so that the second point is undriven
     liouv = build_liouvillian(_system("four_level_geometry"))
-    good = Liouvillian(
-        liouv.l0, 0.0 * liouv.l_plus, 0.0 * liouv.l_minus, liouv.beat, liouv.dim
-    )
+    good = Liouvillian(liouv.l0, 0.0 * liouv.l_plus, 0.0 * liouv.l_minus, liouv.beat)
     dead = build_liouvillian(_system("four_level_geometry", omega_sigma=0.0, omega_pi=0.0))
     rho0, rho1, order, errors = sweep_states(Liouvillian(
         np.stack([good.l0, dead.l0]), good.l_plus, good.l_minus,
-        np.array([good.beat, dead.beat]), good.dim,
+        np.array([good.beat, dead.beat]),
     ))
     assert errors[0] is None
     assert isinstance(errors[1], DegenerateSteadyStateError)
-    harmonics = periodic_harmonics(good)
-    assert np.array_equal(rho0[0], harmonics[0])
-    assert np.array_equal(rho1[0], harmonics[1])
+    assert np.array_equal(rho0[0], steady_state(good))
+    assert np.array_equal(rho1[0], sweep_states(good)[1])
     assert order[0] == 4
     assert np.all(np.isnan(rho0[1]))
 
@@ -428,9 +427,10 @@ def test_steady_state_matches_long_time_propagation():
     assert np.max(np.abs(finals[0] - rho_ss)) <= 1e-7
 
 
-def test_steady_state_rejects_periodic_liouvillian():
-    with pytest.raises(ValueError):
-        steady_state(build_liouvillian(_system("four_level_geometry")))
+def test_steady_state_of_a_periodic_liouvillian_is_its_period_average():
+    liouv = build_liouvillian(_system("four_level_geometry"))
+    assert abs(liouv.beat) >= _MIN_BEAT
+    assert np.array_equal(steady_state(liouv), sweep_states(liouv)[0])
 
 
 def test_global_frame_offset_leaves_steady_state_unchanged():
@@ -492,9 +492,9 @@ def test_harmonic_solution_with_zero_oscillating_amplitude_is_static():
     liouv = build_liouvillian(_system("four_level_geometry"))
     zeroed = Liouvillian(
         l0=liouv.l0, l_plus=0.0 * liouv.l_plus, l_minus=0.0 * liouv.l_minus,
-        beat=liouv.beat, dim=liouv.dim,
+        beat=liouv.beat,
     )
-    rho0 = periodic_harmonics(zeroed)[0]
+    rho0 = steady_state(zeroed)
     assert np.max(np.abs(rho0 - steady_state(static_approximation(zeroed)))) <= 1e-12
 
 
@@ -502,21 +502,19 @@ def test_harmonic_solution_continuous_in_oscillating_amplitude():
     liouv = build_liouvillian(_system("four_level_geometry"))
     small = Liouvillian(
         l0=liouv.l0, l_plus=1e-6 * liouv.l_plus, l_minus=1e-6 * liouv.l_minus,
-        beat=liouv.beat, dim=liouv.dim,
+        beat=liouv.beat,
     )
-    rho0 = periodic_harmonics(small)[0]
+    rho0 = steady_state(small)
     rho_static = steady_state(
-        Liouvillian(liouv.l0, 0.0 * liouv.l_plus, 0.0 * liouv.l_minus, 0.0, liouv.dim)
+        Liouvillian(liouv.l0, 0.0 * liouv.l_plus, 0.0 * liouv.l_minus, 0.0)
     )
     assert np.max(np.abs(rho0 - rho_static)) <= 1e-8
 
 
 def test_harmonic_components_are_a_consistent_fourier_set():
-    harmonics = periodic_harmonics(build_liouvillian(_system("four_level_geometry")))
-    rho0 = harmonics[0]
+    rho0 = steady_state(build_liouvillian(_system("four_level_geometry")))
     assert np.max(np.abs(rho0 - rho0.conj().T)) <= 1e-10
     assert np.trace(rho0).real == pytest.approx(1.0, abs=1e-10)
-    assert np.max(np.abs(harmonics[-1] - harmonics[1].conj().T)) == 0.0
 
 
 def _criterion_08_geometry_systems(count):
@@ -550,7 +548,7 @@ def test_harmonic_solution_agrees_with_propagation_average():
         assert np.trace(rho_prop).real == pytest.approx(1.0, abs=1e-9)
         assert np.max(np.abs(rho_prop - rho_harm)) <= 1e-12
         assert order == expected_order
-        assert np.array_equal(rho_harm, periodic_harmonics(liouv)[0])
+        assert np.array_equal(rho_harm, steady_state(liouv))
 
 
 def test_harmonic_solution_agrees_with_propagation_average_at_high_orders():
@@ -610,7 +608,5 @@ def test_fold_converges_where_rho_plus_one_sits_at_round_off():
 
 def test_periodic_solvers_reject_static_liouvillian():
     liouv = build_liouvillian(_system("three_level"))
-    with pytest.raises(ValueError):
-        periodic_harmonics(liouv)
     with pytest.raises(ValueError):
         periodic_steady_state(liouv)

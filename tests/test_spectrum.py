@@ -14,7 +14,6 @@ from eitcool.liouville import (
     VARIANTS,
     DegenerateSteadyStateError,
     build_liouvillian,
-    periodic_harmonics,
     steady_state,
     sweep_states,
 )
@@ -137,7 +136,7 @@ def test_scan_is_nonnegative_with_bounded_population():
 def test_single_beam_scattering_equals_gamma_times_upper_population():
     system = two_level_system(0.4 * GAMMA, 0.3 * GAMMA, GAMMA)
     rho = steady_state(build_liouvillian(system))
-    w = beam_scattering_rates(system, {0: rho})["cooling"]
+    w = beam_scattering_rates(system, rho, rho)["cooling"]
     assert w == pytest.approx(GAMMA * rho[1, 1].real, rel=1e-10)
 
 
@@ -147,7 +146,7 @@ def test_per_beam_attribution_balances_photon_rates(rng):
         cfg = random_static_config(rng)
         system = cfg.system()
         rho = steady_state(build_liouvillian(system))
-        rates = beam_scattering_rates(system, {0: rho})
+        rates = beam_scattering_rates(system, rho, rho)
         total = sum(rates.values())
         p_total = sum(rho[i, i].real for i in system.excited_indices())
         assert total == pytest.approx(GAMMA * p_total, rel=1e-8)
@@ -156,9 +155,9 @@ def test_per_beam_attribution_balances_photon_rates(rng):
 def test_periodic_attribution_balances_photon_rates():
     cfg = fig2_config("four_level_geometry")
     system = cfg.system()
-    harmonics = periodic_harmonics(build_liouvillian(system))
-    rates = beam_scattering_rates(system, harmonics)
-    p_total = sum(harmonics[0][i, i].real for i in system.excited_indices())
+    rho0, rho1, _, _ = sweep_states(build_liouvillian(system))
+    rates = beam_scattering_rates(system, rho0, rho1)
+    p_total = sum(rho0[i, i].real for i in system.excited_indices())
     assert sum(rates.values()) == pytest.approx(GAMMA * p_total, rel=1e-8)
 
 
@@ -190,7 +189,7 @@ def test_geometry_steady_state_is_a_photon_balanced_density_matrix(
         np.testing.assert_allclose(rho0, rho0.conj().T, rtol=0, atol=1e-12)
         assert np.linalg.eigvalsh(rho0).min() >= -1e-10
         assert np.trace(rho0).real == pytest.approx(1.0, abs=1e-12)
-        rates = beam_scattering_rates(system, {0: rho0, 1: rho1})
+        rates = beam_scattering_rates(system, rho0, rho1)
         assert rates["cooling"] >= -1e-12 * GAMMA
         p_total = sum(rho0[i, i].real for i in system.excited_indices())
         assert rates["coupling"] + rates["cooling"] == pytest.approx(GAMMA * p_total, rel=1e-8)
@@ -216,10 +215,11 @@ def test_geometry_rate_is_read_from_floquet_harmonics():
     system = cfg.system()
     liouv = build_liouvillian(system)
     w = scattering_rate(cfg).w
-    assert w == beam_scattering_rates(system, periodic_harmonics(liouv))["cooling"]
+    rho0, rho1, _, _ = sweep_states(liouv)
+    assert w == beam_scattering_rates(system, rho0, rho1)["cooling"]
     # folding the beat into L0 is comparable in magnitude but not exact
     rho_static = steady_state(static_approximation(liouv))
-    w_static = beam_scattering_rates(system, {0: rho_static, 1: rho_static})["cooling"]
+    w_static = beam_scattering_rates(system, rho_static, rho_static)["cooling"]
     assert 0.1 * w < w_static < 10 * w
     assert w_static != w
 
