@@ -43,6 +43,24 @@ def _outside(cutoff, eta_probe: float):
     return cutoff > MAX_CUTOFF, eta_probe * np.sqrt(np.maximum(cutoff, 1)) >= 0.5
 
 
+def _edge(eta_probe: float) -> float:
+    """The largest n_bar whose cutoff lies inside both bounds of ``_outside`` at
+    ``eta_probe``, which must admit cutoff 0.
+
+    Validity is monotone in the cutoff, and _cutoff(n_bar) <= N exactly when
+    (n_bar / (n_bar + 1))^(N + 1) <= TAIL: the edge is that ratio's root at the
+    largest valid N, stepped down past any rounding to a float with cutoff N
+    (within a few ulps of the supremum).
+    """
+    cutoffs = np.arange(MAX_CUTOFF + 1)
+    top = cutoffs[~np.logical_or(*_outside(cutoffs, eta_probe))][-1]
+    r = TAIL ** (1.0 / (top + 1))
+    n_bar = r / (1.0 - r)
+    while _cutoff(n_bar) > top:
+        n_bar = math.nextafter(n_bar, 0.0)
+    return n_bar
+
+
 @dataclass(frozen=True)
 class ThermalState:
     """Truncated thermal (geometric) phonon distribution."""
@@ -234,27 +252,34 @@ def fit_thermal(
     A grid over n_bar in [0, 1e3], scored in one stacked evaluation, brackets
     the minimum; bounded Brent refines it to 1e-10 in n_bar.  Grid and Brent
     share one sin^2(Omega_n t / 2) table, so a Brent evaluation is one
-    matrix-vector product.  A best grid point with no finite score above it
-    (as for a record hotter than the model represents) raises ValueError.
+    matrix-vector product.  Where no grid point above the best one is valid,
+    the bracket runs to the largest n_bar the model represents, and a minimum
+    at that edge (as for a record hotter than the model represents) raises
+    ValueError, as does an eta_probe at which the model represents no n_bar.
     """
+    ThermalState(n_bar=0.0, cutoff=0).checked(eta_probe)
     target = np.asarray(record.excitation, float)
     grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 160)])
     values, table = _grid_sse(record, eta_probe, omega0, grid)
 
     def sse(n_bar):
         # Brent evaluates inside the bracket only; validity is monotone in n_bar
-        # and the bracket's top grid point is valid, so the table is wide enough
-        # and the state needs no check
+        # and the bracket's top is valid, so with the table reaching its cutoff
+        # the state needs no check
         p = ThermalState(n_bar=n_bar, cutoff=_cutoff(n_bar)).probabilities()
         return float(np.sum((_signal(table, p) - target) ** 2))
 
     i = int(np.argmin(values))
-    if not np.isfinite(values[i + 1:]).any():
+    hi = min(grid[i + 1], _edge(eta_probe))  # grid[i + 1] if it is valid
+    if _cutoff(hi) >= table.shape[1]:
+        table = _flop_table(np.asarray(record.times, float), _cutoff(hi) + 1, eta_probe,
+                            omega0, record.sideband)
+    best, residual = _bounded_brent(sse, grid[max(i - 1, 0)], hi, 1e-10)
+    if hi < grid[i + 1] and sse(hi) <= residual:
         raise ValueError(
-            f"best-fit n_bar not bracketed: n_bar = {grid[i]:.4g} is the last grid "
-            "point the sideband model can represent"
+            f"best-fit n_bar not bracketed: the fit runs into n_bar = {hi:.4g}, the "
+            f"largest the sideband model represents at eta_probe = {eta_probe!r}"
         )
-    best, residual = _bounded_brent(sse, grid[max(i - 1, 0)], grid[i + 1], 1e-10)
     return ThermalFit(n_bar=best, residual=residual)
 
 

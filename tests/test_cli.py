@@ -99,6 +99,19 @@ def test_validate_rejects_a_thermal_state_outside_the_model(keys, message, tmp_p
     assert not (tmp_path / "thermometry.csv").exists()
 
 
+def test_validate_and_run_accept_a_thermal_state_near_the_model_edge(tmp_path):
+    # n_bar = 18.5 lies above the last fit grid point the model represents at
+    # the default eta_probe (18.37), below the largest n_bar it does (19.63)
+    cfg = tmp_path / "warm.cfg"
+    cfg.write_text("task = thermometry\nthermometry.n_bar = 18.5\noutput = t.csv\n")
+    assert main(["validate", str(cfg)]) == 0
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+    meta = (tmp_path / "t.csv.meta").read_text()
+    fit = float(next(l for l in meta.splitlines()
+                     if l.startswith("result.fit_n_bar")).split("=")[1])
+    assert fit == pytest.approx(18.5, rel=1e-8)
+
+
 def test_missing_config_file_is_a_usage_error(capsys):
     assert main(["run", "no_such_file.cfg"]) == 2
     assert "not found" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from eitcool.thermometry import (
     ThermalState,
     _bounded_brent,
     _cutoff,
+    _edge,
     _grid_sse,
     fit_thermal,
     ground_state_probability,
@@ -181,13 +182,32 @@ def test_fit_bracketed_by_the_last_representable_grid_point(eta):
         assert fit.n_bar == pytest.approx(n_bar, rel=1e-3)
 
 
+@pytest.mark.parametrize("n_bar", [17.6, 18.5, 19.5, 19.6])
+def test_fit_brackets_against_the_model_edge(n_bar):
+    # above 18.37, the last grid point the model represents at eta 0.03, and
+    # below 19.63, the largest n_bar it represents (cutoff 277): the bracket
+    # runs from the best grid point to that edge
+    edge = _edge(0.03)
+    assert _cutoff(edge) == 277 and 0.03 * math.sqrt(278) >= 0.5
+    assert _cutoff(edge * (1 + 1e-14)) == 278
+    times = np.linspace(0.0, 2e-3, 120)
+    for sideband in SIDEBANDS:
+        record = sideband_flops(ThermalState.from_n_bar(n_bar), 0.03, OMEGA0, sideband, times)
+        fit = fit_thermal(record, 0.03, OMEGA0)
+        assert fit.n_bar == pytest.approx(n_bar, rel=1e-8)
+        assert fit.residual < 1e-15
+
+
 def test_fit_reports_unbracketed_minimum():
     # a flat P(t) = 1/2 record is hotter than any n_bar the first-order model
-    # represents at this eta; its best grid point is the edge of the valid range
+    # represents at this eta; its best fit runs into the edge of the valid range
     times = np.linspace(0.0, 2e-3, 120)
     record = FlopRecord(times=tuple(times), excitation=(0.5,) * len(times), sideband="blue")
     with pytest.raises(ValueError, match="not bracketed"):
         fit_thermal(record, 0.03, OMEGA0)
+    # where the model represents no n_bar at all, its own bound is the message
+    with pytest.raises(ValueError, match="first-order sideband model invalid"):
+        fit_thermal(record, 0.5, OMEGA0)
 
 
 def _loop_grid_sse(record, eta, omega0, grid):
