@@ -36,11 +36,20 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v, complex).reshape((dim, dim), order="F")
 
 
-def apply(liouv: Liouvillian, rho_vec: np.ndarray, t: float) -> np.ndarray:
-    """L(t) vec(rho) with L(t) = L0 + L+ e^{+i nu t} + L- e^{-i nu t}, at any beat."""
-    phase = np.exp(1j * liouv.beat * t)
-    return (liouv.l0 @ rho_vec + phase * (liouv.l_plus @ rho_vec)
-            + np.conj(phase) * (liouv.l_minus @ rho_vec))
+def generator(liouv: Liouvillian):
+    """f(t, y) = L(t) y, L(t) = L0 + L+ e^{+i nu t} + L- e^{-i nu t}, for a vector or matrix y.
+
+    [L0; L+; L-] is stacked once, so each call is one product, weighted by
+    (1, e^{+i nu t}, e^{-i nu t}), at any beat.
+    """
+    stacked = np.concatenate([liouv.l0, liouv.l_plus, liouv.l_minus])
+
+    def f(t, y):
+        phase = np.exp(1j * liouv.beat * t)
+        weights = np.array([1.0, phase, phase.conjugate()])
+        return (weights @ (stacked @ y).reshape(3, -1)).reshape(y.shape)
+
+    return f
 
 
 def static_approximation(liouv: Liouvillian) -> Liouvillian:
@@ -83,7 +92,7 @@ def propagate(
     if t == 0:
         return np.array(rho0, complex)
     sol = solve_ivp(
-        lambda tt, y: apply(liouv, y, tt),
+        generator(liouv),
         (0.0, t),
         vec(rho0),
         method="DOP853",
@@ -119,13 +128,14 @@ def periodic_steady_state(
             raise ConvergenceError(f"one-period propagation failed: {sol.message}")
         return sol.y[:, -1]
 
-    u = one_period(lambda tt, z: apply(liouv, z.reshape(d2, d2), tt).ravel(),
+    f = generator(liouv)
+    u = one_period(lambda tt, z: f(tt, z.reshape(d2, d2)).ravel(),
                    np.eye(d2, dtype=complex).ravel())
     multipliers, vectors = np.linalg.eig(u.reshape(d2, d2))
     nearest = np.argsort(np.abs(multipliers - 1.0))
     if abs(multipliers[nearest[1]] - 1.0) < 1e-6:
         raise DegenerateSteadyStateError("Floquet multiplier 1 is not isolated")
-    y = one_period(lambda tt, z: np.concatenate([apply(liouv, z[:d2], tt), z[:d2]]),
+    y = one_period(lambda tt, z: np.concatenate([f(tt, z[:d2]), z[:d2]]),
                    np.concatenate([vectors[:, nearest[0]], np.zeros(d2, complex)]))
     rho = unvec(y[d2:] / period, liouv.dim)
     rho = 0.5 * (rho + rho.conj().T)

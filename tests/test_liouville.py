@@ -30,7 +30,7 @@ from eitcool.spectrum import EITConfig, scattering_rates
 
 from conftest import FIG2, TP, fig2_config
 from oracles import (
-    apply,
+    generator,
     periodic_steady_state,
     propagate,
     static_approximation,
@@ -207,7 +207,7 @@ def test_trace_preservation_on_random_hermitian_matrices():
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = a + a.conj().T
         for t in (0.0, 1e-9, 3e-8):
-            drho = unvec(apply(liouv, vec(rho), t), 4)
+            drho = unvec(generator(liouv)(t, vec(rho)), 4)
             assert abs(np.trace(drho)) <= 1e-12 * scale
 
 
