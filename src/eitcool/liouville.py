@@ -452,12 +452,7 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
         done = idx[converged]
         if len(done):
             rho0[done] = _density_matrices(v[converged], dim)
-            vec0 = rho0[done].transpose(0, 2, 1).reshape(len(done), d2, 1)  # column-major vec
-            # R_1 zero-filled to full width: a product over cols alone moves
-            # rho_{+1} in the last bit, which the bundled outputs would show
-            r = np.zeros((len(done), d2, d2), complex)
-            r[:, :, cols] = up[converged]
-            rho1[done] = (r @ vec0).reshape(-1, dim, dim).transpose(0, 2, 1)
+            rho1[done] = v1[converged].reshape(-1, dim, dim).transpose(0, 2, 1)
             order[done] = k_max
         keep = ~failed & ~converged
         idx, v_prev, v1_prev, dv1_prev = idx[keep], v[keep], v1[keep], dv1[keep]
