@@ -30,10 +30,9 @@ rho[P-, .] and rho[., S+] alone).  ``sweep_states`` is the sweep route: a
 stacked Liouvillian, built by broadcasting per-point laser parameters through
 ``build_system`` and ``build_liouvillian``, solved in stacks of ``_CHUNK``
 points; no built Liouvillian is rewritten, and an L+/- that the points share
-stays one matrix.  ``steady_state`` is the one-point case, for any
-Liouvillian: its rho_0, the period average where the point is periodic.
-The module needs numpy only; the brute-force propagation oracles these
-solves are checked against live in the tests.
+stays one matrix.  ``steady_state`` is the one-point case of any Liouvillian,
+static or periodic.  The module needs numpy only; the brute-force
+propagation oracles these solves are checked against live in the tests.
 """
 
 from __future__ import annotations
@@ -462,13 +461,11 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
 
 
 def steady_state(liouv: Liouvillian) -> np.ndarray:
-    """rho_0 of one Liouvillian, static or periodic, by ``sweep_states``.
+    """rho_0 of one Liouvillian by ``sweep_states``: the steady state where its
+    beat is below ``_MIN_BEAT`` (L+/- folded into L0), else the period average.
 
-    At a point whose beat is below ``_MIN_BEAT`` L+ and L- are folded into L0
-    and rho_0 is the steady state; at any other it is the period average of
-    the asymptotic periodic state (rho_{+1} is read from ``sweep_states``).
-    The point's failure is raised: DegenerateSteadyStateError if the null
-    space is not one-dimensional.  A stack in any field is a ValueError.
+    The point's failure is raised (DegenerateSteadyStateError if the null space
+    is not one-dimensional); a stack in any field is a ValueError.
     """
     if np.ndim(liouv.beat) or any(x.ndim > 2 for x in (liouv.l0, liouv.l_plus, liouv.l_minus)):
         raise ValueError("a stack of Liouvillians is solved by sweep_states")

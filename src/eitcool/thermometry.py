@@ -44,16 +44,14 @@ def _outside(cutoff, eta_probe: float):
 
 
 def _edge(eta_probe: float) -> float:
-    """The largest n_bar whose cutoff lies inside both bounds of ``_outside`` at
-    ``eta_probe``, which must admit cutoff 0.
+    """The largest n_bar (to a few ulps) whose cutoff is inside both bounds of
+    ``_outside`` at ``eta_probe``, which must admit cutoff 0.
 
     Validity is monotone in the cutoff, and _cutoff(n_bar) <= N exactly when
     (n_bar / (n_bar + 1))^(N + 1) <= TAIL: the edge is that ratio's root at the
-    largest valid N, stepped down past any rounding to a float with cutoff N
-    (within a few ulps of the supremum).
+    largest valid N, stepped down past any rounding to a float with cutoff N.
     """
-    cutoffs = np.arange(MAX_CUTOFF + 1)
-    top = cutoffs[~np.logical_or(*_outside(cutoffs, eta_probe))][-1]
+    top = np.flatnonzero(~np.logical_or(*_outside(np.arange(MAX_CUTOFF + 1), eta_probe)))[-1]
     r = TAIL ** (1.0 / (top + 1))
     n_bar = r / (1.0 - r)
     while _cutoff(n_bar) > top:
@@ -162,9 +160,10 @@ def _grid_sse(record: FlopRecord, eta_probe: float, omega0: float, grid: np.ndar
     """(sse, table): squared deviation of the thermal model from record at each
     n_bar of grid, and the sin^2(Omega_n t / 2) table it was computed from.
 
-    The Rabi frequencies do not depend on n_bar, so the table is built once, up
-    to the largest valid cutoff, and multiplied by the zero-padded weights of
-    all valid grid points.  The others score inf.
+    The Rabi frequencies do not depend on n_bar, so the table is built once, out
+    to the cutoff of the largest n_bar the model represents (``_edge``), and
+    multiplied by the zero-padded weights of all valid grid points.  The others
+    score inf.
     """
     cutoffs = np.array([_cutoff(n_bar) for n_bar in grid])
     # the cutoffs from_n_bar builds and sideband_flops' first-order model accepts
@@ -172,8 +171,8 @@ def _grid_sse(record: FlopRecord, eta_probe: float, omega0: float, grid: np.ndar
     n_bar, cutoffs = grid[valid], cutoffs[valid]
     n = np.arange(cutoffs.max(initial=0) + 1)[:, None]
     weights = np.where(n <= cutoffs, (n_bar / (n_bar + 1.0)) ** n / (n_bar + 1.0), 0.0)
-    table = _flop_table(np.asarray(record.times, float), len(n), eta_probe, omega0,
-                        record.sideband)
+    table = _flop_table(np.asarray(record.times, float), _cutoff(_edge(eta_probe)) + 1,
+                        eta_probe, omega0, record.sideband)
     model = _signal(table, weights)
     values = np.full(len(grid), math.inf)
     values[valid] = np.sum((model - np.asarray(record.excitation, float)[:, None]) ** 2,
@@ -253,9 +252,9 @@ def fit_thermal(
     the minimum; bounded Brent refines it to 1e-10 in n_bar.  Grid and Brent
     share one sin^2(Omega_n t / 2) table, so a Brent evaluation is one
     matrix-vector product.  Where no grid point above the best one is valid,
-    the bracket runs to the largest n_bar the model represents, and a minimum
-    at that edge (as for a record hotter than the model represents) raises
-    ValueError, as does an eta_probe at which the model represents no n_bar.
+    the bracket runs to the largest n_bar the model represents; a minimum at
+    that edge (a record hotter than the model) raises ValueError, as does an
+    eta_probe at which the model represents no n_bar.
     """
     ThermalState(n_bar=0.0, cutoff=0).checked(eta_probe)
     target = np.asarray(record.excitation, float)
@@ -263,17 +262,13 @@ def fit_thermal(
     values, table = _grid_sse(record, eta_probe, omega0, grid)
 
     def sse(n_bar):
-        # Brent evaluates inside the bracket only; validity is monotone in n_bar
-        # and the bracket's top is valid, so with the table reaching its cutoff
-        # the state needs no check
+        # Brent evaluates inside the bracket only, whose top is valid, and the
+        # table reaches the cutoff of any valid n_bar: the state needs no check
         p = ThermalState(n_bar=n_bar, cutoff=_cutoff(n_bar)).probabilities()
         return float(np.sum((_signal(table, p) - target) ** 2))
 
     i = int(np.argmin(values))
     hi = min(grid[i + 1], _edge(eta_probe))  # grid[i + 1] if it is valid
-    if _cutoff(hi) >= table.shape[1]:
-        table = _flop_table(np.asarray(record.times, float), _cutoff(hi) + 1, eta_probe,
-                            omega0, record.sideband)
     best, residual = _bounded_brent(sse, grid[max(i - 1, 0)], hi, 1e-10)
     if hi < grid[i + 1] and sse(hi) <= residual:
         raise ValueError(

@@ -37,7 +37,7 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
 
 
 def generator(liouv: Liouvillian):
-    """f(t, y) = L(t) y, L(t) = L0 + L+ e^{+i nu t} + L- e^{-i nu t}, for a vector or matrix y.
+    """f(t, y) = L(t) y for a vector or matrix y, L(t) = L0 + L+ e^{+i nu t} + L- e^{-i nu t}.
 
     [L0; L+; L-] is stacked once, so each call is one product, weighted by
     (1, e^{+i nu t}, e^{-i nu t}), at any beat.
