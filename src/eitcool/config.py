@@ -229,8 +229,7 @@ def resolve(values: dict) -> RunConfig:
         raise ConfigError("multimode.modes must list distinct modes out of x, y, z")
     if task == "thermometry":  # it builds a thermal state and its probe, no beams
         try:
-            ThermalState.from_n_bar(resolved["thermometry.n_bar"]).checked(
-                resolved["thermometry.eta_probe"])
+            ThermalState(resolved["thermometry.n_bar"]).checked(resolved["thermometry.eta_probe"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     else:  # every other task builds the beams of its variants

@@ -20,10 +20,10 @@ import numpy as np
 
 SIDEBANDS = ("red", "blue")
 
-# thermal weight above the Fock cutoff that from_n_bar leaves out
+# thermal weight above the Fock cutoff that a ThermalState leaves out
 TAIL = 1e-6
 
-# largest Fock cutoff from_n_bar builds (n_bar up to about 144 at TAIL)
+# largest Fock cutoff ThermalState.checked accepts (n_bar up to about 144 at TAIL)
 MAX_CUTOFF = 2000
 
 
@@ -33,24 +33,28 @@ def _cutoff(n_bar: float) -> int:
         return 0
     # geometric tail: sum_{n > N} p_n = (n_bar / (n_bar + 1))^(N+1)
     r = n_bar / (n_bar + 1.0)
+    if r == 1.0:  # n_bar >= 2**53, an integer: -1 / log(r) is n_bar + 1/2 to float precision
+        num, den = (-math.log(TAIL)).as_integer_ratio()
+        return (num * (2 * int(n_bar) + 1) - 1) // (2 * den)
     return max(0, math.ceil(math.log(TAIL) / math.log(r)) - 1)
 
 
 def _outside(cutoff, eta_probe: float):
     """The model's two bounds at a Fock cutoff (a number or an array): a cutoff above
-    MAX_CUTOFF, which from_n_bar does not build, and eta_probe * sqrt(cutoff) >= 0.5,
+    MAX_CUTOFF, which ThermalState.checked rejects, and eta_probe * sqrt(cutoff) >= 0.5,
     outside the first-order sideband model.  Returns (too_deep, beyond_first_order)."""
     return cutoff > MAX_CUTOFF, eta_probe * np.sqrt(np.maximum(cutoff, 1)) >= 0.5
 
 
 def _edge(eta_probe: float) -> float:
     """The largest n_bar (to a few ulps) whose cutoff is inside both bounds of
-    ``_outside`` at ``eta_probe``, which must admit cutoff 0.
+    ``_outside`` at ``eta_probe``; raises ``checked``'s ValueError where none is.
 
     Validity is monotone in the cutoff, and _cutoff(n_bar) <= N exactly when
     (n_bar / (n_bar + 1))^(N + 1) <= TAIL: the edge is that ratio's root at the
     largest valid N, stepped down past any rounding to a float with cutoff N.
     """
+    ThermalState(0.0).checked(eta_probe)  # validity is monotone: if cutoff 0 is out, all are
     top = np.flatnonzero(~np.logical_or(*_outside(np.arange(MAX_CUTOFF + 1), eta_probe)))[-1]
     r = TAIL ** (1.0 / (top + 1))
     n_bar = r / (1.0 - r)
@@ -61,33 +65,31 @@ def _edge(eta_probe: float) -> float:
 
 @dataclass(frozen=True)
 class ThermalState:
-    """Truncated thermal (geometric) phonon distribution."""
+    """Thermal (geometric) phonon distribution of mean n_bar, cut at ``_cutoff(n_bar)``."""
 
     n_bar: float
-    cutoff: int
 
     def __post_init__(self):
-        if self.n_bar < 0:
-            raise ValueError("n_bar must be >= 0")
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be >= 0")
+        if not (math.isfinite(self.n_bar) and self.n_bar >= 0):
+            raise ValueError(f"n_bar must be finite and >= 0, not {self.n_bar!r}")
+
+    @property
+    def cutoff(self) -> int:
+        return _cutoff(self.n_bar)
 
     @classmethod
     def from_n_bar(cls, n_bar: float):
-        """Cutoff at the smallest n with cumulative weight >= 1 - TAIL.
-
-        Raises ValueError if that cutoff exceeds MAX_CUTOFF.
-        """
-        return cls(n_bar=max(n_bar, 0.0), cutoff=_cutoff(n_bar)).checked()
+        """``cls(n_bar).checked()``: ValueError if n_bar is negative, not finite or too deep."""
+        return cls(n_bar).checked()
 
     def checked(self, eta_probe: float = 0.0) -> "ThermalState":
         """This state, after raising ValueError if, probed at ``eta_probe``, it is
         outside a bound of ``_outside``."""
-        too_deep, beyond_first_order = _outside(self.cutoff, eta_probe)
-        if too_deep:
-            raise ValueError(f"n_bar = {self.n_bar!r} needs a Fock cutoff of {self.cutoff} "
+        cutoff = self.cutoff
+        if cutoff > MAX_CUTOFF:  # read first: numpy takes no cutoff past int64
+            raise ValueError(f"n_bar = {self.n_bar!r} needs a Fock cutoff of {cutoff} "
                              f"for tail {TAIL!r}, above the maximum {MAX_CUTOFF}")
-        if beyond_first_order:
+        if _outside(cutoff, eta_probe)[1]:
             raise ValueError("first-order sideband model invalid: "
                              "eta_probe * sqrt(cutoff) >= 0.5")
         return self
@@ -156,28 +158,22 @@ class ThermalFit:
     residual: float  # sum of squared deviations at the optimum
 
 
-def _grid_sse(record: FlopRecord, eta_probe: float, omega0: float, grid: np.ndarray):
-    """(sse, table): squared deviation of the thermal model from record at each
-    n_bar of grid, and the sin^2(Omega_n t / 2) table it was computed from.
+def _grid_sse(table: np.ndarray, target: np.ndarray, eta_probe: float, grid: np.ndarray):
+    """Squared deviation of the thermal model from ``target`` at each n_bar of grid.
 
-    The Rabi frequencies do not depend on n_bar, so the table is built once, out
-    to the cutoff of the largest n_bar the model represents (``_edge``), and
-    multiplied by the zero-padded weights of all valid grid points.  The others
-    score inf.
+    ``table`` is the sin^2(Omega_n t / 2) table (``_flop_table``) out to at least
+    the largest valid grid point's cutoff; it is multiplied by the zero-padded
+    weights of all valid grid points.  The others score inf.
     """
     cutoffs = np.array([_cutoff(n_bar) for n_bar in grid])
-    # the cutoffs from_n_bar builds and sideband_flops' first-order model accepts
+    # the cutoffs ThermalState.checked accepts at eta_probe
     valid = ~np.logical_or(*_outside(cutoffs, eta_probe))
     n_bar, cutoffs = grid[valid], cutoffs[valid]
     n = np.arange(cutoffs.max(initial=0) + 1)[:, None]
     weights = np.where(n <= cutoffs, (n_bar / (n_bar + 1.0)) ** n / (n_bar + 1.0), 0.0)
-    table = _flop_table(np.asarray(record.times, float), _cutoff(_edge(eta_probe)) + 1,
-                        eta_probe, omega0, record.sideband)
-    model = _signal(table, weights)
     values = np.full(len(grid), math.inf)
-    values[valid] = np.sum((model - np.asarray(record.excitation, float)[:, None]) ** 2,
-                           axis=0)
-    return values, table
+    values[valid] = np.sum((_signal(table, weights) - target[:, None]) ** 2, axis=0)
+    return values
 
 
 def _bounded_brent(f, lo: float, hi: float, xatol: float):
@@ -250,25 +246,29 @@ def fit_thermal(
 
     A grid over n_bar in [0, 1e3], scored in one stacked evaluation, brackets
     the minimum; bounded Brent refines it to 1e-10 in n_bar.  Grid and Brent
-    share one sin^2(Omega_n t / 2) table, so a Brent evaluation is one
+    share one sin^2(Omega_n t / 2) table, out to the cutoff of the largest
+    n_bar the model represents (``_edge``), so a Brent evaluation is one
     matrix-vector product.  Where no grid point above the best one is valid,
-    the bracket runs to the largest n_bar the model represents; a minimum at
-    that edge (a record hotter than the model) raises ValueError, as does an
-    eta_probe at which the model represents no n_bar.
+    the bracket runs to that edge; a minimum there raises ValueError, as does
+    an eta_probe at which the model represents no n_bar.  That takes a record
+    hotter than the model, and also one made within Brent's resolution (about
+    3e-7 at eta_probe = 0.03) below the edge, which Brent cannot tell apart.
     """
-    ThermalState(n_bar=0.0, cutoff=0).checked(eta_probe)
+    edge = _edge(eta_probe)
+    table = _flop_table(np.asarray(record.times, float), _cutoff(edge) + 1, eta_probe, omega0,
+                        record.sideband)
     target = np.asarray(record.excitation, float)
     grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 160)])
-    values, table = _grid_sse(record, eta_probe, omega0, grid)
+    values = _grid_sse(table, target, eta_probe, grid)
 
     def sse(n_bar):
         # Brent evaluates inside the bracket only, whose top is valid, and the
         # table reaches the cutoff of any valid n_bar: the state needs no check
-        p = ThermalState(n_bar=n_bar, cutoff=_cutoff(n_bar)).probabilities()
+        p = ThermalState(n_bar).probabilities()
         return float(np.sum((_signal(table, p) - target) ** 2))
 
     i = int(np.argmin(values))
-    hi = min(grid[i + 1], _edge(eta_probe))  # grid[i + 1] if it is valid
+    hi = min(grid[i + 1], edge)  # grid[i + 1] if it is valid
     best, residual = _bounded_brent(sse, grid[max(i - 1, 0)], hi, 1e-10)
     if hi < grid[i + 1] and sse(hi) <= residual:
         raise ValueError(

@@ -15,6 +15,7 @@ from eitcool.cli import bundled_config_path, main
 from eitcool.config import load_config
 from eitcool.liouville import ConvergenceError, DegenerateSteadyStateError
 from eitcool.runner import _fmt
+from eitcool.thermometry import _cutoff
 
 TP = 2 * math.pi
 
@@ -88,9 +89,18 @@ def test_validate_rejects_a_cooling_beam_along_the_field(tmp_path, capsys):
      "n_bar = 500.0 needs a Fock cutoff of 6914 for tail 1e-06, above the maximum 2000"),
     ("thermometry.n_bar = 100\nthermometry.eta_probe = 0.2\n",
      "first-order sideband model invalid: eta_probe * sqrt(cutoff) >= 0.5"),
+    ("thermometry.n_bar = -1\n", "n_bar must be finite and >= 0, not -1.0"),
+    ("thermometry.n_bar = nan\n", "n_bar must be finite and >= 0, not nan"),
+    ("thermometry.n_bar = inf\n", "n_bar must be finite and >= 0, not inf"),
+    ("thermometry.n_bar = 1e16\n", "n_bar = 1e+16 needs a Fock cutoff of 138155105579642743 "
+                                   "for tail 1e-06, above the maximum 2000"),
+    ("thermometry.n_bar = 1e308\n", f"n_bar = 1e+308 needs a Fock cutoff of {_cutoff(1e308)} "
+                                    "for tail 1e-06, above the maximum 2000"),
 ])
 def test_validate_rejects_a_thermal_state_outside_the_model(keys, message, tmp_path, capsys):
-    # the Fock cutoff cap and the first-order sideband bound, checked before run
+    # an n_bar that is negative or not finite, the Fock cutoff cap (also where
+    # n_bar / (n_bar + 1) rounds to 1) and the first-order sideband bound,
+    # checked before run
     cfg = tmp_path / "hot.cfg"
     cfg.write_text("task = thermometry\n" + keys)
     for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(tmp_path)]):
@@ -110,6 +120,19 @@ def test_validate_and_run_accept_a_thermal_state_near_the_model_edge(tmp_path):
     fit = float(next(l for l in meta.splitlines()
                      if l.startswith("result.fit_n_bar")).split("=")[1])
     assert fit == pytest.approx(18.5, rel=1e-8)
+
+
+def test_validate_accepts_what_run_cannot_fit_within_brents_resolution_of_the_edge(
+        tmp_path, capsys):
+    # recorded gap: n_bar = 19.62645206 lies about 1.0e-7 below the largest n_bar the
+    # model represents at the default eta_probe (19.626452164), inside Brent's
+    # resolution there (about 3e-7), where the fit cannot tell its minimum from
+    # one at the edge; what to report in that band is left open
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text("task = thermometry\nthermometry.n_bar = 19.62645206\n")
+    assert main(["validate", str(cfg)]) == 0
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "best-fit n_bar not bracketed" in capsys.readouterr().err
 
 
 def test_missing_config_file_is_a_usage_error(capsys):

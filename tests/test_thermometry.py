@@ -1,3 +1,5 @@
+import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -14,6 +16,7 @@ from eitcool.thermometry import (
     _bounded_brent,
     _cutoff,
     _edge,
+    _flop_table,
     _grid_sse,
     fit_thermal,
     ground_state_probability,
@@ -52,10 +55,26 @@ def test_zero_temperature_state_is_pure_ground():
 
 
 def test_thermal_state_input_validation():
-    with pytest.raises(ValueError):
-        ThermalState(n_bar=-1.0, cutoff=10)
-    with pytest.raises(ValueError):
-        ThermalState(n_bar=1.0, cutoff=-1)
+    for n_bar in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="n_bar must be finite and >= 0"):
+            ThermalState(n_bar)
+    # a state is its n_bar: the cutoff is derived, not stored
+    assert [f.name for f in dataclasses.fields(ThermalState)] == ["n_bar"]
+    assert ThermalState(16.0).cutoff == _cutoff(16.0)
+
+
+@pytest.mark.parametrize("n_bar", [2.0**53, 1e16, 1e308])
+def test_cutoff_where_the_thermal_ratio_rounds_to_one(n_bar):
+    # n_bar / (n_bar + 1) rounds to 1, so _cutoff reads the tail's root in
+    # integers; 700-digit decimals give it independently
+    assert n_bar / (n_bar + 1.0) == 1.0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 700
+        n = decimal.Decimal(n_bar)
+        exact = math.ceil(decimal.Decimal(TAIL).ln() / (n / (n + 1)).ln()) - 1
+    assert abs(_cutoff(n_bar) - exact) * 10**15 <= exact  # ints: 1e308 overflows a float
+    with pytest.raises(ValueError, match=f"cutoff of {_cutoff(n_bar)} .* maximum 2000$"):
+        ThermalState.from_n_bar(n_bar)
 
 
 def test_cutoff_over_the_cap_is_rejected():
@@ -251,7 +270,9 @@ def test_stacked_grid_matches_the_per_point_loop():
         noisy = np.clip(np.array(flops.excitation) + rng.normal(0.0, 0.02, len(times)), 0, 1)
         record = FlopRecord(times=flops.times, excitation=tuple(noisy), sideband=sideband)
 
-        stacked, _ = _grid_sse(record, eta, OMEGA0, grid)
+        # the table as fit_thermal builds it, out to the model edge's cutoff
+        table = _flop_table(times, _cutoff(_edge(eta)) + 1, eta, OMEGA0, sideband)
+        stacked = _grid_sse(table, np.asarray(record.excitation, float), eta, grid)
         loop = _loop_grid_sse(record, eta, OMEGA0, grid)
         assert np.array_equal(np.isinf(stacked), np.isinf(loop))
         assert np.argmin(stacked) == np.argmin(loop)
