@@ -238,6 +238,11 @@ def resolve(values: dict) -> RunConfig:
                 config.eit_config(v).beams()
             except ValueError as exc:
                 raise ConfigError(f"variant {v!r}: {exc}") from exc
+    # nan passes every comparison above, and inf all but a sign check; this
+    # runs after the model's own checks, whose messages name the bound (n_bar's)
+    for key, val in resolved.items():
+        if _SCHEMA[key][0] is float and val is not None and not math.isfinite(val):
+            raise ConfigError(f"{key} must be finite, not {val!r}")
     return config
 
 

@@ -28,9 +28,10 @@ Floquet harmonic expansion, grown over even truncation orders, whose fold
 multiplies only the sigma- coupling's 7 x 7 blocks (S+ -> P- makes L+ read
 rho[P-, .] and rho[., S+] alone).  ``sweep_states`` is the sweep route: a
 stacked Liouvillian, built by broadcasting per-point laser parameters through
-``build_system`` and ``build_liouvillian``, solved in stacks of ``_CHUNK``
-points; no built Liouvillian is rewritten, and an L+/- that the points share
-stays one matrix.  ``steady_state`` is the one-point case of any Liouvillian,
+``build_system`` and ``build_liouvillian``, solved in stacks of at most
+``_STACK_ENTRIES`` matrix entries (32 points of 16 x 16, 101 of 9 x 9); no
+built Liouvillian is rewritten, and an L+/- that the points share stays one
+matrix.  ``steady_state`` is the one-point case of any Liouvillian,
 static or periodic.  The module needs numpy only; the brute-force
 propagation oracles these solves are checked against live in the tests.
 """
@@ -293,8 +294,9 @@ _CHECK_TOL = 1e-8
 _HARMONIC_TOL = 1e-12
 _MAX_HARMONICS = 26
 
-# points per stacked solve; bounds the (N, d^2, d^2) temporaries of long sweeps
-_CHUNK = 32
+# entries of the (N, d^2, d^2) stack per solve, 32 points of 16 x 16; bounds
+# the temporaries of long sweeps, and a stack's fixed cost is paid per stack
+_STACK_ENTRIES = 32 * 4**4
 
 
 def _solve(a: np.ndarray, b: np.ndarray):
@@ -319,8 +321,9 @@ def _null_vectors(l: np.ndarray, dim: int):
     One row of each matrix is replaced by the trace constraint; uniqueness is
     verified by repeating the solve with a different row replaced (all in one
     stacked call) and by a residual check on the original equations.  Each
-    point is checked on its own.  Returns (v, errors): errors[n] is None or
-    the DegenerateSteadyStateError of point n, whose row of v is NaN.
+    point is checked on its own, and ``l`` is not written.  Returns (v,
+    errors): errors[n] is None or the DegenerateSteadyStateError of point n,
+    whose row of v is NaN.
     """
     n, d2 = len(l), dim * dim
     scale = np.max(np.abs(l), axis=(1, 2))
@@ -401,10 +404,11 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
     errors = [None] * n
     static = np.abs(beats) < _MIN_BEAT
     if static.any():
-        # L0 + (L+ + L-), folded into the gathered copy; L+ and L- share no
-        # nonzero entry, so this rounds as (L0 + L+) + L- does
-        l = l0s[static]
-        l += _members(l_plus, static) + _members(l_minus, static)
+        l = l0s if static.all() else l0s[static]  # _null_vectors writes no input
+        if l_plus.any() or l_minus.any():  # a zero L+/- costs no pass and no copy
+            # L0 + (L+ + L-); L+ and L- share no nonzero entry, so this rounds
+            # as (L0 + L+) + L- does
+            l = l + (_members(l_plus, static) + _members(l_minus, static))
         v, errs = _null_vectors(l, dim)
         rho0[static] = rho1[static] = _density_matrices(v, dim)
         for i, error in zip(np.flatnonzero(static), errs):
@@ -479,9 +483,10 @@ def sweep_states(liouv: Liouvillian):
     """Steady state of every point of a stacked Liouvillian.
 
     L0, L+/- and the beat broadcast to one batch shape, whose points are
-    solved by ``_states`` in stacks of ``_CHUNK``.  Returns (rho0, rho1,
-    order, errors): the first three with the batch shape in front, ``errors``
-    a list over the points in C order.
+    solved by ``_states`` in stacks of ``_STACK_ENTRIES // d**4`` points
+    (32 for d = 4, 101 for d = 3), each point on its own.  Returns (rho0,
+    rho1, order, errors): the first three with the batch shape in front,
+    ``errors`` a list over the points in C order.
     """
     d, ops = liouv.dim, (liouv.l0, liouv.l_plus, liouv.l_minus)
     batch = np.broadcast_shapes(np.shape(liouv.beat), *(x.shape[:-2] for x in ops))
@@ -494,8 +499,9 @@ def sweep_states(liouv: Liouvillian):
     rho0, rho1 = np.empty((2, n, d, d), complex)
     order = np.zeros(n, int)
     errors = []
-    for start in range(0, n, _CHUNK):
-        part = slice(start, start + _CHUNK)
+    size = _STACK_ENTRIES // d**4
+    for start in range(0, n, size):
+        part = slice(start, start + size)
         rho0[part], rho1[part], order[part], errs = _states(
             *(_members(x, part) for x in flat), d
         )

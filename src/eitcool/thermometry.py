@@ -163,14 +163,22 @@ def _grid_sse(table: np.ndarray, target: np.ndarray, eta_probe: float, grid: np.
 
     ``table`` is the sin^2(Omega_n t / 2) table (``_flop_table``) out to at least
     the largest valid grid point's cutoff; it is multiplied by the zero-padded
-    weights of all valid grid points.  The others score inf.
+    weights of all valid grid points.  The others score inf.  The weights are a
+    running product down n, p_n = p_{n-1} n_bar / (n_bar + 1): several times
+    faster than ``ThermalState.probabilities``' powers, and up to about n ulps
+    from them, which is enough to pick Brent's bracket; Brent's evaluations
+    use ``probabilities`` itself.
     """
     cutoffs = np.array([_cutoff(n_bar) for n_bar in grid])
     # the cutoffs ThermalState.checked accepts at eta_probe
     valid = ~np.logical_or(*_outside(cutoffs, eta_probe))
     n_bar, cutoffs = grid[valid], cutoffs[valid]
     n = np.arange(cutoffs.max(initial=0) + 1)[:, None]
-    weights = np.where(n <= cutoffs, (n_bar / (n_bar + 1.0)) ** n / (n_bar + 1.0), 0.0)
+    # the product's factors, 0 past the cutoff: the weight is exactly 0 there
+    # and never runs through subnormals
+    weights = np.where(n <= cutoffs, n_bar / (n_bar + 1.0), 0.0)
+    weights[0] = 1.0 / (n_bar + 1.0)
+    np.cumprod(weights, axis=0, out=weights)
     values = np.full(len(grid), math.inf)
     values[valid] = np.sum((_signal(table, weights) - target[:, None]) ** 2, axis=0)
     return values

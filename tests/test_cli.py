@@ -109,6 +109,23 @@ def test_validate_rejects_a_thermal_state_outside_the_model(keys, message, tmp_p
     assert not (tmp_path / "thermometry.csv").exists()
 
 
+@pytest.mark.parametrize("keys, message", [
+    ("task = thermometry\nthermometry.eta_probe = nan\n",
+     "thermometry.eta_probe must be finite, not nan"),
+    ("task = spectrum\nsweep.start_hz = 60e6\nsweep.stop_hz = inf\n",
+     "sweep.stop_hz must be finite, not inf"),
+])
+def test_validate_and_run_reject_a_non_finite_value(keys, message, tmp_path, capsys):
+    # nan passes every comparison, inf all but one: a solver failure at run
+    # (eta_probe), or NaN rows written with exit 0 (stop_hz), before this check
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text(keys + "output = nonfinite.csv\n")
+    for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(tmp_path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "nonfinite.csv").exists()
+
+
 def test_validate_and_run_accept_a_thermal_state_near_the_model_edge(tmp_path):
     # n_bar = 18.5 lies above the last fit grid point the model represents at
     # the default eta_probe (18.37), below the largest n_bar it does (19.63)

@@ -243,6 +243,31 @@ def test_degenerate_geometry_harmonics_raise_like_the_static_solve():
         steady_state(static_approximation(liouv))
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_weak_drive_steady_state_is_unique_until_the_drive_is_off(variant):
+    # the uniqueness check solves with row 0 and with the last row replaced,
+    # two LUs.  At drive scale s the ground states are pumped at a rate of
+    # order s^2, so the inverse of either bordered matrix grows as 1/s^2; the
+    # two solutions still agree to round-off, but a check built on one LU (a
+    # rank-2 update of it, or the size of its inverse) reads that growth as
+    # a second null vector and would fail these points
+    cfg = fig2_config(variant)
+    deltas = cfg.delta_pi + TP * np.linspace(-3e6, 3e6, 7)
+    for scale in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 0.0):
+        weak = replace(cfg, omega_sigma=scale * cfg.omega_sigma, omega_pi=scale * cfg.omega_pi)
+        liouv = build_liouvillian(weak.system(deltas))
+        rho0, rho1, _, errors = sweep_states(liouv)
+        if scale == 0.0:
+            assert all(isinstance(e, DegenerateSteadyStateError) for e in errors)
+            continue
+        assert errors == [None] * len(deltas)
+        for l0, r0, r1 in zip(liouv.l0, rho0, rho1):
+            assert np.trace(r0).real == pytest.approx(1.0, abs=1e-12)
+            # the period average of the master equation: L0 rho_0 + L- rho_+1 + L+ rho_-1
+            balance = l0 @ vec(r0) + liouv.l_minus @ vec(r1) + liouv.l_plus @ vec(r1.conj().T)
+            assert np.max(np.abs(balance)) <= 1e-8 * np.max(np.abs(l0))
+
+
 def _kron_liouvillian(system):
     """Oracle: the Lindblad superoperator written with np.kron (column-major vec)."""
     d = system.dim

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import eitcool.spectrum
 
 from eitcool.liouville import (
-    _CHUNK,
     _MIN_BEAT,
+    _STACK_ENTRIES,
     VARIANTS,
     DegenerateSteadyStateError,
     build_liouvillian,
@@ -233,17 +233,36 @@ def _fig2_detunings(cfg):
     return np.concatenate([cfg.delta_pi - omegas, cfg.delta_pi + omegas])
 
 
+def _stack_points(cfg):
+    """Points per stacked solve of ``sweep_states`` for the config's level count."""
+    return _STACK_ENTRIES // cfg.system(cfg.delta_pi).dim ** 4
+
+
 @pytest.mark.parametrize("variant", ["three_level", "four_level_ideal"])
 def test_static_spectrum_stack_is_bit_identical_to_single_points(variant):
     cfg = fig2_config(variant)
     deltas = _fig2_detunings(cfg)
-    assert len(deltas) > _CHUNK
+    size = _stack_points(cfg)
+    assert len(deltas) > size and len(deltas) % size  # two stacks or more, the last partial
     spectrum = scattering_rates(cfg, deltas)
     single = [scattering_rate(cfg, float(d)) for d in deltas]
     assert spectrum.errors == (None,) * len(deltas)
     assert np.array_equal(spectrum.w, [s.w for s in single])
     assert np.array_equal(spectrum.rho_p_total, [s.rho_p_total for s in single])
     assert not spectrum.harmonic_order.any()
+
+
+def test_three_level_sweep_over_three_stacks_is_bit_identical_to_single_points():
+    # 101 points of 9 x 9 per stack: two full stacks and a last one of one point
+    cfg = fig2_config("three_level")
+    size = _stack_points(cfg)
+    assert size == 101
+    deltas = cfg.delta_pi + TP * np.linspace(-4e6, 4e6, 2 * size + 1)
+    spectrum = scattering_rates(cfg, deltas)
+    single = [scattering_rate(cfg, float(d)) for d in deltas]
+    assert spectrum.errors == (None,) * len(deltas)
+    assert spectrum.w.tobytes() == np.array([s.w for s in single]).tobytes()
+    assert spectrum.rho_p_total.tobytes() == np.array([s.rho_p_total for s in single]).tobytes()
 
 
 def test_geometry_spectrum_stack_matches_single_points():
@@ -264,7 +283,8 @@ def test_geometry_stack_with_per_point_cooling_rabi_matches_single_points():
     # the sweep spans three solve stacks, the last one partial, and the
     # strongly driven points, spread over all three, need higher orders
     cfg = fig2_config("four_level_geometry")
-    n = 2 * _CHUNK + 5
+    size = _stack_points(cfg)
+    n = 2 * size + 5
     deltas = cfg.delta_pi + TP * np.linspace(-3e6, 3e6, n)
     omega_pi = cfg.omega_pi * np.geomspace(0.3, 20.0, n)[7 * np.arange(n) % n]
     spectrum = scattering_rates(replace(cfg, omega_pi=omega_pi), deltas)
@@ -274,8 +294,8 @@ def test_geometry_stack_with_per_point_cooling_rabi_matches_single_points():
         single = np.concatenate([getattr(one, field) for one in singles])
         assert getattr(spectrum, field).tobytes() == single.tobytes()
     assert set(spectrum.harmonic_order) == {4, 6, 8, 10}
-    for start in range(0, n, _CHUNK):
-        assert len(set(spectrum.harmonic_order[start:start + _CHUNK])) > 1
+    for start in range(0, n, size):
+        assert len(set(spectrum.harmonic_order[start:start + size])) > 1
 
 
 def test_geometry_sweep_through_a_vanishing_beat_matches_single_points():

@@ -18,6 +18,7 @@ from eitcool.thermometry import (
     _edge,
     _flop_table,
     _grid_sse,
+    _signal,
     fit_thermal,
     ground_state_probability,
     sideband_flops,
@@ -282,6 +283,37 @@ def test_stacked_grid_matches_the_per_point_loop():
         last = cutoffs[np.flatnonzero(finite)[-1] + 1]
         limits.add("max_cutoff" if last > MAX_CUTOFF else "lamb_dicke")
     assert limits == {"max_cutoff", "lamb_dicke"}
+
+
+@pytest.mark.parametrize("eta", [0.03, 0.05, 0.1])
+def test_grid_weights_pick_the_bracket_of_the_probabilities_weights(eta):
+    # _grid_sse builds the thermal weights as a running product down n, a few
+    # ulps from ThermalState.probabilities; the grid only picks Brent's
+    # bracket, so it must pick the one probabilities' weights pick
+    rng = np.random.default_rng(19)
+    edge = _edge(eta)
+    times = np.linspace(0.0, 2e-3, 120)
+    for sideband in SIDEBANDS:
+        table = _flop_table(times, _cutoff(edge) + 1, eta, OMEGA0, sideband)
+        reference = []  # (valid, p zero-padded to the table) per grid point
+        for n_bar in FIT_GRID:
+            try:
+                p = ThermalState(n_bar).checked(eta).probabilities()
+            except ValueError:
+                reference.append((False, None))
+                continue
+            reference.append((True, np.pad(p, (0, table.shape[1] - len(p)))))
+        valid = np.array([ok for ok, _ in reference])
+        weights = np.stack([p for ok, p in reference if ok], axis=1)
+        for noise in (0.0, 0.02):
+            for n_bar in np.geomspace(0.03, edge * 0.999, 6):
+                flops = sideband_flops(ThermalState(n_bar), eta, OMEGA0, sideband, times)
+                target = np.clip(np.array(flops.excitation) + rng.normal(0.0, noise, 120), 0, 1)
+                expected = np.full(len(FIT_GRID), math.inf)
+                expected[valid] = np.sum((_signal(table, weights) - target[:, None]) ** 2, axis=0)
+                got = _grid_sse(table, target, eta, FIT_GRID)
+                assert np.array_equal(np.isinf(got), np.isinf(expected))
+                assert np.argmin(got) == np.argmin(expected)
 
 
 def _brent_problem(rng, kind):
