@@ -174,8 +174,7 @@ def _grid_sse(table: np.ndarray, target: np.ndarray, eta_probe: float, grid: np.
     valid = ~np.logical_or(*_outside(cutoffs, eta_probe))
     n_bar, cutoffs = grid[valid], cutoffs[valid]
     n = np.arange(cutoffs.max(initial=0) + 1)[:, None]
-    # the product's factors, 0 past the cutoff: the weight is exactly 0 there
-    # and never runs through subnormals
+    # the product's factors, 0 past the cutoff: weights there are 0, never subnormal
     weights = np.where(n <= cutoffs, n_bar / (n_bar + 1.0), 0.0)
     weights[0] = 1.0 / (n_bar + 1.0)
     np.cumprod(weights, axis=0, out=weights)

@@ -116,8 +116,8 @@ def test_validate_rejects_a_thermal_state_outside_the_model(keys, message, tmp_p
      "sweep.stop_hz must be finite, not inf"),
 ])
 def test_validate_and_run_reject_a_non_finite_value(keys, message, tmp_path, capsys):
-    # nan passes every comparison, inf all but one: a solver failure at run
-    # (eta_probe), or NaN rows written with exit 0 (stop_hz), before this check
+    # nan passes every comparison, inf all but a sign check: without a finite
+    # check, run fails in the solver (eta_probe) or writes NaN rows (stop_hz)
     cfg = tmp_path / "nonfinite.cfg"
     cfg.write_text(keys + "output = nonfinite.csv\n")
     for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(tmp_path)]):

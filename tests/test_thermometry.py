@@ -287,24 +287,24 @@ def test_stacked_grid_matches_the_per_point_loop():
 
 @pytest.mark.parametrize("eta", [0.03, 0.05, 0.1])
 def test_grid_weights_pick_the_bracket_of_the_probabilities_weights(eta):
-    # _grid_sse builds the thermal weights as a running product down n, a few
-    # ulps from ThermalState.probabilities; the grid only picks Brent's
-    # bracket, so it must pick the one probabilities' weights pick
+    # _grid_sse builds the thermal weights as a running product down n, up to
+    # about n ulps from ThermalState.probabilities; the grid only picks
+    # Brent's bracket, so it must pick the one probabilities' weights pick
     rng = np.random.default_rng(19)
     edge = _edge(eta)
     times = np.linspace(0.0, 2e-3, 120)
     for sideband in SIDEBANDS:
         table = _flop_table(times, _cutoff(edge) + 1, eta, OMEGA0, sideband)
-        reference = []  # (valid, p zero-padded to the table) per grid point
+        valid, weights = [], []  # probabilities() zero-padded to the table
         for n_bar in FIT_GRID:
             try:
                 p = ThermalState(n_bar).checked(eta).probabilities()
             except ValueError:
-                reference.append((False, None))
+                valid.append(False)
                 continue
-            reference.append((True, np.pad(p, (0, table.shape[1] - len(p)))))
-        valid = np.array([ok for ok, _ in reference])
-        weights = np.stack([p for ok, p in reference if ok], axis=1)
+            valid.append(True)
+            weights.append(np.pad(p, (0, table.shape[1] - len(p))))
+        weights = np.stack(weights, axis=1)
         for noise in (0.0, 0.02):
             for n_bar in np.geomspace(0.03, edge * 0.999, 6):
                 flops = sideband_flops(ThermalState(n_bar), eta, OMEGA0, sideband, times)
