@@ -19,7 +19,6 @@ from .cooling import (
     steady_state_n_sweep,
 )
 from .liouville import (
-    BeamSet,
     DrivenSystem,
     Liouvillian,
     build_liouvillian,

@@ -15,14 +15,12 @@ Sign conventions (the single place they are documented):
   channels.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import HBAR, K_B, MU_B, GAUSS_TO_TESLA
+from .record import Record
 
 S_MINUS, S_PLUS, P_MINUS, P_PLUS = "S-", "S+", "P-", "P+"
 STATES = (S_MINUS, S_PLUS, P_MINUS, P_PLUS)
@@ -43,22 +41,20 @@ TRANSITIONS = {
 }
 
 
-@dataclass(frozen=True)
-class LevelScheme:
-    """Zeeman structure of the S1/2 and P1/2 manifolds.
+class LevelScheme(Record):
+    """Zeeman structure of the S1/2 and P1/2 manifolds; ``gamma`` is the P1/2 decay rate, rad/s.
 
     The P1/2 -> D3/2 decay (branching ratio 1:16 against P1/2 -> S1/2) is
     deliberately excluded from the dynamics: the D3/2 channel is repumped in
     practice and small.
     """
 
-    lande_g_S: float = 2.00225
-    lande_g_P: float = 2.0 / 3.0
-    gamma: float = 2 * math.pi * 20e6  # total P1/2 decay rate, rad/s
+    __slots__ = ("lande_g_S", "lande_g_P", "gamma")
 
-    def __post_init__(self):
-        if self.gamma <= 0:
+    def __init__(self, lande_g_S=2.00225, lande_g_P=2.0 / 3.0, gamma=2 * math.pi * 20e6):
+        if gamma <= 0:
             raise ValueError("gamma must be positive")
+        self._set(lande_g_S=lande_g_S, lande_g_P=lande_g_P, gamma=gamma)
 
     def decay_channels(self):
         """Yield (upper, lower, rate) for every dipole decay channel, by (upper, q)."""
@@ -69,35 +65,31 @@ class LevelScheme:
             yield upper, lower, self.gamma * cg**2
 
 
-@dataclass(frozen=True)
-class MagneticField:
+class MagneticField(Record):
     """Static quantization field along z_B; magnitude in gauss."""
 
-    magnitude: float
+    __slots__ = ("magnitude",)
 
-    def __post_init__(self):
-        if self.magnitude < 0:
+    def __init__(self, magnitude: float):
+        if magnitude < 0:
             raise ValueError("field magnitude must be >= 0")
+        self._set(magnitude=magnitude)
 
 
-@dataclass(frozen=True)
-class Beam:
-    """One laser beam.
+class Beam(Record):
+    """One laser beam, labelled "coupling" or "cooling".
 
     ``rabi`` is the bare Rabi frequency for a unit-CG transition, before
     polarization projection. ``detuning`` is referenced to the zero-field
     S1/2 -> P1/2 resonance, ``polarization`` to the field frame (x_B, y_B, z_B).
     """
 
-    label: str  # "coupling" | "cooling"
-    rabi: float
-    detuning: float
-    polarization: tuple
+    __slots__ = ("label", "rabi", "detuning", "polarization")
 
-    def __post_init__(self):
-        eps = np.asarray(self.polarization, dtype=complex)
-        if abs(np.linalg.norm(eps) - 1.0) > 1e-12:
+    def __init__(self, label: str, rabi: float, detuning: float, polarization: tuple):
+        if abs(np.linalg.norm(np.asarray(polarization, dtype=complex)) - 1.0) > 1e-12:
             raise ValueError("polarization must be a unit vector")
+        self._set(label=label, rabi=rabi, detuning=detuning, polarization=polarization)
 
 
 def decompose_polarization(polarization) -> dict:

@@ -1,7 +1,5 @@
 """Command-line interface: eitcool run | validate | constants."""
 
-from __future__ import annotations
-
 import argparse
 import sys
 from importlib import resources

@@ -6,15 +6,13 @@ converted to angular frequencies (rad/s) on access; keys ending in ``_deg``
 are degrees, converted to radians; ``_s`` seconds; ``_nm`` nanometers.
 """
 
-from __future__ import annotations
-
 import hashlib
 import math
-from dataclasses import dataclass, field
 
 from .atom import LevelScheme
 from .constants import ATOMIC_MASS
 from .liouville import VARIANTS
+from .record import Record
 from .spectrum import EITConfig
 from .thermometry import SIDEBANDS, ThermalState
 
@@ -81,14 +79,11 @@ _TASK_REQUIRES = {
 
 
 def _parse_value(raw: str):
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
+    for typ in (int, float):
+        try:
+            return typ(raw)
+        except ValueError:
+            pass
     return raw
 
 
@@ -110,13 +105,13 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Fully-resolved run configuration with provenance."""
 
-    values: dict
-    applied_defaults: tuple
-    sha256: str
+    __slots__ = ("values", "applied_defaults", "sha256")
+
+    def __init__(self, values: dict, applied_defaults: tuple, sha256: str):
+        self._set(values=values, applied_defaults=applied_defaults, sha256=sha256)
 
     def __getitem__(self, key):
         return self.values[key]
@@ -216,7 +211,7 @@ def resolve(values: dict) -> RunConfig:
         if resolved[key] is not None and resolved[key] < 2:
             raise ConfigError(f"{key} must be >= 2")
     for key, val in resolved.items():
-        if key.endswith(("_hz", "_s")) and val is not None and val <= 0:
+        if key.endswith(("_hz", "_s", ".eta_probe")) and val is not None and val <= 0:
             raise ConfigError(f"{key} must be positive")
         if key.endswith("_deg") and val is not None and not (0.0 <= val <= 180.0):
             raise ConfigError(f"{key} must lie in [0, 180] degrees")

@@ -12,40 +12,34 @@ mode; sweeps keep a point's solver failure on its report, and
 ``multimode_report`` and ``cooling_coefficients`` raise it, led by its mode.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .constants import CA40_MASS, HBAR
+from .record import Record
 from .spectrum import EITConfig, coupling_for_target_shift, scattering_rates
 
 
-@dataclass(frozen=True)
-class TrapMode:
-    """One harmonic motional mode of the trapped ion."""
+class TrapMode(Record):
+    """One harmonic motional mode of the trapped ion; ``omega`` in rad/s."""
 
-    omega: float  # rad/s
-    axis: tuple
-    mass: float = CA40_MASS
-    label: str = ""
+    __slots__ = ("omega", "axis", "mass", "label")
 
-    def __post_init__(self):
-        if self.omega <= 0:
+    def __init__(self, omega: float, axis: tuple, mass: float = CA40_MASS, label: str = ""):
+        if omega <= 0:
             raise ValueError("mode frequency must be positive")
-        a = np.asarray(self.axis, float)
-        if abs(np.linalg.norm(a) - 1.0) > 1e-12:
+        if abs(np.linalg.norm(np.asarray(axis, float)) - 1.0) > 1e-12:
             raise ValueError("mode axis must be a unit vector")
+        self._set(omega=omega, axis=axis, mass=mass, label=label)
 
     @property
     def ground_state_size(self) -> float:
         return math.sqrt(HBAR / (2 * self.mass * self.omega))
 
 
-@dataclass(frozen=True)
-class CoolingGeometry:
+class CoolingGeometry(NamedTuple):
     """Per-mode cooling geometry derived from the beam wavevectors."""
 
     omega: float
@@ -103,8 +97,7 @@ def evolve_n(a_plus: float, a_minus: float, n0: float, t: float) -> float:
     return n_ss + (n0 - n_ss) * math.exp(-rate * t)
 
 
-@dataclass(frozen=True)
-class CoolingReport:
+class CoolingReport(NamedTuple):
     """Cooling figures of merit for one mode.
 
     ``error`` is the mode's solver failure, or None; a failed mode has NaN
@@ -189,12 +182,8 @@ def steady_state_n_sweep(
         values = [float(omega) for omega in omegas]
         if any(omega <= 0 for omega in values):
             raise ValueError("sweep frequencies must be positive")
-        geometries = [
-            replace(geometry, omega=omega)
-            if geometry is not None
-            else CoolingGeometry(omega=omega, eta=1.0, cos_phi=1.0)
-            for omega in values
-        ]
+        base = geometry if geometry is not None else CoolingGeometry(0.0, eta=1.0, cos_phi=1.0)
+        geometries = [base._replace(omega=omega) for omega in values]
     else:
         if geometry is None:
             raise ValueError("a mode geometry is required to sweep the AC Stark shift")
@@ -202,7 +191,7 @@ def steady_state_n_sweep(
         if any(delta <= 0 for delta in values):
             raise ValueError("sweep shifts must be positive")
         omega_sigma = [coupling_for_target_shift(d, config.delta_sigma) for d in values]
-        config = replace(config, omega_sigma=np.array(omega_sigma))
+        config = config._replace(omega_sigma=np.array(omega_sigma))
         geometries = [geometry] * len(values)
     return _reports(config, geometries)
 

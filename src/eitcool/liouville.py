@@ -36,10 +36,8 @@ static or periodic.  The module needs numpy only; the brute-force
 propagation oracles these solves are checked against live in the tests.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,8 +81,7 @@ class ConvergenceError(RuntimeError):
     """An iterative solve did not converge within its cap."""
 
 
-@dataclass(frozen=True)
-class Coupling:
+class Coupling(NamedTuple):
     lower: int
     upper: int
     # H += rabi_eff/2 |u><l| + h.c. (times the beat phase if oscillating)
@@ -94,14 +91,7 @@ class Coupling:
     oscillates: bool = False
 
 
-@dataclass(frozen=True)
-class BeamSet:
-    coupling: Beam
-    cooling: Beam
-
-
-@dataclass(frozen=True)
-class DrivenSystem:
+class DrivenSystem(NamedTuple):
     """Rotating-frame description of the driven level system."""
 
     labels: tuple
@@ -125,7 +115,8 @@ _MIN_BEAT = 1e-6
 def build_system(
     scheme: LevelScheme,
     field: MagneticField,
-    beams: BeamSet,
+    coupling: Beam,
+    cooling: Beam,
     variant: str = "four_level_geometry",
 ) -> DrivenSystem:
     """Assemble the rotating-frame system for the requested variant.
@@ -146,8 +137,8 @@ def build_system(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     labels = _RETAINED[variant]
-    nu_c = beams.coupling.detuning
-    nu_g = beams.cooling.detuning
+    nu_c = coupling.detuning
+    nu_g = cooling.detuning
     delta_s, delta_p = zeeman_splitting(scheme, field)
     zeeman = {S_MINUS: -delta_s / 2, S_PLUS: delta_s / 2,
               P_MINUS: -delta_p / 2, P_PLUS: delta_p / 2}
@@ -158,7 +149,7 @@ def build_system(
     couplings = []
     driven = set()
     dropped = _DROPPED_COOLING.get(variant, ())
-    for beam, nu, skip in ((beams.coupling, (1, 0), ()), (beams.cooling, (0, 1), dropped)):
+    for beam, nu, skip in ((coupling, (1, 0), ()), (cooling, (0, 1), dropped)):
         amps = decompose_polarization(beam.polarization)
         for (lower_label, q), (upper_label, cg) in TRANSITIONS.items():
             pair = (lower_label, upper_label)
@@ -202,8 +193,7 @@ def build_system(
     )
 
 
-@dataclass(frozen=True)
-class Liouvillian:
+class Liouvillian(NamedTuple):
     """Vectorized master-equation generator L(t) = L0 + L+ e^{+i nu t} + L- e^{-i nu t}.
 
     A stack when the system is one: ``l0`` is (..., d^2, d^2), and L+/- have

@@ -1,7 +1,5 @@
 """Task orchestration and deterministic CSV/report emission."""
 
-from __future__ import annotations
-
 from pathlib import Path
 
 import numpy as np
@@ -129,10 +127,7 @@ def _run_thermometry(config: RunConfig):
     times = np.linspace(0.0, config["thermometry.t_max_s"], config["thermometry.points"])
     record = sideband_flops(state, eta, omega0, config["thermometry.sideband"], times)
     fit = fit_thermal(record, eta, omega0)
-    meta = {
-        "fit_n_bar": _fmt(fit.n_bar),
-        "fit_residual": _fmt(fit.residual),
-    }
+    meta = {"fit_n_bar": _fmt(fit.n_bar), "fit_residual": _fmt(fit.residual)}
     p_red = time_averaged_excitation(state, "red")
     p_blue = time_averaged_excitation(state, "blue")
     if p_red < p_blue:

@@ -20,10 +20,8 @@ laser setting, and the cooling rates, coupling-strength sweeps and the Fano
 features (a grid, then stacked zoom passes) all read a ``Spectrum`` stack.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +36,6 @@ from .atom import (
     zeeman_splitting,
 )
 from .liouville import (
-    BeamSet,
     DrivenSystem,
     build_liouvillian,
     build_system,
@@ -99,8 +96,7 @@ def dressed_state(omega_sigma: float, delta_sigma: float):
     return (omega_sigma / norm, 2 * delta / norm)
 
 
-@dataclass(frozen=True)
-class FanoFeatures:
+class FanoFeatures(NamedTuple):
     dark_point: float
     bright_peak: float
 
@@ -109,8 +105,7 @@ class FanoFeatures:
         return self.bright_peak - self.dark_point
 
 
-@dataclass(frozen=True)
-class EITConfig:
+class EITConfig(NamedTuple):
     """Laser/field configuration for one cooling spectrum.
 
     ``omega_sigma`` and ``omega_pi`` are effective transition Rabi frequencies
@@ -129,7 +124,7 @@ class EITConfig:
     variant: str = "three_level"
     b_gauss: float = 4.4
     beam_angle: float = math.radians(125.0)  # between cooling and coupling k
-    scheme: LevelScheme = dc_field(default_factory=LevelScheme)
+    scheme: LevelScheme = LevelScheme()
 
     @property
     def field(self) -> MagneticField:
@@ -145,8 +140,8 @@ class EITConfig:
         nu_c = self.delta_sigma + 0.5 * (delta_p + delta_s)
         return nu_c, delta_pi + 0.5 * (delta_p - delta_s)
 
-    def beams(self, delta_pi: float | None = None) -> BeamSet:
-        """Construct the physical beam pair for this configuration."""
+    def beams(self, delta_pi: float | None = None) -> tuple:
+        """The physical (coupling, cooling) beam pair of this configuration."""
         if delta_pi is None:
             delta_pi = self.delta_pi
         nu_c, nu_g = self.laser_frequencies(delta_pi)
@@ -172,14 +167,13 @@ class EITConfig:
             detuning=nu_g,
             polarization=pol,
         )
-        return BeamSet(coupling=coupling, cooling=cooling)
+        return coupling, cooling
 
     def system(self, delta_pi: float | None = None) -> DrivenSystem:
-        return build_system(self.scheme, self.field, self.beams(delta_pi), self.variant)
+        return build_system(self.scheme, self.field, *self.beams(delta_pi), self.variant)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Cooling-beam spectrum over a set of detunings; failed points hold NaN."""
 
     detuning_pi: np.ndarray
@@ -250,7 +244,7 @@ def scattering_rate(config: EITConfig, delta_pi: float | None = None) -> Spectru
     so is a laser parameter or detuning given as an array (ValueError).
     """
     if delta_pi is not None:
-        config = replace(config, delta_pi=delta_pi)
+        config = config._replace(delta_pi=delta_pi)
     _require_one_point(config, "scattering_rate")
     return scattering_rates(config, config.delta_pi).checked()
 

@@ -11,12 +11,13 @@ time-averaged red and blue excitations (R = n_bar / (n_bar + 1)), recovers the
 mean phonon number.
 """
 
-from __future__ import annotations
-
+import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from .record import Record
 
 SIDEBANDS = ("red", "blue")
 
@@ -63,15 +64,15 @@ def _edge(eta_probe: float) -> float:
     return n_bar
 
 
-@dataclass(frozen=True)
-class ThermalState:
+class ThermalState(Record):
     """Thermal (geometric) phonon distribution of mean n_bar, cut at ``_cutoff(n_bar)``."""
 
-    n_bar: float
+    __slots__ = ("n_bar",)
 
-    def __post_init__(self):
-        if not (math.isfinite(self.n_bar) and self.n_bar >= 0):
-            raise ValueError(f"n_bar must be finite and >= 0, not {self.n_bar!r}")
+    def __init__(self, n_bar: float):
+        if not (math.isfinite(n_bar) and n_bar >= 0):
+            raise ValueError(f"n_bar must be finite and >= 0, not {n_bar!r}")
+        self._set(n_bar=n_bar)
 
     @property
     def cutoff(self) -> int:
@@ -100,30 +101,30 @@ class ThermalState:
         return r**n / (self.n_bar + 1.0)
 
 
-@dataclass(frozen=True)
-class FlopRecord:
+class FlopRecord(Record):
     """Sideband Rabi-oscillation record: excitation vs pulse duration."""
 
-    times: tuple
-    excitation: tuple
-    sideband: str
+    __slots__ = ("times", "excitation", "sideband")
 
-    def __post_init__(self):
-        if self.sideband not in SIDEBANDS:
-            raise ValueError(f"unknown sideband {self.sideband!r}")
-        if len(self.times) != len(self.excitation):
-            raise ValueError(f"{len(self.times)} times but {len(self.excitation)} excitations")
-        excitation = np.asarray(self.excitation, float)
-        if not (np.isfinite(self.times).all() and np.isfinite(excitation).all()):
+    def __init__(self, times: tuple, excitation: tuple, sideband: str):
+        if sideband not in SIDEBANDS:
+            raise ValueError(f"unknown sideband {sideband!r}")
+        if len(times) != len(excitation):
+            raise ValueError(f"{len(times)} times but {len(excitation)} excitations")
+        p = np.asarray(excitation, float)
+        if not (np.isfinite(times).all() and np.isfinite(p).all()):
             raise ValueError("times and excitation probabilities must be finite")
-        if ((excitation < 0) | (excitation > 1)).any():
+        if ((p < 0) | (p > 1)).any():
             raise ValueError("excitation probabilities must lie in [0, 1]")
+        self._set(times=times, excitation=excitation, sideband=sideband)
 
 
 def _flop_table(t: np.ndarray, terms: int, eta_probe: float, omega0: float, sideband: str):
     """sin^2(Omega_n t / 2), a row per time and a column per n < terms."""
     if sideband not in SIDEBANDS:
         raise ValueError(f"unknown sideband {sideband!r}")
+    if not eta_probe > 0:
+        raise ValueError(f"eta_probe must be positive, not {eta_probe!r}")
     rabi = omega0 * eta_probe * np.sqrt(np.arange(terms) + (sideband == "blue"))
     return np.sin(np.outer(t, rabi) / 2.0) ** 2
 
@@ -143,7 +144,7 @@ def sideband_flops(
     """Thermal-averaged sideband Rabi oscillations.
 
     Valid to first order in the Lamb-Dicke expansion, which requires
-    eta_probe * sqrt(cutoff) < 0.5 (``ThermalState.checked``).
+    0 < eta_probe and eta_probe * sqrt(cutoff) < 0.5 (``ThermalState.checked``).
     """
     state.checked(eta_probe)
     t = np.asarray(list(times), float)
@@ -152,13 +153,21 @@ def sideband_flops(
     return FlopRecord(times=tuple(t), excitation=tuple(signal), sideband=sideband)
 
 
-@dataclass(frozen=True)
-class ThermalFit:
+class ThermalFit(NamedTuple):
     n_bar: float
     residual: float  # sum of squared deviations at the optimum
 
 
-def _grid_sse(table: np.ndarray, target: np.ndarray, eta_probe: float, grid: np.ndarray):
+@functools.cache
+def _fit_grid():
+    """``fit_thermal``'s grid over n_bar in [0, 1e3] and its cutoffs, built on the first fit."""
+    grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 160)])
+    cutoffs = np.array([_cutoff(n_bar) for n_bar in grid])
+    grid.flags.writeable = cutoffs.flags.writeable = False
+    return grid, cutoffs
+
+
+def _grid_sse(table: np.ndarray, target: np.ndarray, eta_probe: float, grid, cutoffs):
     """Squared deviation of the thermal model from ``target`` at each n_bar of grid.
 
     ``table`` is the sin^2(Omega_n t / 2) table (``_flop_table``) out to at least
@@ -169,8 +178,7 @@ def _grid_sse(table: np.ndarray, target: np.ndarray, eta_probe: float, grid: np.
     from them, which is enough to pick Brent's bracket; Brent's evaluations
     use ``probabilities`` itself.
     """
-    cutoffs = np.array([_cutoff(n_bar) for n_bar in grid])
-    # the cutoffs ThermalState.checked accepts at eta_probe
+    # cutoffs[i] = _cutoff(grid[i]); those that ThermalState.checked accepts at eta_probe
     valid = ~np.logical_or(*_outside(cutoffs, eta_probe))
     n_bar, cutoffs = grid[valid], cutoffs[valid]
     n = np.arange(cutoffs.max(initial=0) + 1)[:, None]
@@ -256,17 +264,17 @@ def fit_thermal(
     share one sin^2(Omega_n t / 2) table, out to the cutoff of the largest
     n_bar the model represents (``_edge``), so a Brent evaluation is one
     matrix-vector product.  Where no grid point above the best one is valid,
-    the bracket runs to that edge; a minimum there raises ValueError, as does
-    an eta_probe at which the model represents no n_bar.  That takes a record
-    hotter than the model, and also one made within Brent's resolution (about
-    3e-7 at eta_probe = 0.03) below the edge, which Brent cannot tell apart.
+    the bracket runs to that edge; a minimum there raises ValueError, as do an
+    eta_probe <= 0 and one at which the model represents no n_bar.  That takes a
+    record hotter than the model, and also one made within Brent's resolution
+    (about 3e-7 at eta_probe = 0.03) below the edge, which Brent cannot tell apart.
     """
     edge = _edge(eta_probe)
     table = _flop_table(np.asarray(record.times, float), _cutoff(edge) + 1, eta_probe, omega0,
                         record.sideband)
     target = np.asarray(record.excitation, float)
-    grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 160)])
-    values = _grid_sse(table, target, eta_probe, grid)
+    grid, cutoffs = _fit_grid()
+    values = _grid_sse(table, target, eta_probe, grid, cutoffs)
 
     def sse(n_bar):
         # Brent evaluates inside the bracket only, whose top is valid, and the

@@ -5,7 +5,6 @@ report lines.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest

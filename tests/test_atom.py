@@ -87,7 +87,7 @@ def test_oblique_beam_in_plane_polarization_weights():
     # beam at 55 degrees to the field, linear polarization in the (k, B) plane
     ang = math.radians(55.0)
     k_hat = (math.sin(ang), 0.0, math.cos(ang))
-    pol = fig2_config("four_level_geometry", beam_angle=ang).beams().cooling.polarization
+    pol = fig2_config("four_level_geometry", beam_angle=ang).beams()[1].polarization
     assert np.dot(k_hat, pol) == pytest.approx(0.0, abs=1e-15)
     weights = _weights(decompose_polarization(pol))
     w_minus, w_pi, w_plus = weights[-1], weights[0], weights[+1]

@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +125,18 @@ def test_validate_and_run_reject_a_non_finite_value(keys, message, tmp_path, cap
     assert not (tmp_path / "nonfinite.csv").exists()
 
 
+@pytest.mark.parametrize("eta", ["0", "-0.03"])
+def test_validate_and_run_reject_a_probe_eta_that_is_not_positive(eta, tmp_path, capsys):
+    # eta <= 0 passes the sideband bound eta * sqrt(cutoff) < 0.5: unchecked, run
+    # exits 0 with a meaningless fit (n_bar 0.001 at eta 0, 16.00000005 at -0.03)
+    cfg = tmp_path / "eta.cfg"
+    cfg.write_text(f"task = thermometry\nthermometry.eta_probe = {eta}\noutput = eta.csv\n")
+    for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(tmp_path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: thermometry.eta_probe must be positive\n"
+    assert not (tmp_path / "eta.csv").exists()
+
+
 def test_validate_and_run_accept_a_thermal_state_near_the_model_edge(tmp_path):
     # n_bar = 18.5 lies above the last fit grid point the model represents at
     # the default eta_probe (18.37), below the largest n_bar it does (19.63)
@@ -245,7 +256,7 @@ def test_sweep_omega_reports_failed_points(tmp_path, monkeypatch):
             if abs(d - config.delta_pi) > TP * 2.5e6 else error
             for d, error in zip(spectrum.detuning_pi.ravel(), spectrum.errors)
         )
-        return replace(spectrum, errors=errors)
+        return spectrum._replace(errors=errors)
 
     monkeypatch.setattr(eitcool.cooling, "scattering_rates", fail_above_2mhz)
     cfg = tmp_path / "sweep.cfg"
@@ -264,7 +275,7 @@ def test_run_failure_names_the_error_type(spectrum_cfg, tmp_path, monkeypatch, c
     def fail_first_point(config, detunings):
         spectrum = solve(config, detunings)
         error = DegenerateSteadyStateError("steady state not unique (injected)")
-        return replace(spectrum, errors=(error,) + spectrum.errors[1:])
+        return spectrum._replace(errors=(error,) + spectrum.errors[1:])
 
     monkeypatch.setattr(eitcool.runner, "scattering_rates", fail_first_point)
     assert main(["run", str(spectrum_cfg), "--out", str(tmp_path)]) == 1
@@ -286,7 +297,7 @@ def test_spectrum_failure_names_the_variant_and_the_first_failed_point(
         errors = list(spectrum.errors)
         errors[4] = ConvergenceError("injected at 70 MHz")
         errors[6] = DegenerateSteadyStateError("injected at 72 MHz")
-        return replace(spectrum, errors=tuple(errors))
+        return spectrum._replace(errors=tuple(errors))
 
     monkeypatch.setattr(eitcool.runner, "scattering_rates", fail_two_ideal_points)
     cfg = tmp_path / "all.cfg"
@@ -311,7 +322,7 @@ def test_mode_failure_names_the_mode(name, failed, label, tmp_path, monkeypatch,
         spectrum = solve(config, detunings)
         errors = [DegenerateSteadyStateError("injected") if i in failed else error
                   for i, error in enumerate(spectrum.errors)]
-        return replace(spectrum, errors=tuple(errors))
+        return spectrum._replace(errors=tuple(errors))
 
     monkeypatch.setattr(eitcool.cooling, "scattering_rates", fail_samples)
     assert main(["run", name, "--out", str(tmp_path)]) == 1
@@ -366,3 +377,22 @@ def test_bundled_runs_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+def test_cli_import_loads_no_dataclasses_and_builds_no_fit_grid():
+    # a frozen dataclass generates and compiles its methods when its class is
+    # made, which a cold eitcool run pays for at import; the thermometry fit
+    # grid is built by the first fit, so runs of other tasks do not pay for it
+    script = (
+        "import sys\n"
+        "import numpy, argparse, hashlib\n"
+        "before = set(sys.modules)\n"
+        "import eitcool.cli, eitcool.runner\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'dataclasses'))\n"
+        "print(eitcool.thermometry._fit_grid.cache_info().currsize)\n"
+    )
+    src = str(Path(eitcool.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["[]", "0"]

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,7 +136,7 @@ def test_rate_scales_exactly_with_geometric_prefactor():
     cfg = fig2_config("three_level")
     geo = _reference_geometry()
     a_plus, a_minus = cooling_coefficients(cfg, geo)
-    half = replace(geo, eta=geo.eta / 2)
+    half = geo._replace(eta=geo.eta / 2)
     b_plus, b_minus = cooling_coefficients(cfg, half)
     assert b_plus == pytest.approx(a_plus / 4, rel=1e-12)
     assert b_minus == pytest.approx(a_minus / 4, rel=1e-12)
@@ -195,7 +194,7 @@ def test_n_ss_insensitive_to_probe_power_in_linear_response():
     base = fig2_config("three_level", omega_pi=GAMMA / 80)
     values = []
     for c in (0.5, 1.0, 2.0):
-        cfg = replace(base, omega_pi=c * base.omega_pi)
+        cfg = base._replace(omega_pi=c * base.omega_pi)
         (pt,) = steady_state_n_sweep(cfg, omegas=[omega])
         values.append(pt.n_ss)
     assert max(values) / min(values) - 1.0 < 0.02
@@ -214,7 +213,7 @@ def test_delta_sweep_adjusts_coupling_rabi():
     geo = _reference_geometry()
     delta = TP * 1.62e6
     (pt,) = steady_state_n_sweep(cfg, deltas=[delta], geometry=geo)
-    direct = replace(cfg, omega_sigma=coupling_for_target_shift(delta, cfg.delta_sigma))
+    direct = cfg._replace(omega_sigma=coupling_for_target_shift(delta, cfg.delta_sigma))
     a_plus, a_minus = cooling_coefficients(direct, geo)
     assert pt.a_plus == a_plus
     assert pt.a_minus == a_minus
@@ -299,9 +298,9 @@ def test_per_mode_laser_arrays_stay_aligned_past_an_uncoolable_mode():
     omega_sigma = TP * np.array([18e6, 25e6])
     dead = CoolingGeometry(omega=TP * 1.2e6, eta=0.25, cos_phi=0.0, label="dead")
     geometries = [dead, _reference_geometry()]
-    reports = multimode_report(replace(cfg, omega_sigma=omega_sigma), geometries)
+    reports = multimode_report(cfg._replace(omega_sigma=omega_sigma), geometries)
     for s, geo, report in zip(omega_sigma, geometries, reports):
-        single = cooling_coefficients(replace(cfg, omega_sigma=s), geo)
+        single = cooling_coefficients(cfg._replace(omega_sigma=s), geo)
         assert (report.a_plus, report.a_minus) == single
 
 

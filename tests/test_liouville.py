@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from eitcool.atom import (
 from eitcool.liouville import (
     _MIN_BEAT,
     VARIANTS,
-    BeamSet,
     ConvergenceError,
     DegenerateSteadyStateError,
     Liouvillian,
@@ -115,7 +113,7 @@ def test_degenerate_beat_fold_matches_propagation():
     # steady state, 0.08 away from the state with L+/- left out; a stronger,
     # further detuned cooling beam than fig2's relaxes within 600 / Gamma
     cfg = fig2_config("four_level_geometry", omega_pi=TP * 15e6, delta_pi=TP * 60e6)
-    liouv = replace(build_liouvillian(cfg.system()), beat=0.0)
+    liouv = build_liouvillian(cfg.system())._replace(beat=0.0)
     rho = propagate(liouv, np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex), 600.0 / GAMMA)
     assert np.max(np.abs(rho - steady_state(liouv))) <= 1e-7
 
@@ -123,8 +121,7 @@ def test_degenerate_beat_fold_matches_propagation():
 def test_effective_rabi_amplitudes_are_reconstructible():
     cfg = fig2_config("four_level_geometry")
     system = cfg.system()
-    beam_set = cfg.beams()
-    beams = {b.label: b for b in (beam_set.coupling, beam_set.cooling)}
+    beams = {b.label: b for b in cfg.beams()}
     for c in system.couplings:
         beam = beams[c.beam]
         comps = decompose_polarization(beam.polarization)
@@ -146,28 +143,27 @@ def test_each_coupling_driven_by_exactly_one_beam():
 def test_transition_driven_at_two_frequencies_is_rejected():
     pol = tuple(circular_polarization(+1))
     mk = lambda label, detuning: Beam(label, 1e6, detuning, pol)
-    beams = BeamSet(coupling=mk("coupling", TP * 70e6), cooling=mk("cooling", TP * 60e6))
+    beams = (mk("coupling", TP * 70e6), mk("cooling", TP * 60e6))
     with pytest.raises(ValueError, match="two distinct frequencies"):
-        build_system(LevelScheme(), MagneticField(4.4), beams, "three_level")
+        build_system(LevelScheme(), MagneticField(4.4), *beams, "three_level")
 
 
 def test_coupling_off_the_beat_is_rejected():
     # an elliptical coupling beam along B puts a sigma- coupling on (S+, P-),
     # which rotates at 2 (nu_c - nu_g) in the frame; no Liouvillian term runs it
     cfg = fig2_config("four_level_ideal")
-    fig2 = cfg.beams()
+    fig2_coupling, fig2_cooling = cfg.beams()
     pol = 0.8 * circular_polarization(+1) + 0.6 * circular_polarization(-1)
-    coupling = Beam("coupling", fig2.coupling.rabi, fig2.coupling.detuning, tuple(pol))
-    beams = BeamSet(coupling=coupling, cooling=fig2.cooling)
+    coupling = fig2_coupling._replace(polarization=tuple(pol))
     with pytest.raises(ValueError, match=r"\('S\+', 'P-'\)"):
-        build_system(cfg.scheme, cfg.field, beams, "four_level_ideal")
+        build_system(cfg.scheme, cfg.field, coupling, fig2_cooling, "four_level_ideal")
 
 
 def test_unknown_variant_rejected():
     cfg = fig2_config("three_level")
     for variant in ("five_level", "two_level"):  # two_level is a test oracle only
         with pytest.raises(ValueError):
-            build_system(cfg.scheme, cfg.field, cfg.beams(), variant)
+            build_system(cfg.scheme, cfg.field, *cfg.beams(), variant)
 
 
 # --------------------------------------------------------------- vectorization
@@ -254,7 +250,7 @@ def test_weak_drive_steady_state_is_unique_until_the_drive_is_off(variant):
     cfg = fig2_config(variant)
     deltas = cfg.delta_pi + TP * np.linspace(-3e6, 3e6, 7)
     for scale in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 0.0):
-        weak = replace(cfg, omega_sigma=scale * cfg.omega_sigma, omega_pi=scale * cfg.omega_pi)
+        weak = cfg._replace(omega_sigma=scale * cfg.omega_sigma, omega_pi=scale * cfg.omega_pi)
         liouv = build_liouvillian(weak.system(deltas))
         rho0, rho1, _, errors = sweep_states(liouv)
         if scale == 0.0:
@@ -309,7 +305,7 @@ def test_kron_free_liouvillian_matches_kron_oracle(rng):
             beam_angle=math.radians(rng.uniform(30.0, 150.0)),
         )
         # each system also without its decays: a closed atom is built the same way
-        for system in (cfg.system(), replace(cfg.system(), decays=())):
+        for system in (cfg.system(), cfg.system()._replace(decays=())):
             liouv = build_liouvillian(system)
             oracle = _kron_liouvillian(system)
             for got, want in zip((liouv.l0, liouv.l_plus, liouv.l_minus), oracle):
@@ -335,10 +331,10 @@ def test_liouvillian_stack_broadcasts_the_laser_parameters():
     omega_pi = cfg.omega_pi * np.array([0.5, 0.8, 1.0, 1.3, 2.0])
     swept = build_liouvillian(cfg.system(deltas))
     assert swept.l0.shape == (5, 16, 16) and swept.l_plus.shape == (16, 16)
-    stacked = build_liouvillian(replace(cfg, omega_pi=omega_pi).system(deltas))
+    stacked = build_liouvillian(cfg._replace(omega_pi=omega_pi).system(deltas))
     assert stacked.l_plus.shape == stacked.l_minus.shape == (5, 16, 16)
     for i, d in enumerate(deltas):
-        one = build_liouvillian(replace(cfg, omega_pi=omega_pi[i]).system(d))
+        one = build_liouvillian(cfg._replace(omega_pi=omega_pi[i]).system(d))
         assert np.array_equal(stacked.l0[i], one.l0)
         assert np.array_equal(stacked.l_plus[i], one.l_plus)
         assert np.array_equal(stacked.l_minus[i], one.l_minus)
@@ -353,8 +349,8 @@ def test_one_point_solvers_reject_a_stack(variant):
     stack = build_liouvillian(cfg.system(cfg.delta_pi + TP * np.array([0.0, 1e6])))
     one = build_liouvillian(cfg.system())
     pair = np.stack([one.l_plus] * 2)
-    for liouv in (stack, replace(one, beat=np.array([1.0, 2.0]) * GAMMA),
-                  replace(one, l_plus=pair, l_minus=pair.conj())):
+    for liouv in (stack, one._replace(beat=np.array([1.0, 2.0]) * GAMMA),
+                  one._replace(l_plus=pair, l_minus=pair.conj())):
         with pytest.raises(ValueError, match="sweep_states"):
             steady_state(liouv)
 
@@ -461,10 +457,8 @@ def test_steady_state_of_a_periodic_liouvillian_is_its_period_average():
 def test_global_frame_offset_leaves_steady_state_unchanged():
     # re-zeroing the rotating frame adds a multiple of the identity to H,
     # which must not affect the physics
-    from dataclasses import replace
-
     system = _system("four_level_ideal")
-    shifted = replace(system, h_diag=system.h_diag + 0.37 * GAMMA)
+    shifted = system._replace(h_diag=system.h_diag + 0.37 * GAMMA)
     rho_a = steady_state(build_liouvillian(system))
     rho_b = steady_state(build_liouvillian(shifted))
     assert np.max(np.abs(rho_a - rho_b)) <= 1e-10

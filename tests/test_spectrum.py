@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,7 +205,7 @@ def test_linear_response_quadratic_in_probe_rabi():
     cfg = fig2_config("three_level", omega_pi=GAMMA / 40,
                       delta_pi=FIG2["delta_sigma"] - TP * 3e6)
     w1 = scattering_rate(cfg).w
-    w2 = scattering_rate(replace(cfg, omega_pi=GAMMA / 20)).w
+    w2 = scattering_rate(cfg._replace(omega_pi=GAMMA / 20)).w
     assert w2 / w1 == pytest.approx(4.0, rel=0.05)
 
 
@@ -287,8 +286,8 @@ def test_geometry_stack_with_per_point_cooling_rabi_matches_single_points():
     n = 2 * size + 5
     deltas = cfg.delta_pi + TP * np.linspace(-3e6, 3e6, n)
     omega_pi = cfg.omega_pi * np.geomspace(0.3, 20.0, n)[7 * np.arange(n) % n]
-    spectrum = scattering_rates(replace(cfg, omega_pi=omega_pi), deltas)
-    singles = [scattering_rates(replace(cfg, omega_pi=p), [d]) for p, d in zip(omega_pi, deltas)]
+    spectrum = scattering_rates(cfg._replace(omega_pi=omega_pi), deltas)
+    singles = [scattering_rates(cfg._replace(omega_pi=p), [d]) for p, d in zip(omega_pi, deltas)]
     assert spectrum.errors == (None,) * n
     for field in ("w", "rho_p_total", "harmonic_order"):
         single = np.concatenate([getattr(one, field) for one in singles])
@@ -324,10 +323,10 @@ def test_stack_of_laser_parameters_equals_single_points(variant, points):
     cfg = fig2_config(variant)
     deltas = cfg.delta_pi + TP * 1e6 * offset
     stack = scattering_rates(
-        replace(cfg, omega_sigma=omega_sigma * GAMMA, omega_pi=omega_pi * GAMMA), deltas
+        cfg._replace(omega_sigma=omega_sigma * GAMMA, omega_pi=omega_pi * GAMMA), deltas
     )
     singles = [
-        scattering_rates(replace(cfg, omega_sigma=s * GAMMA, omega_pi=p * GAMMA), [d])
+        scattering_rates(cfg._replace(omega_sigma=s * GAMMA, omega_pi=p * GAMMA), [d])
         for s, p, d in zip(omega_sigma, omega_pi, deltas)
     ]
     for field in ("w", "rho_p_total", "harmonic_order"):

@@ -1,4 +1,3 @@
-import dataclasses
 import decimal
 import math
 
@@ -16,6 +15,7 @@ from eitcool.thermometry import (
     _bounded_brent,
     _cutoff,
     _edge,
+    _fit_grid,
     _flop_table,
     _grid_sse,
     _signal,
@@ -60,7 +60,7 @@ def test_thermal_state_input_validation():
         with pytest.raises(ValueError, match="n_bar must be finite and >= 0"):
             ThermalState(n_bar)
     # a state is its n_bar: the cutoff is derived, not stored
-    assert [f.name for f in dataclasses.fields(ThermalState)] == ["n_bar"]
+    assert ThermalState.__slots__ == ("n_bar",)
     assert ThermalState(16.0).cutoff == _cutoff(16.0)
 
 
@@ -150,6 +150,24 @@ def test_flop_record_rejects_carrier_that_no_model_fits():
 
 
 FIT_GRID = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 160)])  # fit_thermal's grid
+
+
+def test_fit_grid_is_built_once_with_each_points_cutoff():
+    grid, cutoffs = _fit_grid()
+    assert np.array_equal(grid, FIT_GRID)
+    assert cutoffs.tolist() == [_cutoff(n_bar) for n_bar in grid]
+    assert _fit_grid()[1] is cutoffs
+    assert not (grid.flags.writeable or cutoffs.flags.writeable)
+
+
+@pytest.mark.parametrize("eta", [0.0, -0.03])
+def test_flops_and_fit_reject_a_probe_eta_that_is_not_positive(eta):
+    times = np.linspace(0.0, 2e-3, 120)
+    with pytest.raises(ValueError, match="eta_probe must be positive"):
+        sideband_flops(ThermalState(2.0), eta, OMEGA0, "blue", times)
+    record = sideband_flops(ThermalState(2.0), 0.03, OMEGA0, "blue", times)
+    with pytest.raises(ValueError, match="eta_probe must be positive"):
+        fit_thermal(record, eta, OMEGA0)
 
 
 def _per_evaluation_fit(record, eta, omega0):
@@ -273,7 +291,7 @@ def test_stacked_grid_matches_the_per_point_loop():
 
         # the table as fit_thermal builds it, out to the model edge's cutoff
         table = _flop_table(times, _cutoff(_edge(eta)) + 1, eta, OMEGA0, sideband)
-        stacked = _grid_sse(table, np.asarray(record.excitation, float), eta, grid)
+        stacked = _grid_sse(table, np.asarray(record.excitation, float), eta, grid, cutoffs)
         loop = _loop_grid_sse(record, eta, OMEGA0, grid)
         assert np.array_equal(np.isinf(stacked), np.isinf(loop))
         assert np.argmin(stacked) == np.argmin(loop)
@@ -311,7 +329,7 @@ def test_grid_weights_pick_the_bracket_of_the_probabilities_weights(eta):
                 target = np.clip(np.array(flops.excitation) + rng.normal(0.0, noise, 120), 0, 1)
                 expected = np.full(len(FIT_GRID), math.inf)
                 expected[valid] = np.sum((_signal(table, weights) - target[:, None]) ** 2, axis=0)
-                got = _grid_sse(table, target, eta, FIT_GRID)
+                got = _grid_sse(table, target, eta, *_fit_grid())
                 assert np.array_equal(np.isinf(got), np.isinf(expected))
                 assert np.argmin(got) == np.argmin(expected)
 
