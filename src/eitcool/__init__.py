@@ -11,10 +11,8 @@ from .atom import (
 from .cooling import (
     CoolingGeometry,
     CoolingReport,
-    TrapMode,
     cooling_coefficients,
     evolve_n,
-    lamb_dicke,
     multimode_report,
     steady_state_n_sweep,
 )

@@ -8,9 +8,11 @@ are degrees, converted to radians; ``_s`` seconds; ``_nm`` nanometers.
 
 import hashlib
 import math
+from types import MappingProxyType
 
 from .atom import LevelScheme
 from .constants import ATOMIC_MASS
+from .cooling import CoolingGeometry, geometry_from_angle
 from .liouville import VARIANTS
 from .record import Record
 from .spectrum import EITConfig
@@ -66,16 +68,9 @@ _SCHEMA = {
     "thermometry.points": (int, 120),
 }
 
-# keys that must be present (no fallback) per task
-_TASK_REQUIRES = {
-    "spectrum": ("sweep.start_hz", "sweep.stop_hz"),
-    "sweep-omega": ("sweep.start_hz", "sweep.stop_hz"),
-    "sweep-delta": ("sweep.start_hz", "sweep.stop_hz", "trap.omega_y_hz",
-                    "trap.omega_x_hz", "trap.omega_z_hz"),
-    "dynamics": ("trap.omega_x_hz", "trap.omega_y_hz", "trap.omega_z_hz"),
-    "multimode": ("trap.omega_x_hz", "trap.omega_y_hz", "trap.omega_z_hz"),
-    "thermometry": (),
-}
+# keys with no default that a task reads, besides the trap keys of its modes
+_TASK_REQUIRES = dict.fromkeys(("spectrum", "sweep-omega", "sweep-delta"),
+                               ("sweep.start_hz", "sweep.stop_hz"))
 
 
 def _parse_value(raw: str):
@@ -111,7 +106,11 @@ class RunConfig(Record):
     __slots__ = ("values", "applied_defaults", "sha256")
 
     def __init__(self, values: dict, applied_defaults: tuple, sha256: str):
-        self._set(values=values, applied_defaults=applied_defaults, sha256=sha256)
+        self._set(values=MappingProxyType(dict(values)), applied_defaults=applied_defaults,
+                  sha256=sha256)
+
+    def __reduce__(self):  # a mappingproxy does not pickle
+        return type(self), (dict(self.values), self.applied_defaults, self.sha256)
 
     def __getitem__(self, key):
         return self.values[key]
@@ -146,21 +145,17 @@ class RunConfig(Record):
             scheme=self.scheme(),
         )
 
-    def ion_mass(self) -> float:
-        return self.values["ion.mass_amu"] * ATOMIC_MASS
-
     def mode_labels(self) -> list:
         return [m.strip() for m in self.values["multimode.modes"].split(",") if m.strip()]
 
-    def trap_omega(self, label: str) -> float:
-        return angular(self.values[f"trap.omega_{label}_hz"])
-
-    def trap_phi(self, label: str) -> float:
-        return math.radians(self.values[f"trap.phi_{label}_deg"])
-
-    def delta_k_magnitude(self) -> float:
-        k = 2.0 * math.pi / (self.values["ion.wavelength_nm"] * 1e-9)
-        return 2.0 * k * math.sin(math.radians(self.values["geometry.beam_angle_deg"]) / 2.0)
+    def mode_geometry(self, label: str) -> CoolingGeometry:
+        """Mode ``label``'s (omega, eta, cos phi) from the trap, ion and beam-angle keys."""
+        v = self.values
+        k = 2.0 * math.pi / (v["ion.wavelength_nm"] * 1e-9)
+        dk = 2.0 * k * math.sin(math.radians(v["geometry.beam_angle_deg"]) / 2.0)
+        return geometry_from_angle(angular(v[f"trap.omega_{label}_hz"]), dk,
+                                   math.radians(v[f"trap.phi_{label}_deg"]),
+                                   v["ion.mass_amu"] * ATOMIC_MASS, label)
 
 
 def resolve(values: dict) -> RunConfig:
@@ -176,8 +171,8 @@ def resolve(values: dict) -> RunConfig:
     task = values["task"]
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-    for key in _TASK_REQUIRES[task]:
-        if key not in values and _SCHEMA[key][1] is _REQUIRED:
+    for key in _TASK_REQUIRES.get(task, ()):
+        if key not in values:
             raise ConfigError(f"task {task!r} requires key {key!r}")
     resolved = {}
     applied = []
@@ -222,6 +217,10 @@ def resolve(values: dict) -> RunConfig:
     modes = config.mode_labels()
     if not modes or len(set(modes)) < len(modes) or not set(modes) <= {"x", "y", "z"}:
         raise ConfigError("multimode.modes must list distinct modes out of x, y, z")
+    reads = {"multimode": modes, "dynamics": [resolved["mode"]], "sweep-delta": [resolved["mode"]]}
+    for key in (f"trap.omega_{label}_hz" for label in reads.get(task, ())):
+        if resolved[key] is None:
+            raise ConfigError(f"task {task!r} requires key {key!r}")
     if task == "thermometry":  # it builds a thermal state and its probe, no beams
         try:
             ThermalState(resolved["thermometry.n_bar"]).checked(resolved["thermometry.eta_probe"])

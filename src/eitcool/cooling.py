@@ -18,66 +18,28 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import CA40_MASS, HBAR
-from .record import Record
 from .spectrum import EITConfig, coupling_for_target_shift, scattering_rates
 
 
-class TrapMode(Record):
-    """One harmonic motional mode of the trapped ion; ``omega`` in rad/s."""
-
-    __slots__ = ("omega", "axis", "mass", "label")
-
-    def __init__(self, omega: float, axis: tuple, mass: float = CA40_MASS, label: str = ""):
-        if omega <= 0:
-            raise ValueError("mode frequency must be positive")
-        if abs(np.linalg.norm(np.asarray(axis, float)) - 1.0) > 1e-12:
-            raise ValueError("mode axis must be a unit vector")
-        self._set(omega=omega, axis=axis, mass=mass, label=label)
-
-    @property
-    def ground_state_size(self) -> float:
-        return math.sqrt(HBAR / (2 * self.mass * self.omega))
-
-
 class CoolingGeometry(NamedTuple):
-    """Per-mode cooling geometry derived from the beam wavevectors."""
+    """One motional mode as the cooling beams see it: ``omega`` in rad/s, the
+    Lamb-Dicke parameter ``eta`` = |k_g - k_r| a0, and the cosine of the angle
+    between k_g - k_r and the mode axis."""
 
     omega: float
-    eta: float  # |k_g - k_r| * a0
+    eta: float
     cos_phi: float
-    delta_k: tuple = (0.0, 0.0, 0.0)
     label: str = ""
 
-    @property
-    def coolable(self) -> bool:
-        return self.eta > 0 and self.cos_phi != 0
 
-
-def lamb_dicke(mode: TrapMode, k_g, k_r) -> CoolingGeometry:
-    """Lamb-Dicke parameter and projection angle for one mode.
-
-    ``k_g`` and ``k_r`` are the cooling and coupling wavevectors (1/m).
-    Copropagating equal-wavelength beams give eta = 0 (flagged uncoolable).
-    """
-    dk = np.asarray(k_g, float) - np.asarray(k_r, float)
-    dk_norm = float(np.linalg.norm(dk))
-    if dk_norm == 0:
-        return CoolingGeometry(omega=mode.omega, eta=0.0, cos_phi=0.0, label=mode.label)
-    eta = dk_norm * mode.ground_state_size
-    cos_phi = float(dk @ np.asarray(mode.axis, float)) / dk_norm
-    return CoolingGeometry(
-        omega=mode.omega, eta=eta, cos_phi=cos_phi, delta_k=tuple(dk), label=mode.label
-    )
-
-
-def geometry_from_angle(mode: TrapMode, delta_k_mag: float, phi: float) -> CoolingGeometry:
-    """Geometry from |delta k| and the angle phi between delta k and the mode axis."""
-    return CoolingGeometry(
-        omega=mode.omega,
-        eta=delta_k_mag * mode.ground_state_size,
-        cos_phi=math.cos(phi),
-        label=mode.label,
-    )
+def geometry_from_angle(omega: float, delta_k_mag: float, phi: float,
+                        mass: float = CA40_MASS, label: str = "") -> CoolingGeometry:
+    """Geometry from |delta k| (1/m) and the angle phi between delta k and the mode
+    axis, with a0 = sqrt(hbar / 2 m omega) the ground-state size at ``mass`` (kg)."""
+    if omega <= 0:
+        raise ValueError("mode frequency must be positive")
+    eta = delta_k_mag * math.sqrt(HBAR / (2 * mass * omega))
+    return CoolingGeometry(omega, eta, math.cos(phi), label)
 
 
 def cooling_coefficients(config: EITConfig, geometry: CoolingGeometry):

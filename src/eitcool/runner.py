@@ -6,13 +6,7 @@ import numpy as np
 
 from .config import RunConfig, angular
 from .constants import CONSTANTS_VERSION
-from .cooling import (
-    TrapMode,
-    evolve_n,
-    geometry_from_angle,
-    multimode_report,
-    steady_state_n_sweep,
-)
+from .cooling import evolve_n, multimode_report, steady_state_n_sweep
 from .spectrum import scattering_rates
 from .thermometry import (
     ThermalState,
@@ -21,8 +15,6 @@ from .thermometry import (
     sideband_ratio_n,
     time_averaged_excitation,
 )
-
-_AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
 
 def _fmt(value) -> str:
@@ -42,16 +34,6 @@ def _sweep_hz(config: RunConfig) -> np.ndarray:
 def _failure_meta(points) -> dict:
     failed = [pt for pt in points if pt.error is not None]
     return {"failed_points": str(len(failed))} if failed else {}
-
-
-def _mode_geometry(config: RunConfig, label: str):
-    mode = TrapMode(
-        omega=config.trap_omega(label),
-        axis=_AXES[label],
-        mass=config.ion_mass(),
-        label=label,
-    )
-    return geometry_from_angle(mode, config.delta_k_magnitude(), config.trap_phi(label))
 
 
 def _run_spectrum(config: RunConfig):
@@ -83,7 +65,7 @@ def _run_sweep_omega(config: RunConfig):
 
 def _run_sweep_delta(config: RunConfig):
     grid_hz = _sweep_hz(config)
-    geometry = _mode_geometry(config, config["mode"])
+    geometry = config.mode_geometry(config["mode"])
     points = steady_state_n_sweep(
         config.eit_config(), deltas=angular(grid_hz), geometry=geometry
     )
@@ -93,7 +75,7 @@ def _run_sweep_delta(config: RunConfig):
 
 
 def _run_dynamics(config: RunConfig):
-    geometry = _mode_geometry(config, config["mode"])
+    geometry = config.mode_geometry(config["mode"])
     (report,) = multimode_report(config.eit_config(), [geometry])
     times = np.linspace(0.0, config["dynamics.t_max_s"], config["dynamics.points"])
     header = ["t_s", "n_bar"]
@@ -108,7 +90,7 @@ def _run_dynamics(config: RunConfig):
 
 
 def _run_multimode(config: RunConfig):
-    geometries = [_mode_geometry(config, label) for label in config.mode_labels()]
+    geometries = [config.mode_geometry(label) for label in config.mode_labels()]
     reports = multimode_report(config.eit_config(), geometries)
     header = [
         "mode", "omega_hz", "a_plus_per_s", "a_minus_per_s", "rate_per_s",

@@ -245,6 +245,26 @@ def test_hz_columns_equal_the_configured_values(tmp_path):
         assert float(row[1]) == cfg[f"trap.omega_{row[0]}_hz"]
 
 
+def test_multimode_requires_only_the_trap_frequencies_of_its_modes(tmp_path, capsys):
+    # multimode.cfg cools y and z: without trap.omega_x_hz it runs to the same rows,
+    # and without trap.omega_y_hz it exits 2 naming that key
+    text = bundled_config_path("multimode.cfg").read_text()
+    assert "trap.omega_x_hz = 1.69e6\n" in text and "trap.omega_y_hz = 1.62e6\n" in text
+    no_x, no_y = tmp_path / "no_x.cfg", tmp_path / "no_y.cfg"
+    no_x.write_text(text.replace("trap.omega_x_hz = 1.69e6\n", ""))
+    no_y.write_text(text.replace("trap.omega_y_hz = 1.62e6\n", ""))
+    assert main(["validate", str(no_x)]) == 0
+    assert main(["run", str(no_x), "--out", str(tmp_path / "no_x")]) == 0
+    assert main(["run", "multimode.cfg", "--out", str(tmp_path / "bundled")]) == 0
+    rows = _data_lines(tmp_path / "no_x" / "multimode.csv")
+    assert len(rows) == 3 and rows == _data_lines(tmp_path / "bundled" / "multimode.csv")
+    capsys.readouterr()
+    assert main(["validate", str(no_y)]) == 2
+    assert main(["run", str(no_y), "--out", str(tmp_path / "no_y")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("task 'multimode' requires key 'trap.omega_y_hz'") == 2
+
+
 def test_sweep_omega_reports_failed_points(tmp_path, monkeypatch):
     solve = eitcool.cooling.scattering_rates
 

@@ -11,6 +11,7 @@ from eitcool.config import (
     parse_config_text,
     resolve,
 )
+from eitcool.constants import ATOMIC_MASS, HBAR
 
 TP = 2 * math.pi
 
@@ -62,6 +63,16 @@ def test_missing_trap_frequency_is_named():
     values = parse_config_text(MINIMAL_SWEEP.replace("trap.omega_y_hz = 1.62e6", ""))
     with pytest.raises(ConfigError, match="trap.omega_y_hz"):
         resolve(values)
+
+
+def test_only_the_trap_frequencies_of_the_modes_read_are_required():
+    text = MINIMAL_SWEEP.replace("trap.omega_x_hz = 1.69e6", "")
+    text = text.replace("trap.omega_z_hz = 3.32e6", "")
+    assert resolve(parse_config_text(text))["trap.omega_x_hz"] is None
+    text = "task = dynamics\nmode = z\ntrap.omega_z_hz = 3.32e6\n"
+    assert resolve(parse_config_text(text)).mode_geometry("z").omega == TP * 3.32e6
+    with pytest.raises(ConfigError, match="task 'dynamics' requires key 'trap.omega_x_hz'"):
+        resolve(parse_config_text(text.replace("mode = z", "mode = x")))
 
 
 def test_missing_task_rejected():
@@ -167,21 +178,41 @@ def test_bundled_fig2_echoes_reference_parameters():
 def test_hz_keys_convert_to_angular_frequencies():
     assert angular(1.0) == TP
     cfg = resolve(parse_config_text(MINIMAL_SWEEP))
-    assert cfg.trap_omega("y") == pytest.approx(TP * 1.62e6, rel=1e-12)
+    assert cfg.mode_geometry("y").omega == pytest.approx(TP * 1.62e6, rel=1e-12)
     assert cfg.scheme().gamma == pytest.approx(TP * 20e6, rel=1e-12)
 
 
 def test_degree_keys_convert_to_radians():
     cfg = resolve(parse_config_text(MINIMAL_SWEEP))
-    assert cfg.trap_phi("y") == pytest.approx(math.radians(71.0), rel=1e-12)
+    assert cfg.mode_geometry("y").cos_phi == pytest.approx(math.cos(math.radians(71.0)), rel=1e-12)
     assert cfg.eit_config().beam_angle == pytest.approx(math.radians(125.0), rel=1e-12)
 
 
 def test_delta_k_magnitude_from_beam_angle():
-    cfg = resolve(parse_config_text(MINIMAL_SWEEP))
-    k = TP / 397e-9
-    expected = 2 * k * math.sin(math.radians(125.0) / 2)
-    assert cfg.delta_k_magnitude() == pytest.approx(expected, rel=1e-12)
+    # eta = |delta k| a0 with |delta k| = 2k sin(angle / 2), at the configured
+    # wavelength, beam angle and ion mass
+    for keys, nm, angle, amu in [("", 397.0, 125.0, 39.962590866),
+                                 ("ion.wavelength_nm = 313\ngeometry.beam_angle_deg = 90\n"
+                                  "ion.mass_amu = 9.0121831\n", 313.0, 90.0, 9.0121831)]:
+        cfg = resolve(parse_config_text(MINIMAL_SWEEP + keys))
+        delta_k = 2 * (TP / (nm * 1e-9)) * math.sin(math.radians(angle) / 2)
+        a0 = math.sqrt(HBAR / (2 * amu * ATOMIC_MASS * TP * 1.62e6))
+        assert cfg.mode_geometry("y").eta == pytest.approx(delta_k * a0, rel=1e-12)
+
+
+def test_mode_geometry_of_the_bundled_multimode_modes():
+    cfg = load_config(bundled_config_path("multimode.cfg"))
+    for label, eta_cos_phi in (("y", 0.08076), ("z", 0.14853)):
+        geo = cfg.mode_geometry(label)
+        assert geo.label == label
+        assert geo.eta * geo.cos_phi == pytest.approx(eta_cos_phi, abs=5e-6)
+
+
+def test_values_are_read_only():
+    cfg = load_config(bundled_config_path("thermometry.cfg"))
+    with pytest.raises(TypeError):
+        cfg.values["thermometry.n_bar"] = 2.0
+    assert cfg["thermometry.n_bar"] == 16.0
 
 
 def test_output_name_defaults_to_task():

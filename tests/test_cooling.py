@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eitcool.cooling
-from eitcool.constants import CA40_MASS
+from eitcool.config import parse_config_text, resolve
+from eitcool.constants import CA40_MASS, HBAR
 from eitcool.cooling import (
     CoolingGeometry,
-    TrapMode,
     cooling_coefficients,
     evolve_n,
     geometry_from_angle,
-    lamb_dicke,
     multimode_report,
     steady_state_n_sweep,
 )
@@ -32,56 +31,63 @@ WAVELENGTH = 397e-9
 K397 = TP / WAVELENGTH
 
 
-def _mode_y():
-    return TrapMode(omega=TP * 1.62e6, axis=(0.0, 1.0, 0.0), label="y")
+def _ground_state_size(omega):
+    return math.sqrt(HBAR / (2 * CA40_MASS * omega))
 
 
 def _reference_geometry(omega=TP * 1.62e6):
     # 125 degree beam angle, mode at 71 degrees to delta k
-    mode = TrapMode(omega=omega, axis=(0.0, 1.0, 0.0), label="y")
     dk = 2 * K397 * math.sin(math.radians(125.0) / 2)
-    return geometry_from_angle(mode, dk, math.radians(71.0))
+    return geometry_from_angle(omega, dk, math.radians(71.0), label="y")
+
+
+def _configured_mode_y(beam_angle_deg):
+    text = ("task = dynamics\nvariant = three_level\ntrap.omega_y_hz = 1.62e6\n"
+            f"geometry.beam_angle_deg = {beam_angle_deg}\n")
+    return resolve(parse_config_text(text))
 
 
 # ------------------------------------------------------------------ geometry
 
 
 def test_trap_mode_invariants():
-    with pytest.raises(ValueError):
-        TrapMode(omega=0.0, axis=(0, 1, 0))
-    with pytest.raises(ValueError):
-        TrapMode(omega=1.0, axis=(0, 2, 0))
-    mode = _mode_y()
-    assert mode.ground_state_size == pytest.approx(
-        math.sqrt(1.054571817e-34 / (2 * CA40_MASS * mode.omega)), rel=1e-12
-    )
+    for omega in (0.0, -TP * 1e6):
+        with pytest.raises(ValueError, match="mode frequency must be positive"):
+            geometry_from_angle(omega, 2 * K397, 0.0)
+    omega = TP * 1.62e6
+    geo = geometry_from_angle(omega, 2 * K397, 0.0)
+    assert geo == (omega, 2 * K397 * _ground_state_size(omega), 1.0, "")
+    heavy = geometry_from_angle(omega, 2 * K397, 0.0, mass=4 * CA40_MASS, label="y")
+    assert heavy.eta == pytest.approx(geo.eta / 2, rel=1e-12)
+    assert heavy.label == "y"
 
 
 def test_lamb_dicke_reference_values():
     geo = _reference_geometry()
     assert geo.eta == pytest.approx(0.248, abs=0.002)
     assert geo.eta * geo.cos_phi == pytest.approx(0.081, abs=0.001)
-    assert geo.coolable
 
 
 def test_lamb_dicke_from_wavevectors_matches_angle_construction():
+    # eta = |k_g - k_r| a0, and cos phi the projection of k_g - k_r on the mode axis
     ang = math.radians(125.0)
     k_g = K397 * np.array([math.sin(ang), 0.0, math.cos(ang)])
     k_r = K397 * np.array([0.0, 0.0, 1.0])
-    geo = lamb_dicke(_mode_y(), k_g, k_r)
-    assert geo.eta == pytest.approx(_reference_geometry().eta, rel=1e-12)
-    assert abs(geo.cos_phi) <= 1.0
-    # a0 is recomputable from the stored mode frequency
-    assert geo.eta / np.linalg.norm(geo.delta_k) == pytest.approx(
-        _mode_y().ground_state_size, rel=1e-12
-    )
+    dk = k_g - k_r
+    omega = TP * 1.62e6
+    expected = float(np.linalg.norm(dk)) * _ground_state_size(omega)
+    assert _reference_geometry(omega).eta == pytest.approx(expected, rel=1e-12)
+    cos_phi = float(dk @ np.array([1.0, 0.0, 0.0])) / float(np.linalg.norm(dk))
+    geo = geometry_from_angle(omega, float(np.linalg.norm(dk)), math.acos(cos_phi))
+    assert geo.eta == pytest.approx(expected, rel=1e-12)
+    assert geo.cos_phi == pytest.approx(cos_phi, rel=1e-12)
 
 
 def test_counterpropagating_beams_maximize_delta_k():
-    k_g = K397 * np.array([0.0, 0.0, -1.0])
-    k_r = K397 * np.array([0.0, 0.0, 1.0])
-    geo = lamb_dicke(TrapMode(omega=TP * 1.62e6, axis=(0, 0, 1)), k_g, k_r)
-    assert np.linalg.norm(geo.delta_k) == pytest.approx(2 * K397, rel=1e-12)
+    # |k_g - k_r| = 2k sin(angle / 2) peaks at 2k for counterpropagating beams
+    etas = [_configured_mode_y(angle).mode_geometry("y").eta for angle in (90, 125, 180)]
+    assert etas[2] == pytest.approx(2 * K397 * _ground_state_size(TP * 1.62e6), rel=1e-12)
+    assert etas[0] < etas[1] < etas[2]
 
 
 def test_lamb_dicke_scaling_with_mode_frequency():
@@ -91,10 +97,12 @@ def test_lamb_dicke_scaling_with_mode_frequency():
 
 
 def test_copropagating_beams_flagged_uncoolable():
-    k = K397 * np.array([0.0, 0.0, 1.0])
-    geo = lamb_dicke(_mode_y(), k, k)
+    # k_g = k_r: eta = 0, and the mode is neither heated nor cooled
+    cfg = _configured_mode_y(0)
+    geo = cfg.mode_geometry("y")
     assert geo.eta == 0.0
-    assert not geo.coolable
+    (report,) = multimode_report(cfg.eit_config(), [geo])
+    assert (report.a_plus, report.a_minus, report.cooled) == (0.0, 0.0, False)
 
 
 # ------------------------------------------------------------- coefficients

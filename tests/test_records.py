@@ -19,7 +19,6 @@ from eitcool import (
     MagneticField,
     Spectrum,
     ThermalState,
-    TrapMode,
 )
 from eitcool.config import parse_config_text, resolve
 from eitcool.liouville import Coupling
@@ -31,7 +30,6 @@ RECORDS = {
     "LevelScheme": lambda: LevelScheme(),
     "MagneticField": lambda: MagneticField(4.4),
     "Beam": lambda: Beam("cooling", 1e6, 2e6, (0.0, 0.0, 1.0)),
-    "TrapMode": lambda: TrapMode(1e7, (0.0, 1.0, 0.0), label="y"),
     "ThermalState": lambda: ThermalState(2.0),
     "FlopRecord": lambda: FlopRecord((0.0, 1e-5), (0.0, 0.5), "blue"),
     "RunConfig": lambda: resolve(parse_config_text("task = thermometry\n")),
@@ -51,12 +49,12 @@ CHECKS = {
     "LevelScheme": [("gamma", 0.0, "gamma must be positive")],
     "MagneticField": [("magnitude", -1.0, "field magnitude must be >= 0")],
     "Beam": [("polarization", (1.0, 1.0, 0.0), "polarization must be a unit vector")],
-    "TrapMode": [("omega", 0.0, "mode frequency must be positive"),
-                 ("axis", (0.0, 2.0, 0.0), "mode axis must be a unit vector")],
     "ThermalState": [("n_bar", -1.0, "n_bar must be finite and >= 0"),
-                     ("n_bar", math.nan, "n_bar must be finite and >= 0")],
+                     ("n_bar", math.nan, "n_bar must be finite and >= 0"),
+                     ("n_bar", math.inf, "n_bar must be finite and >= 0")],
     "FlopRecord": [("sideband", "carrier", "unknown sideband"),
                    ("excitation", (0.0,), "2 times but 1 excitations"),
+                   ("excitation", (0.0, math.nan), "must be finite"),
                    ("times", (0.0, math.inf), "must be finite"),
                    ("excitation", (0.0, 1.5), r"must lie in \[0, 1\]")],
 }
