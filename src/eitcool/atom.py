@@ -52,8 +52,11 @@ class LevelScheme(Record):
     __slots__ = ("lande_g_S", "lande_g_P", "gamma")
 
     def __init__(self, lande_g_S=2.00225, lande_g_P=2.0 / 3.0, gamma=2 * math.pi * 20e6):
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, not {gamma!r}")
+        if not math.isfinite(lande_g_S) or not math.isfinite(lande_g_P):
+            raise ValueError(f"lande_g_S and lande_g_P must be finite, not {lande_g_S!r}, "
+                             f"{lande_g_P!r}")
         self._set(lande_g_S=lande_g_S, lande_g_P=lande_g_P, gamma=gamma)
 
     def decay_channels(self):
@@ -71,8 +74,8 @@ class MagneticField(Record):
     __slots__ = ("magnitude",)
 
     def __init__(self, magnitude: float):
-        if magnitude < 0:
-            raise ValueError("field magnitude must be >= 0")
+        if not 0 <= magnitude < math.inf:
+            raise ValueError(f"field magnitude must be >= 0 and finite, not {magnitude!r}")
         self._set(magnitude=magnitude)
 
 
@@ -87,7 +90,7 @@ class Beam(Record):
     __slots__ = ("label", "rabi", "detuning", "polarization")
 
     def __init__(self, label: str, rabi: float, detuning: float, polarization: tuple):
-        if abs(np.linalg.norm(np.asarray(polarization, dtype=complex)) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(np.asarray(polarization, dtype=complex)) - 1.0) <= 1e-12:
             raise ValueError("polarization must be a unit vector")
         self._set(label=label, rabi=rabi, detuning=detuning, polarization=polarization)
 

@@ -226,17 +226,18 @@ def resolve(values: dict) -> RunConfig:
             ThermalState(resolved["thermometry.n_bar"]).checked(resolved["thermometry.eta_probe"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    else:  # every other task builds the beams of its variants
+    # nan passes every comparison above, and inf all but a sign check; this
+    # runs after the thermal state's check, whose message names the bound
+    # (n_bar's), and before the beams, whose records would not name the key
+    for key, val in resolved.items():
+        if _SCHEMA[key][0] is float and val is not None and not math.isfinite(val):
+            raise ConfigError(f"{key} must be finite, not {val!r}")
+    if task != "thermometry":  # every other task builds the beams of its variants
         for v in config.variants():
             try:
                 config.eit_config(v).beams()
             except ValueError as exc:
                 raise ConfigError(f"variant {v!r}: {exc}") from exc
-    # nan passes every comparison above, and inf all but a sign check; this
-    # runs after the model's own checks, whose messages name the bound (n_bar's)
-    for key, val in resolved.items():
-        if _SCHEMA[key][0] is float and val is not None and not math.isfinite(val):
-            raise ConfigError(f"{key} must be finite, not {val!r}")
     return config
 
 

@@ -6,7 +6,7 @@ level rotates at
 
     f(S-) = 0,  f(P+) = nu_c,  f(S+) = nu_c - nu_g,  f(P-) = nu_g,
 
-held as integer coefficients of (nu_c, nu_g) in ``_FRAME``.  This leaves the
+held as integer coefficients of (nu_c, nu_g) in ``structure``.  This leaves the
 sigma+ coupling (S- -> P+) and both pi couplings static.  The sigma-
 coupling (S+ -> P-), present only in the oblique-beam geometry, closes a
 loop mixing the two laser frequencies and oscillates at the residual beat
@@ -16,9 +16,12 @@ detunings, and rejects any other residual.  A point is static exactly when
 |nu_b| < ``_MIN_BEAT``: nothing oscillates (beat 0), or the lasers are degenerate.
 
 Vectorization is column-major: vec(rho) = rho.flatten(order="F"), so that
-vec(X rho Y) = (Y^T kron X) vec(rho).  ``build_liouvillian`` writes the
-superoperators by index arithmetic on their (d, d, d, d) view rather than
-with kron products.
+vec(X rho Y) = (Y^T kron X) vec(rho).  The superoperators are written by
+index arithmetic on their (d, d, d, d) view rather than with kron products.
+What a build writes apart from its values (the couplings, the decays and
+the positions of every superoperator term) comes from ``structure``, built
+once per key; a call computes the values and writes them with a few flat
+index writes.
 
 One stacked routine, ``_states``, solves for every steady state: it takes
 an (N, d^2, d^2) stack and checks each member on its own, so one degenerate
@@ -47,30 +50,12 @@ from .atom import (
     P_PLUS,
     S_MINUS,
     S_PLUS,
-    STATES,
-    TRANSITIONS,
     Beam,
     LevelScheme,
     MagneticField,
-    decompose_polarization,
     zeeman_splitting,
 )
-
-# states retained per variant
-_RETAINED = {
-    "three_level": (S_MINUS, S_PLUS, P_PLUS),
-    "four_level_ideal": STATES,
-    "four_level_geometry": STATES,
-}
-VARIANTS = tuple(_RETAINED)
-
-# spherical components q of the cooling beam that each variant leaves out
-_DROPPED_COOLING = {"four_level_ideal": (-1, +1), "four_level_geometry": (+1,)}
-
-# rotation of each level's frame, as integer coefficients of (nu_c, nu_g)
-_FRAME = {S_MINUS: (0, 0), P_PLUS: (1, 0), S_PLUS: (1, -1), P_MINUS: (0, 1)}
-# residual rotation of a coupling that oscillates: the beat nu_c - nu_g
-_BEAT = (1, -1)
+from .structure import VARIANTS, amplitudes, liouvillian_structure, system_structure
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -131,63 +116,37 @@ def build_system(
     system is then a stack with one coupling structure, ``h_diag`` (..., dim),
     each ``rabi_eff`` shaped like its beam's Rabi frequency and ``beat`` like
     the detunings.  A coupling whose frame residual is neither 0 nor the beat,
-    or a transition driven by both beams, raises ValueError.  ``beat`` is
-    nu_c - nu_g whenever a coupling oscillates, however small, else 0.0.
+    a transition driven by both beams, or a Rabi frequency or detuning that is
+    not finite raises ValueError.  ``beat`` is nu_c - nu_g whenever a coupling
+    oscillates, however small, else 0.0.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    labels = _RETAINED[variant]
+    beams = (coupling, cooling)
+    for beam in beams:
+        for name in ("rabi", "detuning"):
+            x = getattr(beam, name)
+            if not (np.isfinite(x).all() if isinstance(x, np.ndarray) else math.isfinite(x)):
+                raise ValueError(f"{beam.label} beam {name} must be finite")
+    amps, nonzero = zip(*(amplitudes(tuple(beam.polarization)) for beam in beams))
+    labels, frame, structure, decays = system_structure(
+        variant, tuple(zip((coupling.label, cooling.label), nonzero)), scheme)
     nu_c = coupling.detuning
     nu_g = cooling.detuning
     delta_s, delta_p = zeeman_splitting(scheme, field)
     zeeman = {S_MINUS: -delta_s / 2, S_PLUS: delta_s / 2,
               P_MINUS: -delta_p / 2, P_PLUS: delta_p / 2}
-    levels = [zeeman[s] - (_FRAME[s][0] * nu_c + _FRAME[s][1] * nu_g) for s in labels]
-    h_diag = np.stack(np.broadcast_arrays(*levels), axis=-1)
-    h_diag = h_diag - h_diag[..., :1]  # first level at zero
-
-    couplings = []
-    driven = set()
-    dropped = _DROPPED_COOLING.get(variant, ())
-    for beam, nu, skip in ((coupling, (1, 0), ()), (cooling, (0, 1), dropped)):
-        amps = decompose_polarization(beam.polarization)
-        for (lower_label, q), (upper_label, cg) in TRANSITIONS.items():
-            pair = (lower_label, upper_label)
-            if abs(amps[q]) < 1e-12 or q in skip or not set(pair) <= set(labels):
-                continue
-            if pair in driven:
-                raise ValueError(f"transition {pair} driven by two distinct frequencies")
-            driven.add(pair)
-            residual = tuple(
-                n - u + l for n, u, l in zip(nu, _FRAME[upper_label], _FRAME[lower_label])
-            )
-            if residual not in ((0, 0), _BEAT):
-                raise ValueError(
-                    f"{beam.label} beam drives {pair} at {residual[0]} nu_c + "
-                    f"{residual[1]} nu_g in the rotating frame; only static couplings "
-                    "and couplings at the beat nu_c - nu_g are modelled"
-                )
-            couplings.append(
-                Coupling(
-                    lower=labels.index(lower_label),
-                    upper=labels.index(upper_label),
-                    rabi_eff=beam.rabi * amps[q] * cg,
-                    beam=beam.label,
-                    q=q,
-                    oscillates=residual == _BEAT,
-                )
-            )
-
-    decays = tuple(
-        (labels.index(u), labels.index(l), rate)
-        for u, l, rate in scheme.decay_channels()
-        if u in labels and l in labels
+    levels = np.array([zeeman[s] for s in labels]) - (
+        np.multiply.outer(nu_c, frame[0]) + np.multiply.outer(nu_g, frame[1])
     )
-
+    couplings = tuple(
+        Coupling(lower, upper, beams[b].rabi * amps[b][q + 1] * cg, beams[b].label, q, oscillates)
+        for lower, upper, b, q, cg, oscillates in structure
+    )
     return DrivenSystem(
         labels=labels,
-        h_diag=h_diag,
-        couplings=tuple(couplings),
+        h_diag=levels - levels[..., :1],  # first level at zero
+        couplings=couplings,
         decays=decays,
         beat=nu_c - nu_g if any(c.oscillates for c in couplings) else 0.0,
     )
@@ -217,61 +176,52 @@ class Liouvillian(NamedTuple):
         return math.isqrt(self.l0.shape[-1])
 
 
-def _coupling_matrix(couplings, d: int) -> np.ndarray:
-    """Sum of rabi_eff/2 |u><l| over ``couplings``, batched like their Rabi frequencies."""
-    batch = np.broadcast_shapes(*(np.shape(c.rabi_eff) for c in couplings))
-    h = np.zeros(batch + (d, d), complex)
-    for c in couplings:
-        h[..., c.upper, c.lower] += c.rabi_eff / 2
-    return h
+def _halves(couplings, which) -> np.ndarray:
+    """rabi_eff / 2 of the couplings ``which``, broadcast and stacked on a last axis."""
+    rabi = [couplings[i].rabi_eff for i in which]
+    if any(isinstance(r, np.ndarray) for r in rabi):
+        return np.stack(np.broadcast_arrays(*rabi), axis=-1) / 2
+    return np.array(rabi, complex) / 2
 
 
-def _commutator_super(h: np.ndarray) -> np.ndarray:
-    """-i[h, rho] as a superoperator, for a stack ``h`` (..., d, d) with zero diagonal.
-
-    Built by index arithmetic on the (..., d, d, d, d) view [j, i, l, k], which
-    holds the coefficient of rho[k, l] in (L rho)[i, j].
-    """
-    d = h.shape[-1]
-    out = np.zeros(h.shape[:-2] + (d, d, d, d), complex)
-    idx = np.arange(d)
-    out[..., idx, :, idx, :] = -1j * h  # -i h rho
-    out[..., :, idx, :, idx] = 1j * np.swapaxes(h, -1, -2)  # +i rho h
-    return out.reshape(h.shape[:-2] + (d * d, d * d))
+def _superoperator(template, at, h) -> np.ndarray:
+    """``template`` with -i h and +i h written at ``at``, batched like ``h`` (..., n)."""
+    out = np.empty(h.shape[:-1] + template.shape, complex)
+    out[...] = template
+    out[..., at] = (np.array([-1j, 1j])[:, None] * h[..., None, :])[..., None]
+    return out
 
 
 def build_liouvillian(system: DrivenSystem) -> Liouvillian:
     """Lindblad superoperator with one jump operator per decay channel.
 
     L0 has the batch shape of the level energies broadcast with the static
-    couplings' Rabi frequencies.  The level energies enter only its diagonal,
-    as the commutator term -i(h_i - h_j) of rho[i, j], so the couplings and
-    decays are assembled once and the diagonal is written per point.
+    couplings' Rabi frequencies.  A call writes the coupling terms at their
+    positions in the structure's L0 and L+/-, and the level energies into the
+    diagonal of L0, as the commutator term -i(h_i - h_j) of rho[i, j].
     """
     d = system.dim
-    h0 = _coupling_matrix([c for c in system.couplings if not c.oscillates], d)
-    l0 = _commutator_super(h0 + np.swapaxes(h0.conj(), -1, -2))
-    upper, lower, rate = ([decay[i] for decay in system.decays] for i in range(3))
-    # s rho s^dagger: rho[u, u] feeds rho[l, l], one entry per channel, in one write
-    flat = l0.reshape(l0.shape[:-2] + (d**4,))
-    flat[..., [(l * d + l) * d * d + u * d + u for u, l in zip(upper, lower)]] += rate
-    # -{s^dagger s, rho}/2, the real part of the L0 diagonal: -(g_i + g_j)/2 for
-    # rho[i, j], g the total decay rate of each level (0.0 - x leaves +0.0, not
-    # -0.0, where neither level decays)
-    total = np.bincount(np.array(upper, int), rate, d)
-    loss = 0.0 - 0.5 * (total[:, None] + total)
-    h = system.h_diag
-    batch = np.broadcast_shapes(l0.shape[:-2], h.shape[:-1])
-    l0 = np.broadcast_to(l0, batch + l0.shape[-2:]).copy()
-    diag = l0.reshape(batch + (d**4,))[..., :: d * d + 1]  # view; entry j*d + i is rho[i, j]
-    diag.real = loss.reshape(-1)
-    diag.imag = (h[..., :, None] - h[..., None, :]).reshape(h.shape[:-1] + (d * d,))
-    oscillating = [c for c in system.couplings if c.oscillates]
+    static, oscillating, base, base_at, pair, pair_at = liouvillian_structure(
+        d, tuple((c.lower, c.upper, c.oscillates) for c in system.couplings), system.decays
+    )
+    # h + h^dagger at [u, l] and [l, u]; 0.0 + x turns -0.0 into +0.0, as the
+    # sum of the couplings into a zero matrix did
+    h = _halves(system.couplings, static)
+    l0 = _superoperator(base, base_at, np.concatenate([h, h.conj()], axis=-1) + 0j)
+    e = system.h_diag
+    if l0.shape[:-1] != e.shape[:-1]:  # broadcast the couplings over the level energies
+        batch = e.shape[:-1] if h.ndim == 1 else np.broadcast_shapes(e.shape[:-1], h.shape[:-1])
+        l0, core = np.empty(batch + l0.shape[-1:], complex), l0
+        l0[...] = core
+    l0[..., :: d * d + 1].imag = (e[..., :, None] - e[..., None, :]).reshape(
+        e.shape[:-1] + (d * d,))
+    l0 = l0.reshape(l0.shape[:-1] + (d * d, d * d))
     if oscillating:
-        a = _coupling_matrix(oscillating, d)  # of e^{-i nu_b t}
-        l_minus = _commutator_super(a)
-        l_plus = _commutator_super(np.swapaxes(a.conj(), -1, -2))
-    else:  # allocated: _commutator_super of a zero coupling makes a static build ~1.5x slower
+        a = _halves(system.couplings, oscillating) + 0j  # of e^{-i nu_b t}
+        both = _superoperator(pair, pair_at, np.concatenate([a, a.conj()], axis=-1))
+        both = both.reshape(a.shape[:-1] + (2, d * d, d * d))
+        l_minus, l_plus = both[..., 0, :, :], both[..., 1, :, :]
+    else:
         l_plus = l_minus = np.zeros((d * d, d * d), complex)
     return Liouvillian(l0=l0, l_plus=l_plus, l_minus=l_minus, beat=system.beat)
 
@@ -305,7 +255,7 @@ def _solve(a: np.ndarray, b: np.ndarray):
         return np.linalg.solve(a, b), singular
 
 
-def _null_vectors(l: np.ndarray, dim: int):
+def _null_vectors(l: np.ndarray, dim: int, checked: bool = True):
     """Trace-one null vector of each matrix in the stack ``l``, checked for uniqueness.
 
     One row of each matrix is replaced by the trace constraint; uniqueness is
@@ -313,25 +263,31 @@ def _null_vectors(l: np.ndarray, dim: int):
     stacked call) and by a residual check on the original equations.  Each
     point is checked on its own, and ``l`` is not written.  Returns (v,
     errors): errors[n] is None or the DegenerateSteadyStateError of point n,
-    whose row of v is NaN.
+    whose row of v is NaN.  Unless ``checked``, only the first solve is made
+    and only a singular one fails: for a state that is compared, not returned.
     """
     n, d2 = len(l), dim * dim
+    solves = 2 if checked else 1
     scale = np.max(np.abs(l), axis=(1, 2))
     trace_row = np.zeros(d2)
     trace_row[:: dim + 1] = 1.0  # ones on the diagonal of rho
-    m = np.stack([l / scale[:, None, None]] * 2, axis=1)
+    m = np.stack([l / scale[:, None, None]] * solves, axis=1)
+    rhs = np.zeros((n, solves, d2, 1), complex)
     m[:, 0, 0] = trace_row
-    m[:, 1, -1] = trace_row
-    rhs = np.zeros((n, 2, d2, 1), complex)
-    rhs[:, 0, 0, 0] = rhs[:, 1, -1, 0] = 1.0
-    x, singular = _solve(m.reshape(2 * n, d2, d2), rhs.reshape(2 * n, d2, 1))
-    x = x.reshape(n, 2, d2)
+    rhs[:, 0, 0, 0] = 1.0
+    if checked:
+        m[:, 1, -1] = trace_row
+        rhs[:, 1, -1, 0] = 1.0
+    x, singular = _solve(m.reshape(solves * n, d2, d2), rhs.reshape(solves * n, d2, 1))
+    x = x.reshape(n, solves, d2)
     v = x[:, 0]
-    singular = singular.reshape(n, 2).any(axis=1)
-    spread = np.max(np.abs(v - x[:, 1]), axis=1)
-    resid = np.max(np.abs(l @ v[:, :, None]), axis=(1, 2)) / scale
+    failed = singular = singular.reshape(n, solves).any(axis=1)
+    if checked:
+        spread = np.max(np.abs(v - x[:, 1]), axis=1)
+        resid = np.max(np.abs(l @ v[:, :, None]), axis=(1, 2)) / scale
+        failed = singular | ~((spread <= _CHECK_TOL) & (resid <= _CHECK_TOL))
     errors = [None] * n
-    for i in np.flatnonzero(singular | ~((spread <= _CHECK_TOL) & (resid <= _CHECK_TOL))):
+    for i in np.flatnonzero(failed):
         detail = (
             "singular solve" if singular[i]
             else f"solution spread {spread[i]:.2e}, residual {resid[i]:.2e}"
@@ -382,7 +338,8 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
     change stops falling: at beats of a fraction of a rad/s, M_1 is nearly
     singular and rho_{+1} carries round-off above the tolerance at every order.
     The points still growing form the active set of a fold.  Order 4 is the
-    first that can be accepted, at 6 fold solves and 4 null-vector LUs in all.
+    first that can be accepted, at 6 fold solves and 3 null-vector LUs in all:
+    the order-2 state is only compared, so it gets no uniqueness check.
 
     Returns (rho0, rho1, order, errors): rho_0, rho_{+1}, the truncation
     order reached and each point's failure (None if it has none).  Failed
@@ -415,6 +372,9 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
         cols, rows = np.flatnonzero(on), np.flatnonzero(on[t])
         lp, lm = l_plus[..., rows[:, None], cols], l_minus[..., cols[:, None], rows]
         rhs = -l_plus[..., :, cols]
+        # flat positions of the S x S and S' x t[S] blocks in a d^2 x d^2 matrix
+        s_s = (cols[:, None] * d2 + cols).ravel()
+        s_ts = (rows[:, None] * d2 + t[cols]).ravel()
     for k_max in range(2, _MAX_HARMONICS + 1, 2):
         if not len(idx):
             break
@@ -424,15 +384,18 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
         up = None  # R_k on the columns S
         for k in range(k_max, 0, -1):
             m = l0.copy()
-            m.reshape(len(idx), -1)[:, :: d2 + 1] -= 1j * k * nu  # L0 - i k nu
+            flat = m.reshape(len(idx), -1)
+            flat[:, :: d2 + 1] -= 1j * k * nu  # L0 - i k nu
             if up is not None:
-                m[:, cols[:, None], cols] += lm_k @ up[:, rows]  # L- R_{k+1}
+                flat[:, s_s] += (lm_k @ up[:, rows]).reshape(len(idx), -1)  # L- R_{k+1}
             up, flagged = _solve(m, rhs_k)
             singular |= flagged
-        a = l0  # a gathered copy, not needed again: folded in place
-        a[:, cols[:, None], cols] += lm_k @ up[:, rows]
-        a[:, rows[:, None], t[cols]] += lp_k @ up[:, t[cols]].conj()  # L+ C R_1 C
-        v, errs = _null_vectors(a, dim)
+        flat = l0.reshape(len(idx), -1)  # a gathered copy, not needed again: folded in place
+        flat[:, s_s] += (lm_k @ up[:, rows]).reshape(len(idx), -1)
+        flat[:, s_ts] += (lp_k @ up[:, t[cols]].conj()).reshape(len(idx), -1)  # L+ C R_1 C
+        # the first order is never accepted (nothing to compare it with), so
+        # its state needs no uniqueness check: every accepted order has one
+        v, errs = _null_vectors(l0, dim, checked=k_max > 2)
         v1 = (up @ v[:, cols, None])[..., 0]  # rho_{+1}
         dv1 = np.max(np.abs(v1 - v1_prev), axis=1)
         for j in np.flatnonzero(singular):

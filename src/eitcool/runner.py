@@ -31,9 +31,14 @@ def _sweep_hz(config: RunConfig) -> np.ndarray:
     )
 
 
-def _failure_meta(points) -> dict:
-    failed = [pt for pt in points if pt.error is not None]
-    return {"failed_points": str(len(failed))} if failed else {}
+def _failure_meta(swept) -> dict:
+    """The count of failed points of ``swept`` (variant, value in Hz, report) and,
+    keyed by its CSV row, each one's variant, value as the CSV writes it and error."""
+    width = len(str(len(swept)))
+    meta = {f"failed_point.{row:0{width}d}": f"{variant}, {_fmt(float(hz))} Hz, "
+            f"{type(pt.error).__name__}: {pt.error}".replace("\n", " ")
+            for row, (variant, hz, pt) in enumerate(swept) if pt.error is not None}
+    return {**meta, "failed_points": str(len(meta))} if meta else {}
 
 
 def _run_spectrum(config: RunConfig):
@@ -54,13 +59,13 @@ def _run_spectrum(config: RunConfig):
 def _run_sweep_omega(config: RunConfig):
     grid_hz = _sweep_hz(config)
     header = ["variant", "omega_hz", "n_ss"]
-    rows, points = [], []
+    swept = []
     for variant in config.variants():
         eit = config.eit_config(variant=variant)
-        swept = steady_state_n_sweep(eit, omegas=angular(grid_hz))
-        rows += [[variant, float(hz), pt.n_ss] for hz, pt in zip(grid_hz, swept)]
-        points += swept
-    return header, rows, _failure_meta(points)
+        points = steady_state_n_sweep(eit, omegas=angular(grid_hz))
+        swept += [(variant, hz, pt) for hz, pt in zip(grid_hz, points)]
+    rows = [[variant, float(hz), pt.n_ss] for variant, hz, pt in swept]
+    return header, rows, _failure_meta(swept)
 
 
 def _run_sweep_delta(config: RunConfig):
@@ -71,7 +76,8 @@ def _run_sweep_delta(config: RunConfig):
     )
     header = ["delta_hz", "n_ss"]
     rows = [[float(hz), pt.n_ss] for hz, pt in zip(grid_hz, points)]
-    return header, rows, _failure_meta(points)
+    return header, rows, _failure_meta([(config["variant"], hz, pt)
+                                        for hz, pt in zip(grid_hz, points)])
 
 
 def _run_dynamics(config: RunConfig):

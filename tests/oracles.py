@@ -4,8 +4,11 @@ These are deliberately brute force and independent of the stacked solves in
 ``eitcool.liouville``: adaptive time propagation of the master equation
 (scipy's DOP853), a one-period monodromy periodic state, a banded solve of
 the truncated Floquet equations, the static fold of a periodic Liouvillian, a
-hand-built two-level atom with a textbook steady state, and a numerically
-integrated phonon rate equation.
+hand-built two-level atom with a textbook steady state, a numerically
+integrated phonon rate equation, and ``reference_system`` and
+``reference_liouvillian``, which build every system and Liouvillian from
+scratch, coupling by coupling, in the float operations the package's cached
+structures must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -16,15 +19,25 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
 
-from eitcool.atom import P_PLUS, S_PLUS
+from eitcool.atom import (
+    P_MINUS,
+    P_PLUS,
+    S_MINUS,
+    S_PLUS,
+    TRANSITIONS,
+    decompose_polarization,
+    zeeman_splitting,
+)
 from eitcool.liouville import (
     _MIN_BEAT,
+    VARIANTS,
     ConvergenceError,
     Coupling,
     DegenerateSteadyStateError,
     DrivenSystem,
     Liouvillian,
 )
+from eitcool.structure import _BEAT, _DROPPED_COOLING, _FRAME, _RETAINED
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -61,6 +74,95 @@ def static_approximation(liouv: Liouvillian) -> Liouvillian:
         l_minus=zero,
         beat=0.0,
     )
+
+
+def reference_system(scheme, field, coupling, cooling, variant="four_level_geometry"):
+    """``build_system`` as one pass over the transitions per call, with no cached structure."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    labels = _RETAINED[variant]
+    nu_c = coupling.detuning
+    nu_g = cooling.detuning
+    delta_s, delta_p = zeeman_splitting(scheme, field)
+    zeeman = {S_MINUS: -delta_s / 2, S_PLUS: delta_s / 2,
+              P_MINUS: -delta_p / 2, P_PLUS: delta_p / 2}
+    levels = [zeeman[s] - (_FRAME[s][0] * nu_c + _FRAME[s][1] * nu_g) for s in labels]
+    h_diag = np.stack(np.broadcast_arrays(*levels), axis=-1)
+    h_diag = h_diag - h_diag[..., :1]
+    couplings = []
+    driven = set()
+    dropped = _DROPPED_COOLING.get(variant, ())
+    for beam, nu, skip in ((coupling, (1, 0), ()), (cooling, (0, 1), dropped)):
+        amps = decompose_polarization(beam.polarization)
+        for (lower_label, q), (upper_label, cg) in TRANSITIONS.items():
+            pair = (lower_label, upper_label)
+            if abs(amps[q]) < 1e-12 or q in skip or not set(pair) <= set(labels):
+                continue
+            if pair in driven:
+                raise ValueError(f"transition {pair} driven by two distinct frequencies")
+            driven.add(pair)
+            residual = tuple(
+                n - u + l for n, u, l in zip(nu, _FRAME[upper_label], _FRAME[lower_label])
+            )
+            if residual not in ((0, 0), _BEAT):
+                raise ValueError(f"{beam.label} beam drives {pair} off the beat")
+            couplings.append(Coupling(labels.index(lower_label), labels.index(upper_label),
+                                      beam.rabi * amps[q] * cg, beam.label, q,
+                                      residual == _BEAT))
+    decays = tuple(
+        (labels.index(u), labels.index(l), rate)
+        for u, l, rate in scheme.decay_channels()
+        if u in labels and l in labels
+    )
+    return DrivenSystem(labels, h_diag, tuple(couplings), decays,
+                        nu_c - nu_g if any(c.oscillates for c in couplings) else 0.0)
+
+
+def _coupling_matrix(couplings, d: int) -> np.ndarray:
+    """Sum of rabi_eff/2 |u><l| over ``couplings``, batched like their Rabi frequencies."""
+    batch = np.broadcast_shapes(*(np.shape(c.rabi_eff) for c in couplings))
+    h = np.zeros(batch + (d, d), complex)
+    for c in couplings:
+        h[..., c.upper, c.lower] += c.rabi_eff / 2
+    return h
+
+
+def _commutator_super(h: np.ndarray) -> np.ndarray:
+    """-i[h, rho] as a superoperator, for a stack ``h`` (..., d, d) with zero diagonal,
+    written on the (..., d, d, d, d) view [j, i, l, k]: the coefficient of rho[k, l]
+    in (L rho)[i, j]."""
+    d = h.shape[-1]
+    out = np.zeros(h.shape[:-2] + (d, d, d, d), complex)
+    idx = np.arange(d)
+    out[..., idx, :, idx, :] = -1j * h  # -i h rho
+    out[..., :, idx, :, idx] = 1j * np.swapaxes(h, -1, -2)  # +i rho h
+    return out.reshape(h.shape[:-2] + (d * d, d * d))
+
+
+def reference_liouvillian(system: DrivenSystem) -> Liouvillian:
+    """``build_liouvillian`` from dense coupling matrices, one write per coupling and decay."""
+    d = system.dim
+    h0 = _coupling_matrix([c for c in system.couplings if not c.oscillates], d)
+    l0 = _commutator_super(h0 + np.swapaxes(h0.conj(), -1, -2))
+    upper, lower, rate = ([decay[i] for decay in system.decays] for i in range(3))
+    flat = l0.reshape(l0.shape[:-2] + (d**4,))
+    flat[..., [(l * d + l) * d * d + u * d + u for u, l in zip(upper, lower)]] += rate
+    total = np.bincount(np.array(upper, int), rate, d)
+    loss = 0.0 - 0.5 * (total[:, None] + total)
+    h = system.h_diag
+    batch = np.broadcast_shapes(l0.shape[:-2], h.shape[:-1])
+    l0 = np.broadcast_to(l0, batch + l0.shape[-2:]).copy()
+    diag = l0.reshape(batch + (d**4,))[..., :: d * d + 1]
+    diag.real = loss.reshape(-1)
+    diag.imag = (h[..., :, None] - h[..., None, :]).reshape(h.shape[:-1] + (d * d,))
+    oscillating = [c for c in system.couplings if c.oscillates]
+    if oscillating:
+        a = _coupling_matrix(oscillating, d)
+        l_minus = _commutator_super(a)
+        l_plus = _commutator_super(np.swapaxes(a.conj(), -1, -2))
+    else:
+        l_plus = l_minus = np.zeros((d * d, d * d), complex)
+    return Liouvillian(l0=l0, l_plus=l_plus, l_minus=l_minus, beat=system.beat)
 
 
 def two_level_system(omega_pi: float, delta_pi: float, gamma: float) -> DrivenSystem:

@@ -113,6 +113,11 @@ def test_validate_rejects_a_thermal_state_outside_the_model(keys, message, tmp_p
      "thermometry.eta_probe must be finite, not nan"),
     ("task = spectrum\nsweep.start_hz = 60e6\nsweep.stop_hz = inf\n",
      "sweep.stop_hz must be finite, not inf"),
+    # checked before the beams are built, whose field record would not name the key
+    ("task = spectrum\nsweep.start_hz = 60e6\nsweep.stop_hz = 80e6\nfield.gauss = nan\n",
+     "field.gauss must be finite, not nan"),
+    ("task = spectrum\nsweep.start_hz = 60e6\nsweep.stop_hz = 80e6\nfield.gauss = inf\n",
+     "field.gauss must be finite, not inf"),
 ])
 def test_validate_and_run_reject_a_non_finite_value(keys, message, tmp_path, capsys):
     # nan passes every comparison, inf all but a sign check: without a finite
@@ -286,7 +291,40 @@ def test_sweep_omega_reports_failed_points(tmp_path, monkeypatch):
     assert main(["run", str(cfg), "--out", str(out)]) == 0
     n_ss = [r.split(",")[2] for r in _data_lines(out / "s.csv")[1:]]
     assert n_ss[2] == "nan" and n_ss[0] != "nan"
-    assert "result.failed_points = 1" in (out / "s.csv.meta").read_text()
+    meta = (out / "s.csv.meta").read_text()
+    assert "result.failed_points = 1" in meta
+    # one line per failed point: variant, swept value as the CSV writes it, error
+    assert _data_lines(out / "s.csv")[3].split(",")[1] == "3000000.0"
+    assert [line for line in meta.splitlines() if line.startswith("result.failed_point.")] == [
+        "result.failed_point.2 = three_level, 3000000.0 Hz, DegenerateSteadyStateError: injected"]
+
+
+def test_sweep_delta_names_its_failed_points(tmp_path, monkeypatch):
+    solve = eitcool.cooling.scattering_rates
+
+    def fail_strong_coupling(config, detunings):
+        # one coupling Rabi frequency per shift: fail the two largest shifts
+        spectrum = solve(config, detunings)
+        strong = np.broadcast_to(config.omega_sigma, spectrum.w.shape) > TP * 32e6
+        errors = tuple(ConvergenceError("injected\non two lines") if bad else error
+                       for bad, error in zip(strong.ravel(), spectrum.errors))
+        return spectrum._replace(errors=errors)
+
+    monkeypatch.setattr(eitcool.cooling, "scattering_rates", fail_strong_coupling)
+    cfg = tmp_path / "delta.cfg"
+    cfg.write_text("task = sweep-delta\nvariant = three_level\nsweep.start_hz = 0.5e6\n"
+                   "sweep.stop_hz = 4e6\nsweep.points = 11\ntrap.omega_y_hz = 1.62e6\n"
+                   "output = d.csv\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    rows = [r.split(",") for r in _data_lines(out / "d.csv")[1:]]
+    failed = [i for i, r in enumerate(rows) if r[1] == "nan"]
+    assert failed == [9, 10]
+    meta = (out / "d.csv.meta").read_text().splitlines()
+    assert "result.failed_points = 2" in meta
+    assert [line for line in meta if line.startswith("result.failed_point.")] == [
+        f"result.failed_point.{i:02d} = three_level, {rows[i][0]} Hz, "
+        "ConvergenceError: injected on two lines" for i in failed]
 
 
 def test_run_failure_names_the_error_type(spectrum_cfg, tmp_path, monkeypatch, capsys):
@@ -397,6 +435,26 @@ def test_bundled_runs_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+def test_import_and_validate_build_no_model_structure():
+    # the coupling and superoperator structures are built by a model's first
+    # build, not at import; validating a config (load_config) builds beams only
+    script = (
+        "import pathlib, eitcool\n"
+        "from eitcool.config import load_config\n"
+        "from eitcool.structure import liouvillian_structure, system_structure\n"
+        "configs = sorted((pathlib.Path(eitcool.__file__).parent / 'configs').glob('*.cfg'))\n"
+        "for path in configs:\n"
+        "    load_config(path)\n"
+        "print(len(configs), system_structure.cache_info().currsize,\n"
+        "      liouvillian_structure.cache_info().currsize)\n"
+    )
+    src = str(Path(eitcool.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == [str(len(BUNDLED)), "0", "0"]
 
 
 def test_cli_import_loads_no_dataclasses_and_builds_no_fit_grid():

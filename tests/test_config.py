@@ -121,7 +121,8 @@ def test_angle_range_enforced():
     ("dynamics.t_max_s", -1e-3),
     ("thermometry.t_max_s", 0.0),
     *((key, value) for key in ("sweep.stop_hz", "dynamics.t_max_s", "thermometry.eta_probe",
-                               "ion.mass_amu") for value in (math.nan, math.inf)),
+                               "ion.mass_amu", "field.gauss", "ion.linewidth_hz")
+      for value in (math.nan, math.inf)),
 ])
 def test_value_that_run_cannot_use_is_rejected(key, value):
     values = parse_config_text(MINIMAL_SWEEP)

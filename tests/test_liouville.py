@@ -31,6 +31,8 @@ from oracles import (
     generator,
     periodic_steady_state,
     propagate,
+    reference_liouvillian,
+    reference_system,
     static_approximation,
     truncated_floquet_state,
     two_level_system,
@@ -323,6 +325,55 @@ def test_kron_free_liouvillian_matches_kron_oracle(rng):
             assert not ((liouv.l_plus != 0) & (liouv.l_minus != 0)).any()
 
 
+def _bits(x) -> np.ndarray:
+    x = np.ascontiguousarray(x)
+    return np.concatenate([[x.dtype.itemsize], x.shape, x.view(np.uint64).ravel()])
+
+
+def _random_laser(rng, shape, lo, hi):
+    """A laser parameter in [lo, hi) Gamma: one number, or an array of ``shape``."""
+    x = rng.uniform(lo, hi, size=shape) * GAMMA
+    return float(x) if shape == () else x
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_build_equals_the_reference_builder_bit_for_bit(variant):
+    # the cached structures must write every float of the system and of L0,
+    # L+ and L- exactly as the coupling-by-coupling builder does, signed zeros
+    # included: one ulp anywhere moves the golden dark-point row
+    rng = np.random.default_rng(23)
+    shapes = [((), (), (), ()), ((), (), (), (2, 3)), ((5,), (), (), (2, 5)),
+              ((), (4,), (4,), ()), ((3, 1), (1, 2), (), (2,))]
+    schemes = (LevelScheme(), LevelScheme(lande_g_S=2.1, lande_g_P=0.7, gamma=TP * 15e6))
+    for trial in range(40):
+        s_sigma, s_pi, s_dsigma, s_dpi = shapes[trial % len(shapes)]
+        omega_sigma, omega_pi = (_random_laser(rng, s_sigma, 0.0, 2.0),
+                                 _random_laser(rng, s_pi, 0.0, 0.5))
+        if trial % 7 == 3:  # no drive at all, or no cooling light
+            omega_sigma, omega_pi = 0.0 * omega_sigma, 0.0 * omega_pi
+        if trial % 7 == 5:
+            omega_pi = 0.0
+        cfg = EITConfig(
+            variant=variant, omega_sigma=omega_sigma, omega_pi=omega_pi,
+            delta_sigma=_random_laser(rng, s_dsigma, -5.0, 5.0),
+            delta_pi=_random_laser(rng, s_dpi, -5.0, 5.0),
+            b_gauss=0.0 if trial % 5 == 4 else rng.uniform(0.5, 10.0),
+            beam_angle=math.radians(90.0 if trial % 3 == 0 else rng.uniform(10.0, 170.0)),
+            scheme=schemes[trial % 2],
+        )
+        args = (cfg.scheme, cfg.field, *cfg.beams(), variant)
+        got, want = build_system(*args), reference_system(*args)
+        assert got.labels == want.labels and got.decays == want.decays
+        assert np.array_equal(_bits(got.h_diag), _bits(want.h_diag))
+        assert np.array_equal(_bits(got.beat), _bits(want.beat))
+        assert [c._replace(rabi_eff=0) for c in got.couplings] == [
+            c._replace(rabi_eff=0) for c in want.couplings]
+        for a, b in zip(got.couplings, want.couplings):
+            assert np.array_equal(_bits(a.rabi_eff), _bits(b.rabi_eff))
+        for a, b in zip(build_liouvillian(got), reference_liouvillian(want)):
+            assert np.array_equal(_bits(a), _bits(b))
+
+
 def test_liouvillian_stack_broadcasts_the_laser_parameters():
     # a detuning sweep shares one L+ and one L-; a cooling Rabi frequency per
     # point gives one per point; every member equals the single-point build
@@ -386,6 +437,22 @@ def test_floquet_fold_steps_live_on_seven_by_seven_blocks(angle_deg, b_gauss):
     mirrored = r.conj()[np.ix_(t[cols], cols)]  # the rows S of C R C, on its columns t[S]
     block[np.ix_(rows, t[cols])] = liouv.l_plus[np.ix_(rows, cols)] @ mirrored
     assert np.array_equal(block, liouv.l_plus @ r.conj()[np.ix_(t, t)])
+
+
+def test_an_oblique_beam_point_at_order_four_factors_nine_matrices(monkeypatch):
+    # 2 + 4 fold solves, one LU for the order-2 state, which is only compared
+    # with the next order, and the two LUs of the uniqueness check for the
+    # order-4 state that is returned
+    solve, sizes = np.linalg.solve, []
+
+    def counted(a, b):
+        sizes.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    _, _, order, errors = sweep_states(build_liouvillian(_system("four_level_geometry")))
+    assert order == 4 and errors == [None]
+    assert sizes == [1, 1, 1, 1, 1, 1, 1, 2]
 
 
 def test_stacked_steady_states_isolate_a_degenerate_point():

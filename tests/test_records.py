@@ -46,8 +46,13 @@ RECORDS = {
 
 # (field, value the constructor rejects, its message), per checked record type
 CHECKS = {
-    "LevelScheme": [("gamma", 0.0, "gamma must be positive")],
-    "MagneticField": [("magnitude", -1.0, "field magnitude must be >= 0")],
+    "LevelScheme": [("gamma", 0.0, "gamma must be positive"),
+                    ("gamma", math.nan, "gamma must be positive and finite"),
+                    ("gamma", math.inf, "gamma must be positive and finite"),
+                    ("lande_g_P", math.nan, "lande_g_P must be finite")],
+    "MagneticField": [("magnitude", -1.0, "field magnitude must be >= 0"),
+                      ("magnitude", math.nan, "field magnitude must be >= 0 and finite"),
+                      ("magnitude", math.inf, "field magnitude must be >= 0 and finite")],
     "Beam": [("polarization", (1.0, 1.0, 0.0), "polarization must be a unit vector")],
     "ThermalState": [("n_bar", -1.0, "n_bar must be finite and >= 0"),
                      ("n_bar", math.nan, "n_bar must be finite and >= 0"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import eitcool.spectrum
 
+from eitcool.atom import LevelScheme
 from eitcool.liouville import (
     _MIN_BEAT,
     _STACK_ENTRIES,
@@ -199,6 +201,27 @@ def test_cooling_beam_along_field_is_rejected(angle_deg):
     cfg = fig2_config("four_level_geometry", beam_angle=math.radians(angle_deg))
     with pytest.raises(ValueError, match="beam_angle"):
         scattering_rate(cfg)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("make, message", [
+    (lambda v: fig2_config(v, b_gauss=math.nan), "field magnitude must be >= 0 and finite"),
+    (lambda v: fig2_config(v, b_gauss=math.inf), "field magnitude must be >= 0 and finite"),
+    (lambda v: fig2_config(v, omega_pi=math.nan), "cooling beam rabi must be finite"),
+    (lambda v: fig2_config(v, omega_sigma=np.array([GAMMA, math.inf])),
+     "coupling beam rabi must be finite"),
+    (lambda v: fig2_config(v, delta_pi=math.inf), "cooling beam detuning must be finite"),
+    (lambda v: fig2_config(v, delta_sigma=math.nan), "coupling beam detuning must be finite"),
+    (lambda v: fig2_config(v, scheme=LevelScheme(gamma=math.nan)), "gamma must be positive"),
+])
+def test_non_finite_model_input_raises_naming_it(variant, make, message):
+    # before, each point came back as a DegenerateSteadyStateError with spread
+    # and residual nan, after numpy RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            cfg = make(variant)
+            scattering_rates(cfg, cfg.delta_pi + GAMMA * np.array([-1.0, 1.0]))
 
 
 def test_linear_response_quadratic_in_probe_rabi():
