@@ -51,7 +51,8 @@ def export(rev: str, dest: str) -> str:
     with subprocess.Popen(["git", "archive", "--format=tar", sha], cwd=ROOT,
                           stdout=subprocess.PIPE) as proc:
         with tarfile.open(fileobj=proc.stdout, mode="r|") as tar:
-            tar.extractall(dest, filter="data")
+            # the "data" filter where this Python has it (3.12, and 3.11.4 on)
+            tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
     if proc.returncode:
         raise RuntimeError(f"git archive {rev} exited {proc.returncode}")
     return sha

@@ -204,8 +204,8 @@ def build_liouvillian(system: DrivenSystem) -> Liouvillian:
     static, oscillating, base, base_at, pair, pair_at = liouvillian_structure(
         d, tuple((c.lower, c.upper, c.oscillates) for c in system.couplings), system.decays
     )
-    # h + h^dagger at [u, l] and [l, u]; 0.0 + x turns -0.0 into +0.0, as the
-    # sum of the couplings into a zero matrix did
+    # h + h^dagger at [u, l] and [l, u]; 0.0 + x turns -0.0 into +0.0, as a sum
+    # into a zero matrix does, so every entry keeps the sign of the dense build's
     h = _halves(system.couplings, static)
     l0 = _superoperator(base, base_at, np.concatenate([h, h.conj()], axis=-1) + 0j)
     e = system.h_diag
