@@ -104,8 +104,8 @@ def liouvillian_structure(d: int, couplings: tuple, decays: tuple) -> tuple:
     couplings' indices; L0 without couplings (flat d^4), and where -i h and +i h
     go for h = [h[u, l]..., h[l, u]...] of the static ones; [L-, L+] (flat
     2 d^4), and where they go for [h[u, l]..., h^dagger[l, u]...] of the others."""
-    static = [i for i, c in enumerate(couplings) if not c[2]]
-    oscillating = [i for i, c in enumerate(couplings) if c[2]]
+    static = tuple(i for i, c in enumerate(couplings) if not c[2])
+    oscillating = tuple(i for i, c in enumerate(couplings) if c[2])
     pairs = [couplings[i][1::-1] for i in static]  # (upper, lower)
     pairs += [(l, u) for u, l in pairs]
     moving = [couplings[i][1::-1] for i in oscillating]
