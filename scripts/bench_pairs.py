@@ -3,24 +3,24 @@
 
 Usage:
     python scripts/bench_pairs.py --parent REV [--change REV] --seed N --out BENCH_<n>.json
-        [--pairs 10] [--seconds 15] [--workloads figures,tuning,...]
-        [--claim WORKLOAD:METRIC] [--note TEXT] [--trace-runs K] [--scratch DIR]
+        [--claim WORKLOAD:METRIC] [--note TEXT] [--trace-runs K]
 
 Each side is a ``git archive`` copy of its commit (so no ``__pycache__`` and
 no uncommitted file), and every run is ``benchmark/run.py --workload W --seed
-N --seconds S --trace 0`` in that copy with ``PYTHONDONTWRITEBYTECODE=1``.
-For each workload it runs ``--pairs`` pairs, parent first in even pairs and
-change first in odd ones, and reports, per end-to-end metric of
+N --seconds S --trace 0`` in that copy with ``PYTHONDONTWRITEBYTECODE=1``, S
+the ``run_seconds`` of ``BENCHMARK.json``.  For every workload there it runs
+``PAIRS`` pairs, parent first in even pairs and change first in odd ones, and
+reports, per end-to-end metric of
 ``BENCHMARK.json``: both sides' median and quartiles (numpy linear
 percentiles), the relative change of the median, ``change_wins`` (pairs where
 the change is better; ties count for neither), the parent's IQR, the bound
 and whether the change stays within it.  ``--claim`` names the metric a gain
-is claimed on: it needs the change better in at least 9 of 10 pairs and a
+is claimed on: it needs the change better in at least 9 of the 10 pairs and a
 median gap above the parent's IQR.  ``--trace-runs K`` adds K ``--trace 1``
 runs per side and workload, alternated, with their per-layer means.
 
 The script only runs ``benchmark/run.py``; it writes the JSON file and its
-scratch trees (removed at the end unless ``--scratch`` is given).
+scratch trees, removed at the end.
 """
 
 import argparse
@@ -36,6 +36,8 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+# alternated pairs per workload: a claimed gain must win 9 of them
+PAIRS = 10
 
 
 def _sig(x: float) -> float:
@@ -98,21 +100,17 @@ def main(argv=None) -> int:
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--workloads", default=None, help="comma-separated; default: all")
     parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC a gain is claimed on")
     parser.add_argument("--note", default="", help="what the change is, for the 'change' field")
     parser.add_argument("--trace-runs", type=int, default=0)
-    parser.add_argument("--scratch", default=None, help="keep the exported trees here")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     specs = {m["name"]: m for m in bench["end_to_end"]}
-    names = (args.workloads.split(",") if args.workloads
-             else [w["name"] for w in bench["workloads"]])
-    scratch = args.scratch or tempfile.mkdtemp(prefix="bench_pairs_")
+    names = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    scratch = tempfile.mkdtemp(prefix="bench_pairs_")
     trees = {side: os.path.join(scratch, side) for side in SIDES}
     shas = {side: export(rev, trees[side]) for side, rev in zip(SIDES, (args.parent, args.change))}
 
@@ -121,16 +119,16 @@ def main(argv=None) -> int:
         for workload in names:
             runs = {side: [] for side in SIDES}
             first = []
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 first.append(order[0])
                 for side in order:
-                    runs[side].append(run(trees[side], workload, args.seed, args.seconds, 0))
+                    runs[side].append(run(trees[side], workload, args.seed, seconds, 0))
                     m = runs[side][-1]["metrics"]
                     print(f"{workload} pair {pair} {side}: " + ", ".join(
                         f"{k} {m[k]['value']:.6g}" for k in specs), file=sys.stderr)
             results[workload] = {
-                "pairs": args.pairs,
+                "pairs": PAIRS,
                 "correct": all(r["correct"] for side in SIDES for r in runs[side]),
                 "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
                 "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
@@ -144,13 +142,12 @@ def main(argv=None) -> int:
                 for k in range(args.trace_runs):
                     for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
                         traced[side].append(run(trees[side], workload, args.seed,
-                                                args.seconds, 1)["metrics"])
+                                                seconds, 1)["metrics"])
                 traces[workload] = {side: {name: _sig(np.mean(
                     [m[name]["value"] for m in traced[side]])) for name in traced[side][0]}
                     for side in SIDES}
     finally:
-        if args.scratch is None:
-            shutil.rmtree(scratch, ignore_errors=True)
+        shutil.rmtree(scratch, ignore_errors=True)
 
     claimed = None
     if args.claim:
@@ -162,16 +159,16 @@ def main(argv=None) -> int:
                    "change_vs_parent": summary["change_vs_parent"],
                    "change_wins": summary["change_wins"],
                    "median_gap": _sig(gap), "parent_iqr": summary["parent_iqr"],
-                   "holds": wins >= 0.9 * args.pairs and gap > summary["parent_iqr"]}
+                   "holds": wins >= 0.9 * PAIRS and gap > summary["parent_iqr"]}
     record = {
         "change": args.note,
         "machine": f"{os.cpu_count()}-CPU host",
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
         "method": (
-            f"python3 benchmark/run.py --workload W --seed {args.seed} --seconds {args.seconds:g}"
+            f"python3 benchmark/run.py --workload W --seed {args.seed} --seconds {seconds:g}"
             f" --trace 0, parent ({shas['parent'][:7]}) and change ({shas['change'][:7]})"
-            f" alternated, first side swapped every pair; {args.pairs} pairs per workload;"
+            f" alternated, first side swapped every pair; {PAIRS} pairs per workload;"
             " both trees git archive copies with no __pycache__, run with"
             " PYTHONDONTWRITEBYTECODE=1; median and quartiles (numpy linear percentiles) over"
             " the runs; change_wins counts pairs where the change is better (ties count for"

@@ -53,9 +53,12 @@ from .atom import (
     Beam,
     LevelScheme,
     MagneticField,
+    decompose_polarization,
     zeeman_splitting,
 )
-from .structure import VARIANTS, amplitudes, liouvillian_structure, system_structure
+
+# the level-scheme variants; the levels each keeps are in ``structure``
+VARIANTS = ("three_level", "four_level_ideal", "four_level_geometry")
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -128,7 +131,11 @@ def build_system(
             x = getattr(beam, name)
             if not (np.isfinite(x).all() if isinstance(x, np.ndarray) else math.isfinite(x)):
                 raise ValueError(f"{beam.label} beam {name} must be finite")
-    amps, nonzero = zip(*(amplitudes(tuple(beam.polarization)) for beam in beams))
+    # imported by the first build: at the top, compiling it costs every cold import
+    from .structure import system_structure
+
+    amps = [decompose_polarization(beam.polarization) for beam in beams]
+    nonzero = (tuple(q for q in a if not abs(a[q]) < 1e-12) for a in amps)
     labels, frame, structure, decays = system_structure(
         variant, tuple(zip((coupling.label, cooling.label), nonzero)), scheme)
     nu_c = coupling.detuning
@@ -140,7 +147,7 @@ def build_system(
         np.multiply.outer(nu_c, frame[0]) + np.multiply.outer(nu_g, frame[1])
     )
     couplings = tuple(
-        Coupling(lower, upper, beams[b].rabi * amps[b][q + 1] * cg, beams[b].label, q, oscillates)
+        Coupling(lower, upper, beams[b].rabi * amps[b][q] * cg, beams[b].label, q, oscillates)
         for lower, upper, b, q, cg, oscillates in structure
     )
     return DrivenSystem(
@@ -200,6 +207,8 @@ def build_liouvillian(system: DrivenSystem) -> Liouvillian:
     positions in the structure's L0 and L+/-, and the level energies into the
     diagonal of L0, as the commutator term -i(h_i - h_j) of rho[i, j].
     """
+    from .structure import liouvillian_structure  # as in build_system
+
     d = system.dim
     static, oscillating, base, base_at, pair, pair_at = liouvillian_structure(
         d, tuple((c.lower, c.upper, c.oscillates) for c in system.couplings), system.decays

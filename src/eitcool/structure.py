@@ -5,8 +5,8 @@ each beam drives and where every commutator and decay term sits in the flat
 superoperators: fixed by the variant, by the spherical components each beam
 has and by the decay channels, not by the detunings or Rabi frequencies.
 ``liouville.build_system`` and ``build_liouvillian`` look each structure up
-here, built once per key on first use (nothing is built at import), and
-compute only the values.
+here, built once per key on first use, and compute only the values.  This
+module is imported by the first build, not with ``eitcool``.
 """
 
 import functools
@@ -21,16 +21,14 @@ from .atom import (
     STATES,
     TRANSITIONS,
     LevelScheme,
-    decompose_polarization,
 )
 
-# states retained per variant
+# states retained per variant, keyed in the order of ``liouville.VARIANTS``
 _RETAINED = {
     "three_level": (S_MINUS, S_PLUS, P_PLUS),
     "four_level_ideal": STATES,
     "four_level_geometry": STATES,
 }
-VARIANTS = tuple(_RETAINED)
 
 # spherical components q of the cooling beam that each variant leaves out
 _DROPPED_COOLING = {"four_level_ideal": (-1, +1), "four_level_geometry": (+1,)}
@@ -39,13 +37,6 @@ _DROPPED_COOLING = {"four_level_ideal": (-1, +1), "four_level_geometry": (+1,)}
 _FRAME = {S_MINUS: (0, 0), P_PLUS: (1, 0), S_PLUS: (1, -1), P_MINUS: (0, 1)}
 # residual rotation of a coupling that oscillates: the beat nu_c - nu_g
 _BEAT = (1, -1)
-
-
-@functools.lru_cache(maxsize=64)
-def amplitudes(polarization: tuple) -> tuple:
-    """A polarization's spherical amplitudes for q = -1, 0, +1 and the q it drives."""
-    amps = decompose_polarization(polarization)
-    return tuple(amps.values()), tuple(q for q in amps if not abs(amps[q]) < 1e-12)
 
 
 @functools.lru_cache(maxsize=64)
