@@ -90,7 +90,7 @@ class Beam(Record):
     __slots__ = ("label", "rabi", "detuning", "polarization")
 
     def __init__(self, label: str, rabi: float, detuning: float, polarization: tuple):
-        if not abs(np.linalg.norm(np.asarray(polarization, dtype=complex)) - 1.0) <= 1e-12:
+        if not abs(math.hypot(*map(abs, polarization)) - 1.0) <= 1e-12:  # and not NaN
             raise ValueError("polarization must be a unit vector")
         self._set(label=label, rabi=rabi, detuning=detuning, polarization=polarization)
 

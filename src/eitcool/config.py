@@ -16,7 +16,7 @@ from .cooling import CoolingGeometry, geometry_from_angle
 from .liouville import VARIANTS
 from .record import Record
 from .spectrum import EITConfig
-from .thermometry import SIDEBANDS, ThermalState
+from .thermometry import SIDEBANDS, ThermalState, fit_limit
 
 TASKS = ("spectrum", "sweep-omega", "sweep-delta", "dynamics", "multimode", "thermometry")
 VARIANT_CHOICES = VARIANTS + ("all",)
@@ -222,10 +222,15 @@ def resolve(values: dict) -> RunConfig:
         if resolved[key] is None:
             raise ConfigError(f"task {task!r} requires key {key!r}")
     if task == "thermometry":  # it builds a thermal state and its probe, no beams
+        n_bar, eta = resolved["thermometry.n_bar"], resolved["thermometry.eta_probe"]
         try:
-            ThermalState(resolved["thermometry.n_bar"]).checked(resolved["thermometry.eta_probe"])
+            ThermalState(n_bar).checked(eta)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        limit = fit_limit(eta)
+        if n_bar > limit:  # inside the model, but within Brent's resolution of its edge
+            raise ConfigError(f"thermometry.n_bar = {n_bar!r} is above {limit!r}, "
+                              f"the largest the thermal fit brackets at eta_probe = {eta!r}")
     # nan passes every comparison above, and inf all but a sign check; this
     # runs after the thermal state's check, whose message names the bound
     # (n_bar's), and before the beams, whose records would not name the key

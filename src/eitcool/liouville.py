@@ -39,6 +39,7 @@ static or periodic.  The module needs numpy only; the brute-force
 propagation oracles these solves are checked against live in the tests.
 """
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -264,6 +265,12 @@ def _solve(a: np.ndarray, b: np.ndarray):
         return np.linalg.solve(a, b), singular
 
 
+@functools.cache
+def _trace_row(dim: int) -> np.ndarray:
+    """The trace constraint as a row of vec(rho), ones on rho's diagonal; not to be written."""
+    return np.eye(dim).ravel()
+
+
 def _null_vectors(l: np.ndarray, dim: int, checked: bool = True):
     """Trace-one null vector of each matrix in the stack ``l``, checked for uniqueness.
 
@@ -274,26 +281,29 @@ def _null_vectors(l: np.ndarray, dim: int, checked: bool = True):
     errors): errors[n] is None or the DegenerateSteadyStateError of point n,
     whose row of v is NaN.  Unless ``checked``, only the first solve is made
     and only a singular one fails: for a state that is compared, not returned.
+    The (solves, N, d^2, d^2) stack is written once: L / max|L| into the first
+    block, copied into the second.
     """
     n, d2 = len(l), dim * dim
     solves = 2 if checked else 1
-    scale = np.max(np.abs(l), axis=(1, 2))
-    trace_row = np.zeros(d2)
-    trace_row[:: dim + 1] = 1.0  # ones on the diagonal of rho
-    m = np.stack([l / scale[:, None, None]] * solves, axis=1)
-    rhs = np.zeros((n, solves, d2, 1), complex)
-    m[:, 0, 0] = trace_row
-    rhs[:, 0, 0, 0] = 1.0
+    scale = np.abs(l).max(axis=(1, 2))
+    trace_row = _trace_row(dim)
+    m = np.empty((solves, n, d2, d2), complex)
+    np.divide(l, scale[:, None, None], out=m[0])
+    rhs = np.zeros((solves, n, d2, 1), complex)
     if checked:
-        m[:, 1, -1] = trace_row
-        rhs[:, 1, -1, 0] = 1.0
+        m[1] = m[0]
+        m[1, :, -1] = trace_row
+        rhs[1, :, -1] = 1.0
+    m[0, :, 0] = trace_row
+    rhs[0, :, 0] = 1.0
     x, singular = _solve(m.reshape(solves * n, d2, d2), rhs.reshape(solves * n, d2, 1))
-    x = x.reshape(n, solves, d2)
-    v = x[:, 0]
-    failed = singular = singular.reshape(n, solves).any(axis=1)
+    x = x.reshape(solves, n, d2)
+    v = x[0]
+    failed = singular = singular.reshape(solves, n).any(axis=0)
     if checked:
-        spread = np.max(np.abs(v - x[:, 1]), axis=1)
-        resid = np.max(np.abs(l @ v[:, :, None]), axis=(1, 2)) / scale
+        spread = np.abs(v - x[1]).max(axis=1)
+        resid = np.abs(l @ v[:, :, None]).max(axis=(1, 2)) / scale
         failed = singular | ~((spread <= _CHECK_TOL) & (resid <= _CHECK_TOL))
     errors = [None] * n
     for i in np.flatnonzero(failed):
@@ -352,21 +362,27 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
 
     Returns (rho0, rho1, order, errors): rho_0, rho_{+1}, the truncation
     order reached and each point's failure (None if it has none).  Failed
-    points hold NaN.
+    points hold NaN.  An all-static stack returns the null-vector solve's
+    arrays as they are, rho_{+1} the same array as rho_0.
     """
     n, d2 = len(l0s), dim * dim
-    rho0, rho1 = np.full((2, n, dim, dim), np.nan, complex)
-    order = np.zeros(n, int)
-    errors = [None] * n
     static = np.abs(beats) < _MIN_BEAT
-    if static.any():
-        l = l0s if static.all() else l0s[static]  # _null_vectors writes no input
+    some_static, all_static = static.any(), static.all()
+    if some_static:
+        l = l0s if all_static else l0s[static]  # _null_vectors writes no input
         if l_plus.any() or l_minus.any():  # a zero L+/- costs no pass and no copy
             # L0 + (L+ + L-); L+ and L- share no nonzero entry, so this rounds
             # as (L0 + L+) + L- does
             l = l + (_members(l_plus, static) + _members(l_minus, static))
         v, errs = _null_vectors(l, dim)
-        rho0[static] = rho1[static] = _density_matrices(v, dim)
+        rho = _density_matrices(v, dim)
+        if all_static:  # the null-vector result is the stack's: no scatter
+            return rho, rho, np.zeros(n, int), errs
+    rho0, rho1 = np.full((2, n, dim, dim), np.nan, complex)
+    order = np.zeros(n, int)
+    errors = [None] * n
+    if some_static:
+        rho0[static] = rho1[static] = rho
         for i, error in zip(np.flatnonzero(static), errs):
             errors[i] = error
 
@@ -448,7 +464,9 @@ def sweep_states(liouv: Liouvillian):
     solved by ``_states`` in stacks of ``_STACK_ENTRIES // d**4`` points
     (32 for d = 4, 101 for d = 3), each point on its own.  Returns (rho0,
     rho1, order, errors): the first three with the batch shape in front,
-    ``errors`` a list over the points in C order.
+    ``errors`` a list over the points in C order.  A sweep that fits one
+    stack returns that stack's arrays, reshaped; only a longer one is copied,
+    stack by stack, into arrays of its own.
     """
     d, ops = liouv.dim, (liouv.l0, liouv.l_plus, liouv.l_minus)
     batch = np.broadcast_shapes(np.shape(liouv.beat), *(x.shape[:-2] for x in ops))
@@ -458,15 +476,18 @@ def sweep_states(liouv: Liouvillian):
             if x is liouv.l0 or x.ndim > 2 else x for x in ops]
     flat.append(np.broadcast_to(liouv.beat, batch).reshape(-1))
     n = len(flat[0])
-    rho0, rho1 = np.empty((2, n, d, d), complex)
-    order = np.zeros(n, int)
-    errors = []
     size = _STACK_ENTRIES // d**4
-    for start in range(0, n, size):
-        part = slice(start, start + size)
-        rho0[part], rho1[part], order[part], errs = _states(
-            *(_members(x, part) for x in flat), d
-        )
-        errors += errs
+    if n <= size:  # one stack: its arrays are the sweep's
+        rho0, rho1, order, errors = _states(*flat, d)
+    else:
+        rho0, rho1 = np.empty((2, n, d, d), complex)
+        order = np.empty(n, int)
+        errors = []
+        for start in range(0, n, size):
+            part = slice(start, start + size)
+            rho0[part], rho1[part], order[part], errs = _states(
+                *(_members(x, part) for x in flat), d
+            )
+            errors += errs
     rho0, rho1 = (rho.reshape(batch + (d, d)) for rho in (rho0, rho1))
     return rho0, rho1, order.reshape(batch), errors

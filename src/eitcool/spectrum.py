@@ -42,6 +42,9 @@ from .liouville import (
     sweep_states,
 )
 
+# the coupling beam's field-frame polarization, sigma+ light
+_SIGMA_PLUS = tuple(map(complex, circular_polarization(+1)))
+
 # fano_features zoom: samples per bracket per pass, the bracket width (in
 # units of the AC Stark shift) at which the passes stop, and a cap on the
 # passes (each narrows a bracket 8-fold, so 20 reach double resolution)
@@ -150,7 +153,7 @@ class EITConfig(NamedTuple):
             label="coupling",
             rabi=self.omega_sigma / abs(TRANSITIONS[(S_MINUS, +1)][1]),
             detuning=nu_c,
-            polarization=tuple(circular_polarization(+1)),
+            polarization=_SIGMA_PLUS,
         )
 
         if self.variant == "four_level_geometry":

@@ -27,6 +27,10 @@ TAIL = 1e-6
 # largest Fock cutoff ThermalState.checked accepts (n_bar up to about 144 at TAIL)
 MAX_CUTOFF = 2000
 
+# Brent's relative tolerance, sqrt of its float epsilon, and fit_thermal's absolute one
+_SQRT_EPS = math.sqrt(2.2e-16)
+_XATOL = 1e-10
+
 
 def _cutoff(n_bar: float) -> int:
     """Smallest Fock cutoff N whose thermal tail weight is at most TAIL."""
@@ -62,6 +66,14 @@ def _edge(eta_probe: float) -> float:
     while _cutoff(n_bar) > top:
         n_bar = math.nextafter(n_bar, 0.0)
     return n_bar
+
+
+def fit_limit(eta_probe: float) -> float:
+    """The largest n_bar whose flops ``fit_thermal`` brackets: ``_edge`` less
+    Brent's resolution there, 2 (sqrt_eps * edge + xatol / 3), within which the
+    fit cannot tell a minimum below the edge from one at it."""
+    edge = _edge(eta_probe)
+    return edge - 2.0 * (_SQRT_EPS * edge + _XATOL / 3.0)
 
 
 class ThermalState(Record):
@@ -198,7 +210,6 @@ def _bounded_brent(f, lo: float, hi: float, xatol: float):
     Minimization without Derivatives*, 1973, ch. 5), in the float operations
     and order of scipy's ``minimize_scalar(method="bounded")``: same bits.
     """
-    sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
     a, b = float(lo), float(hi)
     fulc = nfc = xf = a + golden_mean * (b - a)
@@ -207,7 +218,7 @@ def _bounded_brent(f, lo: float, hi: float, xatol: float):
     num = 1
     while True:
         xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
         if not abs(xf - xm) > tol2 - 0.5 * (b - a) or num >= 500:
             return xf, fx
@@ -266,8 +277,8 @@ def fit_thermal(
     matrix-vector product.  Where no grid point above the best one is valid,
     the bracket runs to that edge; a minimum there raises ValueError, as do an
     eta_probe <= 0 and one at which the model represents no n_bar.  That takes a
-    record hotter than the model, and also one made within Brent's resolution
-    (about 3e-7 at eta_probe = 0.03) below the edge, which Brent cannot tell apart.
+    record hotter than the model, and also one made above ``fit_limit``, within
+    Brent's resolution (5.8e-7 at eta_probe = 0.03) below the edge.
     """
     edge = _edge(eta_probe)
     table = _flop_table(np.asarray(record.times, float), _cutoff(edge) + 1, eta_probe, omega0,
@@ -284,7 +295,7 @@ def fit_thermal(
 
     i = int(np.argmin(values))
     hi = min(grid[i + 1], edge)  # grid[i + 1] if it is valid
-    best, residual = _bounded_brent(sse, grid[max(i - 1, 0)], hi, 1e-10)
+    best, residual = _bounded_brent(sse, grid[max(i - 1, 0)], hi, _XATOL)
     if hi < grid[i + 1] and sse(hi) <= residual:
         raise ValueError(
             f"best-fit n_bar not bracketed: the fit runs into n_bar = {hi:.4g}, the "

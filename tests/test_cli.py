@@ -14,7 +14,7 @@ from eitcool.cli import bundled_config_path, main
 from eitcool.config import load_config
 from eitcool.liouville import ConvergenceError, DegenerateSteadyStateError
 from eitcool.runner import _fmt
-from eitcool.thermometry import _cutoff
+from eitcool.thermometry import _cutoff, _edge, fit_limit
 
 TP = 2 * math.pi
 
@@ -155,17 +155,31 @@ def test_validate_and_run_accept_a_thermal_state_near_the_model_edge(tmp_path):
     assert fit == pytest.approx(18.5, rel=1e-8)
 
 
-def test_validate_accepts_what_run_cannot_fit_within_brents_resolution_of_the_edge(
-        tmp_path, capsys):
-    # recorded gap: n_bar = 19.62645206 lies about 1.0e-7 below the largest n_bar the
-    # model represents at the default eta_probe (19.626452164), inside Brent's
-    # resolution there (about 3e-7), where the fit cannot tell its minimum from
-    # one at the edge; what to report in that band is left open
+@pytest.mark.parametrize("below, code", [(1e-7, 2), (1e-6, 0)])
+def test_validate_and_run_agree_within_brents_resolution_of_the_edge(below, code, tmp_path,
+                                                                     capsys):
+    # the largest n_bar the model represents at the default eta_probe is
+    # 19.626452164491493; 1e-7 below it lies inside Brent's resolution there
+    # (5.8e-7), where the fit cannot tell its minimum from one at the edge:
+    # validate rejects it, naming the key, as run does before fitting.  1e-6
+    # below it fits.
+    n_bar = _edge(0.03) - below
+    assert (n_bar > fit_limit(0.03)) == (code == 2)
     cfg = tmp_path / "edge.cfg"
-    cfg.write_text("task = thermometry\nthermometry.n_bar = 19.62645206\n")
-    assert main(["validate", str(cfg)]) == 0
-    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
-    assert "best-fit n_bar not bracketed" in capsys.readouterr().err
+    cfg.write_text(f"task = thermometry\nthermometry.n_bar = {n_bar!r}\noutput = e.csv\n")
+    for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(tmp_path)]):
+        assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == (f"error: thermometry.n_bar = {n_bar!r} is above {fit_limit(0.03)!r}, "
+                       "the largest the thermal fit brackets at eta_probe = 0.03\n") * 2
+        assert not (tmp_path / "e.csv").exists()
+    else:
+        assert err == ""
+        meta = (tmp_path / "e.csv.meta").read_text()
+        fit = float(next(l for l in meta.splitlines()
+                         if l.startswith("result.fit_n_bar")).split("=")[1])
+        assert fit == pytest.approx(n_bar, rel=1e-8)
 
 
 def test_missing_config_file_is_a_usage_error(capsys):

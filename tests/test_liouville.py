@@ -14,6 +14,7 @@ from eitcool.atom import (
 )
 from eitcool.liouville import (
     _MIN_BEAT,
+    _STACK_ENTRIES,
     VARIANTS,
     ConvergenceError,
     DegenerateSteadyStateError,
@@ -481,6 +482,103 @@ def test_stacked_harmonics_isolate_a_degenerate_point():
     assert np.array_equal(rho1[0], sweep_states(good)[1])
     assert order[0] == 4
     assert np.all(np.isnan(rho0[1]))
+
+
+def _points(liouv, sel):
+    """The points ``sel`` (a slice) of a flat stacked Liouvillian; a shared L+/- stays shared."""
+    return Liouvillian(liouv.l0[sel], *(x if x.ndim == 2 else x[sel]
+                                        for x in (liouv.l_plus, liouv.l_minus)),
+                       liouv.beat[sel] if np.ndim(liouv.beat) else liouv.beat)
+
+
+def _same_solve(a, b) -> bool:
+    """Two ``sweep_states`` results agree bit for bit, and in their errors' types and text."""
+    return all(x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+               for x, y in zip(a[:3], b[:3])) and (
+        [(type(e), str(e)) for e in a[3]] == [(type(e), str(e)) for e in b[3]])
+
+
+def _stacking_batches():
+    """(name, flat stacked Liouvillian, degenerate points) for the stacking test."""
+    rng = np.random.default_rng(24)
+    batches = []
+    for variant, n in (("three_level", 60), ("four_level_ideal", 20),  # one stack
+                       ("three_level", 230), ("four_level_ideal", 70)):  # three stacks
+        cfg = fig2_config(variant)
+        deltas = cfg.delta_pi + TP * rng.uniform(-4e6, 4e6, n)
+        batches.append((f"{variant} x {n}", build_liouvillian(cfg.system(deltas)), []))
+    # static and oblique-beam points in one stack: the lasers coincide at d0,
+    # and one cooling Rabi frequency per point gives one L+/- per point
+    cfg = fig2_config("four_level_geometry")
+    nu_c, nu_g_at_zero = cfg.laser_frequencies(0.0)
+    d0 = nu_c - nu_g_at_zero
+    deltas = d0 + TP * rng.uniform(-3e6, 3e6, 24)
+    deltas[[3, 17]] = d0
+    assert (np.abs(build_liouvillian(cfg.system(deltas)).beat) < _MIN_BEAT).sum() == 2
+    batches.append(("geometry, shared L+/-", build_liouvillian(cfg.system(deltas)), []))
+    omega_pi = cfg.omega_pi * rng.uniform(0.3, 5.0, 24)
+    batches.append(("geometry, L+/- per point",
+                    build_liouvillian(cfg._replace(omega_pi=omega_pi).system(deltas)), []))
+    # an undriven member of each kind of stack
+    for variant, n, dead in (("three_level", 40, 11), ("four_level_ideal", 50, 37),
+                             ("four_level_geometry", 12, 5)):
+        cfg = fig2_config(variant)
+        omega_sigma, omega_pi = cfg.omega_sigma * np.ones(n), cfg.omega_pi * np.ones(n)
+        omega_sigma[dead] = omega_pi[dead] = 0.0
+        deltas = cfg.delta_pi + TP * rng.uniform(-3e6, 3e6, n)
+        liouv = build_liouvillian(
+            cfg._replace(omega_sigma=omega_sigma, omega_pi=omega_pi).system(deltas))
+        batches.append((f"{variant} x {n}, point {dead} undriven", liouv, [dead]))
+    return batches
+
+
+def test_stacking_never_changes_a_points_bits():
+    # a sweep, every point solved alone and the sweep split at random chunk
+    # boundaries give the same bits: one stack or several, all static or mixed
+    # with oblique-beam points, with and without a degenerate member
+    rng = np.random.default_rng(24)
+    kinds = set()
+    for name, liouv, dead in _stacking_batches():
+        n, size = len(liouv.l0), _STACK_ENTRIES // liouv.dim**4
+        static = np.abs(np.broadcast_to(liouv.beat, n)) < _MIN_BEAT
+        kinds.add((n > size, static.all(), static.any(), bool(dead)))
+        whole = sweep_states(liouv)
+        alone = [sweep_states(_points(liouv, slice(i, i + 1))) for i in range(n)]
+        cuts = [0, *sorted(rng.choice(np.arange(1, n), 3, replace=False)), n]
+        split = [sweep_states(_points(liouv, slice(a, b))) for a, b in zip(cuts, cuts[1:])]
+        for parts in (alone, split):
+            joined = [np.concatenate([p[f] for p in parts]) for f in range(3)]
+            assert _same_solve((*joined, sum((p[3] for p in parts), [])), whole), name
+        failed = [i for i, e in enumerate(whole[3]) if e is not None]
+        assert failed == dead, name
+        for i in dead:
+            assert isinstance(whole[3][i], DegenerateSteadyStateError), name
+            assert np.isnan(whole[0][i]).all() and np.isnan(whole[1][i]).all(), name
+    # one stack all static, several all static, one mixed, and degenerate members
+    assert {(False, True, True, False), (True, True, True, False),
+            (False, False, True, False), (False, True, True, True)} <= kinds
+
+
+def test_oblique_beam_sweep_keeps_its_stacked_temporaries():
+    # fig2's 114 oblique-beam points (4 stacks of 32): the traced peak of the
+    # solve stays within 7 stacks' worth of complex entries, so a design with
+    # larger stacked temporaries (all fold shifts or two orders in one array)
+    # fails here before it costs the benchmark's peak RSS
+    import tracemalloc
+
+    cfg = fig2_config("four_level_geometry")
+    omegas = TP * np.linspace(0.5e6, 4e6, 57)
+    liouv = build_liouvillian(cfg.system(np.concatenate([cfg.delta_pi - omegas,
+                                                         cfg.delta_pi + omegas])))
+    sweep_states(liouv)  # warm: the first call builds nothing traced
+    tracemalloc.start()
+    try:
+        _, _, order, errors = sweep_states(liouv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert errors == [None] * 114 and set(order.ravel()) == {4}
+    assert peak <= 7 * _STACK_ENTRIES * 16
 
 
 def test_two_level_saturation_formula():
