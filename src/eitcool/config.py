@@ -3,7 +3,7 @@
 Unit conventions (the single most error-prone decision, so it lives here and
 nowhere else): keys ending in ``_hz`` are ordinary frequencies in Hz and are
 converted to angular frequencies (rad/s) on access; keys ending in ``_deg``
-are degrees, converted to radians; ``_s`` seconds; ``_nm`` nanometers.
+are degrees, converted to radians; ``_s`` seconds; ``_nm`` nanometers; ``_amu`` daltons.
 """
 
 import hashlib
@@ -103,17 +103,21 @@ def parse_config_text(text: str) -> dict:
 class RunConfig(Record):
     """Fully-resolved run configuration with provenance."""
 
-    __slots__ = ("values", "applied_defaults", "sha256")
+    __slots__ = ("values", "applied_defaults")
 
-    def __init__(self, values: dict, applied_defaults: tuple, sha256: str):
-        self._set(values=MappingProxyType(dict(values)), applied_defaults=applied_defaults,
-                  sha256=sha256)
+    def __init__(self, values: dict, applied_defaults: tuple):
+        self._set(values=MappingProxyType(dict(values)), applied_defaults=applied_defaults)
 
     def __reduce__(self):  # a mappingproxy does not pickle
-        return type(self), (dict(self.values), self.applied_defaults, self.sha256)
+        return type(self), (dict(self.values), self.applied_defaults)
 
     def __getitem__(self, key):
         return self.values[key]
+
+    @property
+    def sha256(self) -> str:  # read from the values: a replaced config's is its own
+        v = self.values
+        return hashlib.sha256("\n".join(f"{k}={v[k]!r}" for k in sorted(v)).encode()).hexdigest()
 
     # --- derived physics objects -------------------------------------------
 
@@ -200,20 +204,17 @@ def resolve(values: dict) -> RunConfig:
         raise ConfigError(f"thermometry.sideband must be one of {SIDEBANDS}")
     if resolved["mode"] not in ("x", "y", "z"):
         raise ConfigError("mode must be one of x, y, z")
-    if resolved["field.gauss"] < 0:
-        raise ConfigError("field.gauss must be >= 0")
-    for key in ("sweep.points", "dynamics.points", "thermometry.points"):
-        if resolved[key] is not None and resolved[key] < 2:
-            raise ConfigError(f"{key} must be >= 2")
+    for key, low in (("field.gauss", 0), ("dynamics.n0", 0), ("sweep.points", 2),
+                     ("dynamics.points", 2), ("thermometry.points", 2)):
+        if resolved[key] < low:
+            raise ConfigError(f"{key} must be >= {low}")
     for key, val in resolved.items():
-        if key.endswith(("_hz", "_s", ".eta_probe")) and val is not None and val <= 0:
+        positive = key.endswith(("_hz", "_s", "_nm", "_amu", ".eta_probe"))
+        if positive and val is not None and val <= 0:
             raise ConfigError(f"{key} must be positive")
         if key.endswith("_deg") and val is not None and not (0.0 <= val <= 180.0):
             raise ConfigError(f"{key} must lie in [0, 180] degrees")
-    digest = hashlib.sha256(
-        "\n".join(f"{k}={resolved[k]!r}" for k in sorted(resolved)).encode()
-    ).hexdigest()
-    config = RunConfig(values=resolved, applied_defaults=tuple(applied), sha256=digest)
+    config = RunConfig(values=resolved, applied_defaults=tuple(applied))
     modes = config.mode_labels()
     if not modes or len(set(modes)) < len(modes) or not set(modes) <= {"x", "y", "z"}:
         raise ConfigError("multimode.modes must list distinct modes out of x, y, z")

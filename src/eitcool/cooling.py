@@ -36,8 +36,9 @@ def geometry_from_angle(omega: float, delta_k_mag: float, phi: float,
                         mass: float = CA40_MASS, label: str = "") -> CoolingGeometry:
     """Geometry from |delta k| (1/m) and the angle phi between delta k and the mode
     axis, with a0 = sqrt(hbar / 2 m omega) the ground-state size at ``mass`` (kg)."""
-    if omega <= 0:
-        raise ValueError("mode frequency must be positive")
+    for name, x in (("mode frequency", omega), ("mass", mass)):
+        if x <= 0:
+            raise ValueError(f"{name} must be positive")
     eta = delta_k_mag * math.sqrt(HBAR / (2 * mass * omega))
     return CoolingGeometry(omega, eta, math.cos(phi), label)
 
@@ -50,8 +51,8 @@ def cooling_coefficients(config: EITConfig, geometry: CoolingGeometry):
 
 def evolve_n(a_plus: float, a_minus: float, n0: float, t: float) -> float:
     """Closed-form solution of the phonon rate equation at time t."""
-    if a_plus < 0 or a_minus < 0:
-        raise ValueError("rate coefficients must be nonnegative")
+    if a_plus < 0 or a_minus < 0 or n0 < 0 or t < 0:
+        raise ValueError("rate coefficients, n0 and t must be nonnegative")
     rate = a_minus - a_plus
     if rate == 0:
         return n0 + a_plus * t

@@ -23,20 +23,20 @@ the positions of every superoperator term) comes from ``structure``, built
 once per key; a call computes the values and writes them with a few flat
 index writes.
 
-One stacked routine, ``_states``, solves for every steady state: it takes
-an (N, d^2, d^2) stack and checks each member on its own, so one degenerate
-or singular point is flagged without failing the others.  A static point is
-the order-0 case, one checked null-vector solve; a periodic point gets the
-Floquet harmonic expansion, grown over even truncation orders, whose fold
-multiplies only the sigma- coupling's 7 x 7 blocks (S+ -> P- makes L+ read
-rho[P-, .] and rho[., S+] alone).  ``sweep_states`` is the sweep route: a
-stacked Liouvillian, built by broadcasting per-point laser parameters through
-``build_system`` and ``build_liouvillian``, solved in stacks of at most
-``_STACK_ENTRIES`` matrix entries (32 points of 16 x 16, 101 of 9 x 9); no
-built Liouvillian is rewritten, and an L+/- that the points share stays one
-matrix.  ``steady_state`` is the one-point case of any Liouvillian,
-static or periodic.  The module needs numpy only; the brute-force
-propagation oracles these solves are checked against live in the tests.
+One stacked routine, ``_states``, solves for every steady state: it takes an
+(N, d^2, d^2) stack and checks each member on its own, so one degenerate or
+singular point is flagged without failing the others.  A static point is the
+order-0 case, one checked null-vector solve; a periodic point gets the Floquet
+harmonic expansion, grown over even truncation orders, whose fold multiplies
+only the sigma- coupling's 7 x 7 blocks (S+ -> P- makes L+ read rho[P-, .] and
+rho[., S+] alone), with L- derived there as L+'s mirror.  ``sweep_states`` is
+the sweep route: a stacked Liouvillian, built by broadcasting per-point laser
+parameters through ``build_system`` and ``build_liouvillian``, solved in stacks
+of at most ``_STACK_ENTRIES`` matrix entries (32 points of 16 x 16, 101 of
+9 x 9); no built Liouvillian is rewritten, and an L+ that the points share
+stays one matrix.  ``steady_state`` is the one-point case of any Liouvillian,
+static or periodic.  The module needs numpy only; the brute-force propagation
+oracles these solves are checked against live in the tests.
 """
 
 import functools
@@ -163,20 +163,19 @@ def build_system(
 class Liouvillian(NamedTuple):
     """Vectorized master-equation generator L(t) = L0 + L+ e^{+i nu t} + L- e^{-i nu t}.
 
-    A stack when the system is one: ``l0`` is (..., d^2, d^2), and L+/- have
-    the batch shape of the oscillating couplings' Rabi frequencies only, so
-    the points of a detuning sweep share one L+ and one L-, solved unbroadcast.
-    A system with nothing oscillating has beat 0.0 and zero L+/- (one shared
-    (d^2, d^2) matrix); a point is static exactly when |beat| < ``_MIN_BEAT``.
-    The level count d is read from L0, so it cannot disagree with it.
+    A stack when the system is one: ``l0`` is (..., d^2, d^2), and L+ has the
+    batch shape of the oscillating couplings' Rabi frequencies only, so the
+    points of a detuning sweep share one L+, solved unbroadcast.  A system
+    with nothing oscillating has beat 0.0 and a zero L+ (one shared (d^2, d^2)
+    matrix); a point is static exactly when |beat| < ``_MIN_BEAT``.  The level
+    count d is read from L0, so it cannot disagree with it.
 
-    L(t) preserves Hermiticity, and the Floquet solve relies on it: with C the
-    map vec(rho) -> vec(rho^dagger), C L0 C = L0 and C L+ C = L-.
+    L(t) preserves Hermiticity: with C the map vec(rho) -> vec(rho^dagger),
+    C L0 C = L0, and L- = C L+ C is not stored but derived where it is read.
     """
 
     l0: np.ndarray
     l_plus: np.ndarray
-    l_minus: np.ndarray
     beat: float | np.ndarray
 
     @property
@@ -205,13 +204,13 @@ def build_liouvillian(system: DrivenSystem) -> Liouvillian:
 
     L0 has the batch shape of the level energies broadcast with the static
     couplings' Rabi frequencies.  A call writes the coupling terms at their
-    positions in the structure's L0 and L+/-, and the level energies into the
+    positions in the structure's L0 and L+, and the level energies into the
     diagonal of L0, as the commutator term -i(h_i - h_j) of rho[i, j].
     """
     from .structure import liouvillian_structure  # as in build_system
 
     d = system.dim
-    static, oscillating, base, base_at, pair, pair_at = liouvillian_structure(
+    static, oscillating, base, base_at, plus, plus_at = liouvillian_structure(
         d, tuple((c.lower, c.upper, c.oscillates) for c in system.couplings), system.decays
     )
     # h + h^dagger at [u, l] and [l, u]; 0.0 + x turns -0.0 into +0.0, as a sum
@@ -226,14 +225,12 @@ def build_liouvillian(system: DrivenSystem) -> Liouvillian:
     l0[..., :: d * d + 1].imag = (e[..., :, None] - e[..., None, :]).reshape(
         e.shape[:-1] + (d * d,))
     l0 = l0.reshape(l0.shape[:-1] + (d * d, d * d))
-    if oscillating:
-        a = _halves(system.couplings, oscillating) + 0j  # of e^{-i nu_b t}
-        both = _superoperator(pair, pair_at, np.concatenate([a, a.conj()], axis=-1))
-        both = both.reshape(a.shape[:-1] + (2, d * d, d * d))
-        l_minus, l_plus = both[..., 0, :, :], both[..., 1, :, :]
+    if oscillating:  # h^dagger of e^{+i nu_b t}; + 0j first sets L+'s signed zeros
+        a = (_halves(system.couplings, oscillating) + 0j).conj()
+        l_plus = _superoperator(plus, plus_at, a).reshape(a.shape[:-1] + (d * d, d * d))
     else:
-        l_plus = l_minus = np.zeros((d * d, d * d), complex)
-    return Liouvillian(l0=l0, l_plus=l_plus, l_minus=l_minus, beat=system.beat)
+        l_plus = np.zeros((d * d, d * d), complex)
+    return Liouvillian(l0=l0, l_plus=l_plus, beat=system.beat)
 
 
 # uniqueness spread and relative residual accepted by the steady-state solves
@@ -266,9 +263,10 @@ def _solve(a: np.ndarray, b: np.ndarray):
 
 
 @functools.cache
-def _trace_row(dim: int) -> np.ndarray:
-    """The trace constraint as a row of vec(rho), ones on rho's diagonal; not to be written."""
-    return np.eye(dim).ravel()
+def _vec_index(dim: int) -> tuple:
+    """(trace row, t) of vec(rho), not to be written: the trace constraint as a row,
+    ones on rho's diagonal, and t with vec(rho^T) = vec(rho)[t], its own inverse."""
+    return np.eye(dim).ravel(), np.arange(dim * dim).reshape(dim, dim).T.ravel()
 
 
 def _null_vectors(l: np.ndarray, dim: int, checked: bool = True):
@@ -287,7 +285,7 @@ def _null_vectors(l: np.ndarray, dim: int, checked: bool = True):
     n, d2 = len(l), dim * dim
     solves = 2 if checked else 1
     scale = np.abs(l).max(axis=(1, 2))
-    trace_row = _trace_row(dim)
+    trace_row = _vec_index(dim)[0]
     m = np.empty((solves, n, d2, d2), complex)
     np.divide(l, scale[:, None, None], out=m[0])
     rhs = np.zeros((solves, n, d2, 1), complex)
@@ -329,14 +327,15 @@ def _density_matrices(v: np.ndarray, dim: int) -> np.ndarray:
         return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
 
 
-def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
+def _states(l0s: np.ndarray, l_plus, beats, dim: int):
     """Steady state of each L0[n] + L+[n] e^{+i nu_n t} + L-[n] e^{-i nu_n t} in the stack.
 
-    ``l_plus`` and ``l_minus`` are stacks like ``l0s`` or matrices all points
-    share.  A point is static where its beat is below ``_MIN_BEAT`` (nothing
-    oscillates, or the lasers are degenerate); all static points are the
-    order-0 case, one checked null-vector solve of L0 + L+ + L-, with
-    rho_{+1} = rho_0 (what a coupling that stops oscillating reads).
+    ``l_plus`` is a stack like ``l0s`` or a matrix all points share; L- = C L+ C
+    is read off it, L-[i, k] = conj(L+[t[i], t[k]]).  A point is static where
+    its beat is below ``_MIN_BEAT`` (nothing oscillates, or the lasers are
+    degenerate); all static points are the order-0 case, one checked null-vector
+    solve of L0 + L+ + L-, with rho_{+1} = rho_0 (what a coupling that stops
+    oscillating reads).
 
     Every other point is periodic.  Its Floquet expansion
     rho(t) = sum_k rho_k e^{i k nu t} gives a block tridiagonal linear system,
@@ -370,10 +369,10 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
     some_static, all_static = static.any(), static.all()
     if some_static:
         l = l0s if all_static else l0s[static]  # _null_vectors writes no input
-        if l_plus.any() or l_minus.any():  # a zero L+/- costs no pass and no copy
-            # L0 + (L+ + L-); L+ and L- share no nonzero entry, so this rounds
-            # as (L0 + L+) + L- does
-            l = l + (_members(l_plus, static) + _members(l_minus, static))
+        if l_plus.any():  # a zero L+ costs no pass and no copy
+            # L0 + (L+ + L-), which rounds as (L0 + L+) + L-: they share no nonzero entry
+            lp, t = _members(l_plus, static), _vec_index(dim)[1]
+            l = l + (lp + lp[..., t[:, None], t].conj())
         v, errs = _null_vectors(l, dim)
         rho = _density_matrices(v, dim)
         if all_static:  # the null-vector result is the stack's: no scatter
@@ -391,11 +390,11 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
     idx = np.flatnonzero(~static)
     v_prev = v1_prev = dv1_prev = np.nan
     if len(idx):
-        t = np.arange(d2).reshape(dim, dim).T.ravel()  # vec(rho^T) = vec(rho)[t]
+        t = _vec_index(dim)[1]
         on = (l_plus != 0).reshape(-1, d2).any(axis=0)
         # S and S' = t[S], ascending so that block products sum in the dense order
         cols, rows = np.flatnonzero(on), np.flatnonzero(on[t])
-        lp, lm = l_plus[..., rows[:, None], cols], l_minus[..., cols[:, None], rows]
+        lp, lm = l_plus[..., rows[:, None], cols], l_plus[..., t[cols][:, None], t[rows]].conj()
         rhs = -l_plus[..., :, cols]
         # flat positions of the S x S and S' x t[S] blocks in a d^2 x d^2 matrix
         s_s = (cols[:, None] * d2 + cols).ravel()
@@ -444,12 +443,12 @@ def _states(l0s: np.ndarray, l_plus, l_minus, beats, dim: int):
 
 def steady_state(liouv: Liouvillian) -> np.ndarray:
     """rho_0 of one Liouvillian by ``sweep_states``: the steady state where its
-    beat is below ``_MIN_BEAT`` (L+/- folded into L0), else the period average.
+    beat is below ``_MIN_BEAT`` (L+ and L- folded into L0), else the period average.
 
     The point's failure is raised (DegenerateSteadyStateError if the null space
     is not one-dimensional); a stack in any field is a ValueError.
     """
-    if np.ndim(liouv.beat) or any(x.ndim > 2 for x in (liouv.l0, liouv.l_plus, liouv.l_minus)):
+    if np.ndim(liouv.beat) or liouv.l0.ndim > 2 or liouv.l_plus.ndim > 2:
         raise ValueError("a stack of Liouvillians is solved by sweep_states")
     rho0, _, _, (error,) = sweep_states(liouv)
     if error is not None:
@@ -460,7 +459,7 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
 def sweep_states(liouv: Liouvillian):
     """Steady state of every point of a stacked Liouvillian.
 
-    L0, L+/- and the beat broadcast to one batch shape, whose points are
+    L0, L+ and the beat broadcast to one batch shape, whose points are
     solved by ``_states`` in stacks of ``_STACK_ENTRIES // d**4`` points
     (32 for d = 4, 101 for d = 3), each point on its own.  Returns (rho0,
     rho1, order, errors): the first three with the batch shape in front,
@@ -468,10 +467,10 @@ def sweep_states(liouv: Liouvillian):
     stack returns that stack's arrays, reshaped; only a longer one is copied,
     stack by stack, into arrays of its own.
     """
-    d, ops = liouv.dim, (liouv.l0, liouv.l_plus, liouv.l_minus)
+    d, ops = liouv.dim, (liouv.l0, liouv.l_plus)
     batch = np.broadcast_shapes(np.shape(liouv.beat), *(x.shape[:-2] for x in ops))
-    # flat (N, ...) stacks of L0, L+, L- and the beats; an L+/- with no batch
-    # axes (a detuning sweep, or nothing oscillating) stays one matrix for all points
+    # flat (N, ...) stacks of L0, L+ and the beats; an L+ with no batch axes
+    # (a detuning sweep, or nothing oscillating) stays one matrix for all points
     flat = [np.broadcast_to(x, batch + x.shape[-2:]).reshape(-1, d * d, d * d)
             if x is liouv.l0 or x.ndim > 2 else x for x in ops]
     flat.append(np.broadcast_to(liouv.beat, batch).reshape(-1))

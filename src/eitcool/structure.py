@@ -90,27 +90,26 @@ def commutator_positions(d: int, pairs) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def liouvillian_structure(d: int, couplings: tuple, decays: tuple) -> tuple:
-    """(static, oscillating, l0, l0_at, pair, pair_at) for the couplings'
+    """(static, oscillating, l0, l0_at, plus, plus_at) for the couplings'
     (lower, upper, oscillates) and the decays: the static and oscillating
     couplings' indices; L0 without couplings (flat d^4), and where -i h and +i h
-    go for h = [h[u, l]..., h[l, u]...] of the static ones; [L-, L+] (flat
-    2 d^4), and where they go for [h[u, l]..., h^dagger[l, u]...] of the others."""
+    go for h = [h[u, l]..., h[l, u]...] of the static ones; L+ (flat d^4), and
+    where they go for h^dagger[l, u] of the others (L- is derived, not built)."""
     static = tuple(i for i, c in enumerate(couplings) if not c[2])
     oscillating = tuple(i for i, c in enumerate(couplings) if c[2])
     pairs = [couplings[i][1::-1] for i in static]  # (upper, lower)
     pairs += [(l, u) for u, l in pairs]
-    moving = [couplings[i][1::-1] for i in oscillating]
+    moving = [couplings[i][:2] for i in oscillating]  # (lower, upper), of h^dagger
     for group in (pairs, moving):  # one write per entry: nothing sums into another
         if len(set(group)) < len(group) or any(u == l for u, l in group):
             raise ValueError("each coupling must drive its own pair of distinct levels")
     # -i[h, rho] of an h that is zero, and of h^dagger (L+), whose zeros are
     # conj(0j) = 0 - 0j: the signed zeros the products leave where nothing couples
     every = commutator_positions(d, list(np.ndindex(d, d)))
-    pair = np.zeros((2, d**4), complex)
-    for out, zero in zip(pair, (0j, np.conj(0j))):
+    l0, plus = np.zeros((2, d**4), complex)
+    for out, zero in ((l0, 0j), (plus, np.conj(0j))):
         out[every[0]] = -1j * zero
         out[every[1]] = 1j * zero  # second: both write the diagonal [n, m, n, m]
-    l0 = pair[0].copy()
     upper, lower = (np.array([decay[i] for decay in decays], int) for i in range(2))
     rate = np.array([decay[2] for decay in decays], float)
     # s rho s^dagger: rho[u, u] feeds rho[l, l], one entry per channel, in one write
@@ -120,9 +119,8 @@ def liouvillian_structure(d: int, couplings: tuple, decays: tuple) -> tuple:
     # -0.0, where neither level decays)
     total = np.bincount(upper, rate, d)
     l0[:: d * d + 1].real = (0.0 - 0.5 * (total[:, None] + total)).reshape(-1)
-    pair_at = np.concatenate([commutator_positions(d, moving),
-                              commutator_positions(d, [p[::-1] for p in moving]) + d**4], 1)
-    structure = (static, oscillating, l0, commutator_positions(d, pairs), pair.ravel(), pair_at)
+    structure = (static, oscillating, l0, commutator_positions(d, pairs), plus,
+                 commutator_positions(d, moving))
     for x in structure[2:]:
         x.flags.writeable = False
     return structure

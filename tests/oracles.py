@@ -3,12 +3,14 @@
 These are deliberately brute force and independent of the stacked solves in
 ``eitcool.liouville``: adaptive time propagation of the master equation
 (scipy's DOP853), a one-period monodromy periodic state, a banded solve of
-the truncated Floquet equations, the static fold of a periodic Liouvillian, a
-hand-built two-level atom with a textbook steady state, a numerically
-integrated phonon rate equation, and ``reference_system`` and
+the truncated Floquet equations, the static fold of a periodic Liouvillian,
+L+'s Hermitian mirror L- (which a Liouvillian does not store), a hand-built
+two-level atom with a textbook steady state, a numerically integrated phonon
+rate equation (DOP853 as well), and ``reference_system`` and
 ``reference_liouvillian``, which build every system and Liouvillian from
 scratch, coupling by coupling, in the float operations the package's cached
-structures must reproduce bit for bit.
+structures must reproduce bit for bit; the latter also builds its own L-,
+which the mirror of L+ must equal in value.
 """
 
 from __future__ import annotations
@@ -49,13 +51,21 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v, complex).reshape((dim, dim), order="F")
 
 
+def l_minus(liouv: Liouvillian) -> np.ndarray:
+    """L- = C L+ C, with C the map vec(rho) -> vec(rho^dagger): the Hermitian
+    mirror of L+, L-[i, k] = conj(L+[t[i], t[k]]) with vec(rho^T) = vec(rho)[t]."""
+    d = liouv.dim
+    t = np.arange(d * d).reshape(d, d).T.ravel()
+    return liouv.l_plus[..., t[:, None], t].conj()
+
+
 def generator(liouv: Liouvillian):
     """f(t, y) = L(t) y for a vector or matrix y, L(t) = L0 + L+ e^{+i nu t} + L- e^{-i nu t}.
 
     [L0; L+; L-] is stacked once, so each call is one product, weighted by
     (1, e^{+i nu t}, e^{-i nu t}), at any beat.
     """
-    stacked = np.concatenate([liouv.l0, liouv.l_plus, liouv.l_minus])
+    stacked = np.concatenate([liouv.l0, liouv.l_plus, l_minus(liouv)])
 
     def f(t, y):
         phase = np.exp(1j * liouv.beat * t)
@@ -66,12 +76,10 @@ def generator(liouv: Liouvillian):
 
 
 def static_approximation(liouv: Liouvillian) -> Liouvillian:
-    """Fold the oscillating parts into L0 (a comparison, not exact), leaving zero L+/-."""
-    zero = np.zeros_like(liouv.l_plus)
+    """Fold the oscillating parts into L0 (a comparison, not exact), leaving a zero L+."""
     return Liouvillian(
-        l0=liouv.l0 + liouv.l_plus + liouv.l_minus,
-        l_plus=zero,
-        l_minus=zero,
+        l0=liouv.l0 + liouv.l_plus + l_minus(liouv),
+        l_plus=np.zeros_like(liouv.l_plus),
         beat=0.0,
     )
 
@@ -139,8 +147,12 @@ def _commutator_super(h: np.ndarray) -> np.ndarray:
     return out.reshape(h.shape[:-2] + (d * d, d * d))
 
 
-def reference_liouvillian(system: DrivenSystem) -> Liouvillian:
-    """``build_liouvillian`` from dense coupling matrices, one write per coupling and decay."""
+def reference_liouvillian(system: DrivenSystem):
+    """``build_liouvillian`` from dense coupling matrices, one write per coupling and decay.
+
+    Returns (Liouvillian, L-): L- is built here from the coupling matrix itself,
+    as the independent check of the mirror C L+ C that the solve derives.
+    """
     d = system.dim
     h0 = _coupling_matrix([c for c in system.couplings if not c.oscillates], d)
     l0 = _commutator_super(h0 + np.swapaxes(h0.conj(), -1, -2))
@@ -162,7 +174,7 @@ def reference_liouvillian(system: DrivenSystem) -> Liouvillian:
         l_plus = _commutator_super(np.swapaxes(a.conj(), -1, -2))
     else:
         l_plus = l_minus = np.zeros((d * d, d * d), complex)
-    return Liouvillian(l0=l0, l_plus=l_plus, l_minus=l_minus, beat=system.beat)
+    return Liouvillian(l0=l0, l_plus=l_plus, beat=system.beat), l_minus
 
 
 def two_level_system(omega_pi: float, delta_pi: float, gamma: float) -> DrivenSystem:
@@ -255,13 +267,14 @@ def truncated_floquet_state(liouv: Liouvillian, order: int):
     """
     d2 = liouv.dim**2
     blocks = 2 * order + 1
+    lm = l_minus(liouv)
     a = np.zeros((blocks, d2, blocks, d2), complex)
     for j, k in enumerate(range(-order, order + 1)):
         a[j, :, j] = liouv.l0 - 1j * k * liouv.beat * np.eye(d2)
         if j > 0:
             a[j, :, j - 1] = liouv.l_plus
         if j < blocks - 1:
-            a[j, :, j + 1] = liouv.l_minus
+            a[j, :, j + 1] = lm
     a[order, 0] = 0.0
     a[order, 0, order, :: liouv.dim + 1] = 1.0  # tr rho_0 = 1
     a = a.reshape(blocks * d2, blocks * d2)
@@ -280,5 +293,5 @@ def truncated_floquet_state(liouv: Liouvillian, order: int):
 def integrate_occupation(a_plus: float, a_minus: float, n0: float, t: float) -> float:
     """n(t) of dn/dt = -(A- - A+) n + A+ by adaptive integration from n(0) = n0."""
     sol = solve_ivp(lambda _t, n: [-(a_minus - a_plus) * n[0] + a_plus],
-                    (0.0, t), [n0], rtol=1e-12, atol=1e-14)
+                    (0.0, t), [n0], method="DOP853", rtol=1e-12, atol=1e-14)
     return float(sol.y[0, -1])

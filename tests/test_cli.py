@@ -29,6 +29,10 @@ sweep.points = 9
 output = spec.csv
 """
 
+# the task keys of the bundled multimode.cfg and fig4.cfg
+_MULTIMODE = "task = multimode\ntrap.omega_y_hz = 1.62e6\ntrap.omega_z_hz = 3.32e6\n"
+_DYNAMICS = "task = dynamics\ntrap.omega_y_hz = 1.62e6\n"
+
 
 @pytest.fixture
 def spectrum_cfg(tmp_path):
@@ -118,6 +122,14 @@ def test_validate_rejects_a_thermal_state_outside_the_model(keys, message, tmp_p
      "field.gauss must be finite, not nan"),
     ("task = spectrum\nsweep.start_hz = 60e6\nsweep.stop_hz = 80e6\nfield.gauss = inf\n",
      "field.gauss must be finite, not inf"),
+    # finite but out of range: unchecked, run wrote eta sqrt(n_ss) < 0 at a
+    # negative wavelength, raised ZeroDivisionError or a math domain error at
+    # a zero wavelength or a mass <= 0, and wrote n(0) = -5
+    (f"{_MULTIMODE}ion.wavelength_nm = -397\n", "ion.wavelength_nm must be positive"),
+    (f"{_DYNAMICS}ion.wavelength_nm = 0\n", "ion.wavelength_nm must be positive"),
+    (f"{_DYNAMICS}ion.mass_amu = 0\n", "ion.mass_amu must be positive"),
+    (f"{_DYNAMICS}ion.mass_amu = -40\n", "ion.mass_amu must be positive"),
+    (f"{_DYNAMICS}dynamics.n0 = -5\n", "dynamics.n0 must be >= 0"),
 ])
 def test_validate_and_run_reject_a_non_finite_value(keys, message, tmp_path, capsys):
     # nan passes every comparison, inf all but a sign check: without a finite

@@ -120,6 +120,11 @@ def test_angle_range_enforced():
     ("field.gauss", -4.4),
     ("dynamics.t_max_s", -1e-3),
     ("thermometry.t_max_s", 0.0),
+    ("ion.wavelength_nm", -397.0),
+    ("ion.wavelength_nm", 0.0),
+    ("ion.mass_amu", 0.0),
+    ("ion.mass_amu", -40.0),
+    ("dynamics.n0", -5.0),
     *((key, value) for key in ("sweep.stop_hz", "dynamics.t_max_s", "thermometry.eta_probe",
                                "ion.mass_amu", "field.gauss", "ion.linewidth_hz")
       for value in (math.nan, math.inf)),
@@ -161,6 +166,14 @@ def test_config_hash_tracks_content():
     c = resolve(parse_config_text(MINIMAL_SWEEP.replace("4e6", "5e6")))
     assert a.sha256 == b.sha256
     assert a.sha256 != c.sha256
+
+
+def test_replaced_values_hash_as_resolve_hashes_them():
+    # the digest is read from the values: a replaced config does not keep its source's
+    a = resolve(parse_config_text("task = thermometry\n"))
+    b = resolve(parse_config_text("task = thermometry\nthermometry.n_bar = 2.0\n"))
+    replaced = a._replace(values={**a.values, "thermometry.n_bar": 2.0})
+    assert replaced.sha256 == b.sha256 != a.sha256
 
 
 # ----------------------------------------------------------- derived objects

@@ -54,6 +54,8 @@ def test_trap_mode_invariants():
     for omega in (0.0, -TP * 1e6):
         with pytest.raises(ValueError, match="mode frequency must be positive"):
             geometry_from_angle(omega, 2 * K397, 0.0)
+        with pytest.raises(ValueError, match="mass must be positive"):
+            geometry_from_angle(TP * 1e6, 2 * K397, 0.0, mass=omega * CA40_MASS)
     omega = TP * 1.62e6
     geo = geometry_from_angle(omega, 2 * K397, 0.0)
     assert geo == (omega, 2 * K397 * _ground_state_size(omega), 1.0, "")
@@ -177,8 +179,10 @@ def test_evolve_n_stays_nonnegative(a_plus, a_minus, n0, t):
 
 
 def test_evolve_n_rejects_negative_rates():
-    with pytest.raises(ValueError):
-        evolve_n(-1.0, 10.0, 1.0, 1.0)
+    # and a negative n0 or t: evolve_n(1, 10, 5, -1) extrapolated back to 39615.2
+    for args in ((-1.0, 10.0, 1.0, 1.0), (1.0, 10.0, -5.0, 1.0), (1.0, 10.0, 5.0, -1.0)):
+        with pytest.raises(ValueError):
+            evolve_n(*args)
 
 
 # -------------------------------------------------------------------- sweeps

@@ -30,6 +30,7 @@ from eitcool.spectrum import EITConfig, scattering_rates
 from conftest import FIG2, TP, fig2_config
 from oracles import (
     generator,
+    l_minus,
     periodic_steady_state,
     propagate,
     reference_liouvillian,
@@ -62,7 +63,7 @@ def test_three_level_couplings_and_static_hamiltonian():
     assert system.beat == 0.0
     assert not any(c.oscillates for c in system.couplings)
     liouv = build_liouvillian(system)
-    assert not liouv.l_plus.any() and not liouv.l_minus.any()
+    assert not liouv.l_plus.any()
 
 
 def test_four_level_ideal_couplings():
@@ -73,7 +74,7 @@ def test_four_level_ideal_couplings():
     }
     assert system.beat == 0.0
     liouv = build_liouvillian(system)
-    assert not liouv.l_plus.any() and not liouv.l_minus.any()
+    assert not liouv.l_plus.any()
 
 
 def test_four_level_geometry_adds_oscillating_sigma_minus():
@@ -263,7 +264,7 @@ def test_weak_drive_steady_state_is_unique_until_the_drive_is_off(variant):
         for l0, r0, r1 in zip(liouv.l0, rho0, rho1):
             assert np.trace(r0).real == pytest.approx(1.0, abs=1e-12)
             # the period average of the master equation: L0 rho_0 + L- rho_+1 + L+ rho_-1
-            balance = l0 @ vec(r0) + liouv.l_minus @ vec(r1) + liouv.l_plus @ vec(r1.conj().T)
+            balance = l0 @ vec(r0) + l_minus(liouv) @ vec(r1) + liouv.l_plus @ vec(r1.conj().T)
             assert np.max(np.abs(balance)) <= 1e-8 * np.max(np.abs(l0))
 
 
@@ -311,7 +312,9 @@ def test_kron_free_liouvillian_matches_kron_oracle(rng):
         for system in (cfg.system(), cfg.system()._replace(decays=())):
             liouv = build_liouvillian(system)
             oracle = _kron_liouvillian(system)
-            for got, want in zip((liouv.l0, liouv.l_plus, liouv.l_minus), oracle):
+            # L- is the mirror C L+ C the solve derives, against the oracle's own
+            minus = l_minus(liouv)
+            for got, want in zip((liouv.l0, liouv.l_plus, minus), oracle):
                 assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
             # L(t) preserves Hermiticity, exactly: C L0 C = L0 and C L- C = L+, with
             # C the antilinear map vec(rho) -> vec(rho^dagger) = swap conj(vec(rho))
@@ -321,9 +324,9 @@ def test_kron_free_liouvillian_matches_kron_oracle(rng):
                 for j in range(d):
                     swap[i * d + j, j * d + i] = 1.0  # vec(rho^T) = swap vec(rho)
             assert np.array_equal(swap @ liouv.l0.conj() @ swap, liouv.l0)
-            assert np.array_equal(swap @ liouv.l_minus.conj() @ swap, liouv.l_plus)
+            assert np.array_equal(swap @ minus.conj() @ swap, liouv.l_plus)
             # the static fold sums L+ and L- first, exact where they share no entry
-            assert not ((liouv.l_plus != 0) & (liouv.l_minus != 0)).any()
+            assert not ((liouv.l_plus != 0) & (minus != 0)).any()
 
 
 def _bits(x) -> np.ndarray:
@@ -339,9 +342,11 @@ def _random_laser(rng, shape, lo, hi):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_build_equals_the_reference_builder_bit_for_bit(variant):
-    # the cached structures must write every float of the system and of L0,
-    # L+ and L- exactly as the coupling-by-coupling builder does, signed zeros
-    # included: one ulp anywhere moves the golden dark-point row
+    # the cached structures must write every float of the system and of L0
+    # and L+ exactly as the coupling-by-coupling builder does, signed zeros
+    # included: one ulp anywhere moves the golden dark-point row.  L- = C L+ C,
+    # which a Liouvillian does not store, equals the builder's own L- in value;
+    # the two differ only in the sign of some zero real or imaginary parts
     rng = np.random.default_rng(23)
     shapes = [((), (), (), ()), ((), (), (), (2, 3)), ((5,), (), (), (2, 5)),
               ((), (4,), (4,), ()), ((3, 1), (1, 2), (), (2,))]
@@ -371,12 +376,14 @@ def test_build_equals_the_reference_builder_bit_for_bit(variant):
             c._replace(rabi_eff=0) for c in want.couplings]
         for a, b in zip(got.couplings, want.couplings):
             assert np.array_equal(_bits(a.rabi_eff), _bits(b.rabi_eff))
-        for a, b in zip(build_liouvillian(got), reference_liouvillian(want)):
+        built, (reference, minus) = build_liouvillian(got), reference_liouvillian(want)
+        for a, b in zip(built, reference):
             assert np.array_equal(_bits(a), _bits(b))
+        assert np.array_equal(l_minus(built), minus)
 
 
 def test_liouvillian_stack_broadcasts_the_laser_parameters():
-    # a detuning sweep shares one L+ and one L-; a cooling Rabi frequency per
+    # a detuning sweep shares one L+; a cooling Rabi frequency per
     # point gives one per point; every member equals the single-point build
     cfg = fig2_config("four_level_geometry")
     deltas = cfg.delta_pi + TP * np.array([-2e6, -0.5e6, 0.0, 1e6, 3e6])
@@ -384,25 +391,23 @@ def test_liouvillian_stack_broadcasts_the_laser_parameters():
     swept = build_liouvillian(cfg.system(deltas))
     assert swept.l0.shape == (5, 16, 16) and swept.l_plus.shape == (16, 16)
     stacked = build_liouvillian(cfg._replace(omega_pi=omega_pi).system(deltas))
-    assert stacked.l_plus.shape == stacked.l_minus.shape == (5, 16, 16)
+    assert stacked.l_plus.shape == (5, 16, 16)
     for i, d in enumerate(deltas):
         one = build_liouvillian(cfg._replace(omega_pi=omega_pi[i]).system(d))
         assert np.array_equal(stacked.l0[i], one.l0)
         assert np.array_equal(stacked.l_plus[i], one.l_plus)
-        assert np.array_equal(stacked.l_minus[i], one.l_minus)
         assert stacked.beat[i] == one.beat
         assert np.array_equal(swept.l0[i], build_liouvillian(cfg.system(d)).l0)
 
 
 @pytest.mark.parametrize("variant", ["three_level", "four_level_geometry"])
 def test_one_point_solvers_reject_a_stack(variant):
-    # a stack in any field: L0, the beat, or L+/- alone
+    # a stack in any field: L0, the beat, or L+ alone
     cfg = fig2_config(variant)
     stack = build_liouvillian(cfg.system(cfg.delta_pi + TP * np.array([0.0, 1e6])))
     one = build_liouvillian(cfg.system())
-    pair = np.stack([one.l_plus] * 2)
     for liouv in (stack, one._replace(beat=np.array([1.0, 2.0]) * GAMMA),
-                  one._replace(l_plus=pair, l_minus=pair.conj())):
+                  one._replace(l_plus=np.stack([one.l_plus] * 2))):
         with pytest.raises(ValueError, match="sweep_states"):
             steady_state(liouv)
 
@@ -424,16 +429,17 @@ def test_floquet_fold_steps_live_on_seven_by_seven_blocks(angle_deg, b_gauss):
     assert len(cols) == 7
     outside = np.ones((d2, d2), bool)
     outside[np.ix_(rows, cols)] = False
+    minus = l_minus(liouv)
     assert not liouv.l_plus[outside].any()
-    assert not liouv.l_minus[outside.T].any()
+    assert not minus[outside.T].any()
     r = np.linalg.solve(liouv.l0 - 1j * liouv.beat * np.eye(d2), -liouv.l_plus)
     assert not np.delete(r, cols, axis=1).any()
     # one fold step on the blocks equals the dense 16 x 16 products exactly:
     # L- R into the S x S block, L+ (C R C) into the S' x t[S] block, with C
     # the mirror vec(rho) -> vec(rho^dagger)
     block = np.zeros((d2, d2), complex)
-    block[np.ix_(cols, cols)] = liouv.l_minus[np.ix_(cols, rows)] @ r[np.ix_(rows, cols)]
-    assert np.array_equal(block, liouv.l_minus @ r)
+    block[np.ix_(cols, cols)] = minus[np.ix_(cols, rows)] @ r[np.ix_(rows, cols)]
+    assert np.array_equal(block, minus @ r)
     block = np.zeros((d2, d2), complex)
     mirrored = r.conj()[np.ix_(t[cols], cols)]  # the rows S of C R C, on its columns t[S]
     block[np.ix_(rows, t[cols])] = liouv.l_plus[np.ix_(rows, cols)] @ mirrored
@@ -460,7 +466,7 @@ def test_stacked_steady_states_isolate_a_degenerate_point():
     good = build_liouvillian(_system("four_level_ideal"))
     dead = build_liouvillian(_system("four_level_ideal", omega_sigma=0.0, omega_pi=0.0))
     zero = np.zeros_like(good.l0)
-    rho, _, _, errors = _states(np.stack([good.l0, dead.l0]), zero, zero, np.zeros(2), good.dim)
+    rho, _, _, errors = _states(np.stack([good.l0, dead.l0]), zero, np.zeros(2), good.dim)
     assert errors[0] is None
     assert isinstance(errors[1], DegenerateSteadyStateError)
     assert np.array_equal(rho[0], steady_state(good))
@@ -468,13 +474,12 @@ def test_stacked_steady_states_isolate_a_degenerate_point():
 
 
 def test_stacked_harmonics_isolate_a_degenerate_point():
-    # the stack shares L+ and L-; zero them so that the second point is undriven
+    # the stack shares L+; zero it so that the second point is undriven
     liouv = build_liouvillian(_system("four_level_geometry"))
-    good = Liouvillian(liouv.l0, 0.0 * liouv.l_plus, 0.0 * liouv.l_minus, liouv.beat)
+    good = Liouvillian(liouv.l0, 0.0 * liouv.l_plus, liouv.beat)
     dead = build_liouvillian(_system("four_level_geometry", omega_sigma=0.0, omega_pi=0.0))
     rho0, rho1, order, errors = sweep_states(Liouvillian(
-        np.stack([good.l0, dead.l0]), good.l_plus, good.l_minus,
-        np.array([good.beat, dead.beat]),
+        np.stack([good.l0, dead.l0]), good.l_plus, np.array([good.beat, dead.beat]),
     ))
     assert errors[0] is None
     assert isinstance(errors[1], DegenerateSteadyStateError)
@@ -485,9 +490,9 @@ def test_stacked_harmonics_isolate_a_degenerate_point():
 
 
 def _points(liouv, sel):
-    """The points ``sel`` (a slice) of a flat stacked Liouvillian; a shared L+/- stays shared."""
-    return Liouvillian(liouv.l0[sel], *(x if x.ndim == 2 else x[sel]
-                                        for x in (liouv.l_plus, liouv.l_minus)),
+    """The points ``sel`` (a slice) of a flat stacked Liouvillian; a shared L+ stays shared."""
+    l_plus = liouv.l_plus
+    return Liouvillian(liouv.l0[sel], l_plus if l_plus.ndim == 2 else l_plus[sel],
                        liouv.beat[sel] if np.ndim(liouv.beat) else liouv.beat)
 
 
@@ -674,24 +679,16 @@ def test_propagation_preserves_trace_and_hermiticity():
 
 def test_harmonic_solution_with_zero_oscillating_amplitude_is_static():
     liouv = build_liouvillian(_system("four_level_geometry"))
-    zeroed = Liouvillian(
-        l0=liouv.l0, l_plus=0.0 * liouv.l_plus, l_minus=0.0 * liouv.l_minus,
-        beat=liouv.beat,
-    )
+    zeroed = Liouvillian(l0=liouv.l0, l_plus=0.0 * liouv.l_plus, beat=liouv.beat)
     rho0 = steady_state(zeroed)
     assert np.max(np.abs(rho0 - steady_state(static_approximation(zeroed)))) <= 1e-12
 
 
 def test_harmonic_solution_continuous_in_oscillating_amplitude():
     liouv = build_liouvillian(_system("four_level_geometry"))
-    small = Liouvillian(
-        l0=liouv.l0, l_plus=1e-6 * liouv.l_plus, l_minus=1e-6 * liouv.l_minus,
-        beat=liouv.beat,
-    )
+    small = Liouvillian(l0=liouv.l0, l_plus=1e-6 * liouv.l_plus, beat=liouv.beat)
     rho0 = steady_state(small)
-    rho_static = steady_state(
-        Liouvillian(liouv.l0, 0.0 * liouv.l_plus, 0.0 * liouv.l_minus, 0.0)
-    )
+    rho_static = steady_state(Liouvillian(liouv.l0, 0.0 * liouv.l_plus, 0.0))
     assert np.max(np.abs(rho0 - rho_static)) <= 1e-8
 
 

@@ -35,7 +35,7 @@ RECORDS = {
     "RunConfig": lambda: resolve(parse_config_text("task = thermometry\n")),
     "Coupling": lambda: Coupling(0, 2, 1e6 + 0j, "cooling", 0),
     "DrivenSystem": lambda: DrivenSystem(("S-", "S+"), (0.0, 1e6), (), (), 0.0),
-    "Liouvillian": lambda: Liouvillian(((0.0,),), ((0.0,),), ((0.0,),), 0.0),
+    "Liouvillian": lambda: Liouvillian(((0.0,),), ((0.0,),), 0.0),
     "EITConfig": lambda: EITConfig(omega_sigma=1e8, omega_pi=1e7, delta_sigma=4e8, delta_pi=4e8),
     "Spectrum": lambda: Spectrum((4e8,), (1e3,), (1e-3,), (0,), (None,)),
     "FanoFeatures": lambda: FanoFeatures(dark_point=4e8, bright_peak=4.1e8),
