@@ -364,14 +364,14 @@ def _states(l0s: np.ndarray, l_plus, beats, dim: int):
     points hold NaN.  An all-static stack returns the null-vector solve's
     arrays as they are, rho_{+1} the same array as rho_0.
     """
-    n, d2 = len(l0s), dim * dim
+    n, d2, t = len(l0s), dim * dim, _vec_index(dim)[1]
     static = np.abs(beats) < _MIN_BEAT
     some_static, all_static = static.any(), static.all()
     if some_static:
         l = l0s if all_static else l0s[static]  # _null_vectors writes no input
         if l_plus.any():  # a zero L+ costs no pass and no copy
             # L0 + (L+ + L-), which rounds as (L0 + L+) + L-: they share no nonzero entry
-            lp, t = _members(l_plus, static), _vec_index(dim)[1]
+            lp = _members(l_plus, static)
             l = l + (lp + lp[..., t[:, None], t].conj())
         v, errs = _null_vectors(l, dim)
         rho = _density_matrices(v, dim)
@@ -390,7 +390,6 @@ def _states(l0s: np.ndarray, l_plus, beats, dim: int):
     idx = np.flatnonzero(~static)
     v_prev = v1_prev = dv1_prev = np.nan
     if len(idx):
-        t = _vec_index(dim)[1]
         on = (l_plus != 0).reshape(-1, d2).any(axis=0)
         # S and S' = t[S], ascending so that block products sum in the dense order
         cols, rows = np.flatnonzero(on), np.flatnonzero(on[t])

@@ -513,16 +513,16 @@ def _stacking_batches():
         deltas = cfg.delta_pi + TP * rng.uniform(-4e6, 4e6, n)
         batches.append((f"{variant} x {n}", build_liouvillian(cfg.system(deltas)), []))
     # static and oblique-beam points in one stack: the lasers coincide at d0,
-    # and one cooling Rabi frequency per point gives one L+/- per point
+    # and one cooling Rabi frequency per point gives one L+ per point
     cfg = fig2_config("four_level_geometry")
     nu_c, nu_g_at_zero = cfg.laser_frequencies(0.0)
     d0 = nu_c - nu_g_at_zero
     deltas = d0 + TP * rng.uniform(-3e6, 3e6, 24)
     deltas[[3, 17]] = d0
     assert (np.abs(build_liouvillian(cfg.system(deltas)).beat) < _MIN_BEAT).sum() == 2
-    batches.append(("geometry, shared L+/-", build_liouvillian(cfg.system(deltas)), []))
+    batches.append(("geometry, shared L+", build_liouvillian(cfg.system(deltas)), []))
     omega_pi = cfg.omega_pi * rng.uniform(0.3, 5.0, 24)
-    batches.append(("geometry, L+/- per point",
+    batches.append(("geometry, L+ per point",
                     build_liouvillian(cfg._replace(omega_pi=omega_pi).system(deltas)), []))
     # an undriven member of each kind of stack
     for variant, n, dead in (("three_level", 40, 11), ("four_level_ideal", 50, 37),
