@@ -37,8 +37,8 @@ def geometry_from_angle(omega: float, delta_k_mag: float, phi: float,
     """Geometry from |delta k| (1/m) and the angle phi between delta k and the mode
     axis, with a0 = sqrt(hbar / 2 m omega) the ground-state size at ``mass`` (kg)."""
     for name, x in (("mode frequency", omega), ("mass", mass)):
-        if x <= 0:
-            raise ValueError(f"{name} must be positive")
+        if not 0 < x < math.inf:
+            raise ValueError(f"{name} must be positive and finite, not {x!r}")
     eta = delta_k_mag * math.sqrt(HBAR / (2 * mass * omega))
     return CoolingGeometry(omega, eta, math.cos(phi), label)
 
@@ -97,11 +97,14 @@ class CoolingReport(NamedTuple):
 def _reports(config: EITConfig, geometries) -> list:
     """One ``CoolingReport`` per mode under one laser config, from one spectrum solve.
 
-    W is sampled at delta_pi -/+ omega of every mode in one (2, modes)
-    ``scattering_rates`` stack: a laser parameter given as an array must have
-    one entry per mode.  A failed mode has NaN rates and the first of its two
-    failures as ``error``; a zero geometric prefactor gives (0, 0) and no error.
+    W is sampled at delta_pi -/+ omega of every mode in one (2, modes) ``scattering_rates``
+    stack: a laser parameter given as an array must have one entry per mode, and an omega
+    outside (0, inf) is a ValueError, unsolved.  A failed mode has NaN rates and the first
+    of its two failures as ``error``; a zero geometric prefactor gives (0, 0), no error.
     """
+    for geo in geometries:
+        if not 0 < geo.omega < math.inf:
+            raise ValueError(f"mode {geo.label!r}: frequency {geo.omega!r} is not in (0, inf)")
     n = len(geometries)
     omegas = np.array([geo.omega for geo in geometries])
     spectrum = scattering_rates(
@@ -142,11 +145,8 @@ def steady_state_n_sweep(
     if (omegas is None) == (deltas is None):
         raise ValueError("specify exactly one of omegas or deltas")
     if omegas is not None:
-        values = [float(omega) for omega in omegas]
-        if any(omega <= 0 for omega in values):
-            raise ValueError("sweep frequencies must be positive")
         base = geometry if geometry is not None else CoolingGeometry(0.0, eta=1.0, cos_phi=1.0)
-        geometries = [base._replace(omega=omega) for omega in values]
+        geometries = [base._replace(omega=float(omega)) for omega in omegas]
     else:
         if geometry is None:
             raise ValueError("a mode geometry is required to sweep the AC Stark shift")

@@ -32,11 +32,11 @@ only the sigma- coupling's 7 x 7 blocks (S+ -> P- makes L+ read rho[P-, .] and
 rho[., S+] alone), with L- derived there as L+'s mirror.  ``sweep_states`` is
 the sweep route: a stacked Liouvillian, built by broadcasting per-point laser
 parameters through ``build_system`` and ``build_liouvillian``, solved in stacks
-of at most ``_STACK_ENTRIES`` matrix entries (32 points of 16 x 16, 101 of
-9 x 9); no built Liouvillian is rewritten, and an L+ that the points share
-stays one matrix.  ``steady_state`` is the one-point case of any Liouvillian,
-static or periodic.  The module needs numpy only; the brute-force propagation
-oracles these solves are checked against live in the tests.
+of at most ``_STACK_ENTRIES`` matrix entries into one set of result arrays; no
+built Liouvillian is rewritten, and an L+ that the points share stays one
+matrix.  ``steady_state`` is the one-point case of any Liouvillian, static or
+periodic.  The module needs numpy only; the brute-force oracles it is checked
+against live in the tests.
 """
 
 import functools
@@ -163,12 +163,14 @@ def build_system(
 class Liouvillian(NamedTuple):
     """Vectorized master-equation generator L(t) = L0 + L+ e^{+i nu t} + L- e^{-i nu t}.
 
-    A stack when the system is one: ``l0`` is (..., d^2, d^2), and L+ has the
-    batch shape of the oscillating couplings' Rabi frequencies only, so the
-    points of a detuning sweep share one L+, solved unbroadcast.  A system
-    with nothing oscillating has beat 0.0 and a zero L+ (one shared (d^2, d^2)
-    matrix); a point is static exactly when |beat| < ``_MIN_BEAT``.  The level
-    count d is read from L0, so it cannot disagree with it.
+    A stack when the system is one: ``l0`` is (..., d^2, d^2) and carries the batch, to
+    which L+ and the beat broadcast, as ``build_liouvillian`` builds them: the level
+    energies hold the beat, and the static couplings the pi one of the beam whose sigma-
+    component makes L+.  L+ has the batch shape of the oscillating couplings' Rabi
+    frequencies only, so the points of a detuning sweep share one L+, solved
+    unbroadcast.  A system with nothing oscillating has beat 0.0 and a zero L+ (one
+    shared (d^2, d^2) matrix); a point is static exactly when
+    |beat| < ``_MIN_BEAT``.  The level count d is read from L0, so it cannot disagree with it.
 
     L(t) preserves Hermiticity: with C the map vec(rho) -> vec(rho^dagger),
     C L0 C = L0, and L- = C L+ C is not stored but derived where it is read.
@@ -213,10 +215,8 @@ def build_liouvillian(system: DrivenSystem) -> Liouvillian:
     static, oscillating, base, base_at, plus, plus_at = liouvillian_structure(
         d, tuple((c.lower, c.upper, c.oscillates) for c in system.couplings), system.decays
     )
-    # h + h^dagger at [u, l] and [l, u]; 0.0 + x turns -0.0 into +0.0, as a sum
-    # into a zero matrix does, so every entry keeps the sign of the dense build's
-    h = _halves(system.couplings, static)
-    l0 = _superoperator(base, base_at, np.concatenate([h, h.conj()], axis=-1) + 0j)
+    h = _halves(system.couplings, static)  # h + h^dagger at [u, l] and [l, u]
+    l0 = _superoperator(base, base_at, np.concatenate([h, h.conj()], axis=-1))
     e = system.h_diag
     if l0.shape[:-1] != e.shape[:-1]:  # broadcast the couplings over the level energies
         batch = e.shape[:-1] if h.ndim == 1 else np.broadcast_shapes(e.shape[:-1], h.shape[:-1])
@@ -225,8 +225,8 @@ def build_liouvillian(system: DrivenSystem) -> Liouvillian:
     l0[..., :: d * d + 1].imag = (e[..., :, None] - e[..., None, :]).reshape(
         e.shape[:-1] + (d * d,))
     l0 = l0.reshape(l0.shape[:-1] + (d * d, d * d))
-    if oscillating:  # h^dagger of e^{+i nu_b t}; + 0j first sets L+'s signed zeros
-        a = (_halves(system.couplings, oscillating) + 0j).conj()
+    if oscillating:  # h^dagger of e^{+i nu_b t}
+        a = _halves(system.couplings, oscillating).conj()
         l_plus = _superoperator(plus, plus_at, a).reshape(a.shape[:-1] + (d * d, d * d))
     else:
         l_plus = np.zeros((d * d, d * d), complex)
@@ -327,7 +327,7 @@ def _density_matrices(v: np.ndarray, dim: int) -> np.ndarray:
         return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
 
 
-def _states(l0s: np.ndarray, l_plus, beats, dim: int):
+def _states(l0s: np.ndarray, l_plus, beats, dim: int, rho0, rho1, order) -> list:
     """Steady state of each L0[n] + L+[n] e^{+i nu_n t} + L-[n] e^{-i nu_n t} in the stack.
 
     ``l_plus`` is a stack like ``l0s`` or a matrix all points share; L- = C L+ C
@@ -359,29 +359,21 @@ def _states(l0s: np.ndarray, l_plus, beats, dim: int):
     first that can be accepted, at 6 fold solves and 3 null-vector LUs in all:
     the order-2 state is only compared, so it gets no uniqueness check.
 
-    Returns (rho0, rho1, order, errors): rho_0, rho_{+1}, the truncation
-    order reached and each point's failure (None if it has none).  Failed
-    points hold NaN.  An all-static stack returns the null-vector solve's
-    arrays as they are, rho_{+1} the same array as rho_0.
+    Writes rho_0, rho_{+1} and the truncation order of each static or converged
+    point into ``rho0``, ``rho1`` and ``order``; returns each point's failure or None.
     """
     n, d2, t = len(l0s), dim * dim, _vec_index(dim)[1]
     static = np.abs(beats) < _MIN_BEAT
-    some_static, all_static = static.any(), static.all()
-    if some_static:
-        l = l0s if all_static else l0s[static]  # _null_vectors writes no input
+    errors = [None] * n
+    if static.any():
+        sel = slice(None) if static.all() else static  # all static: a view, no gather
+        l = l0s[sel]  # _null_vectors writes no input
         if l_plus.any():  # a zero L+ costs no pass and no copy
             # L0 + (L+ + L-), which rounds as (L0 + L+) + L-: they share no nonzero entry
-            lp = _members(l_plus, static)
+            lp = _members(l_plus, sel)
             l = l + (lp + lp[..., t[:, None], t].conj())
         v, errs = _null_vectors(l, dim)
-        rho = _density_matrices(v, dim)
-        if all_static:  # the null-vector result is the stack's: no scatter
-            return rho, rho, np.zeros(n, int), errs
-    rho0, rho1 = np.full((2, n, dim, dim), np.nan, complex)
-    order = np.zeros(n, int)
-    errors = [None] * n
-    if some_static:
-        rho0[static] = rho1[static] = rho
+        rho0[sel] = rho1[sel] = _density_matrices(v, dim)
         for i, error in zip(np.flatnonzero(static), errs):
             errors[i] = error
 
@@ -437,7 +429,7 @@ def _states(l0s: np.ndarray, l_plus, beats, dim: int):
         idx, v_prev, v1_prev, dv1_prev = idx[keep], v[keep], v1[keep], dv1[keep]
     for i in idx:
         errors[i] = ConvergenceError(f"harmonic expansion not converged at k = {k_max}")
-    return rho0, rho1, order, errors
+    return errors
 
 
 def steady_state(liouv: Liouvillian) -> np.ndarray:
@@ -458,34 +450,25 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
 def sweep_states(liouv: Liouvillian):
     """Steady state of every point of a stacked Liouvillian.
 
-    L0, L+ and the beat broadcast to one batch shape, whose points are
-    solved by ``_states`` in stacks of ``_STACK_ENTRIES // d**4`` points
-    (32 for d = 4, 101 for d = 3), each point on its own.  Returns (rho0,
-    rho1, order, errors): the first three with the batch shape in front,
-    ``errors`` a list over the points in C order.  A sweep that fits one
-    stack returns that stack's arrays, reshaped; only a longer one is copied,
-    stack by stack, into arrays of its own.
+    L0 carries the batch shape, and L+ and the beat broadcast to it; an L+ or a beat
+    with axes that L0 lacks is a ValueError.  The points are solved by ``_states`` in
+    stacks of ``_STACK_ENTRIES // d**4`` points (32 for d = 4, 101 for d = 3), each
+    point on its own, into one set of result arrays.  Returns (rho0, rho1, order,
+    errors): the first three with the batch shape in front and NaN where a point
+    failed, ``errors`` a list over the points in C order.
     """
-    d, ops = liouv.dim, (liouv.l0, liouv.l_plus)
-    batch = np.broadcast_shapes(np.shape(liouv.beat), *(x.shape[:-2] for x in ops))
-    # flat (N, ...) stacks of L0, L+ and the beats; an L+ with no batch axes
-    # (a detuning sweep, or nothing oscillating) stays one matrix for all points
-    flat = [np.broadcast_to(x, batch + x.shape[-2:]).reshape(-1, d * d, d * d)
-            if x is liouv.l0 or x.ndim > 2 else x for x in ops]
-    flat.append(np.broadcast_to(liouv.beat, batch).reshape(-1))
-    n = len(flat[0])
-    size = _STACK_ENTRIES // d**4
-    if n <= size:  # one stack: its arrays are the sweep's
-        rho0, rho1, order, errors = _states(*flat, d)
-    else:
-        rho0, rho1 = np.empty((2, n, d, d), complex)
-        order = np.empty(n, int)
-        errors = []
-        for start in range(0, n, size):
-            part = slice(start, start + size)
-            rho0[part], rho1[part], order[part], errs = _states(
-                *(_members(x, part) for x in flat), d
-            )
-            errors += errs
+    d, l_plus, batch = liouv.dim, liouv.l_plus, liouv.l0.shape[:-2]
+    l0s = liouv.l0.reshape(-1, d * d, d * d)
+    if l_plus.ndim > 2:  # else one L+ for all points: a detuning sweep, or none oscillates
+        l_plus = np.broadcast_to(l_plus, liouv.l0.shape).reshape(l0s.shape)
+    beats = np.broadcast_to(liouv.beat, batch).reshape(-1)
+    n, size = len(l0s), _STACK_ENTRIES // d**4
+    rho0, rho1 = np.full((2, n, d, d), np.nan, complex)
+    order = np.zeros(n, int)
+    errors = []
+    for start in range(0, n, size):
+        part = slice(start, start + size)
+        errors += _states(l0s[part], _members(l_plus, part), beats[part], d,
+                          rho0[part], rho1[part], order[part])
     rho0, rho1 = (rho.reshape(batch + (d, d)) for rho in (rho0, rho1))
     return rho0, rho1, order.reshape(batch), errors

@@ -90,11 +90,11 @@ def commutator_positions(d: int, pairs) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def liouvillian_structure(d: int, couplings: tuple, decays: tuple) -> tuple:
-    """(static, oscillating, l0, l0_at, plus, plus_at) for the couplings'
-    (lower, upper, oscillates) and the decays: the static and oscillating
-    couplings' indices; L0 without couplings (flat d^4), and where -i h and +i h
-    go for h = [h[u, l]..., h[l, u]...] of the static ones; L+ (flat d^4), and
-    where they go for h^dagger[l, u] of the others (L- is derived, not built)."""
+    """(static, oscillating, l0, l0_at, plus, plus_at) for the couplings' (lower, upper,
+    oscillates) and the decays: the static and oscillating couplings' indices; L0's
+    template, zeros and the decay terms (flat d^4), and where -i h and +i h go for
+    h = [h[u, l]..., h[l, u]...] of the static ones; L+'s, zeros, and where they go
+    for h^dagger[l, u] of the others (L- is derived, not built)."""
     static = tuple(i for i, c in enumerate(couplings) if not c[2])
     oscillating = tuple(i for i, c in enumerate(couplings) if c[2])
     pairs = [couplings[i][1::-1] for i in static]  # (upper, lower)
@@ -103,22 +103,15 @@ def liouvillian_structure(d: int, couplings: tuple, decays: tuple) -> tuple:
     for group in (pairs, moving):  # one write per entry: nothing sums into another
         if len(set(group)) < len(group) or any(u == l for u, l in group):
             raise ValueError("each coupling must drive its own pair of distinct levels")
-    # -i[h, rho] of an h that is zero, and of h^dagger (L+), whose zeros are
-    # conj(0j) = 0 - 0j: the signed zeros the products leave where nothing couples
-    every = commutator_positions(d, list(np.ndindex(d, d)))
     l0, plus = np.zeros((2, d**4), complex)
-    for out, zero in ((l0, 0j), (plus, np.conj(0j))):
-        out[every[0]] = -1j * zero
-        out[every[1]] = 1j * zero  # second: both write the diagonal [n, m, n, m]
     upper, lower = (np.array([decay[i] for decay in decays], int) for i in range(2))
     rate = np.array([decay[2] for decay in decays], float)
     # s rho s^dagger: rho[u, u] feeds rho[l, l], one entry per channel, in one write
     l0[(lower * d + lower) * d * d + upper * d + upper] += rate
     # -{s^dagger s, rho}/2, the real part of the L0 diagonal: -(g_i + g_j)/2 for
-    # rho[i, j], g the total decay rate of each level (0.0 - x leaves +0.0, not
-    # -0.0, where neither level decays)
+    # rho[i, j], g the total decay rate of each level
     total = np.bincount(upper, rate, d)
-    l0[:: d * d + 1].real = (0.0 - 0.5 * (total[:, None] + total)).reshape(-1)
+    l0[:: d * d + 1].real = (-0.5 * (total[:, None] + total)).reshape(-1)
     structure = (static, oscillating, l0, commutator_positions(d, pairs), plus,
                  commutator_positions(d, moving))
     for x in structure[2:]:

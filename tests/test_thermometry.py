@@ -131,7 +131,8 @@ def test_flop_record_validation():
     ((0.0, 1e-5), (0.0, math.nan), "finite"),
     ((0.0, math.inf), (0.0, 0.5), "finite"),
     ((0.0, 1e-5, 2e-5), (0.0, 0.5), "3 times but 2 excitations"),
-], ids=["nan-excitation", "inf-time", "unequal-lengths"])
+    ((-1e-5, 1e-5), (0.5, 0.5), "times must be finite and >= 0"),
+], ids=["nan-excitation", "inf-time", "unequal-lengths", "negative-time"])
 def test_flop_record_rejects_malformed_arrays(times, excitation, problem):
     # a NaN excitation used to pass (NaN < 0 and NaN > 1 are both false) and
     # reach fit_thermal as "not bracketed"; unequal lengths failed in numpy
@@ -168,6 +169,28 @@ def test_flops_and_fit_reject_a_probe_eta_that_is_not_positive(eta):
     record = sideband_flops(ThermalState(2.0), 0.03, OMEGA0, "blue", times)
     with pytest.raises(ValueError, match="eta_probe must be positive"):
         fit_thermal(record, eta, OMEGA0)
+
+
+@pytest.mark.parametrize("omega0", [0.0, -OMEGA0, math.nan, math.inf])
+def test_flops_and_fit_reject_an_omega0_that_is_not_positive_and_finite(omega0):
+    # omega0 = 0 fitted every record to n_bar = 1e-3 with residual 0; -omega0
+    # and a negative time gave flops with no error
+    times = np.linspace(0.0, 2e-3, 120)
+    with pytest.raises(ValueError, match="omega0 must be positive and finite"):
+        sideband_flops(ThermalState(2.0), 0.03, omega0, "blue", times)
+    with pytest.raises(ValueError, match="times must be finite and >= 0"):
+        sideband_flops(ThermalState(2.0), 0.03, OMEGA0, "blue", -times)
+    record = sideband_flops(ThermalState(2.0), 0.03, OMEGA0, "blue", times)
+    with pytest.raises(ValueError, match="omega0 must be positive and finite"):
+        fit_thermal(record, 0.03, omega0)
+
+
+@pytest.mark.parametrize("times", [(), (0.0,), (0.0, 0.0)])
+def test_fit_rejects_a_record_with_no_time_after_zero(times):
+    # the model is 0 at t = 0 for every n_bar: this used to fit to n_bar = 1e-3
+    record = FlopRecord(times=times, excitation=(0.0,) * len(times), sideband="blue")
+    with pytest.raises(ValueError, match="no pulse time > 0"):
+        fit_thermal(record, 0.03, OMEGA0)
 
 
 def _per_evaluation_fit(record, eta, omega0):
