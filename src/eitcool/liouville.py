@@ -276,7 +276,7 @@ def _null_vectors(l: np.ndarray, dim: int, checked: bool = True):
     verified by repeating the solve with a different row replaced (all in one
     stacked call) and by a residual check on the original equations.  Each
     point is checked on its own, and ``l`` is not written.  Returns (v,
-    errors): errors[n] is None or the DegenerateSteadyStateError of point n,
+    errors): errors maps each failed point n to its DegenerateSteadyStateError,
     whose row of v is NaN.  Unless ``checked``, only the first solve is made
     and only a singular one fails: for a state that is compared, not returned.
     The (solves, N, d^2, d^2) stack is written once: L / max|L| into the first
@@ -303,7 +303,7 @@ def _null_vectors(l: np.ndarray, dim: int, checked: bool = True):
         spread = np.abs(v - x[1]).max(axis=1)
         resid = np.abs(l @ v[:, :, None]).max(axis=(1, 2)) / scale
         failed = singular | ~((spread <= _CHECK_TOL) & (resid <= _CHECK_TOL))
-    errors = [None] * n
+    errors = {}
     for i in np.flatnonzero(failed):
         detail = (
             "singular solve" if singular[i]
@@ -374,8 +374,8 @@ def _states(l0s: np.ndarray, l_plus, beats, dim: int, rho0, rho1, order) -> list
             l = l + (lp + lp[..., t[:, None], t].conj())
         v, errs = _null_vectors(l, dim)
         rho0[sel] = rho1[sel] = _density_matrices(v, dim)
-        for i, error in zip(np.flatnonzero(static), errs):
-            errors[i] = error
+        for j, error in errs.items():  # the failed static points
+            errors[np.flatnonzero(static)[j]] = error
 
     # even orders 2, 4, ..., _MAX_HARMONICS; the first order has no
     # predecessor to compare with (NaN), so no point converges there
@@ -415,11 +415,11 @@ def _states(l0s: np.ndarray, l_plus, beats, dim: int, rho0, rho1, order) -> list
         dv1 = np.max(np.abs(v1 - v1_prev), axis=1)
         for j in np.flatnonzero(singular):
             errs[j] = np.linalg.LinAlgError("Singular matrix")
-        failed = np.array([e is not None for e in errs], bool)
+        failed = np.array([j in errs for j in range(len(idx))], bool)
         converged = ~failed & (np.max(np.abs(v - v_prev), axis=1) < _HARMONIC_TOL)
         converged &= (dv1 < _HARMONIC_TOL) | (dv1 >= dv1_prev)  # or at round-off
-        for j in np.flatnonzero(failed):
-            errors[idx[j]] = errs[j]
+        for j, error in errs.items():
+            errors[idx[j]] = error
         done = idx[converged]
         if len(done):
             rho0[done] = _density_matrices(v[converged], dim)

@@ -474,6 +474,12 @@ def test_stacked_steady_states_isolate_a_degenerate_point():
     assert isinstance(errors[1], DegenerateSteadyStateError)
     assert np.array_equal(rho[0], steady_state(good))
     assert np.all(np.isnan(rho[1]))
+    # behind a periodic point, the failed static point keeps its own index
+    rho, _, _, errors = sweep_states(Liouvillian(np.stack([good.l0, dead.l0]), zero,
+                                                 np.array([GAMMA, 0.0])))
+    assert errors[0] is None
+    assert isinstance(errors[1], DegenerateSteadyStateError)
+    assert not np.isnan(rho[0]).any() and np.all(np.isnan(rho[1]))
 
 
 def test_stacked_harmonics_isolate_a_degenerate_point():
