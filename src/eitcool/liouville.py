@@ -461,7 +461,7 @@ def sweep_states(liouv: Liouvillian):
     l0s = liouv.l0.reshape(-1, d * d, d * d)
     if l_plus.ndim > 2:  # else one L+ for all points: a detuning sweep, or none oscillates
         l_plus = np.broadcast_to(l_plus, liouv.l0.shape).reshape(l0s.shape)
-    beats = np.broadcast_to(liouv.beat, batch).reshape(-1)
+    beats = np.full(batch, liouv.beat).reshape(-1)  # a copy: cheaper than broadcast_to
     n, size = len(l0s), _STACK_ENTRIES // d**4
     rho0, rho1 = np.full((2, n, d, d), np.nan, complex)
     order = np.zeros(n, int)

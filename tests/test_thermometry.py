@@ -173,8 +173,8 @@ def test_flops_and_fit_reject_a_probe_eta_that_is_not_positive(eta):
 
 @pytest.mark.parametrize("omega0", [0.0, -OMEGA0, math.nan, math.inf])
 def test_flops_and_fit_reject_an_omega0_that_is_not_positive_and_finite(omega0):
-    # omega0 = 0 fitted every record to n_bar = 1e-3 with residual 0; -omega0
-    # and a negative time gave flops with no error
+    # omega0 = 0 fitted every record to n_bar = 1e-3; -omega0 and a negative
+    # time gave flops with no error
     times = np.linspace(0.0, 2e-3, 120)
     with pytest.raises(ValueError, match="omega0 must be positive and finite"):
         sideband_flops(ThermalState(2.0), 0.03, omega0, "blue", times)
