@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import CA40_MASS, HBAR
-from .spectrum import EITConfig, coupling_for_target_shift, scattering_rates
+from .spectrum import EITConfig, _require_one_point, coupling_for_target_shift, scattering_rates
 
 
 class CoolingGeometry(NamedTuple):
@@ -98,21 +98,17 @@ def _reports(config: EITConfig, geometries) -> list:
     """One ``CoolingReport`` per mode under one laser config, from one spectrum solve.
 
     W is sampled at delta_pi -/+ omega of every mode in one (2, modes) ``scattering_rates``
-    stack: a laser parameter given as an array must have one entry per mode, and an omega
-    outside (0, inf) is a ValueError, unsolved.  A failed mode has NaN rates and the first
-    of its two failures as ``error``; a zero geometric prefactor gives (0, 0), no error.
+    stack; the one laser array it sees is the AC Stark sweep's coupling, one per mode.  An
+    omega outside (0, inf) is a ValueError, unsolved.  A failed mode has NaN rates and the
+    first of its two failures as ``error``; a zero geometric prefactor gives (0, 0), no error.
     """
     for geo in geometries:
         if not 0 < geo.omega < math.inf:
             raise ValueError(f"mode {geo.label!r}: frequency {geo.omega!r} is not in (0, inf)")
     n = len(geometries)
     omegas = np.array([geo.omega for geo in geometries])
-    spectrum = scattering_rates(
-        config, np.stack([config.delta_pi - omegas, config.delta_pi + omegas])
-    )
-    if np.shape(spectrum.w) != (2, n):
-        shape = np.shape(spectrum.w)
-        raise ValueError(f"laser arrays need one entry per mode: {shape} spectrum, {n} modes")
+    sidebands = np.stack([config.delta_pi - omegas, config.delta_pi + omegas])
+    spectrum = scattering_rates(config, sidebands)
     reports = []
     for i, geo in enumerate(geometries):
         prefactor = geo.eta**2 * geo.cos_phi**2
@@ -144,6 +140,7 @@ def steady_state_n_sweep(
     """
     if (omegas is None) == (deltas is None):
         raise ValueError("specify exactly one of omegas or deltas")
+    _require_one_point(config)
     if omegas is not None:
         base = geometry if geometry is not None else CoolingGeometry(0.0, eta=1.0, cos_phi=1.0)
         geometries = [base._replace(omega=float(omega)) for omega in omegas]
@@ -151,8 +148,8 @@ def steady_state_n_sweep(
         if geometry is None:
             raise ValueError("a mode geometry is required to sweep the AC Stark shift")
         values = [float(delta) for delta in deltas]
-        if any(delta <= 0 for delta in values):
-            raise ValueError("sweep shifts must be positive")
+        if not all(0 < delta < math.inf for delta in values):
+            raise ValueError("sweep shifts must be positive and finite")
         omega_sigma = [coupling_for_target_shift(d, config.delta_sigma) for d in values]
         config = config._replace(omega_sigma=np.array(omega_sigma))
         geometries = [geometry] * len(values)
@@ -160,8 +157,9 @@ def steady_state_n_sweep(
 
 
 def multimode_report(config: EITConfig, geometries) -> list:
-    """Per-mode cooling report under one shared laser config; the first failed mode's
-    error is raised as its own type, its message led by the mode label."""
+    """Per-mode cooling report under one laser setting (a laser array is a ValueError); the
+    first failed mode's error is raised as its own type, its message led by the mode label."""
+    _require_one_point(config)
     reports = _reports(config, geometries)
     for report in reports:
         if report.error is not None:

@@ -226,18 +226,19 @@ def scattering_rates(config: EITConfig, detunings) -> Spectrum:
     rates = beam_scattering_rates(system, rho0, rho1)
     return Spectrum(
         detuning_pi=deltas,
-        w=rates.get("cooling", np.zeros(order.shape)),
+        w=rates["cooling"],
         rho_p_total=sum(rho0[..., i, i].real for i in system.excited_indices()),
         harmonic_order=order,
         errors=tuple(errors),
     )
 
 
-def _require_one_point(config: EITConfig, entry: str) -> None:
+def _require_one_point(config: EITConfig) -> None:
     """Raise ValueError naming the first laser parameter of ``config`` that is an array."""
     for name in ("omega_sigma", "omega_pi", "delta_sigma", "delta_pi"):
-        if np.ndim(getattr(config, name)):
-            raise ValueError(f"{entry} takes one laser setting, but {name} is an array")
+        value = getattr(config, name)
+        if not isinstance(value, float) and np.ndim(value):  # a float skips np.ndim's cost
+            raise ValueError(f"one laser setting per call, but {name} is an array")
 
 
 def scattering_rate(config: EITConfig, delta_pi: float | None = None) -> Spectrum:
@@ -248,7 +249,7 @@ def scattering_rate(config: EITConfig, delta_pi: float | None = None) -> Spectru
     """
     if delta_pi is not None:
         config = config._replace(delta_pi=delta_pi)
-    _require_one_point(config, "scattering_rate")
+    _require_one_point(config)
     return scattering_rates(config, config.delta_pi).checked()
 
 
@@ -269,7 +270,7 @@ def fano_features(
     so it sits within half a zoom step of the extremum.  A laser parameter
     given as an array is a ValueError.
     """
-    _require_one_point(config, "fano_features")
+    _require_one_point(config)
     if config.omega_sigma == 0:
         raise DegenerateFeatureError("no coupling laser: spectrum has no EIT features")
     delta = ac_stark_shift(config.omega_sigma, config.delta_sigma)

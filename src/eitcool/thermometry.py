@@ -41,7 +41,7 @@ def _cutoff(n_bar: float) -> int:
     if r == 1.0:  # n_bar >= 2**53, an integer: -1 / log(r) is n_bar + 1/2 to float precision
         num, den = (-math.log(TAIL)).as_integer_ratio()
         return (num * (2 * int(n_bar) + 1) - 1) // (2 * den)
-    return max(0, math.ceil(math.log(TAIL) / math.log(r)) - 1)
+    return math.ceil(math.log(TAIL) / math.log(r)) - 1
 
 
 def _outside(cutoff, eta_probe: float):
@@ -180,19 +180,19 @@ def _fit_grid():
     return grid, cutoffs
 
 
-def _grid_sse(table: np.ndarray, target: np.ndarray, eta_probe: float, grid, cutoffs):
+def _grid_sse(table: np.ndarray, target: np.ndarray, grid, cutoffs):
     """Squared deviation of the thermal model from ``target`` at each n_bar of grid.
 
-    ``table`` is the sin^2(Omega_n t / 2) table (``_flop_table``) out to at least
-    the largest valid grid point's cutoff; it is multiplied by the zero-padded
-    weights of all valid grid points.  The others score inf.  The weights are a
-    running product down n, p_n = p_{n-1} n_bar / (n_bar + 1): several times
-    faster than ``ThermalState.probabilities``' powers, and up to about n ulps
-    from them, which is enough to pick Brent's bracket; Brent's evaluations
-    use ``probabilities`` itself.
+    ``table`` is the sin^2(Omega_n t / 2) table (``_flop_table``) out to the model
+    edge's cutoff, as ``fit_thermal`` builds it: validity is monotone in the cutoff,
+    so the grid points whose cutoffs are below its width are valid, and it is
+    multiplied by their zero-padded weights.  The others score inf.  The weights
+    are a running product down n, p_n = p_{n-1} n_bar / (n_bar + 1): several times
+    faster than ``ThermalState.probabilities``' powers, and up to about n ulps from
+    them, which is enough to pick Brent's bracket; Brent's evaluations use
+    ``probabilities`` itself.
     """
-    # cutoffs[i] = _cutoff(grid[i]); those that ThermalState.checked accepts at eta_probe
-    valid = ~np.logical_or(*_outside(cutoffs, eta_probe))
+    valid = cutoffs < table.shape[1]  # cutoffs[i] = _cutoff(grid[i])
     n_bar, cutoffs = grid[valid], cutoffs[valid]
     n = np.arange(cutoffs.max(initial=0) + 1)[:, None]
     # the product's factors, 0 past the cutoff: weights there are 0, never subnormal
@@ -289,7 +289,7 @@ def fit_thermal(
     table = _flop_table(t, _cutoff(edge) + 1, eta_probe, omega0, record.sideband)
     target = np.asarray(record.excitation, float)
     grid, cutoffs = _fit_grid()
-    values = _grid_sse(table, target, eta_probe, grid, cutoffs)
+    values = _grid_sse(table, target, grid, cutoffs)
 
     def sse(n_bar):
         # Brent evaluates inside the bracket only, whose top is valid, and the

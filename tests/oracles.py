@@ -10,7 +10,9 @@ rate equation (DOP853 as well), and ``reference_system`` and
 ``reference_liouvillian``, which build every system and Liouvillian from
 scratch, coupling by coupling: the package's cached structures must
 reproduce the system bit for bit and L0 and L+ in value.  The latter also
-builds its own L-, which the mirror of L+ must equal in value.
+builds its own L-, which the mirror of L+ must equal in value.  Thermal
+sideband flops with the exact Rabi frequencies (``exact_sideband_flops``)
+record how far the first-order thermometry model is from them.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
+from scipy.special import eval_genlaguerre
 
 from eitcool.atom import (
     P_MINUS,
@@ -40,6 +43,7 @@ from eitcool.liouville import (
     Liouvillian,
 )
 from eitcool.structure import _BEAT, _DROPPED_COOLING, _FRAME, _RETAINED
+from eitcool.thermometry import FlopRecord, ThermalState
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -295,3 +299,24 @@ def integrate_occupation(a_plus: float, a_minus: float, n0: float, t: float) -> 
     sol = solve_ivp(lambda _t, n: [-(a_minus - a_plus) * n[0] + a_plus],
                     (0.0, t), [n0], method="DOP853", rtol=1e-12, atol=1e-14)
     return float(sol.y[0, -1])
+
+
+def exact_sideband_flops(state: ThermalState, eta: float, omega0: float, sideband: str,
+                         times) -> FlopRecord:
+    """Thermal-averaged sideband flops with the exact matrix element at every n
+    (Wineland et al., J. Res. NIST 103, 259 (1998)), in place of the package's
+    first-order Omega_n = omega0 eta sqrt(n + 1), which it approaches as eta^2:
+
+        blue  Omega_{n,n+1} = omega0 e^{-eta^2/2} eta L_n^1(eta^2) / sqrt(n + 1)
+        red   Omega_{n,n-1} = omega0 e^{-eta^2/2} eta L_{n-1}^1(eta^2) / sqrt(n), 0 at n = 0
+    """
+    n = np.arange(state.checked().cutoff + 1)
+    if sideband == "blue":
+        rabi = eval_genlaguerre(n, 1, eta**2) / np.sqrt(n + 1)
+    else:
+        rabi = np.zeros(len(n))
+        rabi[1:] = eval_genlaguerre(n[1:] - 1, 1, eta**2) / np.sqrt(n[1:])
+    rabi *= omega0 * math.exp(-eta**2 / 2) * eta
+    t = np.asarray(times, float)
+    excitation = np.clip(np.sin(np.outer(t, rabi) / 2) ** 2 @ state.probabilities(), 0, 1)
+    return FlopRecord(times=tuple(t), excitation=tuple(excitation), sideband=sideband)

@@ -265,9 +265,10 @@ def test_delta_sweep_checks_every_shift_before_solving(monkeypatch):
         return scattering_rates(config, detunings)
 
     monkeypatch.setattr(eitcool.cooling, "scattering_rates", counting)
-    with pytest.raises(ValueError):
-        steady_state_n_sweep(fig2_config("three_level"), deltas=[TP * 1e6, -1.0],
-                             geometry=_reference_geometry())
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sweep shifts must be positive and finite"):
+            steady_state_n_sweep(fig2_config("three_level"), deltas=[TP * 1e6, bad],
+                                 geometry=_reference_geometry())
     assert calls == []
 
 
@@ -319,26 +320,42 @@ def test_multimode_single_mode_matches_direct_path():
     assert report.time_constant == pytest.approx(1.0 / report.rate, rel=1e-12)
 
 
-def test_per_mode_laser_arrays_stay_aligned_past_an_uncoolable_mode():
+def test_modes_stay_aligned_past_an_uncoolable_mode():
     cfg = fig2_config("three_level")
-    omega_sigma = TP * np.array([18e6, 25e6])
-    dead = CoolingGeometry(omega=TP * 1.2e6, eta=0.25, cos_phi=0.0, label="dead")
-    geometries = [dead, _reference_geometry()]
-    reports = multimode_report(cfg._replace(omega_sigma=omega_sigma), geometries)
-    for s, geo, report in zip(omega_sigma, geometries, reports):
-        single = cooling_coefficients(cfg._replace(omega_sigma=s), geo)
-        assert (report.a_plus, report.a_minus) == single
+    geometries = [
+        CoolingGeometry(omega=TP * 1.2e6, eta=0.25, cos_phi=0.0, label="dead"),
+        _reference_geometry(),
+        CoolingGeometry(omega=TP * 2.5e6, eta=0.25, cos_phi=0.0, label="dead 2.5"),
+        CoolingGeometry(omega=TP * 3.3e6, eta=0.1, cos_phi=1.0, label="z"),
+    ]
+    reports = multimode_report(cfg, geometries)
+    for geo, report in zip(geometries, reports, strict=True):
+        assert (report.a_plus, report.a_minus) == cooling_coefficients(cfg, geo)
 
 
-@pytest.mark.parametrize("entry, message", [
-    (lambda cfg: scattering_rate(cfg), "omega_sigma is an array"),
-    (lambda cfg: cooling_coefficients(cfg, _reference_geometry()), "one entry per mode"),
-    (lambda cfg: fano_features(cfg, TP * 66e6, TP * 74e6), "omega_sigma is an array"),
-], ids=["scattering_rate", "cooling_coefficients", "fano_features"])
-def test_one_point_entries_reject_a_stacked_config(entry, message):
-    # two coupling strengths would broadcast to two points; none may be dropped
-    cfg = fig2_config("three_level", omega_sigma=TP * np.array([20e6, 22e6]))
-    with pytest.raises(ValueError, match=message):
+_ONE_POINT_ENTRIES = {
+    "scattering_rate": lambda cfg: scattering_rate(cfg),
+    "cooling_coefficients": lambda cfg: cooling_coefficients(cfg, _reference_geometry()),
+    "multimode_report": lambda cfg: multimode_report(
+        cfg, [_reference_geometry(), _reference_geometry(TP * 3.3e6)]),
+    "omega_sweep": lambda cfg: steady_state_n_sweep(cfg, omegas=[TP * 1.6e6, TP * 3.3e6]),
+    "delta_sweep": lambda cfg: steady_state_n_sweep(cfg, deltas=[TP * 1.6e6, TP * 3.3e6],
+                                                    geometry=_reference_geometry()),
+    "fano_features": lambda cfg: fano_features(cfg, TP * 66e6, TP * 74e6),
+}
+
+
+@pytest.mark.parametrize("name, laser", [
+    ("omega_sigma", TP * np.array([20e6, 22e6])),
+    ("omega_pi", TP * 3e6 * np.array([[1.0], [1.1]])),
+], ids=["omega_sigma", "omega_pi"])
+@pytest.mark.parametrize("entry", _ONE_POINT_ENTRIES.values(), ids=_ONE_POINT_ENTRIES)
+def test_one_point_entries_reject_a_stacked_config(monkeypatch, entry, name, laser):
+    # a laser array would broadcast to several settings, solved as one; no entry may
+    # solve it, and none may read one setting's rates and drop or misalign the rest
+    monkeypatch.setattr(eitcool.cooling, "scattering_rates", None)
+    cfg = fig2_config("three_level")._replace(**{name: laser})
+    with pytest.raises(ValueError, match=f"{name} is an array"):
         entry(cfg)
 
 

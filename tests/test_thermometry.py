@@ -26,6 +26,8 @@ from eitcool.thermometry import (
     time_averaged_excitation,
 )
 
+from oracles import exact_sideband_flops
+
 TP = 2 * math.pi
 ETA = 0.05
 OMEGA0 = TP * 100e3
@@ -271,6 +273,45 @@ def test_fit_reports_unbracketed_minimum():
         fit_thermal(record, 0.5, OMEGA0)
 
 
+# ------------------------------------------- exact sideband model (the ledger)
+
+
+@pytest.mark.parametrize("sideband", SIDEBANDS)
+def test_exact_flops_approach_the_first_order_model_as_eta_squared(sideband):
+    state, times = ThermalState.from_n_bar(2.0), np.linspace(0.0, 2e-3, 120)
+    gaps = []
+    for eta in (0.01, 0.001):
+        exact = exact_sideband_flops(state, eta, OMEGA0, sideband, times).excitation
+        first = sideband_flops(state, eta, OMEGA0, sideband, times).excitation
+        gaps.append(np.max(np.abs(np.subtract(exact, first))))
+    # blue: 1.3e-4 at eta = 0.01, 1.0e-6 at eta = 0.001
+    assert 0 < gaps[0] < 2e-4 and 0 < gaps[1] < 2e-6
+    assert gaps[1] < 0.02 * gaps[0]
+
+
+@pytest.mark.parametrize("n_bar, eta, sideband, recorded", [
+    (16.0, 0.03, "blue", 16.146),  # the bundled thermometry point: +0.91%
+    (16.0, 0.03, "red", 16.143),   # +0.89%
+    (5.0, 0.03, "blue", 4.973),    # -0.53%
+    (0.1, 0.1, "blue", 0.1194),    # the paper's ground-state regime: +19.4%
+    (16.0, 0.05, "blue", None),
+    (2.0, 0.1, "blue", None),
+])
+def test_first_order_fit_of_exact_flops_records_its_gap(n_bar, eta, sideband, recorded):
+    # the deviation ledger's thermometry line: fit_thermal models first-order
+    # sideband Rabi frequencies, and misreads flops made with the exact ones
+    state, times = ThermalState.from_n_bar(n_bar), np.linspace(0.0, 2e-3, 120)
+    record = exact_sideband_flops(state, eta, OMEGA0, sideband, times)
+    if recorded is None:  # flops that no n_bar of the first-order model resembles
+        with pytest.raises(ValueError, match="not bracketed"):
+            fit_thermal(record, eta, OMEGA0)
+        return
+    assert fit_thermal(record, eta, OMEGA0).n_bar == pytest.approx(recorded, rel=1e-4)
+    # the gap is the model's, not the fit's: first-order flops round-trip
+    own = sideband_flops(state, eta, OMEGA0, sideband, times)
+    assert fit_thermal(own, eta, OMEGA0).n_bar == pytest.approx(n_bar, rel=1e-6)
+
+
 def _loop_grid_sse(record, eta, omega0, grid):
     """Reference: one sideband_flops per grid point, inf where it is rejected."""
     target = np.asarray(record.excitation)
@@ -314,7 +355,7 @@ def test_stacked_grid_matches_the_per_point_loop():
 
         # the table as fit_thermal builds it, out to the model edge's cutoff
         table = _flop_table(times, _cutoff(_edge(eta)) + 1, eta, OMEGA0, sideband)
-        stacked = _grid_sse(table, np.asarray(record.excitation, float), eta, grid, cutoffs)
+        stacked = _grid_sse(table, np.asarray(record.excitation, float), grid, cutoffs)
         loop = _loop_grid_sse(record, eta, OMEGA0, grid)
         assert np.array_equal(np.isinf(stacked), np.isinf(loop))
         assert np.argmin(stacked) == np.argmin(loop)
@@ -352,7 +393,7 @@ def test_grid_weights_pick_the_bracket_of_the_probabilities_weights(eta):
                 target = np.clip(np.array(flops.excitation) + rng.normal(0.0, noise, 120), 0, 1)
                 expected = np.full(len(FIT_GRID), math.inf)
                 expected[valid] = np.sum((_signal(table, weights) - target[:, None]) ** 2, axis=0)
-                got = _grid_sse(table, target, eta, *_fit_grid())
+                got = _grid_sse(table, target, *_fit_grid())
                 assert np.array_equal(np.isinf(got), np.isinf(expected))
                 assert np.argmin(got) == np.argmin(expected)
 
