@@ -122,8 +122,8 @@ def zeeman_splitting(scheme: LevelScheme, field: MagneticField):
 
 def doppler_limit_occupation(gamma: float, omega: float):
     """Doppler temperature T_D = hbar*Gamma/(2 k_B) and thermal n_bar at omega."""
-    if gamma <= 0 or omega <= 0:
-        raise ValueError("gamma and omega must be positive")
+    if not (0 < gamma < math.inf and 0 < omega < math.inf):
+        raise ValueError("gamma and omega must be positive and finite")
     t_d = HBAR * gamma / (2 * K_B)
     n_bar = thermal_occupation(t_d, omega)
     return t_d, n_bar

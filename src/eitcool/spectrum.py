@@ -78,8 +78,9 @@ def coupling_for_target_shift(omega_mode: float, delta_sigma: float) -> float:
 
     Exact inversion of the shift formula: Omega = 2 sqrt(w (w + |Delta|)).
     """
-    if omega_mode <= 0 or delta_sigma <= 0:
-        raise ValueError("omega_mode and delta_sigma must be positive")
+    for name, x in (("omega_mode", omega_mode), ("delta_sigma", delta_sigma)):
+        if not 0 < x < math.inf:
+            raise ValueError(f"{name} must be positive and finite, not {x!r}")
     return 2.0 * math.sqrt(omega_mode * (omega_mode + abs(delta_sigma)))
 
 

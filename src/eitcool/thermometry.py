@@ -161,8 +161,10 @@ def sideband_flops(
     """
     state.checked(eta_probe)
     t = np.asarray(list(times), float)
+    if not ((0 <= t) & (t < math.inf)).all():
+        raise ValueError("times must be finite and >= 0")
     p = state.probabilities()
-    signal = _signal(_flop_table(t, len(p), eta_probe, omega0, sideband), p)
+    signal = _signal(_probe(t.tobytes(), eta_probe, omega0, sideband)[1], p)
     return FlopRecord(times=tuple(t), excitation=tuple(signal), sideband=sideband)
 
 
@@ -180,17 +182,17 @@ def _fit_grid():
     return grid, cutoffs
 
 
-def _grid_sse(table: np.ndarray, target: np.ndarray, grid, cutoffs):
-    """Squared deviation of the thermal model from ``target`` at each n_bar of grid.
+def _grid_signals(table: np.ndarray, grid, cutoffs):
+    """(valid, signals): the thermal model's signal at each valid n_bar of grid.
 
     ``table`` is the sin^2(Omega_n t / 2) table (``_flop_table``) out to the model
-    edge's cutoff, as ``fit_thermal`` builds it: validity is monotone in the cutoff,
+    edge's cutoff, as ``_probe`` builds it: validity is monotone in the cutoff,
     so the grid points whose cutoffs are below its width are valid, and it is
-    multiplied by their zero-padded weights.  The others score inf.  The weights
-    are a running product down n, p_n = p_{n-1} n_bar / (n_bar + 1): several times
-    faster than ``ThermalState.probabilities``' powers, and up to about n ulps from
-    them, which is enough to pick Brent's bracket; Brent's evaluations use
-    ``probabilities`` itself.
+    multiplied by their zero-padded weights, a column of signals per valid point.
+    The weights are a running product down n, p_n = p_{n-1} n_bar / (n_bar + 1):
+    several times faster than ``ThermalState.probabilities``' powers, and up to
+    about n ulps from them, which is enough to pick Brent's bracket; Brent's
+    evaluations use ``probabilities`` itself.
     """
     valid = cutoffs < table.shape[1]  # cutoffs[i] = _cutoff(grid[i])
     n_bar, cutoffs = grid[valid], cutoffs[valid]
@@ -199,9 +201,25 @@ def _grid_sse(table: np.ndarray, target: np.ndarray, grid, cutoffs):
     weights = np.where(n <= cutoffs, n_bar / (n_bar + 1.0), 0.0)
     weights[0] = 1.0 / (n_bar + 1.0)
     np.cumprod(weights, axis=0, out=weights)
-    values = np.full(len(grid), math.inf)
-    values[valid] = np.sum((_signal(table, weights) - target[:, None]) ** 2, axis=0)
+    return valid, _signal(table, weights)
+
+
+def _grid_sse(valid: np.ndarray, signals: np.ndarray, target: np.ndarray):
+    """Squared deviation of ``_grid_signals``' signals from ``target``, inf where invalid."""
+    values = np.full(len(valid), math.inf)
+    values[valid] = np.sum((signals - target[:, None]) ** 2, axis=0)
     return values
+
+
+@functools.lru_cache(maxsize=2)  # one probe's red and blue sidebands
+def _probe(times: bytes, eta_probe: float, omega0: float, sideband: str):
+    """A probe's model, built on first use, read-only: ``_edge``, the ``_flop_table`` of
+    the float64 ``times`` out to its cutoff, and that table's ``_grid_signals``."""
+    edge = _edge(eta_probe)
+    table = _flop_table(np.frombuffer(times), _cutoff(edge) + 1, eta_probe, omega0, sideband)
+    valid, signals = _grid_signals(table, *_fit_grid())
+    table.flags.writeable = valid.flags.writeable = signals.flags.writeable = False
+    return edge, table, valid, signals
 
 
 def _bounded_brent(f, lo: float, hi: float, xatol: float):
@@ -273,23 +291,24 @@ def fit_thermal(
 
     A grid over n_bar in [0, 1e3], scored in one stacked evaluation, brackets
     the minimum; bounded Brent refines it to 1e-10 in n_bar.  Grid and Brent
-    share one sin^2(Omega_n t / 2) table, out to the cutoff of the largest
-    n_bar the model represents (``_edge``), so a Brent evaluation is one
-    matrix-vector product.  Where no grid point above the best one is valid,
-    the bracket runs to that edge; a minimum there raises ValueError (a record
-    hotter than the model, or one made above ``fit_limit``, within Brent's
-    resolution of 5.8e-7 at eta_probe = 0.03 below the edge), as do a record
-    with no time > 0, an eta_probe or omega0 that ``_flop_table`` rejects and an
-    eta_probe at which the model represents no n_bar.
+    share the probe's sin^2(Omega_n t / 2) table (``_probe``), out to the
+    cutoff of the largest n_bar the model represents (``_edge``), so a Brent
+    evaluation is one matrix-vector product; the grid's model signals are
+    built with that table, once per probe.  Where no grid point above the best
+    one is valid, the bracket runs to that edge; a minimum there raises
+    ValueError (a record hotter than the model, or one made above
+    ``fit_limit``, within Brent's resolution of 5.8e-7 at eta_probe = 0.03
+    below the edge), as do a record with no time > 0, an eta_probe or omega0
+    that ``_flop_table`` rejects and an eta_probe at which the model
+    represents no n_bar.
     """
     t = np.asarray(record.times, float)
     if not (t > 0).any():
         raise ValueError("no pulse time > 0 to fit: the model is 0 at t = 0 for every n_bar")
-    edge = _edge(eta_probe)
-    table = _flop_table(t, _cutoff(edge) + 1, eta_probe, omega0, record.sideband)
+    edge, table, valid, signals = _probe(t.tobytes(), eta_probe, omega0, record.sideband)
     target = np.asarray(record.excitation, float)
-    grid, cutoffs = _fit_grid()
-    values = _grid_sse(table, target, grid, cutoffs)
+    grid = _fit_grid()[0]
+    values = _grid_sse(valid, signals, target)
 
     def sse(n_bar):
         # Brent evaluates inside the bracket only, whose top is valid, and the
@@ -325,8 +344,8 @@ def sideband_ratio_n(p_red: float, p_blue: float) -> float:
 
 def ground_state_probability(n_bar: float) -> float:
     """Thermal ground-state occupation p0 = 1 / (1 + n_bar)."""
-    if n_bar < 0:
-        raise ValueError("n_bar must be >= 0")
+    if not (math.isfinite(n_bar) and n_bar >= 0):
+        raise ValueError(f"n_bar must be finite and >= 0, not {n_bar!r}")
     return 1.0 / (1.0 + n_bar)
 
 

@@ -170,3 +170,8 @@ def test_doppler_rejects_nonpositive_inputs():
         doppler_limit_occupation(0.0, 1.0)
     with pytest.raises(ValueError):
         doppler_limit_occupation(1.0, 0.0)
+    # nan returned nan, and an infinite gamma divided by zero
+    for bad in (math.nan, math.inf):
+        for args in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="gamma and omega must be positive and finite"):
+                doppler_limit_occupation(*args)

@@ -485,17 +485,23 @@ def test_import_and_validate_build_no_model_structure():
 def test_cli_import_loads_no_dataclasses_and_builds_no_fit_grid():
     # a frozen dataclass generates and compiles its methods when its class is
     # made, which a cold eitcool run pays for at import; the thermometry fit
-    # grid is built by the first fit, so runs of other tasks do not pay for it
+    # grid and a probe's model are built by their first use, so runs of other
+    # tasks, and validating any config, do not pay for them
     script = (
-        "import sys\n"
+        "import pathlib, sys\n"
         "import numpy, argparse, hashlib\n"
         "before = set(sys.modules)\n"
         "import eitcool.cli, eitcool.runner\n"
+        "from eitcool.config import load_config\n"
+        "from eitcool.thermometry import _fit_grid, _probe\n"
         "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'dataclasses'))\n"
-        "print(eitcool.thermometry._fit_grid.cache_info().currsize)\n"
+        "print(_fit_grid.cache_info().currsize, _probe.cache_info().currsize)\n"
+        "for path in (pathlib.Path(eitcool.__file__).parent / 'configs').glob('*.cfg'):\n"
+        "    load_config(path)\n"
+        "print(_fit_grid.cache_info().currsize, _probe.cache_info().currsize)\n"
     )
     src = str(Path(eitcool.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.splitlines() == ["[]", "0"]
+    assert out.splitlines() == ["[]", "0 0", "0 0"]

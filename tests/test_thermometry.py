@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+
+import eitcool.thermometry
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +19,9 @@ from eitcool.thermometry import (
     _edge,
     _fit_grid,
     _flop_table,
+    _grid_signals,
     _grid_sse,
+    _probe,
     _signal,
     fit_thermal,
     ground_state_probability,
@@ -355,7 +359,8 @@ def test_stacked_grid_matches_the_per_point_loop():
 
         # the table as fit_thermal builds it, out to the model edge's cutoff
         table = _flop_table(times, _cutoff(_edge(eta)) + 1, eta, OMEGA0, sideband)
-        stacked = _grid_sse(table, np.asarray(record.excitation, float), grid, cutoffs)
+        stacked = _grid_sse(*_grid_signals(table, grid, cutoffs),
+                            np.asarray(record.excitation, float))
         loop = _loop_grid_sse(record, eta, OMEGA0, grid)
         assert np.array_equal(np.isinf(stacked), np.isinf(loop))
         assert np.argmin(stacked) == np.argmin(loop)
@@ -369,7 +374,7 @@ def test_stacked_grid_matches_the_per_point_loop():
 
 @pytest.mark.parametrize("eta", [0.03, 0.05, 0.1])
 def test_grid_weights_pick_the_bracket_of_the_probabilities_weights(eta):
-    # _grid_sse builds the thermal weights as a running product down n, up to
+    # _grid_signals builds the thermal weights as a running product down n, up to
     # about n ulps from ThermalState.probabilities; the grid only picks
     # Brent's bracket, so it must pick the one probabilities' weights pick
     rng = np.random.default_rng(19)
@@ -391,11 +396,82 @@ def test_grid_weights_pick_the_bracket_of_the_probabilities_weights(eta):
             for n_bar in np.geomspace(0.03, edge * 0.999, 6):
                 flops = sideband_flops(ThermalState(n_bar), eta, OMEGA0, sideband, times)
                 target = np.clip(np.array(flops.excitation) + rng.normal(0.0, noise, 120), 0, 1)
-                expected = np.full(len(FIT_GRID), math.inf)
-                expected[valid] = np.sum((_signal(table, weights) - target[:, None]) ** 2, axis=0)
-                got = _grid_sse(table, target, *_fit_grid())
+                expected = _grid_sse(np.array(valid), _signal(table, weights), target)
+                got = _grid_sse(*_grid_signals(table, *_fit_grid()), target)
                 assert np.array_equal(np.isinf(got), np.isinf(expected))
                 assert np.argmin(got) == np.argmin(expected)
+
+
+# ------------------------------------------------------------ probe model
+
+
+def test_flops_from_the_probe_table_equal_a_table_of_their_own_bit_for_bit():
+    # sideband_flops reads its columns from the probe's table, which runs out
+    # to the model edge's cutoff; its excitations are those of a table built
+    # for the state's own cutoff, bit for bit
+    rng = np.random.default_rng(28)
+    for _ in range(24):
+        eta = rng.uniform(0.01, 0.1)
+        n_bar = _edge(eta) * rng.uniform() ** 2
+        sideband = SIDEBANDS[rng.integers(2)]
+        times = np.sort(rng.uniform(0.0, rng.uniform(0.2e-3, 4e-3), rng.integers(1, 200)))
+        state = ThermalState(n_bar)
+        p = state.probabilities()
+        expected = _signal(_flop_table(times, len(p), eta, OMEGA0, sideband), p)
+        got = np.array(sideband_flops(state, eta, OMEGA0, sideband, times).excitation)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_a_repeated_probe_builds_no_table(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2:])
+        return _flop_table(*args)
+
+    monkeypatch.setattr(eitcool.thermometry, "_flop_table", counting)
+    _probe.cache_clear()
+    times, state = np.linspace(0.0, 2e-3, 120), ThermalState(15.0)
+    # times are checked before the lookup; a probe rejected on a miss leaves
+    # nothing in the cache
+    with pytest.raises(ValueError, match="times must be finite and >= 0"):
+        sideband_flops(state, 0.03, OMEGA0, "red", -times)
+    assert calls == []
+    with pytest.raises(ValueError, match="omega0 must be positive and finite"):
+        sideband_flops(state, 0.03, -OMEGA0, "red", times)
+    assert _probe.cache_info().currsize == 0
+    calls.clear()
+    red = sideband_flops(state, 0.03, OMEGA0, "red", times)
+    red_fit = fit_thermal(red, 0.03, OMEGA0)
+    assert calls == [(0.03, OMEGA0, "red")]
+    assert sideband_flops(state, 0.03, OMEGA0, "red", times) == red
+    assert fit_thermal(red, 0.03, OMEGA0) == red_fit
+    assert len(calls) == 1
+    blue = sideband_flops(state, 0.03, OMEGA0, "blue", times)
+    assert fit_thermal(blue, 0.03, OMEGA0).n_bar == pytest.approx(15.0, rel=1e-8)
+    assert calls == [(0.03, OMEGA0, "red"), (0.03, OMEGA0, "blue")]
+    red_table = _probe(times.tobytes(), 0.03, OMEGA0, "red")[1]
+    blue_table = _probe(times.tobytes(), 0.03, OMEGA0, "blue")[1]
+    assert not np.array_equal(red_table, blue_table)
+    assert not (red_table.flags.writeable or blue_table.flags.writeable)
+    assert fit_thermal(red, 0.03, OMEGA0) == red_fit
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("eta", [0.01, 0.03, 0.05, 0.1])
+def test_every_state_the_model_accepts_fits_in_the_probe_table(eta):
+    rng = np.random.default_rng(int(eta * 100))
+    times = np.linspace(0.0, 2e-3, 120)
+    edge, table = _probe(times.tobytes(), eta, OMEGA0, "blue")[:2]
+    assert edge == _edge(eta)
+    assert ThermalState(edge).checked(eta).cutoff + 1 == table.shape[1]
+    for n_bar in edge * rng.uniform(0.0, 1.5, 8):
+        try:
+            width = ThermalState(n_bar).checked(eta).cutoff + 1
+        except ValueError:
+            assert ThermalState(n_bar).cutoff + 1 > table.shape[1]
+        else:
+            assert width <= table.shape[1]
 
 
 def _brent_problem(rng, kind):
@@ -479,5 +555,6 @@ def test_ground_state_probability_reference_points():
     assert ground_state_probability(0.18) == pytest.approx(0.847, abs=0.001)
     assert ground_state_probability(0.1) == pytest.approx(0.909, abs=0.001)
     assert ground_state_probability(0.0) == 1.0
-    with pytest.raises(ValueError):
-        ground_state_probability(-0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="n_bar must be finite and >= 0"):
+            ground_state_probability(bad)
