@@ -132,9 +132,7 @@ class FlopRecord(Record):
 
 
 def _flop_table(t: np.ndarray, terms: int, eta_probe: float, omega0: float, sideband: str):
-    """sin^2(Omega_n t / 2), a row per time and a column per n < terms."""
-    if sideband not in SIDEBANDS:
-        raise ValueError(f"unknown sideband {sideband!r}")
+    """sin^2(Omega_n t / 2), a row per time and a column per n < terms, on a SIDEBANDS entry."""
     for name, x in (("eta_probe", eta_probe), ("omega0", omega0)):
         if not 0 < x < math.inf:
             raise ValueError(f"{name} must be positive and finite, not {x!r}")
@@ -163,6 +161,8 @@ def sideband_flops(
     t = np.asarray(list(times), float)
     if not ((0 <= t) & (t < math.inf)).all():
         raise ValueError("times must be finite and >= 0")
+    if sideband not in SIDEBANDS:  # before the lookup, which hashes it
+        raise ValueError(f"unknown sideband {sideband!r}")
     p = state.probabilities()
     signal = _signal(_probe(t.tobytes(), eta_probe, omega0, sideband)[1], p)
     return FlopRecord(times=tuple(t), excitation=tuple(signal), sideband=sideband)

@@ -269,7 +269,7 @@ def test_delta_sweep_checks_every_shift_before_solving(monkeypatch):
         with pytest.raises(ValueError, match="sweep shifts must be positive and finite"):
             steady_state_n_sweep(fig2_config("three_level"), deltas=[TP * 1e6, bad],
                                  geometry=_reference_geometry())
-        # a non-finite delta_sigma used to fail inside build_system, naming neither
+        # a non-finite delta_sigma failed inside build_system, naming neither it nor the sweep
         if not math.isfinite(bad):
             with pytest.raises(ValueError, match="delta_sigma must be positive and finite"):
                 steady_state_n_sweep(fig2_config("three_level", delta_sigma=bad),

@@ -3,11 +3,10 @@ import math
 
 import numpy as np
 import pytest
-
-import eitcool.thermometry
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eitcool.thermometry
 from eitcool.thermometry import (
     MAX_CUTOFF,
     SIDEBANDS,
@@ -436,6 +435,9 @@ def test_a_repeated_probe_builds_no_table(monkeypatch):
     # nothing in the cache
     with pytest.raises(ValueError, match="times must be finite and >= 0"):
         sideband_flops(state, 0.03, OMEGA0, "red", -times)
+    for sideband in ("carrier", ["red"]):  # a list used to raise TypeError: unhashable
+        with pytest.raises(ValueError, match="unknown sideband"):
+            sideband_flops(state, 0.03, OMEGA0, sideband, times)
     assert calls == []
     with pytest.raises(ValueError, match="omega0 must be positive and finite"):
         sideband_flops(state, 0.03, -OMEGA0, "red", times)
