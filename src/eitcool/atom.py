@@ -84,12 +84,17 @@ class Beam(Record):
 
     ``rabi`` is the bare Rabi frequency for a unit-CG transition, before
     polarization projection. ``detuning`` is referenced to the zero-field
-    S1/2 -> P1/2 resonance, ``polarization`` to the field frame (x_B, y_B, z_B).
+    S1/2 -> P1/2 resonance, ``polarization`` to the field frame (x_B, y_B, z_B),
+    three components, held as a tuple.
     """
 
     __slots__ = ("label", "rabi", "detuning", "polarization")
 
     def __init__(self, label: str, rabi: float, detuning: float, polarization: tuple):
+        polarization = tuple(polarization)
+        if len(polarization) != 3:
+            raise ValueError(f"{label} beam polarization must have 3 components, "
+                             f"not {len(polarization)}")
         if not abs(math.hypot(*map(abs, polarization)) - 1.0) <= 1e-12:  # and not NaN
             raise ValueError("polarization must be a unit vector")
         self._set(label=label, rabi=rabi, detuning=detuning, polarization=polarization)

@@ -105,18 +105,19 @@ def _reports(config: EITConfig, geometries) -> list:
     for geo in geometries:
         if not 0 < geo.omega < math.inf:
             raise ValueError(f"mode {geo.label!r}: frequency {geo.omega!r} is not in (0, inf)")
-    n = len(geometries)
-    omegas = np.array([geo.omega for geo in geometries])
-    sidebands = np.stack([config.delta_pi - omegas, config.delta_pi + omegas])
+    n, delta = len(geometries), config.delta_pi
+    sidebands = [[delta - geo.omega for geo in geometries],
+                 [delta + geo.omega for geo in geometries]]
     spectrum = scattering_rates(config, sidebands)
+    w_plus, w_minus = spectrum.w.tolist()
     reports = []
     for i, geo in enumerate(geometries):
         prefactor = geo.eta**2 * geo.cos_phi**2
         a_plus, a_minus, error = 0.0, 0.0, None
         if prefactor != 0:
             error = spectrum.errors[i] or spectrum.errors[n + i]
-            a_plus = math.nan if error else prefactor * float(spectrum.w[0, i])
-            a_minus = math.nan if error else prefactor * float(spectrum.w[1, i])
+            a_plus = math.nan if error else prefactor * w_plus[i]
+            a_minus = math.nan if error else prefactor * w_minus[i]
         reports.append(CoolingReport(geo.label, geo.omega, a_plus, a_minus, error))
     return reports
 

@@ -41,6 +41,7 @@ against live in the tests.
 
 import functools
 import math
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -101,6 +102,18 @@ class DrivenSystem(NamedTuple):
 _MIN_BEAT = 1e-6
 
 
+@functools.lru_cache(maxsize=64)
+def _spherical(polarization: tuple) -> tuple:
+    """(amplitudes, nonzero components) of a ``Beam``'s polarization, once per value.
+
+    ``decompose_polarization``'s {q: amp}, read-only, and the components q with
+    |amp| >= 1e-12 in its order.  Equal tuples share an entry (so do 0.0 and
+    -0.0), and a cache hit returns the first one's amplitudes.
+    """
+    amps = decompose_polarization(polarization)
+    return MappingProxyType(amps), tuple(q for q in amps if not abs(amps[q]) < 1e-12)
+
+
 def build_system(
     scheme: LevelScheme,
     field: MagneticField,
@@ -135,10 +148,10 @@ def build_system(
     # imported by the first build: at the top, compiling it costs every cold import
     from .structure import system_structure
 
-    amps = [decompose_polarization(beam.polarization) for beam in beams]
-    nonzero = (tuple(q for q in a if not abs(a[q]) < 1e-12) for a in amps)
+    (amps_c, qs_c), (amps_g, qs_g) = (_spherical(beam.polarization) for beam in beams)
+    amps = (amps_c, amps_g)
     labels, frame, structure, decays = system_structure(
-        variant, tuple(zip((coupling.label, cooling.label), nonzero)), scheme)
+        variant, ((coupling.label, qs_c), (cooling.label, qs_g)), scheme)
     nu_c = coupling.detuning
     nu_g = cooling.detuning
     delta_s, delta_p = zeeman_splitting(scheme, field)
@@ -251,11 +264,12 @@ def _solve(a: np.ndarray, b: np.ndarray):
 
     A stacked solve raises for the whole stack if one member is singular.
     The singular members are then found by LU (``slogdet``), replaced by the
-    identity and the stack is solved again.  Returns (x, singular); rows of x
-    whose member is singular are meaningless.
+    identity and the stack is solved again.  Returns (x, singular): singular is
+    None when the stacked solve did not raise, else the members' mask; rows of
+    x whose member is singular are meaningless.
     """
     try:
-        return np.linalg.solve(a, b), np.zeros(len(a), bool)
+        return np.linalg.solve(a, b), None
     except np.linalg.LinAlgError:
         singular = np.linalg.slogdet(a)[0] == 0
         a = np.where(singular[:, None, None], np.eye(a.shape[-1]), a)
@@ -298,15 +312,20 @@ def _null_vectors(l: np.ndarray, dim: int, checked: bool = True):
     x, singular = _solve(m.reshape(solves * n, d2, d2), rhs.reshape(solves * n, d2, 1))
     x = x.reshape(solves, n, d2)
     v = x[0]
-    failed = singular = singular.reshape(solves, n).any(axis=0)
+    if singular is not None:  # the stacked solve raised
+        singular = singular.reshape(solves, n).any(axis=0)
+    failed = singular
     if checked:
         spread = np.abs(v - x[1]).max(axis=1)
         resid = np.abs(l @ v[:, :, None]).max(axis=(1, 2)) / scale
-        failed = singular | ~((spread <= _CHECK_TOL) & (resid <= _CHECK_TOL))
+        not_unique = ~((spread <= _CHECK_TOL) & (resid <= _CHECK_TOL))
+        failed = not_unique if singular is None else singular | not_unique
+    if failed is None or not failed.any():
+        return v, {}
     errors = {}
     for i in np.flatnonzero(failed):
         detail = (
-            "singular solve" if singular[i]
+            "singular solve" if singular is not None and singular[i]
             else f"solution spread {spread[i]:.2e}, residual {resid[i]:.2e}"
         )
         errors[i] = DegenerateSteadyStateError(f"steady state not unique ({detail})")
@@ -377,10 +396,10 @@ def _states(l0s: np.ndarray, l_plus, beats, dim: int, rho0, rho1, order) -> list
         for j, error in errs.items():  # the failed static points
             errors[np.flatnonzero(static)[j]] = error
 
-    # even orders 2, 4, ..., _MAX_HARMONICS; the first order has no
-    # predecessor to compare with (NaN), so no point converges there
+    # even orders 2, 4, ..., _MAX_HARMONICS; rho_{+1}'s change before the second
+    # order is unknown (NaN), so only the tolerance test can accept a point there
     idx = np.flatnonzero(~static)
-    v_prev = v1_prev = dv1_prev = np.nan
+    dv1_prev = np.full(len(idx), np.nan)
     if len(idx):
         on = (l_plus != 0).reshape(-1, d2).any(axis=0)
         # S and S' = t[S], ascending so that block products sum in the dense order
@@ -395,16 +414,20 @@ def _states(l0s: np.ndarray, l_plus, beats, dim: int, rho0, rho1, order) -> list
             break
         l0, nu = l0s[idx], beats[idx][:, None]
         lp_k, lm_k, rhs_k = (_members(x, idx) for x in (lp, lm, rhs))
-        singular = np.zeros(len(idx), bool)  # a member is singular exactly when its mirror is
+        # the fold solves' singular members, if one raised; a member is singular
+        # exactly when its mirror is
+        singular = None
+        m = np.empty_like(l0)  # M_k, refilled at each step
+        flat = m.reshape(len(idx), -1)
         up = None  # R_k on the columns S
         for k in range(k_max, 0, -1):
-            m = l0.copy()
-            flat = m.reshape(len(idx), -1)
+            m[...] = l0
             flat[:, :: d2 + 1] -= 1j * k * nu  # L0 - i k nu
             if up is not None:
                 flat[:, s_s] += (lm_k @ up[:, rows]).reshape(len(idx), -1)  # L- R_{k+1}
             up, flagged = _solve(m, rhs_k)
-            singular |= flagged
+            if flagged is not None:
+                singular = flagged if singular is None else singular | flagged
         flat = l0.reshape(len(idx), -1)  # a gathered copy, not needed again: folded in place
         flat[:, s_s] += (lm_k @ up[:, rows]).reshape(len(idx), -1)
         flat[:, s_ts] += (lp_k @ up[:, t[cols]].conj()).reshape(len(idx), -1)  # L+ C R_1 C
@@ -412,21 +435,27 @@ def _states(l0s: np.ndarray, l_plus, beats, dim: int, rho0, rho1, order) -> list
         # its state needs no uniqueness check: every accepted order has one
         v, errs = _null_vectors(l0, dim, checked=k_max > 2)
         v1 = (up @ v[:, cols, None])[..., 0]  # rho_{+1}
-        dv1 = np.max(np.abs(v1 - v1_prev), axis=1)
-        for j in np.flatnonzero(singular):
-            errs[j] = np.linalg.LinAlgError("Singular matrix")
-        failed = np.array([j in errs for j in range(len(idx))], bool)
-        converged = ~failed & (np.max(np.abs(v - v_prev), axis=1) < _HARMONIC_TOL)
-        converged &= (dv1 < _HARMONIC_TOL) | (dv1 >= dv1_prev)  # or at round-off
+        if singular is not None:
+            for j in np.flatnonzero(singular):
+                errs[j] = np.linalg.LinAlgError("Singular matrix")
         for j, error in errs.items():
             errors[idx[j]] = error
-        done = idx[converged]
-        if len(done):
-            rho0[done] = _density_matrices(v[converged], dim)
-            rho1[done] = v1[converged].reshape(-1, dim, dim).transpose(0, 2, 1)
-            order[done] = k_max
-        keep = ~failed & ~converged
-        idx, v_prev, v1_prev, dv1_prev = idx[keep], v[keep], v1[keep], dv1[keep]
+        keep = np.ones(len(idx), bool)
+        keep[list(errs)] = False
+        if k_max > 2:  # the first order has nothing to compare with: no point converges there
+            dv1 = np.max(np.abs(v1 - v1_prev), axis=1)
+            converged = keep & (np.max(np.abs(v - v_prev), axis=1) < _HARMONIC_TOL)
+            converged &= (dv1 < _HARMONIC_TOL) | (dv1 >= dv1_prev)  # or at round-off
+            done = idx[converged]
+            if len(done):
+                rho0[done] = _density_matrices(v[converged], dim)
+                rho1[done] = v1[converged].reshape(-1, dim, dim).transpose(0, 2, 1)
+                order[done] = k_max
+                keep &= ~converged
+            dv1_prev = dv1
+        if not keep.all():
+            idx, v, v1, dv1_prev = idx[keep], v[keep], v1[keep], dv1_prev[keep]
+        v_prev, v1_prev = v, v1
     for i in idx:
         errors[i] = ConvergenceError(f"harmonic expansion not converged at k = {k_max}")
     return errors

@@ -201,15 +201,21 @@ def beam_scattering_rates(system: DrivenSystem, rho0: np.ndarray, rho1: np.ndarr
     each or (..., d, d) stacks; at a static point rho_{+1} is rho_0.  Static
     couplings read rho_0, the beat-modulated coupling reads rho_{+1}.
     """
-    rates: dict = {}
+    beams = dict.fromkeys(c.beam for c in system.couplings)
+    return {beam: _beam_rate(system, rho0, rho1, beam) for beam in beams}
+
+
+def _beam_rate(system: DrivenSystem, rho0: np.ndarray, rho1: np.ndarray, beam: str):
+    """``beam_scattering_rates`` of one beam: 0.0 plus each of its couplings' rate, in order."""
+    rate = 0.0
     for c in system.couplings:
-        rho = (rho1 if c.oscillates else rho0)[..., c.lower, c.upper]
-        # Im(rabi_eff * rho) written out: numpy rounds a complex product of
-        # scalars and of arrays differently, and this form rounds like the
-        # scalar one for a single point and a stack alike
-        rate = c.rabi_eff.real * rho.imag + c.rabi_eff.imag * rho.real
-        rates[c.beam] = rates.get(c.beam, 0.0) + rate
-    return rates
+        if c.beam == beam:
+            rho = (rho1 if c.oscillates else rho0)[..., c.lower, c.upper]
+            # Im(rabi_eff * rho) written out: numpy rounds a complex product of
+            # scalars and of arrays differently, and this form rounds like the
+            # scalar one for a single point and a stack alike
+            rate = rate + (c.rabi_eff.real * rho.imag + c.rabi_eff.imag * rho.real)
+    return rate
 
 
 def scattering_rates(config: EITConfig, detunings) -> Spectrum:
@@ -224,10 +230,9 @@ def scattering_rates(config: EITConfig, detunings) -> Spectrum:
     deltas = np.asarray(detunings, dtype=float)
     system = config.system(deltas)
     rho0, rho1, order, errors = sweep_states(build_liouvillian(system))
-    rates = beam_scattering_rates(system, rho0, rho1)
     return Spectrum(
         detuning_pi=deltas,
-        w=rates["cooling"],
+        w=_beam_rate(system, rho0, rho1, "cooling"),
         rho_p_total=sum(rho0[..., i, i].real for i in system.excited_indices()),
         harmonic_order=order,
         errors=tuple(errors),

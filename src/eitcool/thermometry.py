@@ -145,6 +145,16 @@ def _signal(table: np.ndarray, p: np.ndarray):
     return np.clip(table[:, :len(p)] @ p, 0.0, 1.0)
 
 
+def _number(name: str, x):
+    """``x`` as a key of ``_probe``: a 0-d array as its float (an array is not
+    hashable); an array with axes is a ValueError naming it."""
+    if isinstance(x, float):  # a float skips np.ndim's cost
+        return x
+    if np.ndim(x):
+        raise ValueError(f"{name} must be one number, not an array of shape {np.shape(x)}")
+    return float(x) if isinstance(x, np.ndarray) else x
+
+
 def sideband_flops(
     state: ThermalState,
     eta_probe: float,
@@ -157,6 +167,7 @@ def sideband_flops(
     Valid to first order in the Lamb-Dicke expansion, which requires
     0 < eta_probe and eta_probe * sqrt(cutoff) < 0.5 (``ThermalState.checked``).
     """
+    eta_probe, omega0 = _number("eta_probe", eta_probe), _number("omega0", omega0)
     state.checked(eta_probe)
     t = np.asarray(list(times), float)
     if not ((0 <= t) & (t < math.inf)).all():
@@ -302,6 +313,7 @@ def fit_thermal(
     that ``_flop_table`` rejects and an eta_probe at which the model
     represents no n_bar.
     """
+    eta_probe, omega0 = _number("eta_probe", eta_probe), _number("omega0", omega0)
     t = np.asarray(record.times, float)
     if not (t > 0).any():
         raise ValueError("no pulse time > 0 to fit: the model is 0 at t = 0 for every n_bar")

@@ -18,6 +18,9 @@ from eitcool.atom import (
     zeeman_splitting,
 )
 
+from eitcool.liouville import _spherical, build_system
+from eitcool.spectrum import _SIGMA_PLUS
+
 from conftest import TP, fig2_config
 
 
@@ -73,6 +76,45 @@ def test_field_requires_nonnegative_magnitude():
 def test_beam_invariants_enforced():
     with pytest.raises(ValueError):
         Beam("cooling", 1.0, 0.0, (0, 0, 2))
+
+
+@pytest.mark.parametrize("polarization", [(1.0, 0.0), (1.0, 0.0, 0.0, 0.0)])
+def test_beam_rejects_a_polarization_without_three_components(polarization):
+    # both are unit vectors; (1, 0) used to fail only in build_system, with
+    # "not enough values to unpack (expected 3, got 2)"
+    with pytest.raises(ValueError, match="cooling beam polarization must have 3 components"):
+        Beam("cooling", 1.0, 0.0, polarization)
+
+
+def test_beam_holds_its_polarization_as_a_tuple():
+    beam = Beam("coupling", 1.0, 0.0, circular_polarization(+1))
+    assert type(beam.polarization) is tuple and beam.polarization == _SIGMA_PLUS
+    assert hash(beam) == hash(Beam("coupling", 1.0, 0.0, _SIGMA_PLUS))
+
+
+def _bits(system) -> tuple:
+    """Every field of a DrivenSystem, its numbers as bytes."""
+    couplings = tuple((c.lower, c.upper, np.asarray(c.rabi_eff).tobytes(), c.beam, c.q,
+                       c.oscillates) for c in system.couplings)
+    return (system.labels, system.h_diag.tobytes(), couplings, system.decays,
+            np.asarray(system.beat).tobytes())
+
+
+def test_build_system_decomposes_each_polarization_value_once():
+    # numpy scalars and Python complex of equal value share one cache entry; a
+    # fresh decomposition of either and a cache hit give the same bits
+    cfg = fig2_config("four_level_geometry")
+    coupling, cooling = cfg.beams()
+    systems = []
+    for pol, fresh in ((tuple(circular_polarization(+1)), True), (_SIGMA_PLUS, True),
+                       (_SIGMA_PLUS, False)):
+        if fresh:
+            _spherical.cache_clear()
+        systems.append(build_system(cfg.scheme, cfg.field,
+                                    coupling._replace(polarization=pol), cooling, cfg.variant))
+    assert _spherical.cache_info().hits == 2  # the last build, for both beams
+    assert _bits(systems[0]) == _bits(systems[1]) == _bits(systems[2])
+    assert _bits(systems[0]) == _bits(cfg.system())
 
 
 # --------------------------------------------------- polarization decomposition

@@ -13,9 +13,12 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from eitcool.cli import main
+from eitcool.cli import bundled_config_path, main
+from eitcool.config import load_config
+from eitcool.runner import run
 
 GOLDEN = Path(__file__).parent / "golden"
 BUNDLED = ("fig2", "fig3", "fig4", "multimode", "thermometry")
@@ -75,3 +78,19 @@ def test_bundled_config_reproduces_frozen_output(name, tmp_path):
         new = (tmp_path / f"{name}{suffix}").read_text(encoding="utf-8")
         old = (GOLDEN / f"{name}{suffix}").read_text(encoding="utf-8")
         assert _mismatches(new, old) == [], f"{name}{suffix}"
+
+
+def test_a_pass_over_the_bundled_configs_factors_2318_lapack_matrices(monkeypatch, tmp_path):
+    # every matrix np.linalg.solve receives, a stack of N counting N: 6 fold
+    # solves and 3 null-vector LUs per oblique-beam point at order 4, 2 LUs per
+    # static point; a change to the solver's work moves this count
+    solve, matrices = np.linalg.solve, []
+
+    def counted(a, b):
+        matrices.append(math.prod(np.shape(a)[:-2]))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    for name in BUNDLED:
+        run(load_config(bundled_config_path(f"{name}.cfg")), tmp_path)
+    assert sum(matrices) == 2318

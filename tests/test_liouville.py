@@ -498,6 +498,45 @@ def test_stacked_harmonics_isolate_a_degenerate_point():
     assert np.all(np.isnan(rho0[1]))
 
 
+def test_an_undriven_static_point_fails_its_singular_solve_alone():
+    # the undriven point's trace-row LU is exactly singular: the stacked solve
+    # raises, slogdet flags the member, the identity takes its place and the
+    # stack is solved again; the driven point keeps the bits of its solo solve
+    good = build_liouvillian(_system("four_level_ideal"))
+    dead = build_liouvillian(_system("four_level_ideal", omega_sigma=0.0, omega_pi=0.0))
+    zero = np.zeros_like(good.l0)
+    both = sweep_states(Liouvillian(np.stack([good.l0, dead.l0]), zero, np.zeros(2)))
+    alone = sweep_states(Liouvillian(good.l0[None], zero, np.zeros(1)))
+    assert _same_solve([x[:1] for x in both[:3]] + [both[3][:1]], alone)
+    assert (type(both[3][1]), str(both[3][1])) == (
+        DegenerateSteadyStateError, "steady state not unique (singular solve)")
+    assert np.isnan(both[0][1]).all() and np.isnan(both[1][1]).all()
+
+
+def test_a_singular_fold_step_fails_its_point_alone(monkeypatch):
+    # with L0 = 2i nu 1 the first fold step's M_2 = L0 - 2i nu is exactly zero:
+    # that stacked solve raises and is redone with the identity in its place;
+    # the oblique-beam point beside it keeps the bits of its solo solve
+    liouv = build_liouvillian(_system("four_level_geometry"))
+    nu = np.full(2, liouv.beat)
+    shift = 1j * 2 * nu[:, None]  # the k = 2 shift, rounded as the fold step rounds it
+    slogdet, flagged = np.linalg.slogdet, []
+
+    def counted(a):
+        sign = slogdet(a)
+        flagged.append(sign[0] == 0)
+        return sign
+
+    monkeypatch.setattr(np.linalg, "slogdet", counted)
+    both = sweep_states(Liouvillian(np.stack([liouv.l0, np.eye(16) * shift[1]]),
+                                     liouv.l_plus, nu))
+    assert [f.tolist() for f in flagged] == [[False, True]]  # the k = 2 step of order 2
+    alone = sweep_states(Liouvillian(liouv.l0[None], liouv.l_plus, nu[:1]))
+    assert _same_solve([x[:1] for x in both[:3]] + [both[3][:1]], alone)
+    assert (type(both[3][1]), str(both[3][1])) == (np.linalg.LinAlgError, "Singular matrix")
+    assert both[2][1] == 0 and np.isnan(both[0][1]).all() and np.isnan(both[1][1]).all()
+
+
 def _points(liouv, sel):
     """The points ``sel`` (a slice) of a flat stacked Liouvillian; a shared L+ stays shared."""
     l_plus = liouv.l_plus

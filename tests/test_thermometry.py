@@ -460,6 +460,33 @@ def test_a_repeated_probe_builds_no_table(monkeypatch):
     assert len(calls) == 2
 
 
+def test_a_probe_given_as_0d_arrays_is_the_probe_of_their_floats():
+    # a 0-d eta_probe or omega0 used to raise TypeError: unhashable type: 'numpy.ndarray'
+    times, state = np.linspace(0.0, 2e-3, 120), ThermalState(2.0)
+    _probe.cache_clear()
+    record = sideband_flops(state, 0.03, OMEGA0, "blue", times)
+    fit = fit_thermal(record, 0.03, OMEGA0)
+    eta, omega0 = np.array(0.03), np.array(OMEGA0)
+    assert sideband_flops(state, eta, omega0, "blue", times) == record
+    assert fit_thermal(record, eta, omega0) == fit
+    assert _probe.cache_info().currsize == 1 and _probe.cache_info().hits == 3
+
+
+@pytest.mark.parametrize("name", ["eta_probe", "omega0"])
+def test_a_probe_array_with_axes_is_rejected_before_the_lookup(name):
+    times, state = np.linspace(0.0, 2e-3, 120), ThermalState(2.0)
+    record = sideband_flops(state, 0.03, OMEGA0, "blue", times)
+    _probe.cache_clear()
+    probe = {"eta_probe": 0.03, "omega0": OMEGA0}
+    probe[name] = np.array([probe[name]])
+    message = rf"{name} must be one number, not an array of shape \(1,\)"
+    with pytest.raises(ValueError, match=message):
+        sideband_flops(state, sideband="blue", times=times, **probe)
+    with pytest.raises(ValueError, match=message):
+        fit_thermal(record, **probe)
+    assert _probe.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("eta", [0.01, 0.03, 0.05, 0.1])
 def test_every_state_the_model_accepts_fits_in_the_probe_table(eta):
     rng = np.random.default_rng(int(eta * 100))
