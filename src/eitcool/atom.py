@@ -26,6 +26,11 @@ S_MINUS, S_PLUS, P_MINUS, P_PLUS = "S-", "S+", "P-", "P+"
 STATES = (S_MINUS, S_PLUS, P_MINUS, P_PLUS)
 EXCITED_STATES = (P_MINUS, P_PLUS)
 
+# the level-scheme variants (the levels each keeps are in ``structure``) and
+# the motional sidebands a thermometry probe drives
+VARIANTS = ("three_level", "four_level_ideal", "four_level_geometry")
+SIDEBANDS = ("red", "blue")
+
 _SQRT13 = math.sqrt(1.0 / 3.0)
 _SQRT23 = math.sqrt(2.0 / 3.0)
 

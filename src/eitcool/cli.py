@@ -1,6 +1,11 @@
-"""Command-line interface: eitcool run | validate | constants."""
+"""Command-line interface: eitcool run | validate | constants.
+
+``main(argv)`` returns the exit code, for in-process callers; ``entry`` is the
+process entry of ``python -m eitcool.cli`` and of the ``eitcool`` script.
+"""
 
 import argparse
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -72,5 +77,19 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry():
+    """Run ``main`` on the process's arguments and end the process with its code.
+
+    The runner has closed its outputs by then, so once stdio is flushed the
+    process ends at once, without interpreter teardown (about 20 ms, most of it
+    numpy's module state).  argparse's ``SystemExit`` and a ``KeyboardInterrupt``
+    leave through Python's normal exit.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

@@ -6,17 +6,12 @@ converted to angular frequencies (rad/s) on access; keys ending in ``_deg``
 are degrees, converted to radians; ``_s`` seconds; ``_nm`` nanometers; ``_amu`` daltons.
 """
 
-import hashlib
 import math
 from types import MappingProxyType
 
-from .atom import LevelScheme
+from .atom import SIDEBANDS, VARIANTS, LevelScheme
 from .constants import ATOMIC_MASS
-from .cooling import CoolingGeometry, geometry_from_angle
-from .liouville import VARIANTS
 from .record import Record
-from .spectrum import EITConfig
-from .thermometry import SIDEBANDS, ThermalState, fit_limit
 
 TASKS = ("spectrum", "sweep-omega", "sweep-delta", "dynamics", "multimode", "thermometry")
 VARIANT_CHOICES = VARIANTS + ("all",)
@@ -116,10 +111,14 @@ class RunConfig(Record):
 
     @property
     def sha256(self) -> str:  # read from the values: a replaced config's is its own
+        import hashlib  # here, its one reader: validate never loads OpenSSL
+
         v = self.values
         return hashlib.sha256("\n".join(f"{k}={v[k]!r}" for k in sorted(v)).encode()).hexdigest()
 
     # --- derived physics objects -------------------------------------------
+    # each method imports the solver module whose record it builds, so that a
+    # task loads only the modules it runs
 
     @property
     def task(self) -> str:
@@ -136,7 +135,9 @@ class RunConfig(Record):
         """The model variants the task runs."""
         return VARIANTS if self.values["variant"] == "all" else (self.values["variant"],)
 
-    def eit_config(self, variant: str | None = None) -> EITConfig:
+    def eit_config(self, variant: str | None = None) -> "EITConfig":
+        from .spectrum import EITConfig
+
         v = variant or self.values["variant"]
         return EITConfig(
             omega_sigma=angular(self.values["beams.coupling.rabi_hz"]),
@@ -152,8 +153,10 @@ class RunConfig(Record):
     def mode_labels(self) -> list:
         return [m.strip() for m in self.values["multimode.modes"].split(",") if m.strip()]
 
-    def mode_geometry(self, label: str) -> CoolingGeometry:
+    def mode_geometry(self, label: str) -> "CoolingGeometry":
         """Mode ``label``'s (omega, eta, cos phi) from the trap, ion and beam-angle keys."""
+        from .cooling import geometry_from_angle
+
         v = self.values
         k = 2.0 * math.pi / (v["ion.wavelength_nm"] * 1e-9)
         dk = 2.0 * k * math.sin(math.radians(v["geometry.beam_angle_deg"]) / 2.0)
@@ -223,6 +226,8 @@ def resolve(values: dict) -> RunConfig:
         if resolved[key] is None:
             raise ConfigError(f"task {task!r} requires key {key!r}")
     if task == "thermometry":  # it builds a thermal state and its probe, no beams
+        from .thermometry import ThermalState, fit_limit
+
         n_bar, eta = resolved["thermometry.n_bar"], resolved["thermometry.eta_probe"]
         try:
             ThermalState(n_bar).checked(eta)
@@ -249,6 +254,12 @@ def resolve(values: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     """Load, parse and validate a configuration file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:  # the CLI's usage error, with its own message
+        raise
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
+        raise ConfigError(f"cannot read config {str(path)!r}: "
+                          f"{getattr(exc, 'strerror', None) or exc}") from exc
     return resolve(parse_config_text(text))

@@ -52,15 +52,13 @@ from .atom import (
     P_PLUS,
     S_MINUS,
     S_PLUS,
+    VARIANTS,
     Beam,
     LevelScheme,
     MagneticField,
     decompose_polarization,
     zeeman_splitting,
 )
-
-# the level-scheme variants; the levels each keeps are in ``structure``
-VARIANTS = ("three_level", "four_level_ideal", "four_level_geometry")
 
 
 class DegenerateSteadyStateError(RuntimeError):

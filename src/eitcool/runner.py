@@ -1,4 +1,7 @@
-"""Task orchestration and deterministic CSV/report emission."""
+"""Task orchestration and deterministic CSV/report emission.
+
+Each ``_run_*`` imports the modules of its task, so a run loads only those.
+"""
 
 from pathlib import Path
 
@@ -6,15 +9,6 @@ import numpy as np
 
 from .config import RunConfig, angular
 from .constants import CONSTANTS_VERSION
-from .cooling import evolve_n, multimode_report, steady_state_n_sweep
-from .spectrum import scattering_rates
-from .thermometry import (
-    ThermalState,
-    fit_thermal,
-    sideband_flops,
-    sideband_ratio_n,
-    time_averaged_excitation,
-)
 
 
 def _fmt(value) -> str:
@@ -42,6 +36,8 @@ def _failure_meta(swept) -> dict:
 
 
 def _run_spectrum(config: RunConfig):
+    from .spectrum import scattering_rates
+
     grid_hz = _sweep_hz(config)
     header = ["variant", "delta_pi_hz", "W_per_s", "rho_P_total"]
     rows = []
@@ -57,6 +53,8 @@ def _run_spectrum(config: RunConfig):
 
 
 def _run_sweep_omega(config: RunConfig):
+    from .cooling import steady_state_n_sweep
+
     grid_hz = _sweep_hz(config)
     header = ["variant", "omega_hz", "n_ss"]
     swept = []
@@ -69,6 +67,8 @@ def _run_sweep_omega(config: RunConfig):
 
 
 def _run_sweep_delta(config: RunConfig):
+    from .cooling import steady_state_n_sweep
+
     grid_hz = _sweep_hz(config)
     geometry = config.mode_geometry(config["mode"])
     points = steady_state_n_sweep(
@@ -81,6 +81,8 @@ def _run_sweep_delta(config: RunConfig):
 
 
 def _run_dynamics(config: RunConfig):
+    from .cooling import evolve_n, multimode_report
+
     geometry = config.mode_geometry(config["mode"])
     (report,) = multimode_report(config.eit_config(), [geometry])
     times = np.linspace(0.0, config["dynamics.t_max_s"], config["dynamics.points"])
@@ -96,6 +98,8 @@ def _run_dynamics(config: RunConfig):
 
 
 def _run_multimode(config: RunConfig):
+    from .cooling import multimode_report
+
     geometries = [config.mode_geometry(label) for label in config.mode_labels()]
     reports = multimode_report(config.eit_config(), geometries)
     header = [
@@ -109,6 +113,14 @@ def _run_multimode(config: RunConfig):
 
 
 def _run_thermometry(config: RunConfig):
+    from .thermometry import (
+        ThermalState,
+        fit_thermal,
+        sideband_flops,
+        sideband_ratio_n,
+        time_averaged_excitation,
+    )
+
     state = ThermalState.from_n_bar(config["thermometry.n_bar"])
     eta = config["thermometry.eta_probe"]
     omega0 = angular(config["thermometry.rabi_hz"])

@@ -23,7 +23,7 @@ from .atom import (
     LevelScheme,
 )
 
-# states retained per variant, keyed in the order of ``liouville.VARIANTS``
+# states retained per variant, keyed in the order of ``atom.VARIANTS``
 _RETAINED = {
     "three_level": (S_MINUS, S_PLUS, P_PLUS),
     "four_level_ideal": STATES,

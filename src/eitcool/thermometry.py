@@ -17,9 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .atom import SIDEBANDS
 from .record import Record
-
-SIDEBANDS = ("red", "blue")
 
 # thermal weight above the Fock cutoff that a ThermalState leaves out
 TAIL = 1e-6

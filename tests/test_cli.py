@@ -9,7 +9,7 @@ import pytest
 
 import eitcool
 import eitcool.cooling
-import eitcool.runner
+import eitcool.spectrum
 from eitcool.cli import bundled_config_path, main
 from eitcool.config import load_config
 from eitcool.liouville import ConvergenceError, DegenerateSteadyStateError
@@ -199,6 +199,21 @@ def test_missing_config_file_is_a_usage_error(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, reason", [
+    (None, "Is a directory"),
+    (b"task = thermometry\n\xff\n",
+     "'utf-8' codec can't decode byte 0xff in position 19: invalid start byte"),
+])
+def test_unreadable_config_is_a_usage_error(content, reason, tmp_path, capsys):
+    # a directory, or a file that is not UTF-8, exits 2 naming the path (it
+    # exited 1 with IsADirectoryError or UnicodeDecodeError)
+    path = tmp_path / "unreadable.cfg"
+    path.mkdir() if content is None else path.write_bytes(content)
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: cannot read config {str(path)!r}: {reason}\n"
+
+
 # ---------------------------------------------------------------- constants
 
 
@@ -354,14 +369,14 @@ def test_sweep_delta_names_its_failed_points(tmp_path, monkeypatch):
 
 
 def test_run_failure_names_the_error_type(spectrum_cfg, tmp_path, monkeypatch, capsys):
-    solve = eitcool.runner.scattering_rates
+    solve = eitcool.spectrum.scattering_rates
 
     def fail_first_point(config, detunings):
         spectrum = solve(config, detunings)
         error = DegenerateSteadyStateError("steady state not unique (injected)")
         return spectrum._replace(errors=(error,) + spectrum.errors[1:])
 
-    monkeypatch.setattr(eitcool.runner, "scattering_rates", fail_first_point)
+    monkeypatch.setattr(eitcool.spectrum, "scattering_rates", fail_first_point)
     assert main(["run", str(spectrum_cfg), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == (
         "error: DegenerateSteadyStateError: variant three_level, delta_pi/2pi = 66000000.0 Hz: "
@@ -372,7 +387,7 @@ def test_run_failure_names_the_error_type(spectrum_cfg, tmp_path, monkeypatch, c
 def test_spectrum_failure_names_the_variant_and_the_first_failed_point(
     tmp_path, monkeypatch, capsys
 ):
-    solve = eitcool.runner.scattering_rates
+    solve = eitcool.spectrum.scattering_rates
 
     def fail_two_ideal_points(config, detunings):
         spectrum = solve(config, detunings)
@@ -383,7 +398,7 @@ def test_spectrum_failure_names_the_variant_and_the_first_failed_point(
         errors[6] = DegenerateSteadyStateError("injected at 72 MHz")
         return spectrum._replace(errors=tuple(errors))
 
-    monkeypatch.setattr(eitcool.runner, "scattering_rates", fail_two_ideal_points)
+    monkeypatch.setattr(eitcool.spectrum, "scattering_rates", fail_two_ideal_points)
     cfg = tmp_path / "all.cfg"
     cfg.write_text(SMALL_SPECTRUM.replace("variant = three_level", "variant = all"))
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
@@ -422,7 +437,7 @@ def _raise_index_error(config, detunings):
 def test_unexpected_failure_prints_its_traceback_only_when_verbose(
     spectrum_cfg, tmp_path, monkeypatch, capsys
 ):
-    monkeypatch.setattr(eitcool.runner, "scattering_rates", _raise_index_error)
+    monkeypatch.setattr(eitcool.spectrum, "scattering_rates", _raise_index_error)
     assert main(["run", str(spectrum_cfg), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "error: IndexError: list index out of range\n"
     assert main(["run", str(spectrum_cfg), "--out", str(tmp_path), "--verbose"]) == 1
@@ -445,6 +460,95 @@ def test_bundled_csvs_hold_no_numpy_reprs(tmp_path):
     for path in tmp_path.glob("*.csv"):
         cells = [cell for line in _data_lines(path) for cell in line.split(",")]
         assert not [cell for cell in cells if "np." in cell], path.name
+
+
+# ------------------------------------------------------------ process entry
+
+# the modules a task that does not call them must not load
+_SOLVER = {"eitcool.liouville", "eitcool.spectrum", "eitcool.cooling", "eitcool.structure",
+           "eitcool.thermometry"}
+
+
+@pytest.fixture(scope="module")
+def entry_runs(tmp_path_factory):
+    """Each case's ``python -X importtime -m eitcool.cli`` process, all run at once:
+    case -> (exit code, stdout, stderr without the import lines, eitcool modules loaded)."""
+    tmp = tmp_path_factory.mktemp("entry")
+    (tmp / "bad.cfg").write_text("task = thermometry\nthermometry.n_bar = -1\n")
+    cases = {
+        "fig4": ["run", "fig4.cfg", "--out", str(tmp / "fig4")],
+        "thermometry": ["run", "thermometry.cfg", "--out", str(tmp / "thermometry"),
+                        "--verbose"],
+        "validate": ["validate", "multimode.cfg"],
+        "constants": ["constants"],
+        "config_error": ["run", str(tmp / "bad.cfg"), "--out", str(tmp / "bad")],
+        "usage_error": ["run"],
+    }
+    src = str(Path(eitcool.__file__).parents[1])
+    # stdout on a pipe is block-buffered, as by default, so that an unflushed line is lost
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    procs = {case: subprocess.Popen([sys.executable, "-X", "importtime", "-m", "eitcool.cli",
+                                     *args], env=env, cwd=tmp, stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, text=True)
+             for case, args in cases.items()}
+    runs = {}
+    for case, proc in procs.items():
+        out, err = proc.communicate(timeout=60)
+        imports = [l for l in err.splitlines(keepends=True) if l.startswith("import time:")]
+        modules = {l.rsplit("|", 1)[1].strip() for l in imports}
+        runs[case] = (proc.returncode, out, err[len("".join(imports)):] if imports else err,
+                      {m for m in modules if m.split(".")[0] == "eitcool"})
+    return tmp, cases, runs
+
+
+@pytest.mark.parametrize("case, name", [("fig4", "fig4.csv"), ("thermometry", "thermometry.csv")])
+def test_process_entry_writes_what_main_writes(case, name, entry_runs, tmp_path, capsys):
+    # the process ends without teardown once main returns: its outputs are the
+    # bytes main writes in-process, and a --verbose line on a pipe is flushed
+    tmp, cases, runs = entry_runs
+    code, out, err, modules = runs[case]
+    assert (code, err) == (0, "")
+    assert main(["run", f"{case}.cfg", "--out", str(tmp_path), *cases[case][4:]]) == 0
+    assert out == capsys.readouterr().out.replace(str(tmp_path), str(tmp / case))
+    for suffix in ("", ".meta"):
+        assert (tmp / case / (name + suffix)).read_bytes() == \
+            (tmp_path / (name + suffix)).read_bytes()
+
+
+def test_process_entry_loads_only_the_modules_of_its_task(entry_runs):
+    # a thermometry run loads no model module, a dynamics run no thermometry,
+    # and importing eitcool and what the CLI imports (-m runs eitcool.cli as
+    # __main__, which -X importtime does not list) loads no solver module
+    runs = entry_runs[2]
+    assert "eitcool.thermometry" in runs["thermometry"][3]
+    assert not runs["thermometry"][3] & (_SOLVER - {"eitcool.thermometry"})
+    assert {"eitcool.cooling", "eitcool.liouville"} <= runs["fig4"][3]
+    assert "eitcool.thermometry" not in runs["fig4"][3]
+    assert "eitcool.runner" in runs["constants"][3]
+    assert not runs["constants"][3] & _SOLVER
+
+
+def test_process_entry_prints_and_exits_as_main_does(entry_runs, capsys):
+    runs = entry_runs[2]
+    for case, argv in (("validate", ["validate", "multimode.cfg"]), ("constants", ["constants"])):
+        assert main(argv) == 0
+        assert runs[case][:3] == (0, capsys.readouterr().out, "")
+    code, out, err, _ = runs["config_error"]
+    assert (code, out, err) == (2, "", "error: n_bar must be finite and >= 0, not -1.0\n")
+    code, out, err, _ = runs["usage_error"]
+    assert (code, out) == (2, "")
+    assert err.endswith("eitcool run: error: the following arguments are required: config\n")
+
+
+def test_every_public_name_resolves_once_and_is_listed():
+    # eitcool's names are imported on first access and then kept as globals
+    assert len(set(eitcool.__all__)) == len(eitcool.__all__)
+    for name in eitcool.__all__:
+        value = getattr(eitcool, name)
+        assert vars(eitcool)[name] is value and name in dir(eitcool)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        eitcool.no_such_name
 
 
 def test_bundled_runs_load_no_scipy(tmp_path):
