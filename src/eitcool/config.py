@@ -222,9 +222,6 @@ def resolve(values: dict) -> RunConfig:
     if not modes or len(set(modes)) < len(modes) or not set(modes) <= {"x", "y", "z"}:
         raise ConfigError("multimode.modes must list distinct modes out of x, y, z")
     reads = {"multimode": modes, "dynamics": [resolved["mode"]], "sweep-delta": [resolved["mode"]]}
-    for key in (f"trap.omega_{label}_hz" for label in reads.get(task, ())):
-        if resolved[key] is None:
-            raise ConfigError(f"task {task!r} requires key {key!r}")
     if task == "thermometry":  # it builds a thermal state and its probe, no beams
         from .thermometry import ThermalState, fit_limit
 
@@ -243,6 +240,14 @@ def resolve(values: dict) -> RunConfig:
     for key, val in resolved.items():
         if _SCHEMA[key][0] is float and val is not None and not math.isfinite(val):
             raise ConfigError(f"{key} must be finite, not {val!r}")
+    mass = resolved["ion.mass_amu"] * ATOMIC_MASS
+    for key in (f"trap.omega_{label}_hz" for label in reads.get(task, ())):
+        if resolved[key] is None:
+            raise ConfigError(f"task {task!r} requires key {key!r}")
+        if not 2 * mass * angular(resolved[key]) > 0:  # as mode_geometry's a0 computes it
+            key = key if mass else "ion.mass_amu"
+            raise ConfigError(f"{key} = {resolved[key]!r} is too small: the mode's ground-"
+                              "state size a0 = sqrt(hbar / 2 m omega) divides by 0")
     if task != "thermometry":  # every other task builds the beams of its variants
         for v in config.variants():
             try:

@@ -174,7 +174,7 @@ def sideband_flops(
     if sideband not in SIDEBANDS:  # before the lookup, which hashes it
         raise ValueError(f"unknown sideband {sideband!r}")
     p = state.probabilities()
-    signal = _signal(_probe(t.tobytes(), eta_probe, omega0, sideband)[1], p)
+    signal = _signal(_probe(t.tobytes(), eta_probe, omega0, sideband)[0], p)
     return FlopRecord(times=tuple(t), excitation=tuple(signal), sideband=sideband)
 
 
@@ -183,53 +183,31 @@ class ThermalFit(NamedTuple):
     residual: float  # sum of squared deviations at the optimum
 
 
-@functools.cache
-def _fit_grid():
-    """``fit_thermal``'s grid over n_bar in [0, 1e3] and its cutoffs, built on the first fit."""
-    grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 160)])
-    cutoffs = np.array([_cutoff(n_bar) for n_bar in grid])
-    grid.flags.writeable = cutoffs.flags.writeable = False
-    return grid, cutoffs
-
-
-def _grid_signals(table: np.ndarray, grid, cutoffs):
-    """(valid, signals): the thermal model's signal at each valid n_bar of grid.
-
-    ``table`` is the sin^2(Omega_n t / 2) table (``_flop_table``) out to the model
-    edge's cutoff, as ``_probe`` builds it: validity is monotone in the cutoff,
-    so the grid points whose cutoffs are below its width are valid, and it is
-    multiplied by their zero-padded weights, a column of signals per valid point.
-    The weights are a running product down n, p_n = p_{n-1} n_bar / (n_bar + 1):
-    several times faster than ``ThermalState.probabilities``' powers, and up to
-    about n ulps from them, which is enough to pick Brent's bracket; Brent's
-    evaluations use ``probabilities`` itself.
-    """
-    valid = cutoffs < table.shape[1]  # cutoffs[i] = _cutoff(grid[i])
-    n_bar, cutoffs = grid[valid], cutoffs[valid]
-    n = np.arange(cutoffs.max(initial=0) + 1)[:, None]
-    # the product's factors, 0 past the cutoff: weights there are 0, never subnormal
-    weights = np.where(n <= cutoffs, n_bar / (n_bar + 1.0), 0.0)
-    weights[0] = 1.0 / (n_bar + 1.0)
-    np.cumprod(weights, axis=0, out=weights)
-    return valid, _signal(table, weights)
-
-
-def _grid_sse(valid: np.ndarray, signals: np.ndarray, target: np.ndarray):
-    """Squared deviation of ``_grid_signals``' signals from ``target``, inf where invalid."""
-    values = np.full(len(valid), math.inf)
-    values[valid] = np.sum((signals - target[:, None]) ** 2, axis=0)
-    return values
-
-
 @functools.lru_cache(maxsize=2)  # one probe's red and blue sidebands
 def _probe(times: bytes, eta_probe: float, omega0: float, sideband: str):
-    """A probe's model, built on first use, read-only: ``_edge``, the ``_flop_table`` of
-    the float64 ``times`` out to its cutoff, and that table's ``_grid_signals``."""
+    """A probe's model, built on first use, read-only: (table, grid, tops, signals).
+
+    ``table`` is the ``_flop_table`` of the float64 ``times`` out to the cutoff of
+    ``_edge``, the largest n_bar the model represents.  ``grid`` is the part of
+    ``fit_thermal``'s grid over n_bar in [0, 1e3] that the model represents, a
+    prefix, as validity is monotone in the cutoff; ``tops[i]`` is grid point i's
+    bracket top, the next grid point or the edge.  ``signals`` has a column per
+    grid point: the table times that point's ``ThermalState.probabilities``,
+    zero-padded, the weights Brent's evaluations use.
+    """
     edge = _edge(eta_probe)
-    table = _flop_table(np.frombuffer(times), _cutoff(edge) + 1, eta_probe, omega0, sideband)
-    valid, signals = _grid_signals(table, *_fit_grid())
-    table.flags.writeable = valid.flags.writeable = signals.flags.writeable = False
-    return edge, table, valid, signals
+    width = _cutoff(edge) + 1
+    table = _flop_table(np.frombuffer(times), width, eta_probe, omega0, sideband)
+    grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 160)])
+    grid = grid[np.array([_cutoff(n_bar) for n_bar in grid]) < width]
+    weights = np.zeros((width, len(grid)))
+    for column, n_bar in zip(weights.T, grid):
+        p = ThermalState(n_bar).probabilities()
+        column[:len(p)] = p
+    model = table, grid, np.append(grid[1:], edge), _signal(table, weights)
+    for array in model:
+        array.flags.writeable = False
+    return model
 
 
 def _bounded_brent(f, lo: float, hi: float, xatol: float):
@@ -299,40 +277,35 @@ def fit_thermal(
 ) -> ThermalFit:
     """Least-squares thermal-distribution fit of a flop record over n_bar.
 
-    A grid over n_bar in [0, 1e3], scored in one stacked evaluation, brackets
-    the minimum; bounded Brent refines it to 1e-10 in n_bar.  Grid and Brent
-    share the probe's sin^2(Omega_n t / 2) table (``_probe``), out to the
-    cutoff of the largest n_bar the model represents (``_edge``), so a Brent
-    evaluation is one matrix-vector product; the grid's model signals are
-    built with that table, once per probe.  Where no grid point above the best
-    one is valid, the bracket runs to that edge; a minimum there raises
-    ValueError (a record hotter than the model, or one made above
-    ``fit_limit``, within Brent's resolution of 5.8e-7 at eta_probe = 0.03
-    below the edge), as do a record with no time > 0, an eta_probe or omega0
-    that ``_flop_table`` rejects and an eta_probe at which the model
-    represents no n_bar.
+    The probe's model (``_probe``) scores its grid over n_bar in [0, 1e3] in
+    one stacked evaluation, and the best point's neighbours bracket the
+    minimum; bounded Brent refines it to 1e-10 in n_bar, each evaluation one
+    product with the model's sin^2(Omega_n t / 2) table.  The last grid
+    point's bracket runs to the largest n_bar the model represents
+    (``_edge``); a minimum there raises ValueError (a record hotter than the
+    model, or one made above ``fit_limit``, within Brent's resolution of
+    5.8e-7 at eta_probe = 0.03 below the edge), as do a record with no time
+    > 0, an eta_probe or omega0 that ``_flop_table`` rejects and an eta_probe
+    at which the model represents no n_bar.
     """
     eta_probe, omega0 = _number("eta_probe", eta_probe), _number("omega0", omega0)
     t = np.asarray(record.times, float)
     if not (t > 0).any():
         raise ValueError("no pulse time > 0 to fit: the model is 0 at t = 0 for every n_bar")
-    edge, table, valid, signals = _probe(t.tobytes(), eta_probe, omega0, record.sideband)
+    table, grid, tops, signals = _probe(t.tobytes(), eta_probe, omega0, record.sideband)
     target = np.asarray(record.excitation, float)
-    grid = _fit_grid()[0]
-    values = _grid_sse(valid, signals, target)
 
     def sse(n_bar):
-        # Brent evaluates inside the bracket only, whose top is valid, and the
-        # table reaches the cutoff of any valid n_bar: the state needs no check
+        # Brent evaluates inside the bracket only, which the model represents,
+        # and the table reaches the edge's cutoff: the state needs no check
         p = ThermalState(n_bar).probabilities()
         return float(np.sum((_signal(table, p) - target) ** 2))
 
-    i = int(np.argmin(values))
-    hi = min(grid[i + 1], edge)  # grid[i + 1] if it is valid
-    best, residual = _bounded_brent(sse, grid[max(i - 1, 0)], hi, _XATOL)
-    if hi < grid[i + 1] and sse(hi) <= residual:
+    i = int(np.argmin(((signals - target[:, None]) ** 2).sum(0)))
+    best, residual = _bounded_brent(sse, grid[max(i - 1, 0)], tops[i], _XATOL)
+    if i == len(grid) - 1 and sse(tops[i]) <= residual:
         raise ValueError(
-            f"best-fit n_bar not bracketed: the fit runs into n_bar = {hi:.4g}, the "
+            f"best-fit n_bar not bracketed: the fit runs into n_bar = {tops[i]:.4g}, the "
             f"largest the sideband model represents at eta_probe = {eta_probe!r}"
         )
     return ThermalFit(n_bar=best, residual=residual)

@@ -1,5 +1,6 @@
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +141,28 @@ def test_validate_and_run_reject_a_non_finite_value(keys, message, tmp_path, cap
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "nonfinite.csv").exists()
+
+
+@pytest.mark.parametrize("name, key", [
+    *((name, "ion.mass_amu") for name in ("fig3.cfg", "fig4.cfg", "multimode.cfg")),
+    *((name, "trap.omega_y_hz") for name in ("fig3.cfg", "fig4.cfg", "multimode.cfg")),
+    ("multimode.cfg", "trap.omega_z_hz"),
+])
+def test_validate_and_run_reject_a_mass_or_mode_frequency_that_underflows(name, key, tmp_path,
+                                                                          capsys):
+    # 1e-300 is positive, but 1e-300 amu is 0 kg, and 2 m omega underflows to 0
+    # in a mode's a0: validate exited 0, and run 1 with a ValueError naming no
+    # key or a ZeroDivisionError
+    text = bundled_config_path(name).read_text()
+    lines = [line for line in text.splitlines() if not line.startswith(key)]
+    cfg = tmp_path / name
+    cfg.write_text("\n".join([*lines, f"{key} = 1e-300", ""]))
+    for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"error: {key} = 1e-300 is too small: the mode's "
+                                           "ground-state size a0 = sqrt(hbar / 2 m omega) "
+                                           "divides by 0\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("eta", ["0", "-0.03"])
@@ -541,6 +564,23 @@ def test_process_entry_prints_and_exits_as_main_does(entry_runs, capsys):
     assert err.endswith("eitcool run: error: the following arguments are required: config\n")
 
 
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+@pytest.mark.parametrize("args", [["constants"], ["validate", "fig2.cfg"]])
+def test_process_entry_on_a_closed_stdout_ends_as_cat_does(args):
+    # by SIGPIPE (shell status 141) with nothing on stderr; main's solver-failure
+    # branch used to print "error: BrokenPipeError" and exit 1
+    src = str(Path(eitcool.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    read, write = os.pipe()
+    os.close(read)  # closed before the process starts
+    try:
+        proc = subprocess.run([sys.executable, "-m", "eitcool.cli", *args], env=env,
+                              stdout=write, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (-signal.SIGPIPE, b"")
+
+
 def test_every_public_name_resolves_once_and_is_listed():
     # eitcool's names are imported on first access and then kept as globals
     assert len(set(eitcool.__all__)) == len(eitcool.__all__)
@@ -588,24 +628,24 @@ def test_import_and_validate_build_no_model_structure():
 
 def test_cli_import_loads_no_dataclasses_and_builds_no_fit_grid():
     # a frozen dataclass generates and compiles its methods when its class is
-    # made, which a cold eitcool run pays for at import; the thermometry fit
-    # grid and a probe's model are built by their first use, so runs of other
-    # tasks, and validating any config, do not pay for them
+    # made, which a cold eitcool run pays for at import; a thermometry probe's
+    # model, its fit grid included, is built by its first use, so runs of other
+    # tasks, and validating any config, do not pay for it
     script = (
         "import pathlib, sys\n"
         "import numpy, argparse, hashlib\n"
         "before = set(sys.modules)\n"
         "import eitcool.cli, eitcool.runner\n"
         "from eitcool.config import load_config\n"
-        "from eitcool.thermometry import _fit_grid, _probe\n"
+        "from eitcool.thermometry import _probe\n"
         "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'dataclasses'))\n"
-        "print(_fit_grid.cache_info().currsize, _probe.cache_info().currsize)\n"
+        "print(_probe.cache_info().currsize)\n"
         "for path in (pathlib.Path(eitcool.__file__).parent / 'configs').glob('*.cfg'):\n"
         "    load_config(path)\n"
-        "print(_fit_grid.cache_info().currsize, _probe.cache_info().currsize)\n"
+        "print(_probe.cache_info().currsize)\n"
     )
     src = str(Path(eitcool.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.splitlines() == ["[]", "0 0", "0 0"]
+    assert out.splitlines() == ["[]", "0", "0"]

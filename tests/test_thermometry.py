@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import eitcool.thermometry
 from eitcool.thermometry import (
-    MAX_CUTOFF,
     SIDEBANDS,
     TAIL,
     FlopRecord,
@@ -16,10 +15,8 @@ from eitcool.thermometry import (
     _bounded_brent,
     _cutoff,
     _edge,
-    _fit_grid,
     _flop_table,
-    _grid_signals,
-    _grid_sse,
+    _outside,
     _probe,
     _signal,
     fit_thermal,
@@ -156,14 +153,6 @@ def test_flop_record_rejects_carrier_that_no_model_fits():
 
 
 FIT_GRID = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 160)])  # fit_thermal's grid
-
-
-def test_fit_grid_is_built_once_with_each_points_cutoff():
-    grid, cutoffs = _fit_grid()
-    assert np.array_equal(grid, FIT_GRID)
-    assert cutoffs.tolist() == [_cutoff(n_bar) for n_bar in grid]
-    assert _fit_grid()[1] is cutoffs
-    assert not (grid.flags.writeable or cutoffs.flags.writeable)
 
 
 @pytest.mark.parametrize("eta", [0.0, -0.03])
@@ -330,75 +319,67 @@ def _loop_grid_sse(record, eta, omega0, grid):
     return np.array([sse(n_bar) for n_bar in grid])
 
 
-def _n_bar_with_cutoff(cutoff):
-    r = TAIL ** (1.0 / (cutoff + 0.5))  # tail weight r^(N+1) <= TAIL first at N = cutoff
-    n_bar = r / (1.0 - r)
-    assert _cutoff(n_bar) == cutoff
-    return n_bar
+def test_probe_scores_the_fit_grid_up_to_the_model_edge(monkeypatch):
+    # the probe's grid is the prefix of FIT_GRID the model represents, each
+    # point's bracket top the next point or the edge, and its signals the
+    # table times probabilities(), zero-padded: Brent's own weights
+    weights = {}
 
+    def recording(table, p):
+        if p.ndim == 2:
+            weights[id(table)] = p.copy()
+        return _signal(table, p)
 
-def test_stacked_grid_matches_the_per_point_loop():
-    rng = np.random.default_rng(12)
-    # fit_thermal's grid, plus the points either side of each validity limit at
-    # the eta range's ends: eta * sqrt(100) == 0.5 at 0.05, MAX_CUTOFF at 0.01
-    edges = [_n_bar_with_cutoff(c) for c in (99, 100, MAX_CUTOFF, MAX_CUTOFF + 1)]
-    grid = np.sort(np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 160), edges]))
-    cutoffs = np.array([_cutoff(n_bar) for n_bar in grid])
+    monkeypatch.setattr(eitcool.thermometry, "_signal", recording)
+    _probe.cache_clear()
+    rng = np.random.default_rng(32)
+    times = np.linspace(0.0, 2e-3, 120)
     limits = set()
-    for draw in range(16):
-        eta = (0.01, 0.05)[draw] if draw < 2 else rng.uniform(0.01, 0.05)
-        n_bar = 60.0 * (0.05 / 60.0) ** rng.uniform()
-        while eta * math.sqrt(_cutoff(n_bar)) >= 0.5:  # a record the model can make
-            n_bar = 60.0 * (0.05 / 60.0) ** rng.uniform()
-        sideband = SIDEBANDS[draw % 2]
-        times = np.linspace(0.0, rng.uniform(0.5e-3, 3e-3), 60)
-        flops = sideband_flops(ThermalState.from_n_bar(n_bar), eta, OMEGA0, sideband, times)
-        noisy = np.clip(np.array(flops.excitation) + rng.normal(0.0, 0.02, len(times)), 0, 1)
-        record = FlopRecord(times=flops.times, excitation=tuple(noisy), sideband=sideband)
-
-        # the table as fit_thermal builds it, out to the model edge's cutoff
-        table = _flop_table(times, _cutoff(_edge(eta)) + 1, eta, OMEGA0, sideband)
-        stacked = _grid_sse(*_grid_signals(table, grid, cutoffs),
-                            np.asarray(record.excitation, float))
-        loop = _loop_grid_sse(record, eta, OMEGA0, grid)
-        assert np.array_equal(np.isinf(stacked), np.isinf(loop))
-        assert np.argmin(stacked) == np.argmin(loop)
-        finite = np.isfinite(loop)
-        assert np.allclose(stacked[finite], loop[finite], rtol=1e-10, atol=0.0)
-        # which limit ends the valid grid: the cutoff cap or eta * sqrt(cutoff)
-        last = cutoffs[np.flatnonzero(finite)[-1] + 1]
-        limits.add("max_cutoff" if last > MAX_CUTOFF else "lamb_dicke")
+    for eta in (0.01, 0.03, 0.05, 0.1):
+        for sideband in SIDEBANDS:
+            table, grid, tops, signals = _probe(times.tobytes(), eta, OMEGA0, sideband)
+            assert not any(a.flags.writeable for a in (table, grid, tops, signals))
+            assert np.array_equal(grid, FIT_GRID[:len(grid)])
+            assert tops.tolist() == [*grid[1:], _edge(eta)]
+            # every point is inside both bounds of _outside, the next is not
+            assert not any(_outside(_cutoff(grid[-1]), eta))
+            too_deep, beyond_first_order = _outside(_cutoff(FIT_GRID[len(grid)]), eta)
+            limits.add("max_cutoff" if too_deep else "lamb_dicke" if beyond_first_order else "")
+            w = weights[id(table)]
+            assert w.shape == (table.shape[1], len(grid))
+            for column, n_bar in zip(w.T, grid):
+                p = ThermalState(n_bar).probabilities()
+                expected = np.pad(p, (0, len(column) - len(p)))
+                assert np.array_equal(column.view(np.uint64), expected.view(np.uint64))
+            for noise in (0.0, 0.02):
+                n_bar = _edge(eta) * rng.uniform() ** 2
+                flops = sideband_flops(ThermalState(n_bar), eta, OMEGA0, sideband, times)
+                noisy = np.clip(np.array(flops.excitation) + rng.normal(0.0, noise, 120), 0, 1)
+                record = FlopRecord(times=flops.times, excitation=tuple(noisy),
+                                    sideband=sideband)
+                sse = ((signals - noisy[:, None]) ** 2).sum(0)
+                assert np.argmin(sse) == np.argmin(_loop_grid_sse(record, eta, OMEGA0, FIT_GRID))
     assert limits == {"max_cutoff", "lamb_dicke"}
 
 
-@pytest.mark.parametrize("eta", [0.03, 0.05, 0.1])
-def test_grid_weights_pick_the_bracket_of_the_probabilities_weights(eta):
-    # _grid_signals builds the thermal weights as a running product down n, up to
-    # about n ulps from ThermalState.probabilities; the grid only picks
-    # Brent's bracket, so it must pick the one probabilities' weights pick
-    rng = np.random.default_rng(19)
-    edge = _edge(eta)
-    times = np.linspace(0.0, 2e-3, 120)
-    for sideband in SIDEBANDS:
-        table = _flop_table(times, _cutoff(edge) + 1, eta, OMEGA0, sideband)
-        valid, weights = [], []  # probabilities() zero-padded to the table
-        for n_bar in FIT_GRID:
-            try:
-                p = ThermalState(n_bar).checked(eta).probabilities()
-            except ValueError:
-                valid.append(False)
-                continue
-            valid.append(True)
-            weights.append(np.pad(p, (0, table.shape[1] - len(p))))
-        weights = np.stack(weights, axis=1)
-        for noise in (0.0, 0.02):
-            for n_bar in np.geomspace(0.03, edge * 0.999, 6):
-                flops = sideband_flops(ThermalState(n_bar), eta, OMEGA0, sideband, times)
-                target = np.clip(np.array(flops.excitation) + rng.normal(0.0, noise, 120), 0, 1)
-                expected = _grid_sse(np.array(valid), _signal(table, weights), target)
-                got = _grid_sse(*_grid_signals(table, *_fit_grid()), target)
-                assert np.array_equal(np.isinf(got), np.isinf(expected))
-                assert np.argmin(got) == np.argmin(expected)
+def test_fit_equals_the_per_evaluation_fit_below_the_last_grid_point():
+    # over random probes, records whose best grid point has a grid point above
+    # it that the model represents: the reference's bracket is the fit's
+    rng = np.random.default_rng(320)
+    for draw in range(24):
+        eta = rng.uniform(0.01, 0.12)
+        sideband = SIDEBANDS[draw % 2]
+        times = np.linspace(0.0, rng.uniform(0.2e-3, 4e-3), rng.integers(20, 200))
+        last = _probe(times.tobytes(), eta, OMEGA0, sideband)[1][-1]
+        n_bar = last * rng.uniform() ** 2
+        flops = sideband_flops(ThermalState(n_bar), eta, OMEGA0, sideband, times)
+        noisy = np.clip(np.array(flops.excitation) + rng.normal(0.0, (0.0, 0.02)[draw % 3 > 0],
+                                                                len(times)), 0, 1)
+        record = FlopRecord(times=flops.times, excitation=tuple(noisy), sideband=sideband)
+        fit = fit_thermal(record, eta, OMEGA0)
+        reference_n_bar, reference_residual, top = _per_evaluation_fit(record, eta, OMEGA0)
+        assert FIT_GRID[top] <= last
+        assert (fit.n_bar, fit.residual) == (reference_n_bar, reference_residual)
 
 
 # ------------------------------------------------------------ probe model
@@ -452,8 +433,8 @@ def test_a_repeated_probe_builds_no_table(monkeypatch):
     blue = sideband_flops(state, 0.03, OMEGA0, "blue", times)
     assert fit_thermal(blue, 0.03, OMEGA0).n_bar == pytest.approx(15.0, rel=1e-8)
     assert calls == [(0.03, OMEGA0, "red"), (0.03, OMEGA0, "blue")]
-    red_table = _probe(times.tobytes(), 0.03, OMEGA0, "red")[1]
-    blue_table = _probe(times.tobytes(), 0.03, OMEGA0, "blue")[1]
+    red_table = _probe(times.tobytes(), 0.03, OMEGA0, "red")[0]
+    blue_table = _probe(times.tobytes(), 0.03, OMEGA0, "blue")[0]
     assert not np.array_equal(red_table, blue_table)
     assert not (red_table.flags.writeable or blue_table.flags.writeable)
     assert fit_thermal(red, 0.03, OMEGA0) == red_fit
@@ -491,7 +472,8 @@ def test_a_probe_array_with_axes_is_rejected_before_the_lookup(name):
 def test_every_state_the_model_accepts_fits_in_the_probe_table(eta):
     rng = np.random.default_rng(int(eta * 100))
     times = np.linspace(0.0, 2e-3, 120)
-    edge, table = _probe(times.tobytes(), eta, OMEGA0, "blue")[:2]
+    table, _, tops, _ = _probe(times.tobytes(), eta, OMEGA0, "blue")
+    edge = tops[-1]
     assert edge == _edge(eta)
     assert ThermalState(edge).checked(eta).cutoff + 1 == table.shape[1]
     for n_bar in edge * rng.uniform(0.0, 1.5, 8):
