@@ -373,8 +373,8 @@ def test_fit_equals_the_per_evaluation_fit_below_the_last_grid_point():
         last = _probe(times.tobytes(), eta, OMEGA0, sideband)[1][-1]
         n_bar = last * rng.uniform() ** 2
         flops = sideband_flops(ThermalState(n_bar), eta, OMEGA0, sideband, times)
-        noisy = np.clip(np.array(flops.excitation) + rng.normal(0.0, (0.0, 0.02)[draw % 3 > 0],
-                                                                len(times)), 0, 1)
+        noise = rng.normal(0.0, 0.02 if draw % 3 else 0.0, len(times))
+        noisy = np.clip(np.array(flops.excitation) + noise, 0, 1)
         record = FlopRecord(times=flops.times, excitation=tuple(noisy), sideband=sideband)
         fit = fit_thermal(record, eta, OMEGA0)
         reference_n_bar, reference_residual, top = _per_evaluation_fit(record, eta, OMEGA0)
