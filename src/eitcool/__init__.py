@@ -8,15 +8,15 @@ kept in this module's globals and read as a plain global.
 from importlib import import_module
 
 _EXPORTS = {
-    "atom": ("Beam", "LevelScheme", "MagneticField", "decompose_polarization",
-             "doppler_limit_occupation", "zeeman_splitting"),
+    "atom": ("Beam", "EITConfig", "LevelScheme", "MagneticField", "ac_stark_shift",
+             "ac_stark_shift_approx", "coupling_for_target_shift", "decompose_polarization",
+             "doppler_limit_occupation", "dressed_state", "zeeman_splitting"),
     "cooling": ("CoolingGeometry", "CoolingReport", "cooling_coefficients", "evolve_n",
                 "multimode_report", "steady_state_n_sweep"),
     "liouville": ("DrivenSystem", "Liouvillian", "build_liouvillian", "build_system",
                   "steady_state"),
-    "spectrum": ("EITConfig", "FanoFeatures", "Spectrum", "ac_stark_shift",
-                 "ac_stark_shift_approx", "coupling_for_target_shift", "dressed_state",
-                 "fano_features", "scattering_rate", "scattering_rates"),
+    "spectrum": ("FanoFeatures", "Spectrum", "fano_features", "scattering_rate",
+                 "scattering_rates"),
     "thermometry": ("FlopRecord", "ThermalState", "fit_thermal", "ground_state_probability",
                     "sideband_flops", "sideband_ratio_n"),
 }

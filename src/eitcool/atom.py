@@ -1,4 +1,4 @@
-"""Internal structure of the ion, magnetic field, laser beams.
+"""Internal structure of the ion, magnetic field, laser beams and their configuration.
 
 The ion is modeled as the four Zeeman sublevels of a J=1/2 <-> J'=1/2 dipole
 transition: |S,->, |S,+>, |P,->, |P,+> (m = -1/2, +1/2 in each manifold).
@@ -13,11 +13,14 @@ Sign conventions (the single place they are documented):
 * Clebsch-Gordan amplitudes <1/2 m; 1 q | 1/2 m+q> in the Condon-Shortley
   convention; squared weights are 1/3 for pi (q=0) and 2/3 for sigma (q=+/-1)
   channels.
+
+``EITConfig`` holds the laser and field setting of one cooling spectrum, and
+builds its beam pair; with the closed-form dressed-state formulas it needs only
+``math``, so parsing and validating a configuration loads no numpy.
 """
 
 import math
-
-import numpy as np
+from typing import NamedTuple
 
 from .constants import HBAR, K_B, MU_B, GAUSS_TO_TESLA
 from .record import Record
@@ -107,6 +110,8 @@ class Beam(Record):
 
 def decompose_polarization(polarization) -> dict:
     """Spherical amplitudes {q: amp} (q = -1, 0, +1) of a field-frame polarization."""
+    import numpy as np  # here, as below: validating a config builds beams, not amplitudes
+
     ex, ey, ez = np.asarray(polarization, complex)
     return {
         -1: +(ex - 1j * ey) / math.sqrt(2),
@@ -115,11 +120,18 @@ def decompose_polarization(polarization) -> dict:
     }
 
 
-def circular_polarization(q: int) -> np.ndarray:
+def circular_polarization(q: int) -> "np.ndarray":
     """Field-frame unit polarization (-q, i, 0)/sqrt(2), the pure spherical component q."""
+    import numpy as np
+
     if q not in (-1, +1):
         raise ValueError("q must be +1 or -1")
     return np.array([-q, 1j, 0]) / math.sqrt(2)
+
+
+# the coupling beam's field-frame polarization, sigma+ light: the bits of
+# tuple(map(complex, circular_polarization(+1))), signed zeros included
+_SIGMA_PLUS = (-0.7071067811865475+0j, 0.7071067811865475j, 0j)
 
 
 def zeeman_splitting(scheme: LevelScheme, field: MagneticField):
@@ -128,6 +140,115 @@ def zeeman_splitting(scheme: LevelScheme, field: MagneticField):
     delta_s = scheme.lande_g_S * MU_B * b / HBAR
     delta_p = scheme.lande_g_P * MU_B * b / HBAR
     return delta_s, delta_p
+
+
+def ac_stark_shift(omega_sigma: float, delta_sigma: float) -> float:
+    """Light shift of the dressed |P,+> level, exact two-level expression."""
+    return 0.5 * (math.hypot(omega_sigma, delta_sigma) - abs(delta_sigma))
+
+
+def ac_stark_shift_approx(omega_sigma: float, delta_sigma: float) -> float:
+    """Far-detuned approximation Omega^2 / (4 Delta)."""
+    if delta_sigma == 0:
+        raise ValueError("approximate branch undefined at delta_sigma = 0")
+    return omega_sigma**2 / (4 * delta_sigma)
+
+
+def coupling_for_target_shift(omega_mode: float, delta_sigma: float) -> float:
+    """Coupling Rabi frequency that makes the AC Stark shift equal omega_mode.
+
+    Exact inversion of the shift formula: Omega = 2 sqrt(w (w + |Delta|)).
+    """
+    for name, x in (("omega_mode", omega_mode), ("delta_sigma", delta_sigma)):
+        if not 0 < x < math.inf:
+            raise ValueError(f"{name} must be positive and finite, not {x!r}")
+    return 2.0 * math.sqrt(omega_mode * (omega_mode + abs(delta_sigma)))
+
+
+def coupling_for_target_shift_approx(omega_mode: float, delta_sigma: float) -> float:
+    """The 2 sqrt(w Delta) approximation to the inversion above."""
+    return 2.0 * math.sqrt(omega_mode * delta_sigma)
+
+
+def dressed_state(omega_sigma: float, delta_sigma: float):
+    """Coefficients of the bright dressed state on (|S,->, |P,+>)."""
+    if omega_sigma == 0 and delta_sigma == 0:
+        raise ValueError("dressed state undefined at zero coupling and detuning")
+    delta = ac_stark_shift(omega_sigma, delta_sigma)
+    norm = math.sqrt(4 * delta**2 + omega_sigma**2)
+    if norm == 0:
+        return (1.0, 0.0)
+    return (omega_sigma / norm, 2 * delta / norm)
+
+
+class EITConfig(NamedTuple):
+    """Laser/field configuration for one cooling spectrum.
+
+    ``omega_sigma`` and ``omega_pi`` are effective transition Rabi frequencies
+    (sigma+ on S- -> P+, pi on S+ -> P+), the quantities entering the dressed
+    state formulas; bare beam Rabi frequencies are recovered internally by
+    dividing out polarization projection and CG factors.  The four laser
+    parameters may be arrays, one entry per point of a ``scattering_rates`` stack.
+    Field-frame polarizations: sigma+ coupling light; pi cooling light, or in
+    ``four_level_geometry`` linear light in the (k, B) plane at ``beam_angle`` to B.
+    """
+
+    omega_sigma: float
+    omega_pi: float
+    delta_sigma: float
+    delta_pi: float
+    variant: str = "three_level"
+    b_gauss: float = 4.4
+    beam_angle: float = math.radians(125.0)  # between cooling and coupling k
+    scheme: LevelScheme = LevelScheme()
+
+    @property
+    def field(self) -> MagneticField:
+        return MagneticField(magnitude=self.b_gauss)
+
+    def laser_frequencies(self, delta_pi):
+        """(nu_c, nu_g) referenced to the zero-field S->P resonance.
+
+        ``delta_pi`` may be an array of cooling detunings; nu_g then is too.
+        """
+        delta_s, delta_p = zeeman_splitting(self.scheme, self.field)
+        # transition-referenced -> zero-field-referenced detunings
+        nu_c = self.delta_sigma + 0.5 * (delta_p + delta_s)
+        return nu_c, delta_pi + 0.5 * (delta_p - delta_s)
+
+    def beams(self, delta_pi: float | None = None) -> tuple:
+        """The physical (coupling, cooling) beam pair of this configuration."""
+        if delta_pi is None:
+            delta_pi = self.delta_pi
+        nu_c, nu_g = self.laser_frequencies(delta_pi)
+
+        coupling = Beam(
+            label="coupling",
+            rabi=self.omega_sigma / abs(TRANSITIONS[(S_MINUS, +1)][1]),
+            detuning=nu_c,
+            polarization=_SIGMA_PLUS,
+        )
+
+        if self.variant == "four_level_geometry":
+            pol = (-math.cos(self.beam_angle), 0.0, math.sin(self.beam_angle))
+            amp_pi = abs(math.sin(self.beam_angle))
+            if amp_pi < 1e-9:
+                raise ValueError("beam_angle puts the cooling beam along B, with no pi light")
+        else:
+            pol = (0.0, 0.0, 1.0)
+            amp_pi = 1.0
+        cooling = Beam(
+            label="cooling",
+            rabi=self.omega_pi / (amp_pi * TRANSITIONS[(S_PLUS, 0)][1]),
+            detuning=nu_g,
+            polarization=pol,
+        )
+        return coupling, cooling
+
+    def system(self, delta_pi: float | None = None) -> "DrivenSystem":
+        from .liouville import build_system  # here: validating a config builds beams only
+
+        return build_system(self.scheme, self.field, *self.beams(delta_pi), self.variant)
 
 
 def doppler_limit_occupation(gamma: float, omega: float):

@@ -13,7 +13,9 @@ from pathlib import Path
 
 from .config import ConfigError, load_config
 from .constants import constants_table
-from .runner import run
+
+# the BLAS thread counts that ``entry`` sets to 1 where the caller left them unset
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def bundled_config_path(name: str) -> Path:
@@ -65,6 +67,8 @@ def main(argv=None) -> int:
             for key in config.applied_defaults:
                 print(f"  default applied: {key} = {config.values[key]!r}")
             return 0
+        from .runner import run  # here: validate and constants load no numpy
+
         run(config, args.out, verbose=args.verbose)
         return 0
     except (ConfigError, FileNotFoundError) as exc:
@@ -86,9 +90,17 @@ def entry():
     numpy's module state).  argparse's ``SystemExit`` and a ``KeyboardInterrupt``
     leave through Python's normal exit.  A closed stdout ends it by SIGPIPE, as
     ``cat``; ``_signal`` is ``signal``'s builtin core, without its 1.3 ms of enums.
+
+    Each BLAS thread count the environment leaves unset is set to 1 before
+    ``main`` runs: OpenBLAS starts its thread pool when numpy loads, which
+    ``main`` does only for ``run`` (and a thermometry ``validate``); a pool
+    sized to the machine costs each start-up tens of milliseconds, and no
+    matrix the package factors is large enough to share.
     """
     if hasattr(_signal, "SIGPIPE"):
         _signal.signal(_signal.SIGPIPE, _signal.SIG_DFL)
+    for name in _BLAS_THREADS:
+        os.environ.setdefault(name, "1")
     code = main()
     sys.stdout.flush()
     sys.stderr.flush()

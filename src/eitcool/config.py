@@ -9,7 +9,8 @@ are degrees, converted to radians; ``_s`` seconds; ``_nm`` nanometers; ``_amu`` 
 import math
 from types import MappingProxyType
 
-from .atom import SIDEBANDS, VARIANTS, LevelScheme
+from .atom import (SIDEBANDS, VARIANTS, EITConfig, LevelScheme, MagneticField,
+                   coupling_for_target_shift, zeeman_splitting)
 from .constants import ATOMIC_MASS
 from .record import Record
 
@@ -135,9 +136,7 @@ class RunConfig(Record):
         """The model variants the task runs."""
         return VARIANTS if self.values["variant"] == "all" else (self.values["variant"],)
 
-    def eit_config(self, variant: str | None = None) -> "EITConfig":
-        from .spectrum import EITConfig
-
+    def eit_config(self, variant: str | None = None) -> EITConfig:
         v = variant or self.values["variant"]
         return EITConfig(
             omega_sigma=angular(self.values["beams.coupling.rabi_hz"]),
@@ -240,8 +239,11 @@ def resolve(values: dict) -> RunConfig:
     for key, val in resolved.items():
         if _SCHEMA[key][0] is float and val is not None and not math.isfinite(val):
             raise ConfigError(f"{key} must be finite, not {val!r}")
+        if key.endswith("_hz") and val is not None and not math.isfinite(angular(val)):
+            raise _too_large(resolved, key, "its angular frequency 2 pi f")
     mass = resolved["ion.mass_amu"] * ATOMIC_MASS
-    for key in (f"trap.omega_{label}_hz" for label in reads.get(task, ())):
+    mode_keys = [f"trap.omega_{label}_hz" for label in reads.get(task, ())]
+    for key in mode_keys:
         if resolved[key] is None:
             raise ConfigError(f"task {task!r} requires key {key!r}")
         if not 2 * mass * angular(resolved[key]) > 0:  # as mode_geometry's a0 computes it
@@ -249,12 +251,48 @@ def resolve(values: dict) -> RunConfig:
             raise ConfigError(f"{key} = {resolved[key]!r} is too small: the mode's ground-"
                               "state size a0 = sqrt(hbar / 2 m omega) divides by 0")
     if task != "thermometry":  # every other task builds the beams of its variants
-        for v in config.variants():
-            try:
-                config.eit_config(v).beams()
-            except ValueError as exc:
-                raise ConfigError(f"variant {v!r}: {exc}") from exc
+        _check_beams(config, mode_keys)
     return config
+
+
+def _too_large(values, key: str, what: str) -> ConfigError:
+    return ConfigError(f"{key} = {values[key]!r} is too large: {what} overflows")
+
+
+def _check_beams(config: RunConfig, mode_keys: list) -> None:
+    """Build the beams of each variant the task runs, and raise ConfigError naming
+    the key of the first value that overflows one of them (plain math, no solve).
+
+    Besides the configured pair, that is the cooling beam at the sidebands
+    delta_pi -/+ omega of the largest mode frequency (of ``mode_keys``, or the
+    sweep of sweep-omega) and the coupling beam of the AC Stark sweep's largest
+    shift, as ``coupling_for_target_shift`` derives it.
+    """
+    v = config.values
+    swept = max(_TASK_REQUIRES.get(config.task, ()), key=v.get, default=None)
+    omega = swept if config.task == "sweep-omega" else max(mode_keys, key=v.get, default=None)
+    if not math.isfinite(sum(zeeman_splitting(config.scheme(), MagneticField(v["field.gauss"])))):
+        raise _too_large(v, "field.gauss", "the Zeeman splitting")
+    for variant in config.variants():
+        eit = config.eit_config(variant)
+        try:
+            beams = eit.beams()
+        except ValueError as exc:
+            raise ConfigError(f"variant {variant!r}: {exc}") from exc
+        for beam in beams:
+            for name, what in (("rabi", "Rabi frequency"), ("detuning", "detuning")):
+                if not math.isfinite(getattr(beam, name)):
+                    raise _too_large(v, f"beams.{beam.label}.{name}_hz",
+                                     f"the {beam.label} beam's {what}")
+        if config.task == "sweep-delta":
+            omega_sigma = coupling_for_target_shift(angular(v[swept]), eit.delta_sigma)
+            if not math.isfinite(eit._replace(omega_sigma=omega_sigma).beams()[0].rabi):
+                raise _too_large(v, swept,
+                                 "the coupling beam's Rabi frequency at that AC Stark shift")
+        if omega is not None:
+            for sideband in (-angular(v[omega]), angular(v[omega])):
+                if not math.isfinite(eit.beams(eit.delta_pi + sideband)[1].detuning):
+                    raise _too_large(v, omega, "the cooling beam's detuning at its sidebands")
 
 
 def load_config(path) -> RunConfig:

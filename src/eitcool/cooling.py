@@ -17,8 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .atom import EITConfig, coupling_for_target_shift
 from .constants import CA40_MASS, HBAR
-from .spectrum import EITConfig, _require_one_point, coupling_for_target_shift, scattering_rates
+from .spectrum import _require_one_point, scattering_rates
 
 
 class CoolingGeometry(NamedTuple):

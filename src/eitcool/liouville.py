@@ -299,7 +299,8 @@ def _null_vectors(l: np.ndarray, dim: int, checked: bool = True):
     scale = np.abs(l).max(axis=(1, 2))
     trace_row = _vec_index(dim)[0]
     m = np.empty((solves, n, d2, d2), complex)
-    np.divide(l, scale[:, None, None], out=m[0])
+    with np.errstate(invalid="ignore"):  # inf / inf where an entry overflowed: that point fails
+        np.divide(l, scale[:, None, None], out=m[0])
     rhs = np.zeros((solves, n, d2, 1), complex)
     if checked:
         m[1] = m[0]
@@ -315,7 +316,8 @@ def _null_vectors(l: np.ndarray, dim: int, checked: bool = True):
     failed = singular
     if checked:
         spread = np.abs(v - x[1]).max(axis=1)
-        resid = np.abs(l @ v[:, :, None]).max(axis=(1, 2)) / scale
+        with np.errstate(over="ignore", invalid="ignore"):  # as above, or L v overflows
+            resid = np.abs(l @ v[:, :, None]).max(axis=(1, 2)) / scale
         not_unique = ~((spread <= _CHECK_TOL) & (resid <= _CHECK_TOL))
         failed = not_unique if singular is None else singular | not_unique
     if failed is None or not failed.any():

@@ -20,30 +20,21 @@ laser setting, and the cooling rates, coupling-strength sweeps and the Fano
 features (a grid, then stacked zoom passes) all read a ``Spectrum`` stack.
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
+# the laser configuration and the dressed-state formulas live in ``atom``,
+# which loads no numpy; they are importable from here as well
 from .atom import (
-    S_MINUS,
-    S_PLUS,
-    TRANSITIONS,
-    Beam,
-    LevelScheme,
-    MagneticField,
-    circular_polarization,
-    zeeman_splitting,
+    EITConfig,
+    ac_stark_shift,
+    ac_stark_shift_approx,
+    coupling_for_target_shift,
+    coupling_for_target_shift_approx,
+    dressed_state,
 )
-from .liouville import (
-    DrivenSystem,
-    build_liouvillian,
-    build_system,
-    sweep_states,
-)
-
-# the coupling beam's field-frame polarization, sigma+ light
-_SIGMA_PLUS = tuple(map(complex, circular_polarization(+1)))
+from .liouville import DrivenSystem, build_liouvillian, sweep_states
 
 # fano_features zoom: samples per bracket per pass, the bracket width (in
 # units of the AC Stark shift) at which the passes stop, and a cap on the
@@ -61,45 +52,6 @@ class BracketError(ValueError):
     """The scan range does not bracket the requested feature."""
 
 
-def ac_stark_shift(omega_sigma: float, delta_sigma: float) -> float:
-    """Light shift of the dressed |P,+> level, exact two-level expression."""
-    return 0.5 * (math.hypot(omega_sigma, delta_sigma) - abs(delta_sigma))
-
-
-def ac_stark_shift_approx(omega_sigma: float, delta_sigma: float) -> float:
-    """Far-detuned approximation Omega^2 / (4 Delta)."""
-    if delta_sigma == 0:
-        raise ValueError("approximate branch undefined at delta_sigma = 0")
-    return omega_sigma**2 / (4 * delta_sigma)
-
-
-def coupling_for_target_shift(omega_mode: float, delta_sigma: float) -> float:
-    """Coupling Rabi frequency that makes the AC Stark shift equal omega_mode.
-
-    Exact inversion of the shift formula: Omega = 2 sqrt(w (w + |Delta|)).
-    """
-    for name, x in (("omega_mode", omega_mode), ("delta_sigma", delta_sigma)):
-        if not 0 < x < math.inf:
-            raise ValueError(f"{name} must be positive and finite, not {x!r}")
-    return 2.0 * math.sqrt(omega_mode * (omega_mode + abs(delta_sigma)))
-
-
-def coupling_for_target_shift_approx(omega_mode: float, delta_sigma: float) -> float:
-    """The 2 sqrt(w Delta) approximation to the inversion above."""
-    return 2.0 * math.sqrt(omega_mode * delta_sigma)
-
-
-def dressed_state(omega_sigma: float, delta_sigma: float):
-    """Coefficients of the bright dressed state on (|S,->, |P,+>)."""
-    if omega_sigma == 0 and delta_sigma == 0:
-        raise ValueError("dressed state undefined at zero coupling and detuning")
-    delta = ac_stark_shift(omega_sigma, delta_sigma)
-    norm = math.sqrt(4 * delta**2 + omega_sigma**2)
-    if norm == 0:
-        return (1.0, 0.0)
-    return (omega_sigma / norm, 2 * delta / norm)
-
-
 class FanoFeatures(NamedTuple):
     dark_point: float
     bright_peak: float
@@ -107,74 +59,6 @@ class FanoFeatures(NamedTuple):
     @property
     def stark_shift(self) -> float:
         return self.bright_peak - self.dark_point
-
-
-class EITConfig(NamedTuple):
-    """Laser/field configuration for one cooling spectrum.
-
-    ``omega_sigma`` and ``omega_pi`` are effective transition Rabi frequencies
-    (sigma+ on S- -> P+, pi on S+ -> P+), the quantities entering the dressed
-    state formulas; bare beam Rabi frequencies are recovered internally by
-    dividing out polarization projection and CG factors.  The four laser
-    parameters may be arrays, one entry per point of a ``scattering_rates`` stack.
-    Field-frame polarizations: sigma+ coupling light; pi cooling light, or in
-    ``four_level_geometry`` linear light in the (k, B) plane at ``beam_angle`` to B.
-    """
-
-    omega_sigma: float
-    omega_pi: float
-    delta_sigma: float
-    delta_pi: float
-    variant: str = "three_level"
-    b_gauss: float = 4.4
-    beam_angle: float = math.radians(125.0)  # between cooling and coupling k
-    scheme: LevelScheme = LevelScheme()
-
-    @property
-    def field(self) -> MagneticField:
-        return MagneticField(magnitude=self.b_gauss)
-
-    def laser_frequencies(self, delta_pi):
-        """(nu_c, nu_g) referenced to the zero-field S->P resonance.
-
-        ``delta_pi`` may be an array of cooling detunings; nu_g then is too.
-        """
-        delta_s, delta_p = zeeman_splitting(self.scheme, self.field)
-        # transition-referenced -> zero-field-referenced detunings
-        nu_c = self.delta_sigma + 0.5 * (delta_p + delta_s)
-        return nu_c, delta_pi + 0.5 * (delta_p - delta_s)
-
-    def beams(self, delta_pi: float | None = None) -> tuple:
-        """The physical (coupling, cooling) beam pair of this configuration."""
-        if delta_pi is None:
-            delta_pi = self.delta_pi
-        nu_c, nu_g = self.laser_frequencies(delta_pi)
-
-        coupling = Beam(
-            label="coupling",
-            rabi=self.omega_sigma / abs(TRANSITIONS[(S_MINUS, +1)][1]),
-            detuning=nu_c,
-            polarization=_SIGMA_PLUS,
-        )
-
-        if self.variant == "four_level_geometry":
-            pol = (-math.cos(self.beam_angle), 0.0, math.sin(self.beam_angle))
-            amp_pi = abs(math.sin(self.beam_angle))
-            if amp_pi < 1e-9:
-                raise ValueError("beam_angle puts the cooling beam along B, with no pi light")
-        else:
-            pol = (0.0, 0.0, 1.0)
-            amp_pi = 1.0
-        cooling = Beam(
-            label="cooling",
-            rabi=self.omega_pi / (amp_pi * TRANSITIONS[(S_PLUS, 0)][1]),
-            detuning=nu_g,
-            polarization=pol,
-        )
-        return coupling, cooling
-
-    def system(self, delta_pi: float | None = None) -> DrivenSystem:
-        return build_system(self.scheme, self.field, *self.beams(delta_pi), self.variant)
 
 
 class Spectrum(NamedTuple):

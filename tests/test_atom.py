@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from eitcool.atom import (
     EXCITED_STATES,
     TRANSITIONS,
+    _SIGMA_PLUS,
     Beam,
     LevelScheme,
     MagneticField,
@@ -19,7 +20,6 @@ from eitcool.atom import (
 )
 
 from eitcool.liouville import _spherical, build_system
-from eitcool.spectrum import _SIGMA_PLUS
 
 from conftest import TP, fig2_config
 
@@ -90,6 +90,18 @@ def test_beam_holds_its_polarization_as_a_tuple():
     beam = Beam("coupling", 1.0, 0.0, circular_polarization(+1))
     assert type(beam.polarization) is tuple and beam.polarization == _SIGMA_PLUS
     assert hash(beam) == hash(Beam("coupling", 1.0, 0.0, _SIGMA_PLUS))
+
+
+def test_sigma_plus_literal_has_the_bits_of_circular_polarization():
+    # the coupling beam's polarization is written out so that building beams
+    # loads no numpy; _spherical keys on it, so one ulp or a zero's sign would
+    # move every solve that reads it
+    def hexes(pol):
+        return [(z.real.hex(), math.copysign(1, z.real), z.imag.hex(), math.copysign(1, z.imag))
+                for z in pol]
+
+    assert hexes(_SIGMA_PLUS) == hexes(map(complex, circular_polarization(+1)))
+    assert all(type(z) is complex for z in _SIGMA_PLUS)
 
 
 def _bits(system) -> tuple:

@@ -143,6 +143,40 @@ def test_validate_and_run_reject_a_non_finite_value(keys, message, tmp_path, cap
     assert not (tmp_path / "nonfinite.csv").exists()
 
 
+_ANGULAR = "its angular frequency 2 pi f"
+
+
+@pytest.mark.parametrize("name, key, value, overflows, also", [
+    ("fig2.cfg", "beams.coupling.rabi_hz", "1e308", _ANGULAR, {}),
+    ("fig2.cfg", "beams.cooling.detuning_hz", "1e308", _ANGULAR, {}),
+    ("multimode.cfg", "trap.omega_y_hz", "1e308", _ANGULAR, {}),
+    ("fig3.cfg", "sweep.stop_hz", "1e308", _ANGULAR, {}),
+    # 2 pi f is finite, the beam's Rabi frequency 2 pi f / sqrt(2/3) is not
+    ("fig2.cfg", "beams.coupling.rabi_hz", "2.5e307", "the coupling beam's Rabi frequency", {}),
+    ("fig2.cfg", "field.gauss", "1e305", "the Zeeman splitting", {}),
+    # the largest shift's coupling 2 sqrt(delta (delta + |Delta_sigma|))
+    *(("fig3.cfg", key, "1e300", "the coupling beam's Rabi frequency at that AC Stark shift",
+       {}) for key in ("sweep.start_hz", "sweep.stop_hz")),
+    ("multimode.cfg", "trap.omega_z_hz", "2e307", "the cooling beam's detuning at its sidebands",
+     {"beams.cooling.detuning_hz": "2e307"}),
+])
+def test_validate_and_run_reject_an_hz_value_that_overflows(name, key, value, overflows, also,
+                                                            tmp_path, capsys):
+    # each is finite, so validate exited 0; run exited 1 with a ValueError that
+    # named no key ("coupling beam rabi must be finite", "mode frequency must be
+    # positive and finite, not inf"), after a numpy RuntimeWarning for stop_hz
+    changes = {key: value, **also}
+    text = bundled_config_path(name).read_text()
+    lines = [line for line in text.splitlines() if line.split("=")[0].strip() not in changes]
+    cfg = tmp_path / name
+    cfg.write_text("\n".join([*lines, *(f"{k} = {v}" for k, v in changes.items()), ""]))
+    for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"error: {key} = {float(value)!r} is too large: "
+                                           f"{overflows} overflows\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name, key", [
     *((name, "ion.mass_amu") for name in ("fig3.cfg", "fig4.cfg", "multimode.cfg")),
     *((name, "trap.omega_y_hz") for name in ("fig3.cfg", "fig4.cfg", "multimode.cfg")),
@@ -495,7 +529,7 @@ _SOLVER = {"eitcool.liouville", "eitcool.spectrum", "eitcool.cooling", "eitcool.
 @pytest.fixture(scope="module")
 def entry_runs(tmp_path_factory):
     """Each case's ``python -X importtime -m eitcool.cli`` process, all run at once:
-    case -> (exit code, stdout, stderr without the import lines, eitcool modules loaded)."""
+    case -> (exit code, stdout, stderr without the import lines, modules loaded)."""
     tmp = tmp_path_factory.mktemp("entry")
     (tmp / "bad.cfg").write_text("task = thermometry\nthermometry.n_bar = -1\n")
     cases = {
@@ -503,6 +537,7 @@ def entry_runs(tmp_path_factory):
         "thermometry": ["run", "thermometry.cfg", "--out", str(tmp / "thermometry"),
                         "--verbose"],
         "validate": ["validate", "multimode.cfg"],
+        **{f"validate_{name}": ["validate", f"{name}.cfg"] for name in ("fig2", "fig3", "fig4")},
         "constants": ["constants"],
         "config_error": ["run", str(tmp / "bad.cfg"), "--out", str(tmp / "bad")],
         "usage_error": ["run"],
@@ -521,7 +556,7 @@ def entry_runs(tmp_path_factory):
         imports = [l for l in err.splitlines(keepends=True) if l.startswith("import time:")]
         modules = {l.rsplit("|", 1)[1].strip() for l in imports}
         runs[case] = (proc.returncode, out, err[len("".join(imports)):] if imports else err,
-                      {m for m in modules if m.split(".")[0] == "eitcool"})
+                      modules)
     return tmp, cases, runs
 
 
@@ -541,15 +576,18 @@ def test_process_entry_writes_what_main_writes(case, name, entry_runs, tmp_path,
 
 def test_process_entry_loads_only_the_modules_of_its_task(entry_runs):
     # a thermometry run loads no model module, a dynamics run no thermometry,
-    # and importing eitcool and what the CLI imports (-m runs eitcool.cli as
-    # __main__, which -X importtime does not list) loads no solver module
+    # and constants and validate (-m runs eitcool.cli as __main__, which
+    # -X importtime does not list) load neither the runner nor a solver module,
+    # nor numpy: validating any task but thermometry builds beams in plain math
     runs = entry_runs[2]
     assert "eitcool.thermometry" in runs["thermometry"][3]
     assert not runs["thermometry"][3] & (_SOLVER - {"eitcool.thermometry"})
     assert {"eitcool.cooling", "eitcool.liouville"} <= runs["fig4"][3]
     assert "eitcool.thermometry" not in runs["fig4"][3]
-    assert "eitcool.runner" in runs["constants"][3]
-    assert not runs["constants"][3] & _SOLVER
+    for case in ("constants", "validate", "validate_fig2", "validate_fig3", "validate_fig4"):
+        assert runs[case][0] == 0, case
+        assert "eitcool.config" in runs[case][3], case
+        assert not runs[case][3] & (_SOLVER | {"eitcool.runner", "numpy"}), case
 
 
 def test_process_entry_prints_and_exits_as_main_does(entry_runs, capsys):
@@ -581,6 +619,29 @@ def test_process_entry_on_a_closed_stdout_ends_as_cat_does(args):
     assert (proc.returncode, proc.stderr) == (-signal.SIGPIPE, b"")
 
 
+def test_process_entry_sets_unset_blas_thread_counts_to_one_before_numpy_loads():
+    # OpenBLAS builds its thread pool when numpy loads, which costs each start-up
+    # tens of milliseconds and speeds up no solve: entry sets each count the
+    # caller left unset to 1 before main runs, and keeps one the caller set
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    script = (
+        "import os, sys\n"
+        "import eitcool.cli\n"
+        "def main():\n"
+        f"    print([os.environ.get(n) for n in {names!r}], 'numpy' in sys.modules)\n"
+        "    return 0\n"
+        "eitcool.cli.main = main\n"
+        "eitcool.cli.entry()\n"
+    )
+    src = str(Path(eitcool.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["OMP_NUM_THREADS"] = "3"
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "['1', '3', '1'] False\n"
+
+
 def test_every_public_name_resolves_once_and_is_listed():
     # eitcool's names are imported on first access and then kept as globals
     assert len(set(eitcool.__all__)) == len(eitcool.__all__)
@@ -610,9 +671,12 @@ def test_bundled_runs_load_no_scipy(tmp_path):
 def test_import_and_validate_build_no_model_structure():
     # the coupling and superoperator structures, and the module that builds
     # them, are loaded by a model's first build, not at import; validating a
-    # config (load_config) builds beams only
+    # config (load_config) builds beams only, and the laser configuration
+    # record loads no numpy
     script = (
         "import pathlib, sys, eitcool\n"
+        "eitcool.EITConfig\n"
+        "print('numpy' in sys.modules)\n"
         "from eitcool.config import load_config\n"
         "configs = sorted((pathlib.Path(eitcool.__file__).parent / 'configs').glob('*.cfg'))\n"
         "for path in configs:\n"
@@ -623,7 +687,7 @@ def test_import_and_validate_build_no_model_structure():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == [str(len(BUNDLED)), "False"]
+    assert out.split() == ["False", str(len(BUNDLED)), "False"]
 
 
 def test_cli_import_loads_no_dataclasses_and_builds_no_fit_grid():

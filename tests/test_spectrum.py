@@ -224,6 +224,19 @@ def test_non_finite_model_input_raises_naming_it(variant, make, message):
             scattering_rates(cfg, cfg.delta_pi + GAMMA * np.array([-1.0, 1.0]))
 
 
+@pytest.mark.parametrize("variant", ["four_level_ideal", "four_level_geometry"])
+def test_a_null_vector_check_that_overflows_fails_its_points_without_warnings(variant):
+    # at Omega_pi = 2 pi 1e300 the residual L v overflows (four_level_ideal) and
+    # the folded Floquet matrix holds inf (four_level_geometry): each point
+    # already failed, but numpy printed RuntimeWarnings on a run that exits 0
+    cfg = fig2_config(variant, omega_pi=TP * 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spectrum = scattering_rates(cfg, cfg.delta_pi + GAMMA * np.array([-1.0, 1.0]))
+    assert all(type(e) is DegenerateSteadyStateError for e in spectrum.errors)
+    assert np.isnan(spectrum.w).all()
+
+
 def test_linear_response_quadratic_in_probe_rabi():
     cfg = fig2_config("three_level", omega_pi=GAMMA / 40,
                       delta_pi=FIG2["delta_sigma"] - TP * 3e6)
