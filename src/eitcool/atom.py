@@ -29,9 +29,14 @@ S_MINUS, S_PLUS, P_MINUS, P_PLUS = "S-", "S+", "P-", "P+"
 STATES = (S_MINUS, S_PLUS, P_MINUS, P_PLUS)
 EXCITED_STATES = (P_MINUS, P_PLUS)
 
-# the level-scheme variants (the levels each keeps are in ``structure``) and
-# the motional sidebands a thermometry probe drives
-VARIANTS = ("three_level", "four_level_ideal", "four_level_geometry")
+# the levels each level-scheme variant keeps, and the motional sidebands a
+# thermometry probe drives
+RETAINED = {
+    "three_level": (S_MINUS, S_PLUS, P_PLUS),
+    "four_level_ideal": STATES,
+    "four_level_geometry": STATES,
+}
+VARIANTS = tuple(RETAINED)
 SIDEBANDS = ("red", "blue")
 
 _SQRT13 = math.sqrt(1.0 / 3.0)
@@ -47,6 +52,9 @@ TRANSITIONS = {
     (S_PLUS, 0): (P_PLUS, +_SQRT13),
     (S_MINUS, +1): (P_PLUS, -_SQRT23),
 }
+
+# rotation of each level's frame, as integer coefficients of (nu_c, nu_g)
+FRAME = {S_MINUS: (0, 0), P_PLUS: (1, 0), S_PLUS: (1, -1), P_MINUS: (0, 1)}
 
 
 class LevelScheme(Record):
@@ -142,6 +150,12 @@ def zeeman_splitting(scheme: LevelScheme, field: MagneticField):
     return delta_s, delta_p
 
 
+def zeeman_shifts(scheme: LevelScheme, field: MagneticField) -> dict:
+    """Each level's Zeeman shift from the zero-field S->P resonance, rad/s, by state."""
+    delta_s, delta_p = zeeman_splitting(scheme, field)
+    return {S_MINUS: -delta_s / 2, S_PLUS: delta_s / 2, P_MINUS: -delta_p / 2, P_PLUS: delta_p / 2}
+
+
 def ac_stark_shift(omega_sigma: float, delta_sigma: float) -> float:
     """Light shift of the dressed |P,+> level, exact two-level expression."""
     return 0.5 * (math.hypot(omega_sigma, delta_sigma) - abs(delta_sigma))
@@ -206,21 +220,17 @@ class EITConfig(NamedTuple):
     def field(self) -> MagneticField:
         return MagneticField(magnitude=self.b_gauss)
 
-    def laser_frequencies(self, delta_pi):
-        """(nu_c, nu_g) referenced to the zero-field S->P resonance.
-
-        ``delta_pi`` may be an array of cooling detunings; nu_g then is too.
-        """
+    def laser_frequencies(self):
+        """(nu_c, nu_g) referenced to the zero-field S->P resonance; arrays where
+        ``delta_sigma`` or ``delta_pi`` is one."""
         delta_s, delta_p = zeeman_splitting(self.scheme, self.field)
         # transition-referenced -> zero-field-referenced detunings
         nu_c = self.delta_sigma + 0.5 * (delta_p + delta_s)
-        return nu_c, delta_pi + 0.5 * (delta_p - delta_s)
+        return nu_c, self.delta_pi + 0.5 * (delta_p - delta_s)
 
-    def beams(self, delta_pi: float | None = None) -> tuple:
+    def beams(self) -> tuple:
         """The physical (coupling, cooling) beam pair of this configuration."""
-        if delta_pi is None:
-            delta_pi = self.delta_pi
-        nu_c, nu_g = self.laser_frequencies(delta_pi)
+        nu_c, nu_g = self.laser_frequencies()
 
         coupling = Beam(
             label="coupling",
@@ -245,10 +255,10 @@ class EITConfig(NamedTuple):
         )
         return coupling, cooling
 
-    def system(self, delta_pi: float | None = None) -> "DrivenSystem":
+    def system(self) -> "DrivenSystem":
         from .liouville import build_system  # here: validating a config builds beams only
 
-        return build_system(self.scheme, self.field, *self.beams(delta_pi), self.variant)
+        return build_system(self.scheme, self.field, *self.beams(), self.variant)
 
 
 def doppler_limit_occupation(gamma: float, omega: float):

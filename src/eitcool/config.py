@@ -9,9 +9,9 @@ are degrees, converted to radians; ``_s`` seconds; ``_nm`` nanometers; ``_amu`` 
 import math
 from types import MappingProxyType
 
-from .atom import (SIDEBANDS, VARIANTS, EITConfig, LevelScheme, MagneticField,
-                   coupling_for_target_shift, zeeman_splitting)
-from .constants import ATOMIC_MASS
+from .atom import (FRAME, RETAINED, SIDEBANDS, VARIANTS, EITConfig, LevelScheme, MagneticField,
+                   coupling_for_target_shift, zeeman_shifts, zeeman_splitting)
+from .constants import ATOMIC_MASS, CA40_MASS_AMU
 from .record import Record
 
 TASKS = ("spectrum", "sweep-omega", "sweep-delta", "dynamics", "multimode", "thermometry")
@@ -33,7 +33,7 @@ _SCHEMA = {
     "task": (str, _REQUIRED),
     "variant": (str, "four_level_geometry"),
     "output": (str, None),
-    "ion.mass_amu": (float, 39.962590866),
+    "ion.mass_amu": (float, CA40_MASS_AMU),
     "ion.wavelength_nm": (float, 397.0),
     "ion.linewidth_hz": (float, 20e6),
     "field.gauss": (float, 4.4),
@@ -259,14 +259,27 @@ def _too_large(values, key: str, what: str) -> ConfigError:
     return ConfigError(f"{key} = {values[key]!r} is too large: {what} overflows")
 
 
+def _level_differences_finite(eit: EITConfig) -> bool:
+    """Whether every level-energy difference h_i - h_j that ``build_liouvillian`` writes
+    for ``eit`` is finite, in ``build_system``'s float operations; the widest is
+    2 nu_g - nu_c, between S+ and P- of the four-level variants."""
+    nu_c, nu_g = eit.laser_frequencies()
+    zeeman = zeeman_shifts(eit.scheme, eit.field)
+    levels = [zeeman[s] - (nu_c * FRAME[s][0] + nu_g * FRAME[s][1]) for s in RETAINED[eit.variant]]
+    h = [e - levels[0] for e in levels]
+    return all(math.isfinite(a - b) for a in h for b in h)
+
+
 def _check_beams(config: RunConfig, mode_keys: list) -> None:
     """Build the beams of each variant the task runs, and raise ConfigError naming
-    the key of the first value that overflows one of them (plain math, no solve).
+    the key of the first value that overflows one of them or the level energies
+    of its rotating frame (plain math, no solve).
 
     Besides the configured pair, that is the cooling beam at the sidebands
     delta_pi -/+ omega of the largest mode frequency (of ``mode_keys``, or the
-    sweep of sweep-omega) and the coupling beam of the AC Stark sweep's largest
-    shift, as ``coupling_for_target_shift`` derives it.
+    sweep of sweep-omega) and at the largest end of a spectrum's grid, and the
+    coupling beam of the AC Stark sweep's largest shift, as
+    ``coupling_for_target_shift`` derives it.
     """
     v = config.values
     swept = max(_TASK_REQUIRES.get(config.task, ()), key=v.get, default=None)
@@ -289,10 +302,18 @@ def _check_beams(config: RunConfig, mode_keys: list) -> None:
             if not math.isfinite(eit._replace(omega_sigma=omega_sigma).beams()[0].rabi):
                 raise _too_large(v, swept,
                                  "the coupling beam's Rabi frequency at that AC Stark shift")
+        cooled = [("beams.cooling.detuning_hz", eit)]  # (key, laser setting) per cooling detuning
         if omega is not None:
-            for sideband in (-angular(v[omega]), angular(v[omega])):
-                if not math.isfinite(eit.beams(eit.delta_pi + sideband)[1].detuning):
-                    raise _too_large(v, omega, "the cooling beam's detuning at its sidebands")
+            sidebands = [eit._replace(delta_pi=eit.delta_pi + sideband)
+                         for sideband in (-angular(v[omega]), angular(v[omega]))]
+            if not all(math.isfinite(point.beams()[1].detuning) for point in sidebands):
+                raise _too_large(v, omega, "the cooling beam's detuning at its sidebands")
+            cooled += [(omega, point) for point in sidebands]
+        if config.task == "spectrum":  # its grid, not delta_pi, sets the cooling detuning
+            cooled.append((swept, eit._replace(delta_pi=angular(v[swept]))))
+        for key, point in cooled:
+            if not _level_differences_finite(point):
+                raise _too_large(v, key, "the span of the rotating-frame level energies")
 
 
 def load_config(path) -> RunConfig:

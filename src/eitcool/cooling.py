@@ -40,6 +40,9 @@ def geometry_from_angle(omega: float, delta_k_mag: float, phi: float,
     for name, x in (("mode frequency", omega), ("mass", mass)):
         if not 0 < x < math.inf:
             raise ValueError(f"{name} must be positive and finite, not {x!r}")
+    if not 2 * mass * omega > 0:  # each is positive, but their product underflows
+        raise ValueError(f"2 * mass * omega underflows to 0 (mass {mass!r}, mode frequency "
+                         f"{omega!r}): a0 = sqrt(hbar / 2 m omega) divides by 0")
     eta = delta_k_mag * math.sqrt(HBAR / (2 * mass * omega))
     return CoolingGeometry(omega, eta, math.cos(phi), label)
 
@@ -99,7 +102,7 @@ def _reports(config: EITConfig, geometries) -> list:
     """One ``CoolingReport`` per mode under one laser config, from one spectrum solve.
 
     W is sampled at delta_pi -/+ omega of every mode in one (2, modes) ``scattering_rates``
-    stack; the one laser array it sees is the AC Stark sweep's coupling, one per mode.  An
+    stack, a ``delta_pi`` array; the AC Stark sweep's coupling is one per mode.  An
     omega outside (0, inf) is a ValueError, unsolved.  A failed mode has NaN rates and the
     first of its two failures as ``error``; a zero geometric prefactor gives (0, 0), no error.
     """
@@ -109,7 +112,7 @@ def _reports(config: EITConfig, geometries) -> list:
     n, delta = len(geometries), config.delta_pi
     sidebands = [[delta - geo.omega for geo in geometries],
                  [delta + geo.omega for geo in geometries]]
-    spectrum = scattering_rates(config, sidebands)
+    spectrum = scattering_rates(config._replace(delta_pi=sidebands))
     w_plus, w_minus = spectrum.w.tolist()
     reports = []
     for i, geo in enumerate(geometries):

@@ -6,7 +6,7 @@ level rotates at
 
     f(S-) = 0,  f(P+) = nu_c,  f(S+) = nu_c - nu_g,  f(P-) = nu_g,
 
-held as integer coefficients of (nu_c, nu_g) in ``structure``.  This leaves the
+held as integer coefficients of (nu_c, nu_g) in ``atom.FRAME``.  This leaves the
 sigma+ coupling (S- -> P+) and both pi couplings static.  The sigma-
 coupling (S+ -> P-), present only in the oblique-beam geometry, closes a
 loop mixing the two laser frequencies and oscillates at the residual beat
@@ -48,16 +48,12 @@ import numpy as np
 
 from .atom import (
     EXCITED_STATES,
-    P_MINUS,
-    P_PLUS,
-    S_MINUS,
-    S_PLUS,
     VARIANTS,
     Beam,
     LevelScheme,
     MagneticField,
     decompose_polarization,
-    zeeman_splitting,
+    zeeman_shifts,
 )
 
 
@@ -117,7 +113,7 @@ def build_system(
     field: MagneticField,
     coupling: Beam,
     cooling: Beam,
-    variant: str = "four_level_geometry",
+    variant: str,
 ) -> DrivenSystem:
     """Assemble the rotating-frame system for the requested variant.
 
@@ -152,9 +148,7 @@ def build_system(
         variant, ((coupling.label, qs_c), (cooling.label, qs_g)), scheme)
     nu_c = coupling.detuning
     nu_g = cooling.detuning
-    delta_s, delta_p = zeeman_splitting(scheme, field)
-    zeeman = {S_MINUS: -delta_s / 2, S_PLUS: delta_s / 2,
-              P_MINUS: -delta_p / 2, P_PLUS: delta_p / 2}
+    zeeman = zeeman_shifts(scheme, field)
     levels = np.array([zeeman[s] for s in labels]) - (
         np.multiply.outer(nu_c, frame[0]) + np.multiply.outer(nu_g, frame[1])
     )

@@ -42,7 +42,7 @@ def _run_spectrum(config: RunConfig):
     header = ["variant", "delta_pi_hz", "W_per_s", "rho_P_total"]
     rows = []
     for variant in config.variants():
-        spectrum = scattering_rates(config.eit_config(variant=variant), angular(grid_hz))
+        spectrum = scattering_rates(config.eit_config(variant)._replace(delta_pi=angular(grid_hz)))
         for hz, error in zip(grid_hz, spectrum.errors):
             if error is not None:  # raised as its own type, led by where it happened
                 where = f"variant {variant}, delta_pi/2pi = {_fmt(float(hz))} Hz"

@@ -12,7 +12,7 @@ population when a single beam scatters, and the per-beam rates always sum to
 Gamma * P_total in steady state (photon-rate balance).
 
 ``scattering_rates`` is the spectrum engine: a sweep is one stacked system,
-built by broadcasting the detunings and any laser parameter given as an array,
+built by broadcasting the laser parameters of an ``EITConfig`` given as arrays,
 and one stacked, checked solve (``liouville.sweep_states``) that reports
 per-point failures instead of raising them.  Its ``Spectrum`` is the one
 result record: ``scattering_rate`` returns the checked 0-d ``Spectrum`` of one
@@ -24,16 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-# the laser configuration and the dressed-state formulas live in ``atom``,
-# which loads no numpy; they are importable from here as well
-from .atom import (
-    EITConfig,
-    ac_stark_shift,
-    ac_stark_shift_approx,
-    coupling_for_target_shift,
-    coupling_for_target_shift_approx,
-    dressed_state,
-)
+from .atom import EITConfig, ac_stark_shift
 from .liouville import DrivenSystem, build_liouvillian, sweep_states
 
 # fano_features zoom: samples per bracket per pass, the bracket width (in
@@ -62,9 +53,8 @@ class FanoFeatures(NamedTuple):
 
 
 class Spectrum(NamedTuple):
-    """Cooling-beam spectrum over a set of detunings; failed points hold NaN."""
+    """Cooling-beam spectrum at each point of a laser-setting stack; failed points hold NaN."""
 
-    detuning_pi: np.ndarray
     w: np.ndarray  # cooling-beam scattering rate, photons/s
     rho_p_total: np.ndarray
     harmonic_order: np.ndarray  # Floquet truncation order reached; 0 where L is static
@@ -102,20 +92,19 @@ def _beam_rate(system: DrivenSystem, rho0: np.ndarray, rho1: np.ndarray, beam: s
     return rate
 
 
-def scattering_rates(config: EITConfig, detunings) -> Spectrum:
-    """Steady-state cooling-beam scattering rate at each cooling detuning.
+def scattering_rates(config: EITConfig) -> Spectrum:
+    """Steady-state cooling-beam scattering rate at each point of ``config``.
 
-    One stacked system over the detunings broadcast with the laser parameters
-    of ``config`` that are arrays, whose shape the result has, goes through
-    one stacked, checked solve (``sweep_states``), static at every point whose
-    beat is below ``_MIN_BEAT``.  A point whose solve fails holds NaN and its
-    exception in ``errors`` (in C order); the other points keep their values.
+    One stacked system over the laser parameters of ``config`` that are arrays,
+    broadcast, whose shape the result has (a detuning sweep is a ``delta_pi``
+    array), goes through one stacked, checked solve (``sweep_states``), static
+    at every point whose beat is below ``_MIN_BEAT``.  A point whose solve fails
+    holds NaN and its exception in ``errors`` (in C order); the other points
+    keep their values.
     """
-    deltas = np.asarray(detunings, dtype=float)
-    system = config.system(deltas)
+    system = config._replace(delta_pi=np.asarray(config.delta_pi, dtype=float)).system()
     rho0, rho1, order, errors = sweep_states(build_liouvillian(system))
     return Spectrum(
-        detuning_pi=deltas,
         w=_beam_rate(system, rho0, rho1, "cooling"),
         rho_p_total=sum(rho0[..., i, i].real for i in system.excited_indices()),
         harmonic_order=order,
@@ -131,16 +120,14 @@ def _require_one_point(config: EITConfig) -> None:
             raise ValueError(f"one laser setting per call, but {name} is an array")
 
 
-def scattering_rate(config: EITConfig, delta_pi: float | None = None) -> Spectrum:
-    """Steady-state cooling-beam scattering rate at one detuning, as a 0-d ``Spectrum``.
+def scattering_rate(config: EITConfig) -> Spectrum:
+    """Steady-state cooling-beam scattering rate of one laser setting, as a 0-d ``Spectrum``.
 
     The one-point case of ``scattering_rates``: a solver failure is raised, and
-    so is a laser parameter or detuning given as an array (ValueError).
+    so is a laser parameter given as an array (ValueError).
     """
-    if delta_pi is not None:
-        config = config._replace(delta_pi=delta_pi)
     _require_one_point(config)
-    return scattering_rates(config, config.delta_pi).checked()
+    return scattering_rates(config).checked()
 
 
 def fano_features(
@@ -169,7 +156,7 @@ def fano_features(
     if not (scan_lo < config.delta_sigma + delta < scan_hi):
         raise BracketError("scan range does not bracket the bright peak")
     grid = np.linspace(scan_lo, scan_hi, points)
-    w = scattering_rates(config, grid).checked().w
+    w = scattering_rates(config._replace(delta_pi=grid)).checked().w
     best = [int(np.argmin(w)), int(np.argmax(w))]
     if {0, points - 1} & set(best):
         raise BracketError("feature extremum sits at the scan boundary")
@@ -179,7 +166,7 @@ def fano_features(
         if np.all(brackets[:, 1] - brackets[:, 0] <= _ZOOM_WIDTH * delta):
             break
         zoom = np.linspace(brackets[:, 0], brackets[:, 1], _ZOOM_POINTS, axis=1)
-        w = scattering_rates(config, zoom.ravel()).checked().w.reshape(zoom.shape)
+        w = scattering_rates(config._replace(delta_pi=zoom.ravel())).checked().w.reshape(zoom.shape)
         best = [int(np.argmin(w[0])), int(np.argmax(w[1]))]
         for f, i in enumerate(best):
             brackets[f] = zoom[f, max(i - 1, 0)], zoom[f, min(i + 1, _ZOOM_POINTS - 1)]

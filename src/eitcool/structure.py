@@ -1,40 +1,23 @@
 """What a driven system and its Liouvillian are apart from their values.
 
-Which levels a variant keeps, the rotating frame of each level, the couplings
-each beam drives and where every commutator and decay term sits in the flat
-superoperators: fixed by the variant, by the spherical components each beam
-has and by the decay channels, not by the detunings or Rabi frequencies.
-``liouville.build_system`` and ``build_liouvillian`` look each structure up
-here, built once per key on first use, and compute only the values.  This
-module is imported by the first build, not with ``eitcool``.
+Which levels a variant keeps and their frames (``atom.RETAINED``, ``FRAME``),
+the couplings each beam drives and where every commutator and decay term sits
+in the flat superoperators: fixed by the variant, by the spherical components
+each beam has and by the decay channels, not by the detunings or Rabi
+frequencies.  ``liouville.build_system`` and ``build_liouvillian`` look each
+structure up here, built once per key on first use, and compute only the
+values.  This module is imported by the first build, not with ``eitcool``.
 """
 
 import functools
 
 import numpy as np
 
-from .atom import (
-    P_MINUS,
-    P_PLUS,
-    S_MINUS,
-    S_PLUS,
-    STATES,
-    TRANSITIONS,
-    LevelScheme,
-)
-
-# states retained per variant, keyed in the order of ``atom.VARIANTS``
-_RETAINED = {
-    "three_level": (S_MINUS, S_PLUS, P_PLUS),
-    "four_level_ideal": STATES,
-    "four_level_geometry": STATES,
-}
+from .atom import FRAME, RETAINED, TRANSITIONS, LevelScheme
 
 # spherical components q of the cooling beam that each variant leaves out
 _DROPPED_COOLING = {"four_level_ideal": (-1, +1), "four_level_geometry": (+1,)}
 
-# rotation of each level's frame, as integer coefficients of (nu_c, nu_g)
-_FRAME = {S_MINUS: (0, 0), P_PLUS: (1, 0), S_PLUS: (1, -1), P_MINUS: (0, 1)}
 # residual rotation of a coupling that oscillates: the beat nu_c - nu_g
 _BEAT = (1, -1)
 
@@ -45,7 +28,7 @@ def system_structure(variant: str, beams: tuple, scheme: LevelScheme) -> tuple:
     (label, nonzero spherical components): the levels' (nu_c, nu_g) coefficients,
     (2, d), the couplings' (lower, upper, beam, q, CG, oscillates) in order and
     the decays of ``scheme``.  A ValueError is not cached: each call raises it."""
-    labels = _RETAINED[variant]
+    labels = RETAINED[variant]
     couplings = []
     driven = set()
     dropped = _DROPPED_COOLING.get(variant, ())
@@ -58,7 +41,7 @@ def system_structure(variant: str, beams: tuple, scheme: LevelScheme) -> tuple:
                 raise ValueError(f"transition {pair} driven by two distinct frequencies")
             driven.add(pair)
             residual = tuple(
-                n - u + l for n, u, l in zip(nu, _FRAME[upper_label], _FRAME[lower_label])
+                n - u + l for n, u, l in zip(nu, FRAME[upper_label], FRAME[lower_label])
             )
             if residual not in ((0, 0), _BEAT):
                 raise ValueError(
@@ -73,7 +56,7 @@ def system_structure(variant: str, beams: tuple, scheme: LevelScheme) -> tuple:
         for u, l, rate in scheme.decay_channels()
         if u in labels and l in labels
     )
-    frame = np.array([_FRAME[s] for s in labels], float).T
+    frame = np.array([FRAME[s] for s in labels], float).T
     frame.flags.writeable = False  # one array shared by every call
     return labels, frame, tuple(couplings), decays
 

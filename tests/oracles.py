@@ -25,8 +25,10 @@ from scipy.linalg import solve_banded
 from scipy.special import eval_genlaguerre
 
 from eitcool.atom import (
+    FRAME,
     P_MINUS,
     P_PLUS,
+    RETAINED,
     S_MINUS,
     S_PLUS,
     TRANSITIONS,
@@ -42,7 +44,7 @@ from eitcool.liouville import (
     DrivenSystem,
     Liouvillian,
 )
-from eitcool.structure import _BEAT, _DROPPED_COOLING, _FRAME, _RETAINED
+from eitcool.structure import _BEAT, _DROPPED_COOLING
 from eitcool.thermometry import FlopRecord, ThermalState
 
 
@@ -88,17 +90,17 @@ def static_approximation(liouv: Liouvillian) -> Liouvillian:
     )
 
 
-def reference_system(scheme, field, coupling, cooling, variant="four_level_geometry"):
+def reference_system(scheme, field, coupling, cooling, variant):
     """``build_system`` as one pass over the transitions per call, with no cached structure."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    labels = _RETAINED[variant]
+    labels = RETAINED[variant]
     nu_c = coupling.detuning
     nu_g = cooling.detuning
     delta_s, delta_p = zeeman_splitting(scheme, field)
     zeeman = {S_MINUS: -delta_s / 2, S_PLUS: delta_s / 2,
               P_MINUS: -delta_p / 2, P_PLUS: delta_p / 2}
-    levels = [zeeman[s] - (_FRAME[s][0] * nu_c + _FRAME[s][1] * nu_g) for s in labels]
+    levels = [zeeman[s] - (FRAME[s][0] * nu_c + FRAME[s][1] * nu_g) for s in labels]
     h_diag = np.stack(np.broadcast_arrays(*levels), axis=-1)
     h_diag = h_diag - h_diag[..., :1]
     couplings = []
@@ -114,7 +116,7 @@ def reference_system(scheme, field, coupling, cooling, variant="four_level_geome
                 raise ValueError(f"transition {pair} driven by two distinct frequencies")
             driven.add(pair)
             residual = tuple(
-                n - u + l for n, u, l in zip(nu, _FRAME[upper_label], _FRAME[lower_label])
+                n - u + l for n, u, l in zip(nu, FRAME[upper_label], FRAME[lower_label])
             )
             if residual not in ((0, 0), _BEAT):
                 raise ValueError(f"{beam.label} beam drives {pair} off the beat")

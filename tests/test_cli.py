@@ -144,6 +144,7 @@ def test_validate_and_run_reject_a_non_finite_value(keys, message, tmp_path, cap
 
 
 _ANGULAR = "its angular frequency 2 pi f"
+_SPAN = "the span of the rotating-frame level energies"
 
 
 @pytest.mark.parametrize("name, key, value, overflows, also", [
@@ -159,14 +160,24 @@ _ANGULAR = "its angular frequency 2 pi f"
        {}) for key in ("sweep.start_hz", "sweep.stop_hz")),
     ("multimode.cfg", "trap.omega_z_hz", "2e307", "the cooling beam's detuning at its sidebands",
      {"beams.cooling.detuning_hz": "2e307"}),
+    # every beam is finite, but 2 nu_g - nu_c, the level-energy difference of S+
+    # and P- in the four-level variants, is not: at a sideband, at the configured
+    # cooling detuning (fig2 runs three_level first, whose levels span less) and
+    # at the end of a spectrum's grid
+    ("multimode.cfg", "trap.omega_z_hz", "2e307", _SPAN, {}),
+    ("fig4.cfg", "beams.cooling.detuning_hz", "2e307", _SPAN, {}),
+    ("fig2.cfg", "beams.cooling.detuning_hz", "2e307", _SPAN, {}),
+    ("spectrum", "sweep.stop_hz", "2e307", _SPAN, {"variant": "four_level_ideal"}),
 ])
 def test_validate_and_run_reject_an_hz_value_that_overflows(name, key, value, overflows, also,
                                                             tmp_path, capsys):
     # each is finite, so validate exited 0; run exited 1 with a ValueError that
     # named no key ("coupling beam rabi must be finite", "mode frequency must be
-    # positive and finite, not inf"), after a numpy RuntimeWarning for stop_hz
+    # positive and finite, not inf"), after a numpy RuntimeWarning for stop_hz;
+    # a level span that overflows ran to a DegenerateSteadyStateError or a
+    # LinAlgError after RuntimeWarnings, or (fig2) wrote 114 NaN rows and exited 0
     changes = {key: value, **also}
-    text = bundled_config_path(name).read_text()
+    text = SMALL_SPECTRUM if name == "spectrum" else bundled_config_path(name).read_text()
     lines = [line for line in text.splitlines() if line.split("=")[0].strip() not in changes]
     cfg = tmp_path / name
     cfg.write_text("\n".join([*lines, *(f"{k} = {v}" for k, v in changes.items()), ""]))
@@ -175,6 +186,21 @@ def test_validate_and_run_reject_an_hz_value_that_overflows(name, key, value, ov
         assert capsys.readouterr().err == (f"error: {key} = {float(value)!r} is too large: "
                                            f"{overflows} overflows\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_the_level_span_check_reads_the_levels_that_the_variant_keeps(tmp_path, capsys):
+    # three_level keeps no P-, so 2 nu_g - nu_c is none of its level differences:
+    # fig2's lasers with a cooling detuning of 2e307 Hz run, with no mode cooled
+    text = bundled_config_path("fig2.cfg").read_text().replace("variant = all",
+                                                               "variant = three_level")
+    cfg = tmp_path / "fig2.cfg"
+    cfg.write_text(text.replace("beams.cooling.detuning_hz = 70e6",
+                                "beams.cooling.detuning_hz = 2e307"))
+    assert main(["validate", str(cfg)]) == 0
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    n_ss = [row.split(",")[2] for row in _data_lines(tmp_path / "out" / "fig2.csv")[1:]]
+    assert n_ss == ["inf"] * 57
 
 
 @pytest.mark.parametrize("name, key", [
@@ -371,13 +397,14 @@ def test_multimode_requires_only_the_trap_frequencies_of_its_modes(tmp_path, cap
 def test_sweep_omega_reports_failed_points(tmp_path, monkeypatch):
     solve = eitcool.cooling.scattering_rates
 
-    def fail_above_2mhz(config, detunings):
-        # W at delta_pi -/+ omega: fail both samples of the 3 MHz mode
-        spectrum = solve(config, detunings)
+    def fail_above_2mhz(config):
+        # W at delta_pi -/+ omega, a (2, modes) stack: fail both samples of the 3 MHz mode
+        spectrum = solve(config)
+        deltas = np.asarray(config.delta_pi)
         errors = tuple(
-            DegenerateSteadyStateError("injected")
-            if abs(d - config.delta_pi) > TP * 2.5e6 else error
-            for d, error in zip(spectrum.detuning_pi.ravel(), spectrum.errors)
+            DegenerateSteadyStateError("injected") if omega > TP * 2.5e6 else error
+            for omega, error in zip(np.abs(deltas - deltas.mean(axis=0)).ravel(),
+                                    spectrum.errors)
         )
         return spectrum._replace(errors=errors)
 
@@ -400,9 +427,9 @@ def test_sweep_omega_reports_failed_points(tmp_path, monkeypatch):
 def test_sweep_delta_names_its_failed_points(tmp_path, monkeypatch):
     solve = eitcool.cooling.scattering_rates
 
-    def fail_strong_coupling(config, detunings):
+    def fail_strong_coupling(config):
         # one coupling Rabi frequency per shift: fail the two largest shifts
-        spectrum = solve(config, detunings)
+        spectrum = solve(config)
         strong = np.broadcast_to(config.omega_sigma, spectrum.w.shape) > TP * 32e6
         errors = tuple(ConvergenceError("injected\non two lines") if bad else error
                        for bad, error in zip(strong.ravel(), spectrum.errors))
@@ -428,8 +455,8 @@ def test_sweep_delta_names_its_failed_points(tmp_path, monkeypatch):
 def test_run_failure_names_the_error_type(spectrum_cfg, tmp_path, monkeypatch, capsys):
     solve = eitcool.spectrum.scattering_rates
 
-    def fail_first_point(config, detunings):
-        spectrum = solve(config, detunings)
+    def fail_first_point(config):
+        spectrum = solve(config)
         error = DegenerateSteadyStateError("steady state not unique (injected)")
         return spectrum._replace(errors=(error,) + spectrum.errors[1:])
 
@@ -446,8 +473,8 @@ def test_spectrum_failure_names_the_variant_and_the_first_failed_point(
 ):
     solve = eitcool.spectrum.scattering_rates
 
-    def fail_two_ideal_points(config, detunings):
-        spectrum = solve(config, detunings)
+    def fail_two_ideal_points(config):
+        spectrum = solve(config)
         if config.variant != "four_level_ideal":
             return spectrum
         errors = list(spectrum.errors)
@@ -474,8 +501,8 @@ def test_spectrum_failure_names_the_variant_and_the_first_failed_point(
 def test_mode_failure_names_the_mode(name, failed, label, tmp_path, monkeypatch, capsys):
     solve = eitcool.cooling.scattering_rates
 
-    def fail_samples(config, detunings):
-        spectrum = solve(config, detunings)
+    def fail_samples(config):
+        spectrum = solve(config)
         errors = [DegenerateSteadyStateError("injected") if i in failed else error
                   for i, error in enumerate(spectrum.errors)]
         return spectrum._replace(errors=tuple(errors))
@@ -487,7 +514,7 @@ def test_mode_failure_names_the_mode(name, failed, label, tmp_path, monkeypatch,
     )
 
 
-def _raise_index_error(config, detunings):
+def _raise_index_error(config):
     return [][0]
 
 

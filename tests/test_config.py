@@ -1,17 +1,22 @@
 import math
+import sys
 
 import pytest
 
 from eitcool.cli import bundled_config_path
+from eitcool.atom import VARIANTS
 from eitcool.config import (
     ConfigError,
     RunConfig,
+    _level_differences_finite,
     angular,
     load_config,
     parse_config_text,
     resolve,
 )
 from eitcool.constants import ATOMIC_MASS, HBAR
+
+from conftest import fig2_config
 
 TP = 2 * math.pi
 
@@ -232,3 +237,21 @@ def test_values_are_read_only():
 def test_output_name_defaults_to_task():
     cfg = resolve(parse_config_text(MINIMAL_SWEEP))
     assert cfg.output_name == "sweep-delta.csv"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_level_difference_check_agrees_with_the_built_liouvillian(variant):
+    # the plain-math check repeats build_system's float operations, so it
+    # agrees with L0's diagonal on both sides of the overflow of 2 nu_g - nu_c
+    import numpy as np
+
+    from eitcool.liouville import build_liouvillian
+
+    half = 0.5 * sys.float_info.max
+    for delta_pi in (TP * 70e6, *(sign * half * (1 + eps) for sign in (1, -1)
+                                  for eps in (-1e-15, 0.0, 1e-15)), 1.7e308, -1.7e308):
+        eit = fig2_config(variant, delta_pi=delta_pi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            l0 = build_liouvillian(eit.system()).l0
+        assert _level_differences_finite(eit) == np.isfinite(np.diagonal(l0)).all(), delta_pi
+

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eitcool.cooling
+from eitcool.atom import coupling_for_target_shift
 from eitcool.config import parse_config_text, resolve
 from eitcool.constants import CA40_MASS, HBAR
 from eitcool.cooling import (
@@ -17,12 +18,7 @@ from eitcool.cooling import (
     steady_state_n_sweep,
 )
 from eitcool.liouville import DegenerateSteadyStateError
-from eitcool.spectrum import (
-    coupling_for_target_shift,
-    fano_features,
-    scattering_rate,
-    scattering_rates,
-)
+from eitcool.spectrum import fano_features, scattering_rate, scattering_rates
 
 from conftest import TP, fig2_config
 
@@ -62,6 +58,14 @@ def test_trap_mode_invariants():
     heavy = geometry_from_angle(omega, 2 * K397, 0.0, mass=4 * CA40_MASS, label="y")
     assert heavy.eta == pytest.approx(geo.eta / 2, rel=1e-12)
     assert heavy.label == "y"
+
+
+def test_a_mass_and_mode_frequency_whose_product_underflows_are_rejected():
+    # each passes its own check, but 2 m omega is 0: a0 divided by it
+    # (ZeroDivisionError, before)
+    with pytest.raises(ValueError, match=r"2 \* mass \* omega underflows to 0 \(mass 1e-200, "
+                                         r"mode frequency 1e-200\)"):
+        geometry_from_angle(1e-200, 1e7, 0.3, mass=1e-200)
 
 
 def test_lamb_dicke_reference_values():
@@ -140,7 +144,7 @@ def test_coefficients_match_interpolated_spectrum_scan():
     from scipy.interpolate import CubicSpline
 
     grid = np.linspace(cfg.delta_pi - 1.5 * geo.omega, cfg.delta_pi + 1.5 * geo.omega, 801)
-    w = [scattering_rate(cfg, float(d)).w for d in grid]
+    w = [scattering_rate(cfg._replace(delta_pi=float(d))).w for d in grid]
     spline = CubicSpline(grid, w)
     pref = geo.eta**2 * geo.cos_phi**2
     assert a_plus == pytest.approx(pref * float(spline(cfg.delta_pi - geo.omega)), rel=1e-6)
@@ -260,9 +264,9 @@ def test_sweep_argument_validation():
 def test_delta_sweep_checks_every_shift_before_solving(monkeypatch):
     calls = []
 
-    def counting(config, detunings):
-        calls.append(detunings)
-        return scattering_rates(config, detunings)
+    def counting(config):
+        calls.append(config.delta_pi)
+        return scattering_rates(config)
 
     monkeypatch.setattr(eitcool.cooling, "scattering_rates", counting)
     for bad in (-1.0, 0.0, math.nan, math.inf):
@@ -280,9 +284,9 @@ def test_delta_sweep_checks_every_shift_before_solving(monkeypatch):
 def test_delta_sweep_is_one_spectrum_solve(monkeypatch):
     calls = []
 
-    def counting(config, detunings):
-        calls.append(detunings)
-        return scattering_rates(config, detunings)
+    def counting(config):
+        calls.append(config.delta_pi)
+        return scattering_rates(config)
 
     monkeypatch.setattr(eitcool.cooling, "scattering_rates", counting)
     rows = steady_state_n_sweep(fig2_config("four_level_geometry", omega_pi=TP * 2.14e6),
@@ -304,7 +308,7 @@ def test_sweep_records_degenerate_point_and_continues(variant):
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):
-    def broken(config, detunings):
+    def broken(config):
         raise TypeError("bug")
 
     monkeypatch.setattr(eitcool.cooling, "scattering_rates", broken)

@@ -6,6 +6,7 @@ import pytest
 from eitcool.atom import (
     TRANSITIONS,
     Beam,
+    EITConfig,
     LevelScheme,
     MagneticField,
     circular_polarization,
@@ -24,7 +25,7 @@ from eitcool.liouville import (
     steady_state,
     sweep_states,
 )
-from eitcool.spectrum import EITConfig, scattering_rates
+from eitcool.spectrum import scattering_rates
 
 from conftest import FIG2, TP, fig2_config
 from oracles import (
@@ -254,7 +255,7 @@ def test_weak_drive_steady_state_is_unique_until_the_drive_is_off(variant):
     deltas = cfg.delta_pi + TP * np.linspace(-3e6, 3e6, 7)
     for scale in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 0.0):
         weak = cfg._replace(omega_sigma=scale * cfg.omega_sigma, omega_pi=scale * cfg.omega_pi)
-        liouv = build_liouvillian(weak.system(deltas))
+        liouv = build_liouvillian(weak._replace(delta_pi=deltas).system())
         rho0, rho1, _, errors = sweep_states(liouv)
         if scale == 0.0:
             assert all(isinstance(e, DegenerateSteadyStateError) for e in errors)
@@ -386,23 +387,24 @@ def test_liouvillian_stack_broadcasts_the_laser_parameters():
     cfg = fig2_config("four_level_geometry")
     deltas = cfg.delta_pi + TP * np.array([-2e6, -0.5e6, 0.0, 1e6, 3e6])
     omega_pi = cfg.omega_pi * np.array([0.5, 0.8, 1.0, 1.3, 2.0])
-    swept = build_liouvillian(cfg.system(deltas))
+    swept = build_liouvillian(cfg._replace(delta_pi=deltas).system())
     assert swept.l0.shape == (5, 16, 16) and swept.l_plus.shape == (16, 16)
-    stacked = build_liouvillian(cfg._replace(omega_pi=omega_pi).system(deltas))
+    stacked = build_liouvillian(cfg._replace(omega_pi=omega_pi, delta_pi=deltas).system())
     assert stacked.l_plus.shape == (5, 16, 16)
     for i, d in enumerate(deltas):
-        one = build_liouvillian(cfg._replace(omega_pi=omega_pi[i]).system(d))
+        one = build_liouvillian(cfg._replace(omega_pi=omega_pi[i], delta_pi=d).system())
         assert np.array_equal(stacked.l0[i], one.l0)
         assert np.array_equal(stacked.l_plus[i], one.l_plus)
         assert stacked.beat[i] == one.beat
-        assert np.array_equal(swept.l0[i], build_liouvillian(cfg.system(d)).l0)
+        assert np.array_equal(swept.l0[i], build_liouvillian(cfg._replace(delta_pi=d).system()).l0)
 
 
 @pytest.mark.parametrize("variant", ["three_level", "four_level_geometry"])
 def test_one_point_solvers_reject_a_stack(variant):
     # a stack in any field: L0, the beat, or L+ alone
     cfg = fig2_config(variant)
-    stack = build_liouvillian(cfg.system(cfg.delta_pi + TP * np.array([0.0, 1e6])))
+    deltas = cfg.delta_pi + TP * np.array([0.0, 1e6])
+    stack = build_liouvillian(cfg._replace(delta_pi=deltas).system())
     one = build_liouvillian(cfg.system())
     wide = (one._replace(beat=np.array([1.0, 2.0]) * GAMMA),
             one._replace(l_plus=np.stack([one.l_plus] * 2)))
@@ -559,19 +561,21 @@ def _stacking_batches():
                        ("three_level", 230), ("four_level_ideal", 70)):  # three stacks
         cfg = fig2_config(variant)
         deltas = cfg.delta_pi + TP * rng.uniform(-4e6, 4e6, n)
-        batches.append((f"{variant} x {n}", build_liouvillian(cfg.system(deltas)), []))
+        batches.append((f"{variant} x {n}",
+                        build_liouvillian(cfg._replace(delta_pi=deltas).system()), []))
     # static and oblique-beam points in one stack: the lasers coincide at d0,
     # and one cooling Rabi frequency per point gives one L+ per point
     cfg = fig2_config("four_level_geometry")
-    nu_c, nu_g_at_zero = cfg.laser_frequencies(0.0)
+    nu_c, nu_g_at_zero = cfg._replace(delta_pi=0.0).laser_frequencies()
     d0 = nu_c - nu_g_at_zero
     deltas = d0 + TP * rng.uniform(-3e6, 3e6, 24)
     deltas[[3, 17]] = d0
-    assert (np.abs(build_liouvillian(cfg.system(deltas)).beat) < _MIN_BEAT).sum() == 2
-    batches.append(("geometry, shared L+", build_liouvillian(cfg.system(deltas)), []))
+    swept = build_liouvillian(cfg._replace(delta_pi=deltas).system())
+    assert (np.abs(swept.beat) < _MIN_BEAT).sum() == 2
+    batches.append(("geometry, shared L+", swept, []))
     omega_pi = cfg.omega_pi * rng.uniform(0.3, 5.0, 24)
-    batches.append(("geometry, L+ per point",
-                    build_liouvillian(cfg._replace(omega_pi=omega_pi).system(deltas)), []))
+    batches.append(("geometry, L+ per point", build_liouvillian(
+        cfg._replace(omega_pi=omega_pi, delta_pi=deltas).system()), []))
     # an undriven member of each kind of stack
     for variant, n, dead in (("three_level", 40, 11), ("four_level_ideal", 50, 37),
                              ("four_level_geometry", 12, 5)):
@@ -580,7 +584,7 @@ def _stacking_batches():
         omega_sigma[dead] = omega_pi[dead] = 0.0
         deltas = cfg.delta_pi + TP * rng.uniform(-3e6, 3e6, n)
         liouv = build_liouvillian(
-            cfg._replace(omega_sigma=omega_sigma, omega_pi=omega_pi).system(deltas))
+            cfg._replace(omega_sigma=omega_sigma, omega_pi=omega_pi, delta_pi=deltas).system())
         batches.append((f"{variant} x {n}, point {dead} undriven", liouv, [dead]))
     return batches
 
@@ -621,8 +625,8 @@ def test_oblique_beam_sweep_keeps_its_stacked_temporaries():
 
     cfg = fig2_config("four_level_geometry")
     omegas = TP * np.linspace(0.5e6, 4e6, 57)
-    liouv = build_liouvillian(cfg.system(np.concatenate([cfg.delta_pi - omegas,
-                                                         cfg.delta_pi + omegas])))
+    deltas = np.concatenate([cfg.delta_pi - omegas, cfg.delta_pi + omegas])
+    liouv = build_liouvillian(cfg._replace(delta_pi=deltas).system())
     sweep_states(liouv)  # warm: the first call builds nothing traced
     tracemalloc.start()
     try:
@@ -828,8 +832,8 @@ def test_fold_converges_where_rho_plus_one_sits_at_round_off():
     # the beat
     delta_s, _ = zeeman_splitting(LevelScheme(), MagneticField(4.4))
     beats = np.array([0.1, 0.2, 0.3])
-    spectrum = scattering_rates(fig2_config("four_level_geometry"),
-                                FIG2["delta_sigma"] + delta_s - beats)
+    spectrum = scattering_rates(
+        fig2_config("four_level_geometry", delta_pi=FIG2["delta_sigma"] + delta_s - beats))
     assert spectrum.errors == (None, None, None)
     w = spectrum.w
     assert abs(w[1] - (w[0] + w[2]) / 2) <= 1e-11 * w[1]

@@ -37,7 +37,7 @@ RECORDS = {
     "DrivenSystem": lambda: DrivenSystem(("S-", "S+"), (0.0, 1e6), (), (), 0.0),
     "Liouvillian": lambda: Liouvillian(((0.0,),), ((0.0,),), 0.0),
     "EITConfig": lambda: EITConfig(omega_sigma=1e8, omega_pi=1e7, delta_sigma=4e8, delta_pi=4e8),
-    "Spectrum": lambda: Spectrum((4e8,), (1e3,), (1e-3,), (0,), (None,)),
+    "Spectrum": lambda: Spectrum((1e3,), (1e-3,), (0,), (None,)),
     "FanoFeatures": lambda: FanoFeatures(dark_point=4e8, bright_peak=4.1e8),
     "CoolingGeometry": lambda: CoolingGeometry(omega=1e7, eta=0.1, cos_phi=0.5, label="y"),
     "CoolingReport": lambda: CoolingReport("y", 1e7, 10.0, 100.0),
